@@ -59,38 +59,40 @@ inline RampResult RunS3Ramp(platform::Testbed* bed,
                                     storage::Blob::Synthetic(kKiB)));
   }
 
-  struct LoopState {
+  // Closed-loop request slots; honours the (dynamic) thread target. Each
+  // pending GET's callback holds the loop, so the loop is freed once its
+  // last request settles.
+  struct RampLoop : std::enable_shared_from_this<RampLoop> {
+    storage::RetryClient* client = nullptr;
     int64_t successes = 0;
     int64_t failures = 0;
     int64_t issued = 0;
     int target_threads = 0;
     int active_threads = 0;
     bool stop = false;
-  };
-  auto state = std::make_shared<LoopState>();
 
-  // Closed-loop issue function; honours the (dynamic) thread target.
-  std::shared_ptr<std::function<void(int)>> issue =
-      std::make_shared<std::function<void(int)>>();
-  *issue = [&client, state, issue](int slot) {
-    if (state->stop || slot >= state->target_threads) {
-      --state->active_threads;
-      return;
+    void Issue(int slot) {
+      if (stop || slot >= target_threads) {
+        --active_threads;
+        return;
+      }
+      ++issued;
+      const std::string key =
+          StrFormat("ramp/obj-%05lld", static_cast<long long>(issued % 2048));
+      auto self = shared_from_this();
+      client->Get(key, {}, [self, slot](Result<storage::Blob> r) {
+        (r.ok() ? self->successes : self->failures) += 1;
+        self->Issue(slot);
+      });
     }
-    ++state->issued;
-    const std::string key =
-        StrFormat("ramp/obj-%05lld",
-                  static_cast<long long>(state->issued % 2048));
-    client->Get(key, {}, [state, issue, slot](Result<storage::Blob> r) {
-      (r.ok() ? state->successes : state->failures) += 1;
-      (*issue)(slot);
-    });
   };
+  auto state = std::make_shared<RampLoop>();
+  state->client = client.get();
   auto set_threads = [&](int target) {
     state->target_threads = target;
     while (state->active_threads < target) {
       const int slot = state->active_threads++;
-      (*issue)(slot);
+      state->Issue(slot);
     }
   };
 

@@ -8,11 +8,13 @@
 /// admission path).
 ///
 /// The whole scenario is a pure function of the seed: two runs write
-/// byte-identical JSON (pinned by tests/serving). With
-/// --check-baseline <file>, machine-independent gates (all on simulated
-/// quantities) from bench/serving_baseline.json are enforced and the process
-/// exits non-zero on regression; CI runs this next to the query-regression
-/// smoke.
+/// byte-identical JSON (pinned by tests/serving), apart from the `host`
+/// block, which records what the run cost this machine (peak RSS). With
+/// --check-baseline <file>, the gates in bench/serving_baseline.json are
+/// enforced and the process exits non-zero on regression: machine-
+/// independent bounds on the simulated quantities, plus a generous host
+/// peak-RSS ceiling that catches leaked engine state. CI runs this next to
+/// the query-regression smoke.
 
 #include <cstdio>
 #include <fstream>
@@ -32,6 +34,8 @@
 #include "platform/report.h"
 #include "serving/frontend.h"
 #include "storage/object_store.h"
+
+#include "host_stats.h"
 
 using namespace skyrise;
 
@@ -196,6 +200,8 @@ int CheckBaseline(const std::string& path, const Json& report) {
   gate_min("fleet_active_peak",
            static_cast<double>(fleet.GetInt("active_peak")),
            baseline.GetDouble("min_fleet_active_peak"));
+  gate_max("host.peak_rss_mib", report.Get("host").GetDouble("peak_rss_mib"),
+           baseline.GetDouble("max_peak_rss_mib"));
   return failures;
 }
 
@@ -255,6 +261,10 @@ int main(int argc, char** argv) {
   fleet["warm_pool_peak"] = stats.warm_pool_peak;
   fleet["reaped_sandboxes"] = stats.reaped_sandboxes;
   doc["fleet"] = std::move(fleet);
+  Json host = Json::Object();
+  host["peak_rss_mib"] =
+      static_cast<double>(bench::PeakRssBytes()) / static_cast<double>(kMiB);
+  doc["host"] = std::move(host);
   SKYRISE_CHECK_OK(platform::WriteResultFile("BENCH_serving.json", doc));
   std::printf("\nwrote BENCH_serving.json\n");
 

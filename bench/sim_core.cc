@@ -19,8 +19,6 @@
 /// exits non-zero on regression. CI runs this next to the query-regression
 /// smoke.
 
-#include <sys/resource.h>
-
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -41,6 +39,8 @@
 #include "format/encoding.h"
 #include "platform/report.h"
 #include "sim/environment.h"
+
+#include "host_stats.h"
 
 namespace {
 /// Global allocation counter; bumped by the replaced operator new below.
@@ -299,12 +299,6 @@ DecodeResult RunDecodeBench() {
   return result;
 }
 
-int64_t PeakRssBytes() {
-  struct rusage usage;
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
-  return static_cast<int64_t>(usage.ru_maxrss) * 1024;  // Linux: KiB.
-}
-
 /// Gates the measured numbers against the committed baseline's
 /// machine-independent ratios and generous absolute floors. Returns the
 /// number of failed gates.
@@ -391,7 +385,7 @@ int main(int argc, char** argv) {
 
   const double invocations_per_sec = RunInvocationReplay(kInvocations);
   const DecodeResult decode = RunDecodeBench();
-  const int64_t peak_rss = PeakRssBytes();
+  const int64_t peak_rss = bench::PeakRssBytes();
   const double speedup = calendar.events_per_sec() / heap.events_per_sec();
 
   platform::TablePrinter table(

@@ -369,6 +369,8 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
     int64_t peak_memory = 0;  ///< Max resident bytes over the stage's workers.
     int64_t batches = 0;      ///< Morsels processed across the stage.
     bool degraded = false;  ///< Scheduled with degraded (reduced) fan-out.
+    /// Two-level dispatch: fragment indices per invoker, issued in order.
+    std::vector<std::vector<int>> invoker_batches;
     sim::EventId spec_timer = sim::kInvalidEventId;
     obs::SpanId span = obs::kNoSpan;  ///< "stage p<id>" span.
   };
@@ -490,13 +492,11 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
                        [self, state] { self->DispatchDirect(state); });
   }
 
-  void DispatchTwoLevel(std::shared_ptr<StageState> state) {
+  void DispatchTwoLevel(const std::shared_ptr<StageState>& state) {
     // Group fragments into invoker batches and dispatch those serially; each
     // invoker fans out its batch in parallel with the others. Responses are
     // routed back to fragments by the "fragment" field, so individual worker
     // failures inside a batch retry per-fragment, not per-batch.
-    auto self = shared_from_this();
-    std::vector<std::vector<int>> batch_fragments;
     while (!state->pending.empty()) {
       std::vector<int> members;
       for (int i = 0; i < ec_->invoker_fanout && !state->pending.empty();
@@ -505,56 +505,54 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
         state->pending.pop_front();
         members.push_back(f);
       }
-      batch_fragments.push_back(std::move(members));
+      state->invoker_batches.push_back(std::move(members));
     }
-    auto member_list = std::make_shared<std::vector<std::vector<int>>>(
-        std::move(batch_fragments));
-    auto issue = std::make_shared<std::function<void(size_t)>>();
-    *issue = [self, state, member_list, issue](size_t i) {
-      if (i >= member_list->size() || state->failed) return;
-      const std::vector<int>& members = (*member_list)[i];
-      // The batch payload is assembled at issue time so each member carries
-      // a fresh attempt span as its trace parent; the invoker's own invoke
-      // span nests under the stage.
-      Json batch = Json::Object();
-      Json payloads = Json::Array();
-      auto attempt_spans = std::make_shared<std::map<int, obs::SpanId>>();
-      for (int f : members) {
-        self->NoteLaunch(state, f);
-        Json payload = state->frags[static_cast<size_t>(f)].payload;
-        (*attempt_spans)[f] = self->BeginAttempt(state, f, &payload);
-        payloads.Append(std::move(payload));
-      }
-      batch["payloads"] = std::move(payloads);
-      if (self->deadline_.bounded()) {
-        batch["deadline_us"] = self->deadline_.at_or_zero();
-      }
-      if (self->tracer_ != nullptr) batch["trace_parent"] = state->span;
-      self->ec_->worker_platform->Invoke(
-          kInvokerFunction, std::move(batch),
-          [self, state, members, attempt_spans](Result<Json> r) {
-            if (!r.ok()) {
-              // The invoker itself died (crash/timeout): every fragment of
-              // the batch failed; each retries independently.
-              for (int f : members) {
-                self->OnWorkerOutcome(state, f, (*attempt_spans)[f],
-                                      r.status());
-              }
-              return;
-            }
-            // The invoker returns the collected worker responses (including
-            // per-fragment error entries), routed by fragment index.
-            for (const auto& response : r->Get("responses").AsArray()) {
-              const int f = static_cast<int>(response.GetInt("fragment", -1));
-              if (f < 0 || f >= state->fragments) continue;
+    IssueInvokerBatch(state, 0);
+  }
+
+  void IssueInvokerBatch(const std::shared_ptr<StageState>& state, size_t i) {
+    if (i >= state->invoker_batches.size() || state->failed) return;
+    const std::vector<int>& members = state->invoker_batches[i];
+    // The batch payload is assembled at issue time so each member carries
+    // a fresh attempt span as its trace parent; the invoker's own invoke
+    // span nests under the stage.
+    Json batch = Json::Object();
+    Json payloads = Json::Array();
+    auto attempt_spans = std::make_shared<std::map<int, obs::SpanId>>();
+    for (int f : members) {
+      NoteLaunch(state, f);
+      Json payload = state->frags[static_cast<size_t>(f)].payload;
+      (*attempt_spans)[f] = BeginAttempt(state, f, &payload);
+      payloads.Append(std::move(payload));
+    }
+    batch["payloads"] = std::move(payloads);
+    if (deadline_.bounded()) batch["deadline_us"] = deadline_.at_or_zero();
+    if (tracer_ != nullptr) batch["trace_parent"] = state->span;
+    auto self = shared_from_this();
+    ec_->worker_platform->Invoke(
+        kInvokerFunction, std::move(batch),
+        [self, state, members, attempt_spans](Result<Json> r) {
+          if (!r.ok()) {
+            // The invoker itself died (crash/timeout): every fragment of
+            // the batch failed; each retries independently.
+            for (int f : members) {
               self->OnWorkerOutcome(state, f, (*attempt_spans)[f],
-                                    Json(response));
+                                    r.status());
             }
-          });
-      self->ec_->env->Schedule(kInvokeDispatchLatency,
-                               [issue, i] { (*issue)(i + 1); });
-    };
-    (*issue)(0);
+            return;
+          }
+          // The invoker returns the collected worker responses (including
+          // per-fragment error entries), routed by fragment index.
+          for (const auto& response : r->Get("responses").AsArray()) {
+            const int f = static_cast<int>(response.GetInt("fragment", -1));
+            if (f < 0 || f >= state->fragments) continue;
+            self->OnWorkerOutcome(state, f, (*attempt_spans)[f],
+                                  Json(response));
+          }
+        });
+    ec_->env->Schedule(kInvokeDispatchLatency, [self, state, i] {
+      self->IssueInvokerBatch(state, i + 1);
+    });
   }
 
   void OnWorkerOutcome(std::shared_ptr<StageState> state, int f,

@@ -227,7 +227,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     if (spec.type == InputSpec::Type::kTable) {
       LoadTableInput(index);
     } else {
-      LoadShuffleInput(index);
+      ReadShuffleInput(index);
     }
   }
 
@@ -423,68 +423,83 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     });
   }
 
-  // --- Shuffle input: read every upstream fragment's partition object. ---
+  // --- Shuffle inputs: bounded GETs of every upstream fragment's
+  // partition object. Reads complete in storage-latency order, which is not
+  // deterministic across fault/retry schedules, so each object decodes into
+  // one slot per upstream fragment and the slots are delivered in fragment
+  // order as the completion cursor advances: the input chunk order (and thus
+  // the query result bytes) is identical regardless of which attempts
+  // straggled or were retried. A build input accumulates into `loaded_` and
+  // then loads the next input; the streamed input 0 feeds the compute pump.
+  // One shuffle input is read at a time, so the cursors are task fields. ---
 
-  void LoadShuffleInput(size_t index) {
-    const InputSpec& spec = pipeline_.inputs[index];
-    const int upstream = spec.upstream_pipeline;
-    const int count = assignments_[index].upstream_fragments;
-    auto remaining = std::make_shared<int>(count);
-    auto failed = std::make_shared<bool>(false);
+  void ReadShuffleInput(size_t index) {
+    const size_t count =
+        static_cast<size_t>(assignments_[index].upstream_fragments);
+    shuffle_input_ = index;
+    shuffle_slots_.assign(count, {});
+    shuffle_done_.assign(count, false);
+    shuffle_cursor_ = 0;
+    shuffle_next_ = 0;
     if (count == 0) {
-      LoadBuildInput(index + 1);
+      ShuffleInputDone();
       return;
     }
+    PumpShuffleReads();
+  }
+
+  void PumpShuffleReads() {
+    const int upstream = pipeline_.inputs[shuffle_input_].upstream_pipeline;
     auto self = shared_from_this();
-    auto outstanding = std::make_shared<int>(0);
-    auto next = std::make_shared<int>(0);
-    // Reads complete in storage-latency order, which is not deterministic
-    // across fault/retry schedules. Decode into one slot per upstream
-    // fragment and accumulate in fragment order once all reads are in, so
-    // the input chunk order (and thus the query result bytes) is identical
-    // regardless of which attempts straggled or were retried.
-    auto slots = std::make_shared<std::vector<std::vector<Chunk>>>(
-        static_cast<size_t>(count));
-    auto pump = std::make_shared<std::function<void()>>();
-    *pump = [self, index, upstream, count, remaining, failed, outstanding,
-             next, slots, pump] {
-      while (*outstanding < self->ec_->max_concurrent_requests &&
-             *next < count) {
-        const int uf = (*next)++;
-        ++(*outstanding);
-        const std::string key =
-            ShuffleKey(self->query_id_, upstream, uf, self->fragment_);
-        self->shuffle_client_->Get(
-            key, self->storage_ctx_,
-            [self, index, key, uf, remaining, failed, outstanding, slots,
-             pump](Result<Blob> result) {
-              --(*outstanding);
-              if (*failed) return;
-              if (!result.ok()) {
-                *failed = true;
-                self->Fail(result.status());
-                return;
-              }
-              self->bytes_read_ += result->size();
-              if (!self->DecodeShuffleObject(
-                      key, *result, &(*slots)[static_cast<size_t>(uf)])) {
-                *failed = true;
-                return;
-              }
-              if (--(*remaining) == 0) {
-                for (auto& slot : *slots) {
-                  for (auto& chunk : slot) {
-                    self->AccumulateInput(index, std::move(chunk));
-                  }
-                }
-                self->LoadBuildInput(index + 1);
-                return;
-              }
-              (*pump)();
-            });
+    while (shuffle_outstanding_ < ec_->max_concurrent_requests &&
+           shuffle_next_ < shuffle_slots_.size()) {
+      const size_t uf = shuffle_next_++;
+      ++shuffle_outstanding_;
+      std::string key = ShuffleKey(query_id_, upstream, static_cast<int>(uf),
+                                   fragment_);
+      shuffle_client_->Get(key, storage_ctx_,
+                           [self, key, uf](Result<Blob> result) {
+                             self->OnShuffleRead(key, uf, std::move(result));
+                           });
+    }
+  }
+
+  void OnShuffleRead(const std::string& key, size_t uf, Result<Blob> result) {
+    --shuffle_outstanding_;
+    if (done_) return;
+    if (!result.ok()) {
+      Fail(result.status());
+      return;
+    }
+    bytes_read_ += result->size();
+    if (!DecodeShuffleObject(key, *result, &shuffle_slots_[uf])) return;
+    shuffle_done_[uf] = true;
+    AdvanceShuffleCursor();
+    if (!done_) PumpShuffleReads();
+  }
+
+  void AdvanceShuffleCursor() {
+    while (shuffle_cursor_ < shuffle_slots_.size() &&
+           shuffle_done_[shuffle_cursor_]) {
+      for (auto& chunk : shuffle_slots_[shuffle_cursor_]) {
+        if (shuffle_input_ == 0) {
+          Enqueue(std::move(chunk));
+        } else {
+          AccumulateInput(shuffle_input_, std::move(chunk));
+        }
       }
-    };
-    (*pump)();
+      shuffle_slots_[shuffle_cursor_].clear();
+      ++shuffle_cursor_;
+    }
+    if (shuffle_cursor_ == shuffle_slots_.size()) ShuffleInputDone();
+  }
+
+  void ShuffleInputDone() {
+    if (shuffle_input_ == 0) {
+      StreamEof();
+    } else {
+      LoadBuildInput(shuffle_input_ + 1);
+    }
   }
 
   bool DecodeShuffleObject(const std::string& key, const Blob& blob,
@@ -587,7 +602,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     if (pipeline_.inputs[0].type == InputSpec::Type::kTable) {
       StreamTableInput();
     } else {
-      StreamShuffleInput();
+      ReadShuffleInput(0);
     }
   }
 
@@ -745,63 +760,6 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     }
   }
 
-  // --- Streamed shuffle input: bounded GETs, decoded per upstream fragment
-  // and pushed in fragment order as the completion cursor advances. ---
-
-  void StreamShuffleInput() {
-    const int count = assignments_[0].upstream_fragments;
-    if (count == 0) {
-      StreamEof();
-      return;
-    }
-    shuffle_slots_.assign(static_cast<size_t>(count), {});
-    shuffle_done_.assign(static_cast<size_t>(count), false);
-    shuffle_cursor_ = 0;
-    shuffle_next_ = 0;
-    PumpShuffleStream(count);
-  }
-
-  void PumpShuffleStream(int count) {
-    const int upstream = pipeline_.inputs[0].upstream_pipeline;
-    auto self = shared_from_this();
-    while (shuffle_outstanding_ < ec_->max_concurrent_requests &&
-           shuffle_next_ < count) {
-      const int uf = shuffle_next_++;
-      ++shuffle_outstanding_;
-      const std::string key = ShuffleKey(query_id_, upstream, uf, fragment_);
-      shuffle_client_->Get(
-          key, storage_ctx_, [self, key, uf, count](Result<Blob> result) {
-            --self->shuffle_outstanding_;
-            if (self->done_) return;
-            if (!result.ok()) {
-              self->Fail(result.status());
-              return;
-            }
-            self->bytes_read_ += result->size();
-            if (!self->DecodeShuffleObject(
-                    key, *result,
-                    &self->shuffle_slots_[static_cast<size_t>(uf)])) {
-              return;
-            }
-            self->shuffle_done_[static_cast<size_t>(uf)] = true;
-            self->AdvanceShuffleCursor(count);
-            if (!self->done_) self->PumpShuffleStream(count);
-          });
-    }
-  }
-
-  void AdvanceShuffleCursor(int count) {
-    while (shuffle_cursor_ < count &&
-           shuffle_done_[static_cast<size_t>(shuffle_cursor_)]) {
-      for (auto& chunk : shuffle_slots_[static_cast<size_t>(shuffle_cursor_)]) {
-        Enqueue(std::move(chunk));
-      }
-      shuffle_slots_[static_cast<size_t>(shuffle_cursor_)].clear();
-      ++shuffle_cursor_;
-    }
-    if (shuffle_cursor_ == count) StreamEof();
-  }
-
   // --- The compute pump: one morsel per Compute hop, charged as the
   // cumulative cost delta so total CPU equals the materialized path. ---
 
@@ -869,10 +827,9 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
       Fail(outputs.status());
       return;
     }
-    auto outs = std::make_shared<std::vector<FragmentOutput>>(
-        std::move(*outputs));
+    outputs_ = std::move(*outputs);
     auto self = shared_from_this();
-    ChargeCompute([self, outs] {
+    ChargeCompute([self] {
       self->compute_done_ = self->Now();
       if (self->tracer_ != nullptr) {
         self->tracer_->SetArg(self->compute_span_, "batches",
@@ -888,24 +845,19 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
                               Json(self->fragment_));
         self->storage_ctx_.span = self->output_span_;
       }
-      self->WriteOutputs(outs);
+      self->WriteOutputs();
     });
   }
 
-  void WriteOutputs(std::shared_ptr<std::vector<FragmentOutput>> outputs) {
-    if (outputs->empty()) {
+  void WriteOutputs() {
+    if (outputs_.empty()) {
       Respond();
       return;
     }
     // Encode all outputs (CPU already accounted), then write them with
     // bounded concurrency — an unbounded PUT volley against a cold bucket
     // would immediately exceed the write-IOPS envelope for every worker.
-    struct PendingWrite {
-      std::string key;
-      Blob blob;
-    };
-    auto writes = std::make_shared<std::vector<PendingWrite>>();
-    for (auto& output : *outputs) {
+    for (auto& output : outputs_) {
       std::string key;
       if (output.partition < 0) {
         key = ResultKey(query_id_);
@@ -934,39 +886,37 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
       }
       bytes_written_ += blob.size();
       rows_out_ += output.chunk.rows();
-      writes->push_back(PendingWrite{std::move(key), std::move(blob)});
+      writes_.push_back(PendingWrite{std::move(key), std::move(blob)});
     }
+    outputs_.clear();
+    PumpWrites();
+  }
 
+  void PumpWrites() {
     auto self = shared_from_this();
-    auto remaining = std::make_shared<int>(static_cast<int>(writes->size()));
-    auto next = std::make_shared<size_t>(0);
-    auto outstanding = std::make_shared<int>(0);
-    auto failed = std::make_shared<bool>(false);
-    auto pump = std::make_shared<std::function<void()>>();
-    *pump = [self, writes, remaining, next, outstanding, failed, pump] {
-      while (*outstanding < self->ec_->max_concurrent_requests &&
-             *next < writes->size()) {
-        PendingWrite& w = (*writes)[(*next)++];
-        ++(*outstanding);
-        self->shuffle_client_->Put(
-            w.key, std::move(w.blob), self->storage_ctx_,
-            [self, remaining, outstanding, failed, pump](Status status) {
-              --(*outstanding);
-              if (*failed) return;
-              if (!status.ok()) {
-                *failed = true;
-                self->Fail(status);
-                return;
-              }
-              if (--(*remaining) == 0) {
-                self->Respond();
-                return;
-              }
-              (*pump)();
-            });
-      }
-    };
-    (*pump)();
+    while (write_outstanding_ < ec_->max_concurrent_requests &&
+           write_next_ < writes_.size()) {
+      PendingWrite& w = writes_[write_next_++];
+      ++write_outstanding_;
+      shuffle_client_->Put(w.key, std::move(w.blob), storage_ctx_,
+                           [self](Status status) {
+                             self->OnWriteDone(std::move(status));
+                           });
+    }
+  }
+
+  void OnWriteDone(Status status) {
+    --write_outstanding_;
+    if (done_) return;
+    if (!status.ok()) {
+      Fail(std::move(status));
+      return;
+    }
+    if (write_next_ == writes_.size() && write_outstanding_ == 0) {
+      Respond();
+      return;
+    }
+    PumpWrites();
   }
 
   void Respond() {
@@ -1052,11 +1002,24 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
   std::vector<bool> rg_ready_;
   size_t rg_cursor_ = 0;
   int stream_outstanding_ = 0;
+
+  // The shuffle input being read (see ReadShuffleInput).
+  size_t shuffle_input_ = 0;
   std::vector<std::vector<Chunk>> shuffle_slots_;
   std::vector<bool> shuffle_done_;
-  int shuffle_cursor_ = 0;
-  int shuffle_next_ = 0;
+  size_t shuffle_cursor_ = 0;
+  size_t shuffle_next_ = 0;
   int shuffle_outstanding_ = 0;
+
+  // Output phase: the pipeline's outputs, then their encoded writes.
+  std::vector<FragmentOutput> outputs_;
+  struct PendingWrite {
+    std::string key;
+    Blob blob;
+  };
+  std::vector<PendingWrite> writes_;
+  size_t write_next_ = 0;
+  int write_outstanding_ = 0;
 
   SimTime start_ = 0;
   SimTime input_done_ = 0;

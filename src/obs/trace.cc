@@ -7,47 +7,118 @@
 
 namespace skyrise::obs {
 
-SpanId Tracer::Begin(const std::string& track, const std::string& name,
-                     const std::string& category, SpanId parent) {
+Tracer::Tracer(sim::SimEnvironment* env) : env_(env) { Intern(""); }
+
+StrId Tracer::Intern(const std::string& text) {
+  auto it = string_ids_.find(text);
+  if (it != string_ids_.end()) return it->second;
+  const StrId id = static_cast<StrId>(strings_.size());
+  strings_.push_back(text);
+  string_ids_.emplace(strings_.back(), id);
+  return id;
+}
+
+SpanId Tracer::Append(const std::string& track, const std::string& name,
+                      const std::string& category, SpanId parent) {
   Span span;
   span.id = static_cast<SpanId>(spans_.size()) + 1;
   span.parent = parent;
-  span.track = track;
-  span.name = name;
-  span.category = category;
+  span.track = Intern(track);
+  span.name = Intern(name);
+  span.category = Intern(category);
   span.start = env_->now();
-  spans_.push_back(std::move(span));
+  spans_.push_back(span);
+  return span.id;
+}
+
+SpanId Tracer::Begin(const std::string& track, const std::string& name,
+                     const std::string& category, SpanId parent) {
   ++open_;
-  return spans_.back().id;
+  return Append(track, name, category, parent);
 }
 
 void Tracer::EndWith(SpanId id, const std::string& outcome) {
   Span* span = FindMutable(id);
   if (span == nullptr || span->end >= span->start) return;
   span->end = env_->now();
-  span->outcome = outcome;
+  span->outcome = Intern(outcome);
   --open_;
 }
 
 void Tracer::Instant(const std::string& track, const std::string& name,
                      const std::string& category, SpanId parent) {
-  Span span;
-  span.id = static_cast<SpanId>(spans_.size()) + 1;
-  span.parent = parent;
-  span.track = track;
-  span.name = name;
-  span.category = category;
-  span.start = env_->now();
+  Append(track, name, category, parent);
+  Span& span = spans_.back();
   span.end = span.start;
   span.instant = true;
-  span.outcome = "ok";
-  spans_.push_back(std::move(span));
+  span.outcome = Intern("ok");
+}
+
+void Tracer::StoreArg(Json value, Arg* arg) {
+  arg->type = value.type();
+  switch (value.type()) {
+    case Json::Type::kNull:
+      break;
+    case Json::Type::kBool:
+      arg->number = value.AsBool() ? 1 : 0;
+      break;
+    case Json::Type::kNumber:
+      arg->number = value.AsDouble();
+      break;
+    case Json::Type::kString:
+      arg->ref = Intern(value.AsString());
+      break;
+    case Json::Type::kArray:
+    case Json::Type::kObject:
+      arg->ref = static_cast<uint32_t>(json_args_.size());
+      json_args_.push_back(std::move(value));
+      break;
+  }
+}
+
+Json Tracer::LoadArg(const Arg& arg) const {
+  switch (arg.type) {
+    case Json::Type::kNull:
+      return Json();
+    case Json::Type::kBool:
+      return Json(arg.number != 0);
+    case Json::Type::kNumber:
+      return Json(arg.number);
+    case Json::Type::kString:
+      return Json(str(arg.ref));
+    case Json::Type::kArray:
+    case Json::Type::kObject:
+      break;
+  }
+  return json_args_[arg.ref];
 }
 
 void Tracer::SetArg(SpanId id, const std::string& key, Json value) {
   Span* span = FindMutable(id);
   if (span == nullptr) return;
-  span->args[key] = std::move(value);
+  const StrId key_id = Intern(key);
+  for (uint32_t i = span->args; i != 0; i = args_[i - 1].next) {
+    if (args_[i - 1].key == key_id) {
+      StoreArg(std::move(value), &args_[i - 1]);
+      return;
+    }
+  }
+  Arg arg;
+  arg.key = key_id;
+  arg.next = span->args;
+  StoreArg(std::move(value), &arg);
+  args_.push_back(arg);
+  span->args = static_cast<uint32_t>(args_.size());
+}
+
+Json Tracer::Args(SpanId id) const {
+  Json args = Json::Object();
+  const Span* span = Find(id);
+  if (span == nullptr) return args;
+  for (uint32_t i = span->args; i != 0; i = args_[i - 1].next) {
+    args[str(args_[i - 1].key)] = LoadArg(args_[i - 1]);
+  }
+  return args;
 }
 
 void Tracer::AddCost(SpanId id, double usd) {
@@ -57,7 +128,7 @@ void Tracer::AddCost(SpanId id, double usd) {
     return;
   }
   span->cost_usd += usd;
-  cost_buckets_[span->category] += usd;
+  cost_buckets_[str(span->category)] += usd;
 }
 
 const Span* Tracer::Find(SpanId id) const {
@@ -86,28 +157,28 @@ Status Tracer::Validate() const {
     if (span.end < span.start) {
       return Status::Internal(StrFormat("span %lld (%s) never closed",
                                         static_cast<long long>(span.id),
-                                        span.name.c_str()));
+                                        str(span.name).c_str()));
     }
     if (span.parent == kNoSpan) continue;
     const Span* parent = Find(span.parent);
     if (parent == nullptr || parent->id >= span.id) {
       return Status::Internal(StrFormat(
           "span %lld (%s) has invalid parent %lld",
-          static_cast<long long>(span.id), span.name.c_str(),
+          static_cast<long long>(span.id), str(span.name).c_str(),
           static_cast<long long>(span.parent)));
     }
     if (span.start < parent->start) {
       return Status::Internal(StrFormat(
           "span %lld (%s) starts before its parent %lld",
-          static_cast<long long>(span.id), span.name.c_str(),
+          static_cast<long long>(span.id), str(span.name).c_str(),
           static_cast<long long>(parent->id)));
     }
     if (!span.instant && span.track == parent->track &&
         span.end > parent->end) {
       return Status::Internal(StrFormat(
           "span %lld (%s) outlives same-track parent %lld (%s)",
-          static_cast<long long>(span.id), span.name.c_str(),
-          static_cast<long long>(parent->id), parent->name.c_str()));
+          static_cast<long long>(span.id), str(span.name).c_str(),
+          static_cast<long long>(parent->id), str(parent->name).c_str()));
     }
   }
   return Status::OK();
@@ -115,13 +186,13 @@ Status Tracer::Validate() const {
 
 Json Tracer::ExportChromeTrace() const {
   const SimTime now = env_->now();
-  // Track -> pid in first-appearance (span id) order.
-  std::map<std::string, int> pid_of;
-  std::vector<std::string> track_order;
+  // Track -> pid in first-appearance (span id) order; 0: not seen yet.
+  std::vector<int> pid_of(strings_.size(), 0);
+  std::vector<StrId> track_order;
   for (const Span& span : spans_) {
-    if (pid_of.count(span.track) == 0) {
-      pid_of[span.track] = static_cast<int>(track_order.size()) + 1;
+    if (pid_of[span.track] == 0) {
       track_order.push_back(span.track);
+      pid_of[span.track] = static_cast<int>(track_order.size());
     }
   }
 
@@ -130,7 +201,7 @@ Json Tracer::ExportChromeTrace() const {
   // the lowest free lane of their track, children inherit their parent's
   // lane. Same-track containment (see Validate) keeps lanes well-nested.
   std::vector<int> lane_of(spans_.size(), 0);
-  std::map<std::string, std::vector<SimTime>> lane_busy_until;
+  std::vector<std::vector<SimTime>> lane_busy_until(strings_.size());
   for (const Span& span : spans_) {
     const Span* parent = Find(span.parent);
     const SimTime effective_end = span.end < span.start ? now : span.end;
@@ -149,13 +220,13 @@ Json Tracer::ExportChromeTrace() const {
 
   Json events = Json::Array();
   // Metadata: name each process after its track, each lane after its index.
-  for (const std::string& track : track_order) {
+  for (const StrId track : track_order) {
     Json meta = Json::Object();
     meta["ph"] = "M";
     meta["pid"] = pid_of[track];
     meta["name"] = "process_name";
     Json args = Json::Object();
-    args["name"] = track;
+    args["name"] = str(track);
     meta["args"] = std::move(args);
     events.Append(std::move(meta));
     const size_t lanes = lane_busy_until[track].size();
@@ -177,10 +248,10 @@ Json Tracer::ExportChromeTrace() const {
     event["pid"] = pid_of[span.track];
     event["tid"] =
         static_cast<int64_t>(lane_of[static_cast<size_t>(span.id) - 1]);
-    event["name"] = span.name;
-    event["cat"] = span.category;
+    event["name"] = str(span.name);
+    event["cat"] = str(span.category);
     event["ts"] = span.start;
-    Json args = span.args;
+    Json args = Args(span.id);
     args["span"] = span.id;
     args["parent"] = span.parent;
     if (span.instant) {
@@ -190,7 +261,7 @@ Json Tracer::ExportChromeTrace() const {
       event["ph"] = "X";
       event["dur"] = (span.end < span.start ? now : span.end) - span.start;
       args["cost_usd"] = span.cost_usd;
-      args["outcome"] = span.outcome.empty() ? "open" : span.outcome;
+      args["outcome"] = span.outcome == 0 ? "open" : str(span.outcome);
     }
     event["args"] = std::move(args);
     events.Append(std::move(event));
@@ -221,6 +292,11 @@ Status Tracer::WriteChromeTrace(const std::string& path) const {
 
 void Tracer::Reset() {
   spans_.clear();
+  args_.clear();
+  json_args_.clear();
+  string_ids_.clear();
+  strings_.clear();
+  Intern("");
   cost_buckets_.clear();
   open_ = 0;
 }

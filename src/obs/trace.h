@@ -1,8 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/json.h"
@@ -35,32 +38,40 @@ namespace skyrise::obs {
 using SpanId = int64_t;
 inline constexpr SpanId kNoSpan = 0;
 
+/// Handle into a tracer's string table (`Tracer::str`). Handle 0 is the
+/// empty string.
+using StrId = uint32_t;
+
+/// One span record: a fixed 64 bytes. Track, name, category and outcome are
+/// interned in the owning tracer's string table, and args live in its flat
+/// arg arena; resolve them with `Tracer::str` and `Tracer::Args`.
 struct Span {
   SpanId id = kNoSpan;
   SpanId parent = kNoSpan;
-  /// Display track (one Chrome-trace "process" per distinct name), e.g.
-  /// "lambda", "storage/s3", "worker".
-  std::string track;
-  std::string name;
-  /// Cost/metric bucket: "faas", "storage", "engine", ...
-  std::string category;
   SimTime start = 0;
   SimTime end = -1;  ///< -1 while the span is open.
-  bool instant = false;
   /// Exact sum of the CostMeter deltas attributed to this span.
   double cost_usd = 0;
+  /// Display track (one Chrome-trace "process" per distinct name), e.g.
+  /// "lambda", "storage/s3", "worker".
+  StrId track = 0;
+  StrId name = 0;
+  /// Cost/metric bucket: "faas", "storage", "engine", ...
+  StrId category = 0;
   /// Final state: "ok", "error", "timeout", "throttle", "crash",
-  /// "fail_fast"; empty while open.
-  std::string outcome;
-  /// Extra annotations (batch counts, peak memory, keys, byte counts...).
-  Json args = Json::Object();
+  /// "fail_fast"; the empty string (handle 0) while open.
+  StrId outcome = 0;
+  /// Head of this span's list in the arg arena (index + 1; 0: no args).
+  uint32_t args = 0;
+  bool instant = false;
 
   SimDuration duration() const { return end < start ? 0 : end - start; }
 };
+static_assert(sizeof(Span) <= 64, "span records must stay compact");
 
 class Tracer {
  public:
-  explicit Tracer(sim::SimEnvironment* env) : env_(env) {}
+  explicit Tracer(sim::SimEnvironment* env);
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
@@ -90,6 +101,10 @@ class Tracer {
   const std::vector<Span>& spans() const { return spans_; }
   /// nullptr for kNoSpan / unknown ids.
   const Span* Find(SpanId id) const;
+  /// The interned string behind a handle of a span of this tracer.
+  const std::string& str(StrId id) const { return strings_[id]; }
+  /// A span's annotations as a JSON object (empty for unknown ids).
+  Json Args(SpanId id) const;
   int64_t open_spans() const { return open_; }
 
   double attributed_usd(const std::string& bucket) const;
@@ -117,10 +132,31 @@ class Tracer {
   void Reset();
 
  private:
+  /// One annotation in the arg arena. Numbers and bools are stored inline,
+  /// strings as handles; arrays and objects (rare) in `json_args_`.
+  struct Arg {
+    StrId key = 0;
+    uint32_t next = 0;  ///< The span's next arg (index + 1; 0: end).
+    Json::Type type = Json::Type::kNull;
+    uint32_t ref = 0;  ///< kString: value handle; kArray/kObject: json_args_.
+    double number = 0;  ///< kBool (0 or 1) and kNumber values.
+  };
+
   Span* FindMutable(SpanId id);
+  SpanId Append(const std::string& track, const std::string& name,
+                const std::string& category, SpanId parent);
+  StrId Intern(const std::string& text);
+  void StoreArg(Json value, Arg* arg);
+  Json LoadArg(const Arg& arg) const;
 
   sim::SimEnvironment* env_;
   std::vector<Span> spans_;  ///< Index i holds span id i+1.
+  std::vector<Arg> args_;
+  std::vector<Json> json_args_;
+  /// String table: a deque keeps each string at a stable address, so the
+  /// index can key on views into it.
+  std::deque<std::string> strings_;
+  std::unordered_map<std::string_view, StrId> string_ids_;
   std::map<std::string, double> cost_buckets_;
   int64_t open_ = 0;
 };

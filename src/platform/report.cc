@@ -183,10 +183,10 @@ std::string RenderQueryProfile(const obs::Tracer& tracer) {
   TablePrinter path({"span", "track", "start_ms", "duration_ms", "outcome"});
   std::string indent;
   for (const obs::Span* node = root; node != nullptr;) {
-    path.AddRow({indent + node->name, node->track,
+    path.AddRow({indent + tracer.str(node->name), tracer.str(node->track),
                  StrFormat("%.3f", ToMillis(node->start - root->start)),
                  StrFormat("%.3f", ToMillis(node->duration())),
-                 node->outcome.empty() ? "open" : node->outcome});
+                 node->outcome == 0 ? "open" : tracer.str(node->outcome)});
     const obs::Span* next = nullptr;
     const auto it = children.find(node->id);
     if (it != children.end()) {
@@ -204,7 +204,7 @@ std::string RenderQueryProfile(const obs::Tracer& tracer) {
   std::map<std::string, std::vector<std::pair<SimTime, SimTime>>> by_category;
   for (const auto& span : spans) {
     if (span.instant || span.end <= span.start) continue;
-    by_category[span.category].emplace_back(span.start, span.end);
+    by_category[tracer.str(span.category)].emplace_back(span.start, span.end);
   }
   TablePrinter states({"category", "busy_ms", "share"});
   const double window_ms = ToMillis(root->duration());
@@ -242,10 +242,10 @@ std::string RenderQueryProfile(const obs::Tracer& tracer) {
   if (slowest.size() > 10) slowest.resize(10);
   TablePrinter top({"span", "track", "duration_ms", "cost_usd", "outcome"});
   for (const obs::Span* span : slowest) {
-    top.AddRow({span->name, span->track,
+    top.AddRow({tracer.str(span->name), tracer.str(span->track),
                 StrFormat("%.3f", ToMillis(span->duration())),
                 StrFormat("%.6f", span->cost_usd),
-                span->outcome.empty() ? "open" : span->outcome});
+                span->outcome == 0 ? "open" : tracer.str(span->outcome)});
   }
   out += top.Render();
   return out;

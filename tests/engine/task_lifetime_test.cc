@@ -1,0 +1,171 @@
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "datagen/dataset.h"
+#include "datagen/tpch.h"
+#include "engine/engine.h"
+#include "engine/queries.h"
+#include "engine/reference.h"
+#include "storage/object_store.h"
+
+namespace skyrise::engine {
+namespace {
+
+/// Engine tasks live exactly as long as a storage or invoke callback holding
+/// them is pending. Every handler records a weak reference to its
+/// invocation's FunctionContext (which the coordinator, worker and invoker
+/// tasks own); once the environment drains, a context that is still alive
+/// means a task owns itself through a continuation cycle.
+class TaskLifetimeTest : public ::testing::Test {
+ protected:
+  static constexpr int kPartitions = 6;
+
+  TaskLifetimeTest()
+      : fabric_driver_(&env_, &fabric_),
+        store_(&env_, storage::ObjectStore::StandardOptions()),
+        queue_(&env_) {
+    tpch_.scale_factor = 0.002;
+    SKYRISE_CHECK_OK(
+        datagen::UploadDataset(
+            &store_, "lineitem", datagen::LineitemSchema(), kPartitions,
+            [&](int p) {
+              return datagen::GenerateLineitemPartition(tpch_, p, kPartitions);
+            })
+            .status());
+    SKYRISE_CHECK_OK(
+        datagen::UploadDataset(
+            &store_, "orders", datagen::OrdersSchema(), kPartitions,
+            [&](int p) {
+              return datagen::GenerateOrdersPartition(tpch_, p, kPartitions);
+            })
+            .status());
+
+    EngineContext context;
+    context.env = &env_;
+    context.table_store = &store_;
+    context.shuffle_store = &store_;
+    context.catalog = &catalog_;
+    context.queue = &queue_;
+    context.meter = &meter_;
+    context.partitions_per_worker = 2;
+    engine_ = std::make_unique<QueryEngine>(std::move(context));
+
+    // Deploy into a staging registry, then register every function behind
+    // a wrapper that records its invocation's context.
+    faas::FunctionRegistry staging;
+    SKYRISE_CHECK_OK(engine_->Deploy(&staging));
+    for (const char* name :
+         {kCoordinatorFunction, kWorkerFunction, kInvokerFunction}) {
+      Result<faas::FunctionRegistry::Entry> entry = staging.Find(name);
+      SKYRISE_CHECK_OK(entry.status());
+      SKYRISE_CHECK_OK(registry_.Register(
+          entry->config,
+          [this, handler = entry->handler](
+              const std::shared_ptr<faas::FunctionContext>& fctx) {
+            invocations_.push_back({fctx->config().name, fctx});
+            handler(fctx);
+          }));
+    }
+
+    faas::LambdaPlatform::Options lambda_options;
+    lambda_options.account_concurrency = 10000;
+    lambda_ = std::make_unique<faas::LambdaPlatform>(
+        &env_, &fabric_driver_, &registry_, lambda_options);
+  }
+
+  /// Runs Q12 to completion, drains the environment, and checks the result
+  /// against the reference implementation.
+  void RunQ12AndCheck(const std::string& id) {
+    QuerySuiteOptions options;
+    options.join_partitions = 4;
+    Result<QueryResponse> outcome = Status::Internal("did not complete");
+    engine_->Run(lambda_.get(), BuildTpchQ12(options), id,
+                 [&](Result<QueryResponse> r) { outcome = std::move(r); });
+    env_.Run();
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    // Four stages: lineitem scan, orders scan, join, final.
+    EXPECT_EQ(outcome->raw.Get("stages").size(), 4u);
+
+    auto result = engine_->FetchResult(id);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    data::Chunk lineitem = datagen::GenerateLineitemPartition(tpch_, 0,
+                                                              kPartitions);
+    data::Chunk orders = datagen::GenerateOrdersPartition(tpch_, 0,
+                                                          kPartitions);
+    for (int p = 1; p < kPartitions; ++p) {
+      lineitem.Append(
+          datagen::GenerateLineitemPartition(tpch_, p, kPartitions));
+      orders.Append(datagen::GenerateOrdersPartition(tpch_, p, kPartitions));
+    }
+    const auto reference = ReferenceQ12(lineitem, orders);
+    ASSERT_EQ(result->rows(), static_cast<int64_t>(reference.size()));
+    for (size_t g = 0; g < reference.size(); ++g) {
+      EXPECT_EQ(result->column("l_shipmode").strings()[g],
+                reference[g].shipmode);
+      EXPECT_NEAR(result->column("high_line_count").doubles()[g],
+                  static_cast<double>(reference[g].high_line_count), 0.1);
+      EXPECT_NEAR(result->column("low_line_count").doubles()[g],
+                  static_cast<double>(reference[g].low_line_count), 0.1);
+    }
+  }
+
+  /// Invocations recorded for `function`.
+  int Invocations(const std::string& function) const {
+    int count = 0;
+    for (const Invocation& invocation : invocations_) {
+      if (invocation.function == function) ++count;
+    }
+    return count;
+  }
+
+  /// Functions whose invocation context is still alive.
+  std::vector<std::string> LiveContexts() const {
+    std::vector<std::string> live;
+    for (const Invocation& invocation : invocations_) {
+      if (!invocation.context.expired()) live.push_back(invocation.function);
+    }
+    return live;
+  }
+
+  struct Invocation {
+    std::string function;
+    std::weak_ptr<faas::FunctionContext> context;
+  };
+
+  sim::SimEnvironment env_{2024};
+  net::Fabric fabric_;
+  net::FabricDriver fabric_driver_;
+  storage::ObjectStore store_;
+  storage::QueueService queue_;
+  format::SyntheticFileCatalog catalog_;
+  pricing::CostMeter meter_;
+  faas::FunctionRegistry registry_;
+  datagen::TpchConfig tpch_;
+  std::unique_ptr<QueryEngine> engine_;
+  std::unique_ptr<faas::LambdaPlatform> lambda_;
+  std::vector<Invocation> invocations_;
+};
+
+TEST_F(TaskLifetimeTest, Q12ReleasesEveryTask) {
+  RunQ12AndCheck("q12");
+  EXPECT_EQ(Invocations(kCoordinatorFunction), 1);
+  EXPECT_GT(Invocations(kWorkerFunction), 0);
+  EXPECT_EQ(Invocations(kInvokerFunction), 0);
+  EXPECT_EQ(LiveContexts(), std::vector<std::string>{});
+}
+
+TEST_F(TaskLifetimeTest, TwoLevelDispatchMatchesReferenceAndReleasesTasks) {
+  // Every stage fans out through invokers, two fragments per invoker.
+  engine_->context()->two_level_threshold = 2;
+  engine_->context()->invoker_fanout = 2;
+  RunQ12AndCheck("q12-two-level");
+  EXPECT_GT(Invocations(kInvokerFunction), 0);
+  EXPECT_GT(Invocations(kWorkerFunction), Invocations(kInvokerFunction));
+  EXPECT_EQ(LiveContexts(), std::vector<std::string>{});
+}
+
+}  // namespace
+}  // namespace skyrise::engine

@@ -145,11 +145,13 @@ TEST_F(TraceE2ETest, ChaosTraceIsStructurallyValidAndCoversLifecycles) {
   std::set<std::string> outcomes;
   std::set<std::string> tracks;
   bool saw_retry_attempt = false;
-  for (const auto& span : chaos.tracer.spans()) {
-    names.insert(span.name);
-    tracks.insert(span.track);
-    if (!span.outcome.empty()) outcomes.insert(span.outcome);
-    if (span.track == "storage/s3" && span.name == "attempt 2") {
+  const obs::Tracer& tracer = chaos.tracer;
+  for (const auto& span : tracer.spans()) {
+    names.insert(tracer.str(span.name));
+    tracks.insert(tracer.str(span.track));
+    if (span.outcome != 0) outcomes.insert(tracer.str(span.outcome));
+    if (tracer.str(span.track) == "storage/s3" &&
+        tracer.str(span.name) == "attempt 2") {
       saw_retry_attempt = true;
     }
   }
@@ -170,9 +172,10 @@ TEST_F(TraceE2ETest, ChaosTraceIsStructurallyValidAndCoversLifecycles) {
 
   // The stage spans carry the fault-repair annotations the response reports.
   int64_t stage_span_retries = 0;
-  for (const auto& span : chaos.tracer.spans()) {
-    if (span.track == "coordinator" && span.name.rfind("stage ", 0) == 0) {
-      stage_span_retries += span.args.GetInt("retries");
+  for (const auto& span : tracer.spans()) {
+    if (tracer.str(span.track) == "coordinator" &&
+        tracer.str(span.name).rfind("stage ", 0) == 0) {
+      stage_span_retries += tracer.Args(span.id).GetInt("retries");
     }
   }
   EXPECT_EQ(stage_span_retries, response.worker_retries);

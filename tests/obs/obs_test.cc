@@ -29,7 +29,7 @@ TEST(TracerTest, SpansNestAndClose) {
   EXPECT_EQ(span->parent, root);
   EXPECT_EQ(span->start, Micros(100));
   EXPECT_EQ(span->end, Micros(250));
-  EXPECT_EQ(span->outcome, "ok");
+  EXPECT_EQ(tracer.str(span->outcome), "ok");
   EXPECT_EQ(span->duration(), Micros(150));
   EXPECT_EQ(tracer.Find(kNoSpan), nullptr);
   EXPECT_EQ(tracer.Find(99), nullptr);
@@ -44,7 +44,7 @@ TEST(TracerTest, EndIsIdempotentAndKeepsFirstOutcome) {
   env.RunUntil(Micros(20));
   tracer.EndWith(span, "ok");  // Late duplicate settle: must not re-close.
   EXPECT_EQ(tracer.Find(span)->end, Micros(10));
-  EXPECT_EQ(tracer.Find(span)->outcome, "timeout");
+  EXPECT_EQ(tracer.str(tracer.Find(span)->outcome), "timeout");
 }
 
 TEST(TracerTest, InstantSpansHaveZeroDuration) {
@@ -170,6 +170,52 @@ TEST(TracerTest, ChromeExportStructure) {
   EXPECT_EQ(instant.GetString("ph"), "i");
   EXPECT_EQ(instant.GetString("s"), "t");
   EXPECT_EQ(instant.Get("args").GetInt("parent"), 2);
+}
+
+TEST(TracerTest, ArgsExportLastValueTypedAndSorted) {
+  sim::SimEnvironment env(7);
+  Tracer tracer(&env);
+  const SpanId span = tracer.Begin("storage/s3", "get k", "storage");
+  const SpanId other = tracer.Begin("storage/s3", "get j", "storage");
+  tracer.SetArg(span, "zeta", Json(static_cast<int64_t>(1)));
+  tracer.SetArg(span, "attempts", Json(static_cast<int64_t>(1)));
+  tracer.SetArg(other, "attempts", Json(static_cast<int64_t>(7)));
+  tracer.SetArg(span, "ratio", Json(0.25));
+  tracer.SetArg(span, "key", Json("tables/lineitem/part-0"));
+  tracer.SetArg(span, "cold", Json(false));
+  // Overwrites: the last value wins, even when its type differs.
+  tracer.SetArg(span, "attempts", Json(static_cast<int64_t>(3)));
+  tracer.SetArg(span, "zeta", Json("last"));
+  tracer.SetArg(span, "cold", Json(true));
+  tracer.End(other);
+  tracer.End(span);
+
+  const Json args = tracer.Args(span);
+  EXPECT_EQ(args.size(), 5u);
+  ASSERT_TRUE(args.Get("attempts").is_number());
+  EXPECT_EQ(args.GetInt("attempts"), 3);
+  ASSERT_TRUE(args.Get("ratio").is_number());
+  EXPECT_DOUBLE_EQ(args.GetDouble("ratio"), 0.25);
+  ASSERT_TRUE(args.Get("key").is_string());
+  EXPECT_EQ(args.GetString("key"), "tables/lineitem/part-0");
+  ASSERT_TRUE(args.Get("cold").is_bool());
+  EXPECT_TRUE(args.GetBool("cold"));
+  ASSERT_TRUE(args.Get("zeta").is_string());
+  EXPECT_EQ(args.GetString("zeta"), "last");
+  EXPECT_EQ(tracer.Args(other).GetInt("attempts"), 7);
+
+  // The export merges the span's own fields in and writes keys sorted.
+  const Json doc = tracer.ExportChromeTrace();
+  std::string exported;
+  for (const Json& event : doc.Get("traceEvents").AsArray()) {
+    if (event.GetString("ph") == "X" && event.Get("args").GetInt("span") == 1) {
+      exported = event.Get("args").Dump();
+    }
+  }
+  EXPECT_EQ(exported,
+            "{\"attempts\":3,\"cold\":true,\"cost_usd\":0,"
+            "\"key\":\"tables/lineitem/part-0\",\"outcome\":\"ok\","
+            "\"parent\":0,\"ratio\":0.25,\"span\":1,\"zeta\":\"last\"}");
 }
 
 TEST(TracerTest, OverlappingRootsSpreadOverLanes) {
