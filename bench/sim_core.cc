@@ -5,6 +5,9 @@
 ///     events + small-buffer callbacks) vs. the seed event loop (binary-heap
 ///     std::priority_queue of std::function events with a cancellation
 ///     tombstone set), reproduced here verbatim as the baseline;
+///   - the same contrast on quantised churn, where every event sits on the
+///     20 ms fabric-step grid and the calendar rebuilds at nearly every grid
+///     instant (the hostbench `s3_stream` event shape);
 ///   - allocations/event for both loops (global operator new counting);
 ///   - invocations/sec for a FaaS-style arrival/completion/timeout pattern
 ///     where nearly every timeout is cancelled — the simulator's dominant
@@ -155,20 +158,32 @@ struct ChurnResult {
   }
 };
 
+/// Shape of a schedule/fire/cancel churn run.
+struct ChurnShape {
+  int chains;
+  int64_t fire_target;
+  size_t max_timeouts;
+  /// 0: a chain steps 1..1000 us ahead and arms a ~1 s timeout. Otherwise
+  /// every event sits on this grid (us), as under the 20 ms network fabric
+  /// step: a chain steps 1..4 grid points ahead and arms a timeout 2 s past
+  /// the next grid point.
+  int64_t grid;
+};
+
 /// Self-perpetuating schedule/fire/cancel churn, identical for both engines:
 /// `chains` concurrent event chains; each fire reschedules its chain and
 /// adds a long-dated timeout, and the oldest outstanding timeout is
 /// cancelled once more than `max_timeouts` are pending — the retry-timeout
 /// pattern that dominates the simulator's cancellation traffic.
 template <typename Engine>
-ChurnResult RunChurn(Engine* eng, int chains, int64_t fire_target) {
-  constexpr size_t kMaxTimeouts = 512;
+ChurnResult RunChurn(Engine* eng, const ChurnShape& shape) {
   uint64_t rng = 0x5ca1ab1e0ddba11ull;
   uint64_t sink = 0;
   std::deque<uint64_t> timeouts;
 
   struct Driver {
     Engine* eng;
+    const ChurnShape* shape;
     uint64_t* rng;
     uint64_t* sink;
     std::deque<uint64_t>* timeouts;
@@ -176,30 +191,64 @@ ChurnResult RunChurn(Engine* eng, int chains, int64_t fire_target) {
     void ScheduleChain() {
       const Payload p{SplitMix64(rng), SplitMix64(rng), SplitMix64(rng),
                       SplitMix64(rng), SplitMix64(rng)};
-      const int64_t delay = static_cast<int64_t>(p.a % 1000) + 1;
+      int64_t delay = static_cast<int64_t>(p.a % 1000) + 1;
+      int64_t timeout_delay = 1000000 + static_cast<int64_t>(p.b % 1000);
+      if (shape->grid > 0) {
+        const int64_t to_grid = shape->grid - eng->now() % shape->grid;
+        delay = to_grid + static_cast<int64_t>(p.a % 4) * shape->grid;
+        timeout_delay = to_grid + 2000000;
+      }
       eng->Schedule(delay, [this, p] {
         *sink ^= p.a + p.b + p.c + p.d + p.e;
         ScheduleChain();
       });
-      const int64_t timeout_delay = 1000000 + static_cast<int64_t>(p.b % 1000);
       timeouts->push_back(eng->Schedule(timeout_delay, [this] { ++*sink; }));
-      if (timeouts->size() > kMaxTimeouts) {
+      if (timeouts->size() > shape->max_timeouts) {
         eng->Cancel(timeouts->front());
         timeouts->pop_front();
       }
     }
   };
-  Driver driver{eng, &rng, &sink, &timeouts};
+  Driver driver{eng, &shape, &rng, &sink, &timeouts};
 
   ChurnResult result;
   const uint64_t allocs_before = g_allocations;
   const double start = NowSeconds();
-  for (int i = 0; i < chains; ++i) driver.ScheduleChain();
-  while (result.events < fire_target && eng->Step()) ++result.events;
+  for (int i = 0; i < shape.chains; ++i) driver.ScheduleChain();
+  while (result.events < shape.fire_target && eng->Step()) ++result.events;
   result.seconds = NowSeconds() - start;
   result.allocations = g_allocations - allocs_before;
   (void)sink;
   return result;
+}
+
+/// One churn shape on both engines. Best of two repetitions per engine,
+/// fresh engine each time: the CI gates are ratios of the two throughputs,
+/// so a scheduler hiccup during either run would skew them. The workload
+/// itself is deterministic across reps.
+struct ChurnPair {
+  ChurnResult heap;
+  ChurnResult calendar;
+  sim::EventPoolStats pool;  ///< The calendar's; identical across reps.
+  double speedup() const {
+    return calendar.events_per_sec() / heap.events_per_sec();
+  }
+};
+
+ChurnPair RunChurnPair(const ChurnShape& shape) {
+  ChurnPair pair;
+  for (int rep = 0; rep < 2; ++rep) {
+    HeapEventLoop heap_loop;
+    const ChurnResult r = RunChurn(&heap_loop, shape);
+    if (rep == 0 || r.seconds < pair.heap.seconds) pair.heap = r;
+  }
+  for (int rep = 0; rep < 2; ++rep) {
+    sim::SimEnvironment env(/*seed=*/7);
+    const ChurnResult r = RunChurn(&env, shape);
+    if (rep == 0 || r.seconds < pair.calendar.seconds) pair.calendar = r;
+    pair.pool = env.pool_stats();
+  }
+  return pair;
 }
 
 /// FaaS-style invocation replay on the real SimEnvironment: each invocation
@@ -336,6 +385,9 @@ int CheckBaseline(const std::string& path, const Json& report) {
   gate_min("speedup_events_per_sec",
            report.GetDouble("speedup_events_per_sec"),
            baseline.GetDouble("min_speedup_events"));
+  gate_min("quantised.speedup_events_per_sec",
+           report.Get("quantised").GetDouble("speedup_events_per_sec"),
+           baseline.GetDouble("min_quantised_speedup"));
   gate_max("calendar.allocs_per_event",
            report.Get("calendar").GetDouble("allocs_per_event"),
            baseline.GetDouble("max_allocs_per_event"));
@@ -360,33 +412,26 @@ int main(int argc, char** argv) {
                         "Event-kernel and decode hot-path throughput "
                         "(BENCH_sim_core.json)");
 
-  constexpr int kChains = 16384;
-  constexpr int64_t kFireTarget = 1000000;
+  // Timer churn: dense, distinct event times.
+  const ChurnPair churn = RunChurnPair({/*chains=*/16384,
+                                        /*fire_target=*/1000000,
+                                        /*max_timeouts=*/512, /*grid=*/0});
+  // Quantised churn: every event on the 20 ms fabric-step grid, so the
+  // median inter-event gap is 0, every rebuild picks the 1 us width floor
+  // and the calendar drains into the overflow list at each grid instant.
+  const ChurnPair quantised = RunChurnPair({/*chains=*/64,
+                                            /*fire_target=*/400000,
+                                            /*max_timeouts=*/256,
+                                            /*grid=*/20000});
   constexpr int64_t kInvocations = 200000;
 
-  // Best of two repetitions per engine, fresh engine each time: the CI gate
-  // is a ratio of the two throughputs, so a scheduler hiccup during either
-  // run would skew it. The workload itself is deterministic across reps.
-  ChurnResult heap;
-  for (int rep = 0; rep < 2; ++rep) {
-    HeapEventLoop heap_loop;
-    const ChurnResult r = RunChurn(&heap_loop, kChains, kFireTarget);
-    if (rep == 0 || r.seconds < heap.seconds) heap = r;
-  }
-
-  ChurnResult calendar;
-  sim::EventPoolStats pool;
-  for (int rep = 0; rep < 2; ++rep) {
-    sim::SimEnvironment env(/*seed=*/7);
-    const ChurnResult r = RunChurn(&env, kChains, kFireTarget);
-    if (rep == 0 || r.seconds < calendar.seconds) calendar = r;
-    pool = env.pool_stats();  // Deterministic: identical across reps.
-  }
-
+  const ChurnResult& heap = churn.heap;
+  const ChurnResult& calendar = churn.calendar;
+  const sim::EventPoolStats& pool = churn.pool;
   const double invocations_per_sec = RunInvocationReplay(kInvocations);
   const DecodeResult decode = RunDecodeBench();
   const int64_t peak_rss = bench::PeakRssBytes();
-  const double speedup = calendar.events_per_sec() / heap.events_per_sec();
+  const double speedup = churn.speedup();
 
   platform::TablePrinter table(
       {"loop", "events/sec", "allocs/event", "events"});
@@ -398,10 +443,24 @@ int main(int argc, char** argv) {
                 StrFormat("%.0f", calendar.events_per_sec()),
                 StrFormat("%.3f", calendar.allocs_per_event()),
                 StrFormat("%lld", static_cast<long long>(calendar.events))});
+  table.AddRow({"quantised: heap baseline",
+                StrFormat("%.0f", quantised.heap.events_per_sec()),
+                StrFormat("%.3f", quantised.heap.allocs_per_event()),
+                StrFormat("%lld",
+                          static_cast<long long>(quantised.heap.events))});
+  table.AddRow({"quantised: calendar + pool",
+                StrFormat("%.0f", quantised.calendar.events_per_sec()),
+                StrFormat("%.3f", quantised.calendar.allocs_per_event()),
+                StrFormat("%lld",
+                          static_cast<long long>(quantised.calendar.events))});
   table.Print();
-  std::printf("speedup %.2fx | invocations/sec %.0f | decode %s/s | "
+  std::printf("speedup %.2fx | quantised speedup %.2fx (%llu rebuilds) | "
+              "invocations/sec %.0f | decode %s/s | "
               "heap-spilled callbacks %llu | peak RSS %s\n",
-              speedup, invocations_per_sec,
+              speedup, quantised.speedup(),
+              static_cast<unsigned long long>(
+                  quantised.pool.calendar_resizes),
+              invocations_per_sec,
               FormatBytes(static_cast<int64_t>(decode.bytes_per_sec)).c_str(),
               static_cast<unsigned long long>(pool.heap_callbacks),
               FormatBytes(peak_rss).c_str());
@@ -419,6 +478,15 @@ int main(int argc, char** argv) {
   calendar_json["bucket_count"] = static_cast<int64_t>(pool.bucket_count);
   calendar_json["calendar_resizes"] =
       static_cast<int64_t>(pool.calendar_resizes);
+  JsonObject quantised_json;
+  quantised_json["heap_events_per_sec"] = quantised.heap.events_per_sec();
+  quantised_json["events_per_sec"] = quantised.calendar.events_per_sec();
+  quantised_json["speedup_events_per_sec"] = quantised.speedup();
+  quantised_json["events"] = quantised.calendar.events;
+  quantised_json["calendar_resizes"] =
+      static_cast<int64_t>(quantised.pool.calendar_resizes);
+  quantised_json["cancelled_dropped"] =
+      static_cast<int64_t>(quantised.pool.cancelled_dropped);
   JsonObject decode_json;
   decode_json["bytes_per_sec"] = decode.bytes_per_sec;
   decode_json["allocs_per_iter"] = decode.allocs_per_iter;
@@ -427,6 +495,7 @@ int main(int argc, char** argv) {
   doc["heap_baseline"] = heap_json;
   doc["calendar"] = calendar_json;
   doc["speedup_events_per_sec"] = speedup;
+  doc["quantised"] = quantised_json;
   doc["invocations_per_sec"] = invocations_per_sec;
   doc["decode"] = decode_json;
   doc["peak_rss_bytes"] = peak_rss;

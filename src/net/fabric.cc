@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 
 #include "common/macros.h"
 
@@ -45,39 +44,55 @@ double Fabric::TotalBytes(TransferId id) const {
   return it == transfers_.end() ? 0 : it->second.moved;
 }
 
+namespace {
+
+// Keys of the per-step constraint index. A NIC pointer is at least 8-byte
+// aligned, so its low bit can hold the direction and bit 1 stays clear;
+// VPC keys set bit 1. No key is 0, which marks an empty index slot.
+static_assert(alignof(Nic) >= 4);
+
+uint64_t NicKey(const Nic* nic, Direction dir) {
+  return static_cast<uint64_t>(reinterpret_cast<uintptr_t>(nic)) |
+         static_cast<uint64_t>(dir);
+}
+
+uint64_t VpcKey(VpcId vpc) { return (static_cast<uint64_t>(vpc) << 2) | 2; }
+
+}  // namespace
+
+uint32_t Fabric::ConstraintOf(uint64_t key) {
+  const size_t mask = index_.size() - 1;
+  size_t pos = static_cast<size_t>((key * 0x9e3779b97f4a7c15ull) >> 32) & mask;
+  while (index_[pos].key != 0) {
+    if (index_[pos].key == key) return index_[pos].constraint;
+    pos = (pos + 1) & mask;
+  }
+  const uint32_t id = static_cast<uint32_t>(remaining_.size());
+  index_[pos] = IndexSlot{key, id};
+  return id;
+}
+
 void Fabric::Step(SimTime now, SimDuration dt) {
   last_window_total_ = 0;
   if (transfers_.empty()) return;
   const double window_sec = ToSeconds(dt);
+  const size_t n = transfers_.size();
 
   // Build the constraint system: one capacity per (NIC, direction) touched,
   // one per VPC, plus a private cap per transfer (flow cap x flows, jitter,
-  // remaining bytes).
-  struct Constraint {
-    double remaining = 0;
-    std::vector<size_t> members;
-  };
-  std::vector<Constraint> constraints;
-  // Lookup-only indices (never iterated); constraint order is fixed by the
-  // deterministic transfers_ (std::map) walk below, not by hash order.
-  std::unordered_map<const Nic*, size_t> egress_index;
-  std::unordered_map<const Nic*, size_t> ingress_index;
-  std::unordered_map<VpcId, size_t> vpc_index;
+  // remaining bytes). Constraint ids follow first appearance in the
+  // deterministic transfers_ (std::map) walk; the index is only looked up,
+  // never iterated, so the pointer-derived probe positions decide nothing.
+  own_cap_.resize(n);
+  constraints_of_.resize(n);
+  remaining_.clear();
+  active_members_.clear();
+  size_t index_size = 16;
+  while (index_size < 4 * n) index_size *= 2;  // At most 3n keys.
+  index_.assign(index_size, IndexSlot{});
 
-  std::vector<TransferId> ids;
-  std::vector<Transfer*> items;
-  ids.reserve(transfers_.size());
+  size_t i = 0;
   for (auto& [id, t] : transfers_) {
-    ids.push_back(id);
-    items.push_back(&t);
-  }
-
-  const size_t n = items.size();
-  std::vector<double> own_cap(n);
-  std::vector<std::vector<size_t>> transfer_constraints(n);
-
-  for (size_t i = 0; i < n; ++i) {
-    Transfer& t = *items[i];
     double cap =
         opt_.per_flow_cap_bytes_per_sec * t.spec.flows * window_sec;
     if (t.spec.rate_cap_bytes_per_sec > 0) {
@@ -89,31 +104,30 @@ void Fabric::Step(SimTime now, SimDuration dt) {
     if (t.spec.total_bytes >= 0) {
       cap = std::min(cap, static_cast<double>(t.spec.total_bytes) - t.moved);
     }
-    own_cap[i] = std::max(0.0, cap);
+    own_cap_[i] = std::max(0.0, cap);
 
-    auto add_nic_constraint = [&](std::unordered_map<const Nic*, size_t>* idx,
-                                  Nic* nic, Direction dir) {
-      auto [it, inserted] = idx->try_emplace(nic, constraints.size());
-      if (inserted) {
-        constraints.push_back(
-            Constraint{nic->AllowedBytes(dir, now, dt), {}});
+    TransferConstraints& tc = constraints_of_[i];
+    tc.count = 0;
+    auto add_constraint = [&](uint64_t key, auto capacity) {
+      const uint32_t c = ConstraintOf(key);
+      if (c == remaining_.size()) {
+        remaining_.push_back(capacity());
+        active_members_.push_back(0);
       }
-      constraints[it->second].members.push_back(i);
-      transfer_constraints[i].push_back(it->second);
+      ++active_members_[c];
+      tc.id[tc.count++] = c;
     };
-    add_nic_constraint(&egress_index, t.spec.src, Direction::kOut);
-    add_nic_constraint(&ingress_index, t.spec.dst, Direction::kIn);
-
+    Nic* src = t.spec.src;
+    Nic* dst = t.spec.dst;
+    add_constraint(NicKey(src, Direction::kOut),
+                   [&] { return src->AllowedBytes(Direction::kOut, now, dt); });
+    add_constraint(NicKey(dst, Direction::kIn),
+                   [&] { return dst->AllowedBytes(Direction::kIn, now, dt); });
     if (t.spec.vpc != kNoVpc) {
-      auto [it, inserted] = vpc_index.try_emplace(t.spec.vpc,
-                                                  constraints.size());
-      if (inserted) {
-        constraints.push_back(
-            Constraint{vpc_caps_[t.spec.vpc] * window_sec, {}});
-      }
-      constraints[it->second].members.push_back(i);
-      transfer_constraints[i].push_back(it->second);
+      add_constraint(VpcKey(t.spec.vpc),
+                     [&] { return vpc_caps_[t.spec.vpc] * window_sec; });
     }
+    ++i;
   }
 
   // Iterative water-filling: each round, every still-active transfer takes
@@ -122,72 +136,65 @@ void Fabric::Step(SimTime now, SimDuration dt) {
   // either exhausts a shared constraint or clamps every own-cap-limited
   // transfer, so convergence is fast even with thousands of transfers with
   // distinct (jittered) caps; rounds are bounded as a backstop.
-  std::vector<double> alloc(n, 0.0);
-  std::vector<bool> active(n, true);
-  std::vector<int> active_members(constraints.size(), 0);
-  for (size_t c = 0; c < constraints.size(); ++c) {
-    active_members[c] = static_cast<int>(constraints[c].members.size());
-  }
+  alloc_.assign(n, 0.0);
+  active_.assign(n, 1);
   size_t active_count = n;
-  for (size_t i = 0; i < n; ++i) {
-    if (own_cap[i] <= 1e-9) {
-      active[i] = false;
+  for (i = 0; i < n; ++i) {
+    if (own_cap_[i] <= 1e-9) {
+      active_[i] = 0;
       --active_count;
-      for (size_t c : transfer_constraints[i]) --active_members[c];
+      const TransferConstraints& tc = constraints_of_[i];
+      for (uint32_t k = 0; k < tc.count; ++k) --active_members_[tc.id[k]];
     }
   }
 
   const double eps = 1e-6;
-  std::vector<double> share(constraints.size(), 0.0);
+  const size_t num_constraints = remaining_.size();
+  share_.resize(num_constraints);
   for (int round = 0; round < 48 && active_count > 0; ++round) {
     // Fair shares against a snapshot of the remaining capacities, so every
     // member of a constraint receives an equal offer this round.
-    for (size_t c = 0; c < constraints.size(); ++c) {
-      share[c] = active_members[c] > 0
-                     ? constraints[c].remaining / active_members[c]
-                     : 0.0;
+    for (size_t c = 0; c < num_constraints; ++c) {
+      share_[c] = active_members_[c] > 0
+                      ? remaining_[c] / active_members_[c]
+                      : 0.0;
     }
     double moved = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (!active[i]) continue;
-      double grant = own_cap[i] - alloc[i];
-      for (size_t c : transfer_constraints[i]) {
-        grant = std::min(grant, share[c]);
+    for (i = 0; i < n; ++i) {
+      if (!active_[i]) continue;
+      const TransferConstraints& tc = constraints_of_[i];
+      double grant = own_cap_[i] - alloc_[i];
+      for (uint32_t k = 0; k < tc.count; ++k) {
+        grant = std::min(grant, share_[tc.id[k]]);
       }
       if (grant > 0) {
-        alloc[i] += grant;
+        alloc_[i] += grant;
         moved += grant;
-        for (size_t c : transfer_constraints[i]) {
-          constraints[c].remaining -= grant;
-        }
+        for (uint32_t k = 0; k < tc.count; ++k) remaining_[tc.id[k]] -= grant;
       }
     }
     // Freeze transfers whose own cap or any constraint saturated.
-    for (size_t i = 0; i < n; ++i) {
-      if (!active[i]) continue;
-      bool saturated = own_cap[i] - alloc[i] <= eps;
-      if (!saturated) {
-        for (size_t c : transfer_constraints[i]) {
-          if (constraints[c].remaining <= eps) {
-            saturated = true;
-            break;
-          }
-        }
+    for (i = 0; i < n; ++i) {
+      if (!active_[i]) continue;
+      const TransferConstraints& tc = constraints_of_[i];
+      bool saturated = own_cap_[i] - alloc_[i] <= eps;
+      for (uint32_t k = 0; k < tc.count && !saturated; ++k) {
+        saturated = remaining_[tc.id[k]] <= eps;
       }
       if (saturated) {
-        active[i] = false;
+        active_[i] = 0;
         --active_count;
-        for (size_t c : transfer_constraints[i]) --active_members[c];
+        for (uint32_t k = 0; k < tc.count; ++k) --active_members_[tc.id[k]];
       }
     }
     if (moved <= eps) break;
   }
 
   // Apply allocations: consume NIC budgets, advance transfers, complete.
-  std::vector<TransferId> completed;
-  for (size_t i = 0; i < n; ++i) {
-    Transfer& t = *items[i];
-    const double bytes = alloc[i];
+  completed_.clear();
+  i = 0;
+  for (auto& [id, t] : transfers_) {
+    const double bytes = alloc_[i++];
     t.spec.src->Consume(Direction::kOut, bytes, now, dt);
     t.spec.dst->Consume(Direction::kIn, bytes, now, dt);
     t.moved += bytes;
@@ -195,16 +202,21 @@ void Fabric::Step(SimTime now, SimDuration dt) {
     last_window_total_ += bytes;
     if (t.spec.total_bytes >= 0 &&
         t.moved >= static_cast<double>(t.spec.total_bytes) - 0.5) {
-      completed.push_back(ids[i]);
+      completed_.push_back(id);
     }
   }
+  // The callbacks may start or stop transfers, or step again; completed_ is
+  // the only working array still read, so its buffer is lent to a local.
+  std::vector<TransferId> completed;
+  completed.swap(completed_);
   for (TransferId id : completed) {
     auto it = transfers_.find(id);
     if (it == transfers_.end()) continue;
-    auto on_complete = it->second.spec.on_complete;
+    auto on_complete = std::move(it->second.spec.on_complete);
     transfers_.erase(it);
     if (on_complete) on_complete(id);
   }
+  completed.swap(completed_);
 }
 
 }  // namespace skyrise::net

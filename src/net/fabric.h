@@ -59,7 +59,8 @@ class Fabric {
   bool IsActive(TransferId id) const;
 
   /// Advances all active transfers by one window of length `dt` starting at
-  /// virtual time `now`.
+  /// virtual time `now`. Completed transfers' `on_complete` callbacks run
+  /// inside Step, in transfer-id order; they may start or stop transfers.
   void Step(SimTime now, SimDuration dt);
 
   /// Bytes moved by a transfer during the most recent Step.
@@ -79,12 +80,45 @@ class Fabric {
     double last_window = 0;
   };
 
+  /// Ids of the constraints one transfer touches in a step: source egress,
+  /// destination ingress and, if it has one, its VPC.
+  struct TransferConstraints {
+    uint32_t id[3] = {};
+    uint32_t count = 0;
+  };
+
+  /// Open-addressing entry of the per-step constraint index; key 0 is empty.
+  struct IndexSlot {
+    uint64_t key = 0;
+    uint32_t constraint = 0;
+  };
+
+  /// Returns the constraint id of `key` in the current step. A key the step
+  /// has not seen yet gets the next id, remaining_.size(), and the caller
+  /// appends its constraint.
+  uint32_t ConstraintOf(uint64_t key);
+
   Options opt_;
   Rng rng_;
   TransferId next_id_ = 1;
   std::map<TransferId, Transfer> transfers_;
   std::vector<double> vpc_caps_;
   double last_window_total_ = 0;
+
+  // Step's working arrays, kept across steps so a step allocates only when
+  // the number of active transfers reaches a new high. Per transfer, in
+  // transfers_ order:
+  std::vector<double> own_cap_;
+  std::vector<double> alloc_;
+  std::vector<uint8_t> active_;
+  std::vector<TransferConstraints> constraints_of_;
+  // Per constraint, in first-appearance order:
+  std::vector<double> remaining_;
+  std::vector<int> active_members_;
+  std::vector<double> share_;
+  /// (NIC, direction) or VPC key -> constraint id; lookup only.
+  std::vector<IndexSlot> index_;
+  std::vector<TransferId> completed_;
 };
 
 }  // namespace skyrise::net

@@ -83,18 +83,27 @@ bool CalendarEventQueue::Cancel(EventId id) {
   return true;
 }
 
+void CalendarEventQueue::DropCancelled(uint32_t index) {
+  FreeSlot(index);
+  --count_;
+  ++stats_.cancelled_dropped;
+}
+
 void CalendarEventQueue::PurgeOverflow() {
+  // Compacts in place, so the survivors of the sorted prefix stay sorted.
   size_t kept = 0;
-  for (const uint32_t index : overflow_) {
+  size_t sorted_kept = 0;
+  for (size_t j = 0; j < overflow_.size(); ++j) {
+    const uint32_t index = overflow_[j];
     if (slots_[index].cancelled) {
-      FreeSlot(index);
-      --count_;
-      ++stats_.cancelled_dropped;
+      DropCancelled(index);
     } else {
+      if (j < overflow_sorted_) ++sorted_kept;
       overflow_[kept++] = index;
     }
   }
   overflow_.resize(kept);
+  overflow_sorted_ = sorted_kept;
   overflow_dead_ = 0;
 }
 
@@ -190,6 +199,10 @@ void CalendarEventQueue::InsertIntoCalendar(uint32_t index) {
     // wrapping around the bucket array, where a far-future event stuck in a
     // near-term chain would turn every tail append into a sorted walk.
     slot.in_overflow = true;
+    if (overflow_sorted_ == overflow_.size() &&
+        (overflow_.empty() || slots_[overflow_.back()].time <= slot.time)) {
+      ++overflow_sorted_;  // In order: sequence numbers are monotone.
+    }
     overflow_.push_back(index);
     return;
   }
@@ -245,46 +258,58 @@ void CalendarEventQueue::MaybeShrink() {
 }
 
 void CalendarEventQueue::Resize() {
-  // skyrise-check: allow(sim-hot-path) — a rebuild runs once per O(nbuckets) events.
-  std::vector<uint32_t> queued;
-  queued.reserve(count_);
-  for (size_t b = 0; b < buckets_.size(); ++b) {
-    uint32_t i = buckets_[b];
-    while (i != kNil) {
-      const uint32_t next = slots_[i].next;
-      if (slots_[i].cancelled) {
-        // Compact cancelled events out instead of re-sorting and re-homing
-        // dead weight on every resize: cancel-heavy workloads (timeouts that
-        // almost always get cancelled) would otherwise keep the population —
-        // and the bucket array sized from it — growing without bound.
-        slots_[i].next = kNil;
-        FreeSlot(i);
-        --count_;
-        ++stats_.cancelled_dropped;
-      } else {
-        queued.push_back(i);
+  run_.clear();
+  fresh_.clear();
+  // Empty the chains into fresh_. A drained calendar (the usual trigger)
+  // has nothing to walk: every head and tail is already kNil.
+  if (calendar_count_ > 0) {
+    for (size_t b = 0; b < buckets_.size(); ++b) {
+      uint32_t i = buckets_[b];
+      buckets_[b] = kNil;
+      tails_[b] = kNil;
+      while (i != kNil) {
+        const uint32_t next = slots_[i].next;
+        if (slots_[i].cancelled) {
+          // Compact cancelled events out instead of re-sorting and
+          // re-homing dead weight on every resize: cancel-heavy workloads
+          // (timeouts that almost always get cancelled) would otherwise keep
+          // the population — and the bucket array sized from it — growing
+          // without bound.
+          slots_[i].next = kNil;
+          DropCancelled(i);
+        } else {
+          fresh_.push_back(Key{slots_[i].time, slots_[i].sequence, i});
+        }
+        i = next;
       }
-      i = next;
     }
   }
-  for (const uint32_t i : overflow_) {
+  for (size_t j = 0; j < overflow_.size(); ++j) {
+    const uint32_t i = overflow_[j];
     if (slots_[i].cancelled) {
-      FreeSlot(i);
-      --count_;
-      ++stats_.cancelled_dropped;
+      DropCancelled(i);
     } else {
-      queued.push_back(i);
+      std::vector<Key>& into = j < overflow_sorted_ ? run_ : fresh_;
+      into.push_back(Key{slots_[i].time, slots_[i].sequence, i});
     }
   }
   overflow_.clear();
+  overflow_sorted_ = 0;
   overflow_dead_ = 0;
   calendar_count_ = 0;
-  std::sort(queued.begin(), queued.end(), [this](uint32_t a, uint32_t b) {
-    if (slots_[a].time != slots_[b].time) {
-      return slots_[a].time < slots_[b].time;
-    }
-    return slots_[a].sequence < slots_[b].sequence;
-  });
+  // Only the chain survivors and the out-of-order overflow arrivals need a
+  // sort; the overflow's sorted run is merged in linearly.
+  std::sort(fresh_.begin(), fresh_.end());
+  const std::vector<Key>* sorted = &fresh_;
+  if (fresh_.empty()) {
+    sorted = &run_;
+  } else if (!run_.empty()) {
+    merged_.resize(run_.size() + fresh_.size());
+    std::merge(run_.begin(), run_.end(), fresh_.begin(), fresh_.end(),
+               merged_.begin());
+    sorted = &merged_;
+  }
+  const std::vector<Key>& queued = *sorted;
   // Size the bucket array from the live population (post-purge): smallest
   // power of two holding it, so grow/shrink thresholds cannot thrash.
   size_t new_bucket_count = size_t{kMinBuckets};
@@ -298,22 +323,28 @@ void CalendarEventQueue::Resize() {
   SimTime new_width = 1;
   SimTime min_time = 0;
   if (!queued.empty()) {
-    min_time = slots_[queued.front()].time;
-    const size_t head = std::max<size_t>(queued.size() / 2, 2);
-    // skyrise-check: allow(sim-hot-path) — amortized with the rebuild itself.
-    std::vector<SimTime> gaps;
-    gaps.reserve(head);
-    for (size_t i = 1; i < head && i < queued.size(); ++i) {
-      gaps.push_back(slots_[queued[i]].time - slots_[queued[i - 1]].time);
+    min_time = queued.front().time;
+    const size_t head =
+        std::min(std::max<size_t>(queued.size() / 2, 2), queued.size());
+    // The head's gaps are nonnegative, so their median is 0 exactly when
+    // more than `median` of them are 0. Quantised event times make that the
+    // common case, which then needs no selection.
+    const size_t median = (head - 1) / 2;
+    size_t zero_gaps = 0;
+    for (size_t i = 1; i < head; ++i) {
+      if (queued[i].time == queued[i - 1].time) ++zero_gaps;
     }
-    if (!gaps.empty()) {
-      std::nth_element(gaps.begin(), gaps.begin() + gaps.size() / 2,
-                       gaps.end());
-      new_width = std::max<SimTime>(1, 2 * gaps[gaps.size() / 2]);
+    if (head > 1 && zero_gaps <= median) {
+      gaps_.clear();
+      for (size_t i = 1; i < head; ++i) {
+        gaps_.push_back(queued[i].time - queued[i - 1].time);
+      }
+      std::nth_element(gaps_.begin(), gaps_.begin() + median, gaps_.end());
+      new_width = std::max<SimTime>(1, 2 * gaps_[median]);
     }
   }
-  buckets_.assign(new_bucket_count, kNil);
-  tails_.assign(new_bucket_count, kNil);
+  buckets_.resize(new_bucket_count, kNil);
+  tails_.resize(new_bucket_count, kNil);
   bucket_mask_ = new_bucket_count - 1;
   width_ = new_width;
   // One calendar year spans the bucket array exactly once; anything past it
@@ -325,10 +356,18 @@ void CalendarEventQueue::Resize() {
     year_limit_ = min_time + new_width * static_cast<SimTime>(new_bucket_count);
   }
   SetCursor(min_time);
-  for (uint32_t index : queued) {
-    // Sorted reinsertion: every calendar insert lands as an O(1) tail append.
-    InsertIntoCalendar(index);
+  // Sorted reinsertion: every calendar insert lands as an O(1) tail append,
+  // and everything from the first event beyond the year on is the new
+  // overflow list, one sorted run.
+  size_t k = 0;
+  for (; k < queued.size() && queued[k].time < year_limit_; ++k) {
+    InsertIntoCalendar(queued[k].index);
   }
+  for (; k < queued.size(); ++k) {
+    slots_[queued[k].index].in_overflow = true;
+    overflow_.push_back(queued[k].index);
+  }
+  overflow_sorted_ = overflow_.size();
   ++stats_.calendar_resizes;
 }
 

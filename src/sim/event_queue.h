@@ -173,12 +173,16 @@ struct EventPoolStats {
 /// advance it, inserts earlier than the window rewind it.
 ///
 /// Events beyond the calendar's current year (`year_limit_`) — typically
-/// long-horizon timeouts — live in an unsorted overflow list instead of
-/// wrapping around the bucket array, which would interleave them with
-/// near-term chains and defeat the tail-append fast path. The overflow is
+/// long-horizon timeouts — live in an overflow list instead of wrapping
+/// around the bucket array, which would interleave them with near-term
+/// chains and defeat the tail-append fast path. The overflow is
 /// redistributed when the calendar drains, and cancelled overflow entries
 /// are purged by a cheap in-place filter once they outnumber the live ones
 /// (long-horizon timeouts are almost always cancelled before they fire).
+/// The list keeps a (time, sequence)-sorted prefix: a rebuild re-appends its
+/// beyond-the-year survivors in order, in-order pushes extend the prefix and
+/// the purge keeps relative order, so a rebuild sorts only the chain
+/// survivors and the out-of-order arrivals, then merges them with that run.
 class CalendarEventQueue {
  public:
   CalendarEventQueue();
@@ -227,8 +231,22 @@ class CalendarEventQueue {
     EventCallback callback;
   };
 
+  /// A queued event's order key, copied out of its slot so a rebuild sorts
+  /// and merges contiguous values rather than chasing slot indices.
+  struct Key {
+    SimTime time = 0;
+    uint64_t sequence = 0;
+    uint32_t index = 0;
+    bool operator<(const Key& other) const {
+      if (time != other.time) return time < other.time;
+      return sequence < other.sequence;
+    }
+  };
+
   uint32_t AllocSlot();
   void FreeSlot(uint32_t index);
+  /// Frees a cancelled event found by a purge or a rebuild.
+  void DropCancelled(uint32_t index);
   void InsertIntoCalendar(uint32_t index);
   /// Positions the cursor on the bucket holding the global (time, sequence)
   /// minimum and returns its slot index, or kNil when empty.
@@ -255,8 +273,16 @@ class CalendarEventQueue {
   uint64_t calendar_count_ = 0;  ///< Events resident in bucket chains.
 
   std::vector<uint32_t> overflow_;  ///< Events at/beyond year_limit_.
+  size_t overflow_sorted_ = 0;      ///< Length of overflow_'s sorted prefix.
   uint64_t overflow_dead_ = 0;      ///< Cancelled events still in overflow_.
   SimTime year_limit_ = kMinBuckets;  ///< First time outside the calendar.
+
+  // Rebuild scratch, kept so a rebuild allocates only when the live
+  // population reaches a new high.
+  std::vector<Key> run_;     ///< Survivors of overflow_'s sorted prefix.
+  std::vector<Key> fresh_;   ///< Every other survivor; sorted, then merged.
+  std::vector<Key> merged_;  ///< run_ and fresh_ merged.
+  std::vector<SimTime> gaps_;
 
   EventPoolStats stats_;
 };

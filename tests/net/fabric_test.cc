@@ -1,5 +1,9 @@
 #include "net/fabric.h"
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "net/instance_specs.h"
@@ -163,6 +167,80 @@ TEST(FabricTest, JitterVariesRatesDeterministically) {
   EXPECT_EQ(w1, w2);  // Same seed -> identical trace.
   // Jitter produces distinct window values.
   EXPECT_NE(w1[0], w1[1]);
+}
+
+// Several EC2 and Lambda clients share one server NIC, with a VPC ceiling,
+// per-transfer rate caps, jitter, NIC buckets that drain mid-run, bounded
+// transfers that finish mid-run and one transfer started from a completion
+// callback. Byte counts are compared bit for bit against figures recorded
+// from the hash-map Step this fabric had before its working arrays became
+// reused flat vectors, so any reordered sum or changed call order shows.
+TEST(FabricTest, MixedScenarioIsBitExact) {
+  Fabric::Options opt;
+  opt.jitter_sigma = 0.3;
+  opt.seed = 2024;
+  Fabric fabric(opt);
+  const VpcId vpc = fabric.AddVpc(0.75 * kGiB);
+  UnlimitedNic server(/*in=*/0.5 * kGiB, /*out=*/1.0 * kGiB);
+  Ec2Nic::Options ec2;
+  ec2.bucket_bytes = 24.0 * kMiB;
+  Ec2Nic e1(ec2), e2(ec2), e3(ec2);
+  LambdaNic::Options lambda;
+  lambda.in.one_off_bytes = lambda.out.one_off_bytes = 12.0 * kMiB;
+  lambda.in.bucket_bytes = lambda.out.bucket_bytes = 12.0 * kMiB;
+  LambdaNic l1(lambda), l2(lambda), l3(lambda);
+
+  std::vector<std::pair<TransferId, int>> completions;  // (id, step)
+  int step = 0;
+  auto start = [&](Nic* src, Nic* dst, int flows, int64_t total, VpcId v,
+                   double rate_cap) {
+    Fabric::TransferSpec spec = MakeSpec(src, dst, flows, total, v);
+    spec.rate_cap_bytes_per_sec = rate_cap;
+    if (total >= 0) {
+      spec.on_complete = [&](TransferId id) {
+        completions.emplace_back(id, step);
+      };
+    }
+    return fabric.StartTransfer(spec);
+  };
+  std::vector<TransferId> ids = {
+      start(&server, &e1, 4, -1, vpc, 0),
+      start(&server, &e2, 2, 40 * kMiB, vpc, 0),
+      start(&e3, &server, 1, 24 * kMiB, kNoVpc, 200e6),
+      start(&server, &l1, 1, -1, vpc, 0),
+      start(&e1, &server, 2, 32 * kMiB, kNoVpc, 0),
+      start(&l3, &server, 2, -1, kNoVpc, 0),
+  };
+  // A Lambda download whose completion starts the same client's upload.
+  Fabric::TransferSpec chained = MakeSpec(&server, &l2, 1, 48 * kMiB, vpc);
+  chained.on_complete = [&](TransferId id) {
+    completions.emplace_back(id, step);
+    ids.push_back(start(&l2, &server, 1, 16 * kMiB, vpc, 150e6));
+  };
+  ids.push_back(fabric.StartTransfer(chained));
+
+  std::map<TransferId, double> last_total;  // After its last active step.
+  double window_sum = 0;
+  for (step = 0; step < 100; ++step) {
+    fabric.Step(Millis(20) * step, Millis(20));
+    window_sum += fabric.last_window_total();
+    for (TransferId id : ids) {
+      if (fabric.IsActive(id)) last_total[id] = fabric.TotalBytes(id);
+    }
+  }
+
+  const std::vector<std::pair<TransferId, int>> want_completions = {
+      {3, 7}, {5, 8}, {2, 9}, {7, 20}, {8, 26}};
+  EXPECT_EQ(completions, want_completions);
+  const std::vector<double> want_totals = {
+      0x1.4205f2p+28, 0x1.2cf5c28f5c28ep+25, 0x1.6f8bd5b713179p+24,
+      0x1.4dp+27,     0x1.d506e1f143411p+24, 0x1.4dp+27,
+      0x1.74p+25,     0x1.bef4cebd5c628p+23};
+  ASSERT_EQ(ids.size(), want_totals.size());
+  for (size_t k = 0; k < ids.size(); ++k) {
+    EXPECT_EQ(last_total[ids[k]], want_totals[k]) << "transfer " << ids[k];
+  }
+  EXPECT_EQ(window_sum, 0x1.9782f9p+29);
 }
 
 }  // namespace

@@ -77,61 +77,169 @@ class ReferenceLoop {
   SimTime now_ = 0;
 };
 
-// Drives SimEnvironment and ReferenceLoop in lockstep from one shared random
-// op stream and asserts identical firing logs and clocks. Exercises ties
-// (delay 0), stale cancels of already-fired events, and RunUntil boundaries.
-void RunLockstepStorm(uint64_t seed, int ops) {
-  SimEnvironment env(seed);
-  ReferenceLoop ref;
-  Rng rng(seed * 2654435761u + 1);
+// SimEnvironment and ReferenceLoop driven in lockstep: every op is applied
+// to both, and each fired event appends its tag to its loop's log.
+class Lockstep {
+ public:
+  explicit Lockstep(uint64_t seed) : env_(seed) {}
 
-  std::vector<int> env_log;
-  std::vector<int> ref_log;
-  std::vector<EventId> env_ids;
-  std::vector<uint64_t> ref_ids;
-  int next_tag = 0;
+  // Schedules on both loops; returns a handle for Cancel.
+  size_t Schedule(SimTime delay) {
+    const int tag = next_tag_++;
+    env_ids_.push_back(
+        env_.Schedule(delay, [this, tag] { env_log_.push_back(tag); }));
+    ref_ids_.push_back(ref_.Schedule(env_.now() + delay, tag));
+    return env_ids_.size() - 1;
+  }
+
+  void Cancel(size_t handle) {
+    env_.Cancel(env_ids_[handle]);
+    ref_.Cancel(ref_ids_[handle]);
+  }
+
+  void Step() {
+    env_.Step();
+    ref_.Step(&ref_log_);
+  }
+
+  void RunUntil(SimTime until) {
+    env_.RunUntil(until);
+    ref_.RunUntil(until, &ref_log_);
+  }
+
+  // Drains both loops and compares everything that fired.
+  void Finish() {
+    env_.Run();
+    ref_.Run(&ref_log_);
+    EXPECT_EQ(env_log_, ref_log_);
+    EXPECT_EQ(env_.now(), ref_.now());
+    EXPECT_TRUE(env_.empty());
+  }
+
+  SimEnvironment& env() { return env_; }
+  const ReferenceLoop& ref() const { return ref_; }
+  size_t issued() const { return env_ids_.size(); }
+
+ private:
+  SimEnvironment env_;
+  ReferenceLoop ref_;
+  std::vector<int> env_log_;
+  std::vector<int> ref_log_;
+  std::vector<EventId> env_ids_;
+  std::vector<uint64_t> ref_ids_;
+  int next_tag_ = 0;
+};
+
+// Drives both loops from one shared random op stream and asserts identical
+// firing logs and clocks. Exercises ties (delay 0), stale cancels of
+// already-fired events, and RunUntil boundaries.
+void RunLockstepStorm(uint64_t seed, int ops) {
+  Lockstep loops(seed);
+  Rng rng(seed * 2654435761u + 1);
 
   for (int op = 0; op < ops; ++op) {
     switch (rng.UniformInt(0, 5)) {
       case 0:
       case 1:
-      case 2: {  // Schedule; delay 0 produces same-instant ties.
-        const SimTime delay = rng.UniformInt(0, 2000);
-        const int tag = next_tag++;
-        env_ids.push_back(
-            env.Schedule(delay, [&env_log, tag] { env_log.push_back(tag); }));
-        ref_ids.push_back(ref.Schedule(env.now() + delay, tag));
+      case 2:  // Schedule; delay 0 produces same-instant ties.
+        loops.Schedule(rng.UniformInt(0, 2000));
         break;
-      }
-      case 3: {  // Cancel any id ever issued, fired or not.
-        if (env_ids.empty()) break;
-        const size_t pick =
-            static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(env_ids.size()) - 1));
-        env.Cancel(env_ids[pick]);
-        ref.Cancel(ref_ids[pick]);
+      case 3:  // Cancel any id ever issued, fired or not.
+        if (loops.issued() == 0) break;
+        loops.Cancel(static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(loops.issued()) - 1)));
         break;
-      }
-      case 4: {  // Single step.
-        env.Step();
-        ref.Step(&ref_log);
+      case 4:  // Single step.
+        loops.Step();
         break;
-      }
-      case 5: {  // Bounded drain.
-        const SimTime until = env.now() + rng.UniformInt(0, 3000);
-        env.RunUntil(until);
-        ref.RunUntil(until, &ref_log);
+      case 5:  // Bounded drain.
+        loops.RunUntil(loops.env().now() + rng.UniformInt(0, 3000));
         break;
-      }
     }
-    ASSERT_EQ(env.now(), ref.now()) << "clock diverged at op " << op;
+    ASSERT_EQ(loops.env().now(), loops.ref().now())
+        << "clock diverged at op " << op;
   }
+  loops.Finish();
+}
 
-  env.Run();
-  ref.Run(&ref_log);
+// Pool counters after a given op of a storm. cancelled_dropped is part of
+// the simulated-output digests, and the rebuild moments and sizes decide
+// which cancelled events are purged when, so these pin more than the log.
+struct Checkpoint {
+  int op;
+  uint64_t fired;
+  uint64_t cancelled_dropped;
+  uint64_t calendar_resizes;
+  uint64_t bucket_count;
+};
 
-  EXPECT_EQ(env_log, ref_log);
-  EXPECT_EQ(env.now(), ref.now());
-  EXPECT_TRUE(env.empty());
+// The fabric-stepped storage workloads' event shape: every event sits on a
+// 20 ms grid, so the median inter-event gap is 0 and each rebuild picks the
+// 1 us width floor, and each operation arms a ~2 s watchdog that is usually
+// cancelled. The calendar then drains into the overflow list at nearly
+// every grid instant: a rebuild storm.
+void RunQuantisedStorm(uint64_t seed, int ops,
+                       const std::vector<Checkpoint>& checkpoints) {
+  constexpr SimTime kGrid = Millis(20);
+  Lockstep loops(seed);
+  Rng rng(seed * 2654435761u + 1);
+  std::vector<size_t> watchdogs;  // Armed and not cancelled by the stream.
+  size_t next_checkpoint = 0;
+
+  for (int op = 0; op < ops; ++op) {
+    const SimTime now = loops.env().now();
+    const SimTime on_grid = (now + kGrid - 1) / kGrid * kGrid;
+    switch (rng.UniformInt(0, 9)) {
+      case 0:
+      case 1:
+      case 2:  // A burst of operations: grid events and their watchdogs.
+        for (int64_t k = rng.UniformInt(1, 8); k > 0; --k) {
+          loops.Schedule(on_grid - now + rng.UniformInt(0, 3) * kGrid);
+          watchdogs.push_back(loops.Schedule(on_grid - now + Seconds(2)));
+        }
+        break;
+      case 3:
+      case 4:
+      case 5:
+      case 6:  // Operations finished: cancel their watchdogs, keeping
+               // about 100 pending.
+        for (int64_t k = rng.UniformInt(1, 8);
+             k > 0 && watchdogs.size() > 100; --k) {
+          const size_t pick = static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(watchdogs.size()) - 1));
+          loops.Cancel(watchdogs[pick]);
+          watchdogs[pick] = watchdogs.back();
+          watchdogs.pop_back();
+        }
+        break;
+      case 7:  // Cancel any id ever issued, fired or not.
+        if (loops.issued() == 0) break;
+        loops.Cancel(static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(loops.issued()) - 1)));
+        break;
+      case 8:
+        loops.Step();
+        break;
+      case 9:
+        loops.RunUntil(now + rng.UniformInt(0, 100) * Millis(1));
+        break;
+    }
+    ASSERT_EQ(loops.env().now(), loops.ref().now())
+        << "clock diverged at op " << op;
+    if (next_checkpoint < checkpoints.size() &&
+        checkpoints[next_checkpoint].op == op) {
+      const Checkpoint& want = checkpoints[next_checkpoint++];
+      const EventPoolStats stats = loops.env().pool_stats();
+      EXPECT_EQ(stats.fired, want.fired) << "at op " << op;
+      EXPECT_EQ(stats.cancelled_dropped, want.cancelled_dropped)
+          << "at op " << op;
+      EXPECT_EQ(stats.calendar_resizes, want.calendar_resizes)
+          << "at op " << op;
+      EXPECT_EQ(stats.bucket_count, want.bucket_count) << "at op " << op;
+    }
+  }
+  EXPECT_EQ(next_checkpoint, checkpoints.size());
+  loops.Finish();
 }
 
 TEST(QueueEquivalenceTest, MatchesReferenceHeapSeed1) {
@@ -144,6 +252,16 @@ TEST(QueueEquivalenceTest, MatchesReferenceHeapSeed42) {
 
 TEST(QueueEquivalenceTest, MatchesReferenceHeapSeed2026) {
   RunLockstepStorm(/*seed=*/2026, /*ops=*/20000);
+}
+
+TEST(QueueEquivalenceTest, MatchesReferenceOnQuantisedTimes) {
+  // Counters recorded from the sort-everything rebuild this queue had
+  // before rebuilds merged the overflow's sorted run.
+  RunQuantisedStorm(/*seed=*/1, /*ops=*/20000,
+                    {{4999, 7153, 5804, 586, 128},
+                     {9999, 14393, 11989, 1184, 128},
+                     {14999, 21748, 18376, 1774, 128},
+                     {19999, 29054, 24829, 2319, 128}});
 }
 
 TEST(QueueEquivalenceTest, MatchesReferenceUnderCancelHeavyLoad) {
