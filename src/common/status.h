@@ -29,8 +29,8 @@ enum class StatusCode : char {
 /// null pointer, errors carry a heap-allocated code + message.
 ///
 /// Marked [[nodiscard]] so dropping a fallible call's Status on the floor is a
-/// compile error under -Werror=unused-result (see tools/skyrise_check for the
-/// matching lint rule).
+/// compile error under -Werror=unused-result (pinned for every call shape by
+/// tests/tools/fixtures/unused_result.cc).
 class [[nodiscard]] Status {
  public:
   Status() = default;

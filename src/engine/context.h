@@ -22,24 +22,15 @@
 /// context (interleaved on the single-threaded event loop); per-query state
 /// lives in `query_grants`, keyed by query id.
 
-// skyrise-domain(coordinator)
 namespace skyrise::engine {
 
 struct EngineContext {
   sim::SimEnvironment* env = nullptr;
-  // Client stubs: every mutation goes through the declared storage request
-  // API crossings (GetRange/Put/Insert).
-  // skyrise-check: allow(domain-escape) — client stub for a crossing API.
   storage::StorageService* table_store = nullptr;
-  // skyrise-check: allow(domain-escape) — client stub, see table_store.
   storage::StorageService* shuffle_store = nullptr;
   format::SyntheticFileCatalog* catalog = nullptr;
-  // Client stub for the coordination queue crossing (QueueService::Arrive).
-  // skyrise-check: allow(domain-escape) — client stub for a crossing API.
   storage::QueueService* queue = nullptr;
   /// Platform worker invocations go to (set per run: Lambda or EC2 fleet).
-  /// Client stub for the invocation crossing (ComputePlatform::Invoke).
-  // skyrise-check: allow(domain-escape) — client stub for a crossing API.
   faas::ComputePlatform* worker_platform = nullptr;
   /// Experiment-wide request metering hook.
   pricing::CostMeter* meter = nullptr;

@@ -789,16 +789,11 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
   }
 
   EngineContext* ec_;
-  // The sandbox this coordinator runs in; mutations go through the sandbox
-  // lifecycle API crossings.
-  // skyrise-check: allow(domain-escape) — sandbox handle, crossings only.
   std::shared_ptr<faas::FunctionContext> fctx_;
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::SpanId query_span_ = obs::kNoSpan;
   obs::SpanId plan_span_ = obs::kNoSpan;
-  // Client stub for the storage crossings (RetryClient::GetRange/Put).
-  // skyrise-check: allow(domain-escape) — client stub for a crossing API.
   std::unique_ptr<storage::RetryClient> client_;
   storage::ClientContext storage_ctx_;
   QueryPlan plan_;
@@ -885,8 +880,6 @@ class InvokerTask : public std::enable_shared_from_this<InvokerTask> {
   }
 
   EngineContext* ec_;
-  // The sandbox this invoker runs in; crossings only.
-  // skyrise-check: allow(domain-escape) — sandbox handle, crossings only.
   std::shared_ptr<faas::FunctionContext> fctx_;
   std::vector<Json> responses_;
   int total_ = 0;

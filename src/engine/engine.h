@@ -12,7 +12,6 @@
 /// deployment. The query plan and execution logic are identical across
 /// deployments; only the invocation substrate differs.
 
-// skyrise-domain(coordinator)
 namespace skyrise::engine {
 
 struct QueryResponse {

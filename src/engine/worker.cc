@@ -111,8 +111,6 @@ class ReadBatch : public std::enable_shared_from_this<ReadBatch> {
   }
 
   EngineContext* ec_;
-  // Client stub for the storage crossings (RetryClient::GetRange).
-  // skyrise-check: allow(domain-escape) — client stub for a crossing API.
   storage::RetryClient* client_;
   storage::ClientContext storage_ctx_;
   std::deque<ReadOp> pending_;
@@ -953,9 +951,6 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
   }
 
   EngineContext* ec_;
-  // The sandbox this worker runs in; mutations go through the sandbox
-  // lifecycle API crossings.
-  // skyrise-check: allow(domain-escape) — sandbox handle, crossings only.
   std::shared_ptr<faas::FunctionContext> fctx_;
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
@@ -964,10 +959,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
   obs::SpanId output_span_ = obs::kNoSpan;
   CostAccumulator cost_;
   MemoryTracker memory_;
-  // Client stubs for the storage crossings (RetryClient::GetRange/Put).
-  // skyrise-check: allow(domain-escape) — client stub for a crossing API.
   std::unique_ptr<storage::RetryClient> table_client_;
-  // skyrise-check: allow(domain-escape) — client stub, see table_client_.
   std::unique_ptr<storage::RetryClient> shuffle_client_;
   storage::ClientContext storage_ctx_;
   PipelineSpec pipeline_;

@@ -56,7 +56,6 @@ void Ec2Fleet::Stop() {
   }
 }
 
-// skyrise-domain-crossing(platform invocation API: the coordinator-to-fleet request boundary, an HTTP invoke against the provider in the real system)
 void Ec2Fleet::Invoke(const std::string& function, Json payload,
                       ResponseCallback callback) {
   Pending pending;

@@ -16,7 +16,6 @@
 /// the available worker slots; there are no coldstarts, but capacity is
 /// fixed and billed for the full fleet lifetime.
 
-// skyrise-domain(sandbox-fleet)
 namespace skyrise::faas {
 
 class Ec2Fleet : public ComputePlatform {
@@ -94,9 +93,6 @@ class Ec2Fleet : public ComputePlatform {
   void MaybeDispatch();
 
   sim::SimEnvironment* env_;
-  // The fleet's network attachment; transfers go through the network
-  // transfer API crossing (StartTransfer).
-  // skyrise-check: allow(domain-escape) — NIC attachment, crossings only.
   net::FabricDriver* fabric_;
   FunctionRegistry* registry_;
   Options opt_;
@@ -107,9 +103,6 @@ class Ec2Fleet : public ComputePlatform {
   obs::SpanId fleet_span_ = obs::kNoSpan;
   Stats stats_;
   std::string name_ = "ec2";
-  // Per-instance NICs the fleet owns and hands to its sandboxes; idle
-  // signals use the NotifyIdle crossing.
-  // skyrise-check: allow(domain-escape) — NIC attachment, crossings only.
   std::vector<std::unique_ptr<net::Ec2Nic>> nics_;
   std::vector<int> slot_instance_;  ///< Round-robin slot -> instance NIC.
   int free_slots_ = 0;

@@ -19,7 +19,6 @@
 /// on both. A handler is a C++ callback standing in for the function binary;
 /// it drives simulated I/O through the context and must finish exactly once.
 
-// skyrise-domain(sandbox-fleet)
 namespace skyrise::faas {
 
 struct FunctionConfig {
@@ -63,7 +62,6 @@ class FunctionContext : public std::enable_shared_from_this<FunctionContext> {
   const FunctionConfig& config() const { return config_; }
 
   /// Models CPU work: schedules `then` after `cpu_time` of virtual time.
-  // skyrise-domain-crossing(sandbox lifecycle API: workload code charges CPU time to its own sandbox by scheduling through the sim-kernel event loop)
   void Compute(SimDuration cpu_time, std::function<void()> then) {
     env_->Schedule(cpu_time, std::move(then));
   }
@@ -76,7 +74,6 @@ class FunctionContext : public std::enable_shared_from_this<FunctionContext> {
   }
 
   /// Completes the invocation with an error.
-  // skyrise-domain-crossing(sandbox lifecycle API: fires the completion callback the platform wired in before the handler ran)
   void FinishError(Status status) {
     SKYRISE_CHECK(!finished_);
     SKYRISE_CHECK(!status.ok());
@@ -110,11 +107,7 @@ class FunctionContext : public std::enable_shared_from_this<FunctionContext> {
 
  private:
   sim::SimEnvironment* env_;
-  // The sandbox's network attachment; transfers go through the
-  // StartTransfer / NotifyIdle crossings.
-  // skyrise-check: allow(domain-escape) — NIC attachment, crossings only.
   net::Nic* nic_;
-  // skyrise-check: allow(domain-escape) — network attachment, see nic_.
   net::FabricDriver* fabric_;
   Json payload_;
   bool cold_start_;

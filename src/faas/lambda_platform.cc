@@ -39,7 +39,6 @@ int LambdaPlatform::CurrentScaleLimit() {
   return std::min(limit, opt_.account_concurrency);
 }
 
-// skyrise-domain-crossing(platform invocation API: the coordinator-to-fleet request boundary, an HTTP invoke against the provider in the real system)
 void LambdaPlatform::Invoke(const std::string& function, Json payload,
                             ResponseCallback callback) {
   DoInvoke(function, std::move(payload), std::move(callback), 0);

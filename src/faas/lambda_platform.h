@@ -25,7 +25,6 @@
 /// their (idle-refilled) burst budgets across invocations. Asynchronous
 /// invocations pass through the polling service and pay extra latency.
 
-// skyrise-domain(sandbox-fleet)
 namespace skyrise::faas {
 
 class LambdaPlatform : public ComputePlatform {
@@ -117,8 +116,6 @@ class LambdaPlatform : public ComputePlatform {
 
  private:
   struct Sandbox {
-    // The sandbox's attachment; idle signals use the NotifyIdle crossing.
-    // skyrise-check: allow(domain-escape) — NIC attachment, crossings only.
     std::unique_ptr<net::LambdaNic> nic;
     sim::EventId reap_event = sim::kInvalidEventId;
     uint64_t id = 0;
@@ -139,8 +136,6 @@ class LambdaPlatform : public ComputePlatform {
   int CurrentScaleLimit();
 
   sim::SimEnvironment* env_;
-  // The platform's attachment; transfers use the StartTransfer crossing.
-  // skyrise-check: allow(domain-escape) — NIC attachment, crossings only.
   net::FabricDriver* fabric_;
   FunctionRegistry* registry_;
   Options opt_;

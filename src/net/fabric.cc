@@ -15,7 +15,6 @@ VpcId Fabric::AddVpc(double aggregate_cap_bytes_per_sec) {
   return static_cast<VpcId>(vpc_caps_.size() - 1);
 }
 
-// skyrise-domain-crossing(network transfer API: accepts a transfer spec by value; completion fires from a scheduled event)
 TransferId Fabric::StartTransfer(const TransferSpec& spec) {
   SKYRISE_CHECK(spec.src != nullptr && spec.dst != nullptr);
   SKYRISE_CHECK(spec.flows >= 1);

@@ -18,7 +18,6 @@
 /// parallel TCP connections), and an optional per-VPC aggregate ceiling (the
 /// ~20 GiB/s limit Section 4.2.2 observes for customer-owned VPCs).
 
-// skyrise-domain(network)
 namespace skyrise::net {
 
 using TransferId = uint64_t;

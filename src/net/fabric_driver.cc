@@ -2,7 +2,6 @@
 
 namespace skyrise::net {
 
-// skyrise-domain-crossing(network transfer API: accepts a transfer spec by value and keeps the fluid fabric stepping while transfers are active)
 TransferId FabricDriver::StartTransfer(Fabric::TransferSpec spec) {
   const TransferId id = fabric_->StartTransfer(spec);
   EnsureRunning();

@@ -9,7 +9,6 @@
 /// quiescent when the fabric drains, so event-based components (storage
 /// services, FaaS platform) and the fluid network co-simulate.
 
-// skyrise-domain(network)
 namespace skyrise::net {
 
 class FabricDriver {

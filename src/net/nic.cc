@@ -25,7 +25,6 @@ void LambdaNic::Consume(Direction dir, double bytes, SimTime now,
   (dir == Direction::kIn ? in_ : out_).Consume(bytes, now);
 }
 
-// skyrise-domain-crossing(NIC flow-control callback: the owning sandbox signals its network attachment has gone idle)
 void LambdaNic::NotifyIdle() {
   in_.NotifyIdle();
   out_.NotifyIdle();

@@ -14,7 +14,6 @@
 ///  - Ec2Nic: classic token bucket with baseline refill and burst cap,
 ///  - UnlimitedNic: fixed line rate (used for beefy iPerf servers).
 
-// skyrise-domain(network)
 namespace skyrise::net {
 
 enum class Direction { kIn = 0, kOut = 1 };
@@ -32,7 +31,6 @@ class Nic {
                        SimDuration dt) = 0;
 
   /// Owner released the NIC (e.g., the function terminated).
-  // skyrise-domain-crossing(NIC flow-control callback: the owning sandbox signals its network attachment has gone idle)
   virtual void NotifyIdle() {}
 
   const std::string& name() const { return name_; }

@@ -14,7 +14,6 @@
 /// query engine. Benches and examples build on this instead of repeating
 /// the wiring.
 
-// skyrise-domain(shared)
 namespace skyrise::platform {
 
 /// Resource-level testbed: network + storage + FaaS.

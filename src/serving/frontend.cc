@@ -59,9 +59,6 @@ void ServingFrontend::Start() {
   started_ = true;
   start_time_ = env_->now();
   horizon_end_ = start_time_ + opt_.horizon;
-  // Deployment-time wiring: the frontend points the engine at the compute
-  // platform before any query runs.
-  // skyrise-check: allow(cross-domain-mutation) — deployment-time wiring.
   if (engine_ != nullptr) engine_->context()->worker_platform = platform_;
   for (size_t i = 0; i < tenants_.size(); ++i) {
     tenants_[i].last_arrival = start_time_;
@@ -80,9 +77,6 @@ bool ServingFrontend::Done() const {
 
 void ServingFrontend::DriveUntil(SimTime hard_horizon) {
   while (!Done() && env_->now() < hard_horizon) {
-    // The receiver is the sim environment (event API); name-based call
-    // resolution also matches net::Fabric::Step.
-    // skyrise-check: allow(cross-domain-mutation) — event-API receiver.
     if (!env_->Step()) break;
   }
 }

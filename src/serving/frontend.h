@@ -29,7 +29,6 @@
 /// std::maps only — two identically-seeded runs produce byte-identical
 /// report JSON (pinned by tests/serving).
 
-// skyrise-domain(serving)
 namespace skyrise::serving {
 
 struct TenantSpec {
@@ -188,12 +187,7 @@ class ServingFrontend {
   };
 
   sim::SimEnvironment* env_;
-  // Client stub for the invocation crossing (ComputePlatform::Invoke).
-  // skyrise-check: allow(domain-escape) — client stub for a crossing API.
   faas::ComputePlatform* platform_;
-  // The frontend drives query submission through the engine's public
-  // entry points only.
-  // skyrise-check: allow(domain-escape) — engine entry points only.
   engine::QueryEngine* engine_;
   obs::Tracer* tracer_;
   obs::MetricsRegistry* metrics_;

@@ -22,7 +22,6 @@
 /// 48-byte inline buffer, and cancellation is an O(1) generation check
 /// instead of a tombstone-set insert.
 
-// skyrise-domain(sim-kernel)
 namespace skyrise::sim {
 
 class SimEnvironment {

@@ -33,7 +33,6 @@
 ///     (slot freed) when it surfaces at the head of the queue, mirroring the
 ///     seed's tombstone-at-pop semantics without the unbounded tombstone set.
 
-// skyrise-domain(sim-kernel)
 namespace skyrise::sim {
 
 using EventId = uint64_t;

@@ -5,7 +5,6 @@
 
 namespace skyrise::storage {
 
-// skyrise-domain-crossing(static value factory: builds a LatencyProfile from its arguments and touches no storage-partition state)
 LatencyProfile LatencyProfile::FromMedianP95(double median_ms, double p95_ms) {
   LatencyProfile p;
   p.median_ms = median_ms;

@@ -147,9 +147,6 @@ ObjectStore::ObjectStore(sim::SimEnvironment* env, const Options& options,
   }
   ewma_last_update_ = env_->now();
   cooling_since_ = env_->now();
-  // Construction-time wiring: the service labels the NIC it owns before
-  // any traffic flows.
-  // skyrise-check: allow(cross-domain-mutation) — construction-time wiring.
   service_nic_.set_name(opt_.service_name);
 }
 
@@ -336,7 +333,6 @@ void ObjectStore::Get(const std::string& key, const ClientContext& ctx,
   GetRange(key, 0, -1, ctx, std::move(callback));
 }
 
-// skyrise-domain-crossing(storage request API: an HTTP GET against the store in the real system; latency, faults, and throttling are modeled inside)
 void ObjectStore::GetRange(const std::string& key, int64_t offset,
                            int64_t length, const ClientContext& ctx,
                            GetCallback callback) {
@@ -405,7 +401,6 @@ void ObjectStore::GetRange(const std::string& key, int64_t offset,
   FinishGet(std::move(payload), ctx, std::move(callback));
 }
 
-// skyrise-domain-crossing(storage request API: an HTTP PUT against the store in the real system; latency, faults, and throttling are modeled inside)
 void ObjectStore::Put(const std::string& key, Blob data,
                       const ClientContext& ctx, PutCallback callback) {
   const SimTime now = env_->now();

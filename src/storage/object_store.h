@@ -31,7 +31,6 @@
 /// S3 Express One Zone is the same machinery with partitioning disabled,
 /// zonal low-latency profiles, and high flat IOPS ceilings.
 
-// skyrise-domain(storage-partition)
 namespace skyrise::storage {
 
 class ObjectStore : public StorageService {

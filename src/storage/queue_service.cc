@@ -7,7 +7,6 @@ namespace skyrise::storage {
 QueueService::QueueService(sim::SimEnvironment* env, const Options& options)
     : env_(env), opt_(options) {}
 
-// skyrise-domain-crossing(coordination queue API: a barrier-arrival message, an HTTP request against the queue service in the real system)
 void QueueService::Arrive(const std::string& name, int expected,
                           std::function<void()> on_release) {
   SKYRISE_CHECK(expected >= 1);

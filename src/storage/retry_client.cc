@@ -96,7 +96,6 @@ void RetryClient::Get(const std::string& key, const ClientContext& ctx,
   GetRange(key, 0, -1, ctx, std::move(callback));
 }
 
-// skyrise-domain-crossing(storage client API: issues the storage read RPC with retry and backoff on the caller's behalf)
 void RetryClient::GetRange(const std::string& key, int64_t offset,
                            int64_t length, const ClientContext& ctx,
                            GetCallback callback) {
@@ -276,7 +275,6 @@ void RetryClient::AttemptGet(const std::string& key, int64_t offset,
       });
 }
 
-// skyrise-domain-crossing(storage client API: issues the storage write RPC with retry and backoff on the caller's behalf)
 void RetryClient::Put(const std::string& key, Blob data,
                       const ClientContext& ctx, PutCallback callback) {
   obs::SpanId req = obs::kNoSpan;

@@ -22,7 +22,6 @@
 /// (quotas/throttling) -> first-byte latency -> optional payload streaming
 /// through the network fabric -> completion callback.
 
-// skyrise-domain(storage-partition)
 namespace skyrise::storage {
 
 /// Per-client request context. When `nic` and `fabric` are set, payloads at
@@ -30,11 +29,7 @@ namespace skyrise::storage {
 /// (so a Lambda client's burst budget gates its scan throughput); otherwise
 /// transfer time is folded into the sampled latency.
 struct ClientContext {
-  // The requesting client's NIC, passed so streaming transfers go through
-  // the StartTransfer crossing.
-  // skyrise-check: allow(domain-escape) — NIC attachment, crossings only.
   net::Nic* nic = nullptr;
-  // skyrise-check: allow(domain-escape) — network attachment, see nic.
   net::FabricDriver* fabric = nullptr;
   net::VpcId vpc = net::kNoVpc;
   pricing::CostMeter* meter = nullptr;  ///< Request metering hook (optional).

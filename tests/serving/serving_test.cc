@@ -24,7 +24,6 @@ class FakePlatform : public faas::ComputePlatform {
   FakePlatform(sim::SimEnvironment* env, SimDuration service_time)
       : env_(env), service_time_(service_time) {}
 
-  // skyrise-domain-crossing(platform invocation API: test double of the ComputePlatform request boundary)
   void Invoke(const std::string& /*function*/, Json payload,
               faas::ResponseCallback callback) override {
     const std::string query_id = payload.GetString("query_id");

@@ -13,8 +13,6 @@
 
 #include "callgraph.h"
 #include "dataflow.h"
-#include "domains.h"
-#include "nodiscard.h"
 #include "state_audit.h"
 #include "symbols.h"
 
@@ -100,37 +98,6 @@ void ParseAllows(const std::string& comment, int line,
     }
     pos = comment.find(marker, close);
   }
-}
-
-/// Parses `skyrise-domain(<name>)` and `skyrise-domain-crossing(<rationale>)`
-/// annotations out of a comment body. (The two markers cannot shadow each
-/// other: the domain marker requires `(` right after "skyrise-domain".)
-/// The marker must *lead* the comment (extra `/`, `!`, and whitespace
-/// allowed), so prose that merely mentions the marker is not an annotation.
-void ParseDomainNotes(const std::string& comment, int line, SourceFile* file) {
-  auto trimmed = [](const std::string& s) {
-    const size_t b = s.find_first_not_of(" \t");
-    if (b == std::string::npos) return std::string();
-    const size_t e = s.find_last_not_of(" \t");
-    return s.substr(b, e - b + 1);
-  };
-  size_t lead = 0;
-  while (lead < comment.size() &&
-         (comment[lead] == '/' || comment[lead] == '!' ||
-          comment[lead] == ' ' || comment[lead] == '\t')) {
-    ++lead;
-  }
-  auto parse_one = [&](const std::string& marker,
-                       std::map<int, std::string>* notes) {
-    if (comment.compare(lead, marker.size(), marker) != 0) return;
-    const size_t open = lead + marker.size();
-    const size_t close = comment.find(')', open);
-    if (close == std::string::npos) return;
-    const std::string inside = trimmed(comment.substr(open, close - open));
-    if (!inside.empty()) (*notes)[line] = inside;
-  };
-  parse_one("skyrise-domain-crossing(", &file->crossing_notes);
-  parse_one("skyrise-domain(", &file->domain_notes);
 }
 
 /// Minimal deterministic worker pool: runs `fn(i)` for every i in [0, n)
@@ -275,7 +242,6 @@ SourceFile Preprocess(const std::string& path, const std::string& contents) {
     }
     if (!comment_text.empty()) {
       ParseAllows(comment_text, static_cast<int>(li) + 1, &file.allows);
-      ParseDomainNotes(comment_text, static_cast<int>(li) + 1, &file);
     }
     file.code.push_back(std::move(out));
   }
@@ -284,22 +250,17 @@ SourceFile Preprocess(const std::string& path, const std::string& contents) {
 
 const std::vector<std::string>& Checker::RuleIds() {
   static const std::vector<std::string> kRules = {
-      "banned-api",          "discarded-status",
-      "unordered-iteration", "pragma-once",
-      "using-namespace",     "raw-stdout",
-      "chunk-copy",          "unbounded-retry",
-      "sim-hot-path",
+      "banned-api",          "unordered-iteration",
+      "pragma-once",         "using-namespace",
+      "raw-stdout",          "chunk-copy",
+      "unbounded-retry",     "sim-hot-path",
       "unchecked-result-access",
       "status-path-drop",    "use-after-move",
       "span-leak",           "unordered-taint",
-      "missing-nodiscard",
       "transitive-nondeterminism",
       "shared-mutable-state",
       "unbounded-retry-wrapper",
-      "span-transfer-leak",
-      "domain-escape",
-      "cross-domain-mutation",
-      "lock-discipline"};
+      "span-transfer-leak"};
   return kRules;
 }
 
@@ -399,125 +360,6 @@ void Checker::CheckBannedApis(const SourceFile& file,
       }
       i += tok.size() - 1;
     }
-  }
-}
-
-void Checker::CheckDiscardedStatus(const SourceFile& file,
-                                   std::vector<Diagnostic>* out) const {
-  // Scan for statement-level call chains `a.b->C::name(...);` whose final
-  // callee returns Status/Result. `prev` tracks the last significant
-  // character across lines; a chain starting after `;`, `{`, or `}` is a
-  // full statement, so a trailing `;` right after the matching close paren
-  // means the returned value was dropped. (`:` is deliberately not a
-  // statement start: it would re-anchor mid-chain after `::` qualifiers.)
-  char prev = '{';
-  const size_t nlines = file.code.size();
-  size_t li = 0, ci = 0;
-  auto advance = [&]() {
-    ++ci;
-    while (li < nlines && ci >= file.code[li].size()) {
-      ++li;
-      ci = 0;
-    }
-  };
-  while (li < nlines) {
-    const std::string& line = file.code[li];
-    const char c = ci < line.size() ? line[ci] : ' ';
-    if (std::isspace(static_cast<unsigned char>(c)) || line.empty()) {
-      advance();
-      continue;
-    }
-    const bool stmt_start = prev == ';' || prev == '{' || prev == '}';
-    if (IsIdentChar(c) && stmt_start) {
-      // Parse the chain on this line only (multi-line chains are rare and the
-      // compiler's -Werror=unused-result backstops them).
-      size_t p = ci;
-      std::string name;
-      bool chain_ok = false;
-      const int start_line = static_cast<int>(li) + 1;
-      while (p < line.size() && IsIdentChar(line[p])) {
-        name = ReadIdent(line, p);
-        p += name.size();
-        if (p + 1 < line.size() && line[p] == ':' && line[p + 1] == ':') {
-          p += 2;
-        } else if (p + 1 < line.size() && line[p] == '-' &&
-                   line[p + 1] == '>') {
-          p += 2;
-        } else if (p < line.size() && line[p] == '.' && p + 1 < line.size() &&
-                   IsIdentChar(line[p + 1])) {
-          p += 1;
-        } else {
-          chain_ok = p < line.size() && line[p] == '(';
-          break;
-        }
-      }
-      // A name that also has a `void name(...)` declaration somewhere in the
-      // tree is ambiguous at token level (e.g. Json::Append vs
-      // ColumnFileWriter::Append); skip it — -Werror=unused-result still
-      // catches real discards of the fallible overload.
-      if (chain_ok && fallible_names_.count(name) > 0 &&
-          void_names_.count(name) == 0 && name != "return") {
-        // Find the matching close paren, possibly across lines.
-        size_t pl = li, pc = p;
-        int depth = 0;
-        bool closed = false;
-        while (pl < nlines) {
-          const std::string& l2 = file.code[pl];
-          for (; pc < l2.size(); ++pc) {
-            if (l2[pc] == '(') ++depth;
-            if (l2[pc] == ')') {
-              --depth;
-              if (depth == 0) {
-                closed = true;
-                break;
-              }
-            }
-          }
-          if (closed) break;
-          ++pl;
-          pc = 0;
-        }
-        if (closed) {
-          // Next significant char after ')' decides: `;` == discarded.
-          size_t ql = pl, qc = pc + 1;
-          char follow = '\0';
-          while (ql < nlines) {
-            const std::string& l3 = file.code[ql];
-            while (qc < l3.size() &&
-                   std::isspace(static_cast<unsigned char>(l3[qc]))) {
-              ++qc;
-            }
-            if (qc < l3.size()) {
-              follow = l3[qc];
-              break;
-            }
-            ++ql;
-            qc = 0;
-          }
-          if (follow == ';') {
-            Emit(file, start_line, "discarded-status",
-                 "result of fallible call `" + name +
-                     "(...)` is discarded; check the Status or use "
-                     "SKYRISE_CHECK_OK / SKYRISE_RETURN_IF_ERROR",
-                 out);
-          }
-          // Resume right after the close paren; whatever follows (`;`, `.`,
-          // `)`) updates `prev` through the normal scan.
-          prev = ')';
-          li = pl;
-          ci = pc;
-          advance();
-          continue;
-        }
-      }
-      // Not a flagged chain: consume the identifier and move on.
-      prev = 'a';
-      ci += ReadIdent(line, ci).size() - 1;
-      advance();
-      continue;
-    }
-    if (!std::isspace(static_cast<unsigned char>(c))) prev = c;
-    advance();
   }
 }
 
@@ -921,7 +763,6 @@ void Checker::CheckSimHotPath(const SourceFile& file,
 void Checker::CheckFile(const SourceFile& file,
                         std::vector<Diagnostic>* out) const {
   CheckBannedApis(file, out);
-  CheckDiscardedStatus(file, out);
   CheckUnorderedIteration(file, out);
   CheckHeaderHygiene(file, out);
   CheckChunkCopy(file, out);
@@ -930,9 +771,6 @@ void Checker::CheckFile(const SourceFile& file,
   const FlowContext ctx{&result_names_, &fallible_names_, &void_names_,
                         &span_source_names_};
   CheckFlowRules(file, ctx, out);
-  CheckMissingNodiscard(file, out);
-  CheckLockDiscipline(file, out);
-  CheckDomainAnnotations(file, out);
 }
 
 std::vector<Diagnostic> Checker::CheckSources(
@@ -991,8 +829,6 @@ std::vector<Diagnostic> Checker::CheckSources(
   CheckTransitiveNondeterminism(index, graph, file_map, &diags);
   CheckRetryWrappers(index, graph, file_map, &diags);
   CheckSharedMutableState(index, file_map, &diags);
-  CheckDomainEscape(index, file_map, &diags, nullptr);
-  CheckCrossDomainMutation(index, graph, file_map, &diags, nullptr);
   const auto t_end = Clock::now();
 
   if (timings != nullptr) {
@@ -1041,7 +877,7 @@ std::vector<TreeFile> LoadTree(const std::string& root,
     std::string rel = p;
     const std::string prefix = (fs::path(root) / "").string();
     if (rel.rfind(prefix, 0) == 0) rel = rel.substr(prefix.size());
-    files.push_back(TreeFile{rel, p, buf.str()});
+    files.push_back(TreeFile{rel, buf.str()});
   }
   return files;
 }

@@ -15,10 +15,6 @@
 ///   banned-api          wall clocks, ambient randomness, env lookups, thread
 ///                       ids — nondeterminism sources that must come from
 ///                       sim::Environment / common/random instead
-///   discarded-status    statement-level call to a Status/Result-returning
-///                       function whose result is dropped (belt; the
-///                       [[nodiscard]] sweep + -Werror=unused-result is the
-///                       sound suspenders)
 ///   unordered-iteration loops over unordered_map/unordered_set — iteration
 ///                       order is hash-seed dependent and must not leak into
 ///                       emitted rows, shuffle partitions, or reports
@@ -48,6 +44,11 @@
 ///                       once per thousands of events) carry an allow
 ///                       comment stating why
 ///
+/// Dropping a Status or Result<T> outright is not a rule here: the
+/// class-level [[nodiscard]] plus -Werror=unused-result makes it a compile
+/// error. status-path-drop below covers a result that is bound and then
+/// forgotten on some path.
+///
 /// Flow-sensitive rules (v2, built on the lexer → CFG → dataflow stack in
 /// lexer.h / cfg.h / dataflow.h — see those headers for the machinery):
 ///   unchecked-result-access  `.value()` / `*r` / `r->` on a Result<T> local
@@ -67,9 +68,6 @@
 ///                            intervening std::sort (collect-then-sort stays
 ///                            silent; std::map/std::set collectors never
 ///                            taint)
-///   missing-nodiscard        Status/Result-returning declaration in a src/
-///                            header without [[nodiscard]] (see nodiscard.h;
-///                            mechanically fixable with --fix)
 ///
 /// Interprocedural rules (v3, built on the cross-TU symbol index and call
 /// graph in symbols.h / callgraph.h — whole-program passes that run when
@@ -101,30 +99,9 @@
 ///                              span-leak (End obligation transfers at the
 ///                              call site)
 ///
-/// Domain-ownership rules (v4, built on the domain model in domains.h —
-/// every src/ type and function is assigned to a shard-ownership domain
-/// via `// skyrise-domain(<name>)` annotations or namespace inference):
-///   domain-escape              a class in one concrete domain retains a
-///                              pointer/reference/smart-pointer handle to a
-///                              class owned by a different concrete domain
-///                              (sim-kernel handles exempt — the event API
-///                              is the sanctioned crossing); witness chain
-///                              `A -> field f -> B (file:line)`
-///   cross-domain-mutation      a function in one concrete domain calls a
-///                              non-const method defined in a different
-///                              concrete domain outside the sanctioned
-///                              crossing points (the sim-kernel event API,
-///                              value/const reads, declared
-///                              `skyrise-domain-crossing(...)` functions)
-///   lock-discipline            synchronization hygiene ahead of the
-///                              parallel DES: a mutex with no RAII guard in
-///                              its file, raw .lock()/.unlock() calls,
-///                              std::atomic or thread_local outside the
-///                              sim-kernel domain
-///
-/// A suppression comment `// skyrise-check: allow(rule-a, rule-b)` silences
-/// the named rules on its own line and the following line, so intent stays
-/// visible next to the code it blesses.
+/// A suppression comment `// skyrise-check: allow(banned-api, raw-stdout)`
+/// silences the named rules on its own line and the following line, so
+/// intent stays visible next to the code it blesses.
 
 namespace skyrise::check {
 
@@ -152,15 +129,6 @@ struct SourceFile {
   std::vector<std::string> raw;
   std::vector<std::string> code;
   std::map<int, std::set<std::string>> allows;  ///< 1-based line -> rule ids.
-  /// `// skyrise-domain(<name>)` comments: 1-based line -> domain name. The
-  /// annotation assigns the namespace/class/function declared on its line or
-  /// the line below to that ownership domain (see domains.h).
-  std::map<int, std::string> domain_notes;
-  /// `// skyrise-domain-crossing(<rationale>)` comments: 1-based line ->
-  /// rationale. Declares the function defined on its line or the line below
-  /// a sanctioned domain-boundary API; calls to it are recorded as crossing
-  /// edges in the domain inventory instead of violations.
-  std::map<int, std::string> crossing_notes;
 };
 
 /// Builds a SourceFile from in-memory contents (used by tests) — strips
@@ -172,15 +140,15 @@ SourceFile Preprocess(const std::string& path, const std::string& contents);
 bool IsSuppressed(const SourceFile& file, int line, const std::string& rule);
 
 /// Appends a diagnostic unless suppressed. All rule passes (including the
-/// flow-sensitive ones in dataflow.cc and nodiscard.cc) emit through this so
-/// suppression semantics stay uniform.
+/// flow-sensitive ones in dataflow.cc) emit through this so suppression
+/// semantics stay uniform.
 void EmitDiagnostic(const SourceFile& file, int line, const std::string& rule,
                     std::string message, std::vector<Diagnostic>* out);
 
 /// Wall-clock milliseconds per analysis phase, filled by CheckSources when a
 /// non-null pointer is passed (the CLI prints these under --verbose).
 struct PhaseTimings {
-  double preprocess_ms = 0;  ///< Comment/literal blanking, annotation parse.
+  double preprocess_ms = 0;  ///< Comment/literal blanking, allow parse.
   double collect_ms = 0;     ///< Fallible-name harvest (sequential).
   double index_ms = 0;       ///< Per-file symbol indexing + merge.
   double per_file_ms = 0;    ///< Token/flow rule passes over each file.
@@ -194,20 +162,20 @@ class Checker {
  public:
   /// Names of functions returning Status/Result<T>, harvested from
   /// declarations across all files handed to CollectFallibleNames(). The set
-  /// is seeded with the Status factory names so discarded temporaries
-  /// (`Status::IoError("x");`) are caught even when status.h is not scanned.
+  /// is seeded with the Status factory names so bindings of them are typed
+  /// even when status.h is not scanned.
   void CollectFallibleNames(const SourceFile& file);
 
   /// Runs every per-file rule over one file and appends diagnostics
   /// (suppressions already applied). Call CollectFallibleNames() for all
-  /// files first so discarded-status sees cross-file declarations. The
+  /// files first so the flow rules see cross-file declarations. The
   /// interprocedural rules need the whole program — use CheckSources.
   void CheckFile(const SourceFile& file, std::vector<Diagnostic>* out) const;
 
   /// Preprocess + collect + check a set of in-memory files, then run the
   /// whole-program passes (cross-TU symbol index, call graph, transitive
-  /// taint, retry-wrapper obligations, shared-mutable-state audit, domain
-  /// ownership) over the set as one program. The embarrassingly parallel
+  /// taint, retry-wrapper obligations, shared-mutable-state audit) over the
+  /// set as one program. The embarrassingly parallel
   /// phases (preprocess, per-file indexing, per-file rules) fan out over
   /// `jobs` worker threads against the shared read-only symbol index;
   /// `jobs == 0` means hardware concurrency. Output is byte-identical for
@@ -230,8 +198,6 @@ class Checker {
  private:
   void CheckBannedApis(const SourceFile& file,
                        std::vector<Diagnostic>* out) const;
-  void CheckDiscardedStatus(const SourceFile& file,
-                            std::vector<Diagnostic>* out) const;
   void CheckUnorderedIteration(const SourceFile& file,
                                std::vector<Diagnostic>* out) const;
   void CheckHeaderHygiene(const SourceFile& file,
@@ -249,7 +215,7 @@ class Checker {
       "OutOfRange", "Unimplemented",  "Internal",    "IoError",
       "Cancelled"};
   /// Names that also appear in a `void name(...)` declaration; ambiguous at
-  /// token level, so discarded-status skips them (the compiler backstops).
+  /// token level, so the flow rules do not treat calls to them as fallible.
   std::set<std::string> void_names_;
   /// Names declared as returning Result<T> somewhere in the tree.
   std::set<std::string> result_names_;
@@ -262,7 +228,6 @@ class Checker {
 /// One file loaded from disk for tree-wide linting.
 struct TreeFile {
   std::string rel;       ///< Path as reported in diagnostics (root-relative).
-  std::string abs;       ///< Path on disk, for --fix write-back.
   std::string contents;  ///< Original text.
 };
 

@@ -14,13 +14,6 @@ const std::vector<RuleDoc>& RuleDocs() {
        "uint64_t Seed() {\n"
        "  return std::random_device{}();  // host entropy, differs per run\n"
        "}"},
-      {"discarded-status",
-       "Every fallible call's Status/Result must be consumed; a dropped "
-       "status silently swallows I/O and invariant failures that the "
-       "evaluation pipeline must surface as retries or report rows.",
-       "void Flush() {\n"
-       "  writer.Append(chunk);  // Status discarded at statement level\n"
-       "}"},
       {"unordered-iteration",
        "Iteration order of unordered_map/unordered_set is hash-seed and "
        "platform dependent; looping over one must never feed emitted rows, "
@@ -98,12 +91,6 @@ const std::vector<RuleDoc>& RuleDocs() {
        "writer.",
        "for (const auto& [k, v] : unordered_stats) rows.push_back(v);\n"
        "report.Write(rows);  // hash order reaches the report"},
-      {"missing-nodiscard",
-       "Status/Result-returning declarations in src/ headers carry "
-       "[[nodiscard]] so the compiler (with -Werror=unused-result) backstops "
-       "the discarded-status rule soundly; the token rule is only the belt.",
-       "// src/storage/client.h\n"
-       "Status Put(const std::string& key);  // missing [[nodiscard]]"},
       {"transitive-nondeterminism",
        "Banning direct wall-clock/RNG calls is not enough: a src/ function "
        "whose call chain reaches a banned API through any wrapper, lambda, "
@@ -135,40 +122,6 @@ const std::vector<RuleDoc>& RuleDocs() {
        "local Begin without End.",
        "auto span = StartScanSpan(tracer);\n"
        "if (cached) return hit;  // transferred span never ended"},
-      {"domain-escape",
-       "Every src/ type belongs to one shard-ownership domain (annotation "
-       "or namespace inference). A class in one concrete domain that "
-       "retains a mutable pointer/reference/smart-pointer handle to a class "
-       "in a different concrete domain can mutate another shard's state "
-       "behind the scheduler's back; cross-domain effects flow through the "
-       "sim-kernel event API (sim-kernel handles are exempt — the env "
-       "handle *is* that API). Witness: `A -> field f -> B`.",
-       "namespace serving {\n"
-       "struct Frontend {\n"
-       "  faas::ComputePlatform* platform_;  // serving -> sandbox-fleet\n"
-       "};\n"
-       "}"},
-      {"cross-domain-mutation",
-       "A function in one concrete domain calling a non-const method "
-       "defined in a different concrete domain mutates state the callee's "
-       "shard owns, outside the sanctioned crossing points (the sim-kernel "
-       "event API, const/value reads, functions declared "
-       "`skyrise-domain-crossing(<why>)`). Once the DES shards, such a call "
-       "is an unsynchronized cross-shard write.",
-       "namespace engine {\n"
-       "void Rebalance(storage::Partition& p) {\n"
-       "  p.Compact();  // coordinator mutates storage-partition directly\n"
-       "}\n"
-       "}"},
-      {"lock-discipline",
-       "Synchronization hygiene ahead of the parallel DES: a mutex must be "
-       "held through a RAII guard in its file (manual lock/unlock pairing "
-       "does not survive exceptions or early returns), raw "
-       ".lock()/.unlock() calls are flagged, and std::atomic / thread_local "
-       "outside the sim-kernel domain hide cross-shard coordination that "
-       "belongs in the kernel's event API.",
-       "std::mutex mu;  // no lock_guard/scoped_lock anywhere in the file\n"
-       "void Inc() { mu.lock(); ++n; mu.unlock(); }"},
   };
   return kDocs;
 }

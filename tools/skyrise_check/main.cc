@@ -1,37 +1,30 @@
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "baseline.h"
 #include "checker.h"
-#include "domains.h"
 #include "explain.h"
-#include "nodiscard.h"
 #include "sarif.h"
 #include "state_audit.h"
 
 /// CLI for the skyrise static-analysis pass.
 ///
-///   skyrise_check [--root DIR] [--quiet] [--verbose] [--fix] [--jobs N]
-///                 [--baseline FILE] [--write-baseline FILE]
+///   skyrise_check [--root DIR] [--quiet] [--verbose] [--jobs N]
 ///                 [--sarif FILE] [--state-inventory FILE]
-///                 [--domain-inventory FILE] [--explain RULE] [dirs...]
+///                 [--explain RULE] [--list-rules] [dirs...]
 ///
 /// With no dirs, lints the default trees: src, examples, bench, tests,
-/// tools (the checker lints its own sources). `--fix` applies mechanical
-/// rewrites (missing-nodiscard, pragma-once) in place before reporting;
-/// `--baseline` suppresses findings recorded in FILE so CI fails only on new
-/// ones; `--write-baseline` records the current findings and exits 0.
-/// `--sarif` writes the post-baseline findings as SARIF 2.1.0 for GitHub
-/// code-scanning upload; `--state-inventory` writes the shared-mutable-state
-/// audit of src/ as JSON (see state_audit.h) and exits 0;
-/// `--domain-inventory` does the same for the shard-ownership domain audit
-/// (see domains.h). `--jobs N` caps the analysis worker pool (0 = hardware
-/// concurrency; output is byte-identical for any job count); `--verbose`
-/// reports per-phase timing. `--explain RULE` prints the rule's invariant
-/// and a minimal violating example ("all" prints every rule) and exits.
+/// tools (the checker lints its own sources). `--sarif` writes the findings
+/// as SARIF 2.1.0 for GitHub code-scanning upload; `--state-inventory`
+/// writes the shared-mutable-state audit of src/ as JSON (see
+/// state_audit.h) and exits 0. `--jobs N` caps the analysis worker pool
+/// (N is a non-negative decimal; 0 = hardware concurrency; output is
+/// byte-identical for any job count); `--verbose` reports per-phase timing.
+/// `--explain RULE` prints the rule's invariant and a minimal violating
+/// example ("all" prints every rule) and exits; `--list-rules` prints every
+/// rule id and exits.
 /// Exits 0 when clean, 1 on violations, 2 on usage/IO errors.
 
 namespace {
@@ -39,55 +32,47 @@ namespace {
 void PrintUsage() {
   std::fprintf(
       stderr,
-      "usage: skyrise_check [--root DIR] [--quiet] [--verbose] [--fix]\n"
-      "                     [--jobs N] [--baseline FILE] "
-      "[--write-baseline FILE]\n"
+      "usage: skyrise_check [--root DIR] [--quiet] [--verbose] [--jobs N]\n"
       "                     [--sarif FILE] [--state-inventory FILE]\n"
-      "                     [--domain-inventory FILE] [--explain RULE] "
-      "[dirs...]\n"
+      "                     [--explain RULE] [--list-rules] [dirs...]\n"
       "Lints .h/.hpp/.cc/.cpp files for skyrise determinism and "
       "error-handling invariants.\n"
-      "  --fix             apply mechanical fixes (missing-nodiscard, "
-      "pragma-once) in place\n"
       "  --jobs N          worker threads for the per-file phases (0 = "
       "hardware concurrency)\n"
       "  --verbose         report per-phase timing on stderr\n"
-      "  --baseline FILE   report only findings not recorded in FILE\n"
-      "  --write-baseline FILE\n"
-      "                    record current findings as the new baseline\n"
-      "  --sarif FILE      also write findings (after baseline filtering)\n"
-      "                    as SARIF 2.1.0 for code-scanning upload\n"
+      "  --sarif FILE      also write findings as SARIF 2.1.0 for\n"
+      "                    code-scanning upload\n"
       "  --state-inventory FILE\n"
       "                    write the src/ static-state audit as JSON and "
       "exit\n"
-      "  --domain-inventory FILE\n"
-      "                    write the src/ shard-ownership domain audit as "
-      "JSON and exit\n"
       "  --explain RULE    print RULE's invariant and a minimal violating\n"
       "                    example (RULE may be 'all'), then exit\n"
+      "  --list-rules      print every rule id, then exit\n"
       "Default dirs: src examples bench tests tools\n");
+}
+
+/// Parses a `--jobs` value: a non-negative decimal and nothing else (no
+/// sign, whitespace, or trailing characters).
+bool ParseJobs(const std::string& value, size_t* jobs) {
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, *jobs);
+  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string root = ".";
-  std::string baseline_path;
-  std::string write_baseline_path;
   std::string sarif_path;
   std::string inventory_path;
-  std::string domain_inventory_path;
   std::vector<std::string> dirs;
   bool quiet = false;
   bool verbose = false;
-  bool fix = false;
   size_t jobs = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--root" || arg == "--baseline" || arg == "--write-baseline" ||
-        arg == "--sarif" || arg == "--state-inventory" ||
-        arg == "--domain-inventory" || arg == "--explain" ||
-        arg == "--jobs") {
+    if (arg == "--root" || arg == "--sarif" || arg == "--state-inventory" ||
+        arg == "--explain" || arg == "--jobs") {
       if (i + 1 >= argc) {
         PrintUsage();
         return 2;
@@ -95,17 +80,18 @@ int main(int argc, char** argv) {
       const std::string value = argv[++i];
       if (arg == "--root") {
         root = value;
-      } else if (arg == "--baseline") {
-        baseline_path = value;
       } else if (arg == "--sarif") {
         sarif_path = value;
       } else if (arg == "--state-inventory") {
         inventory_path = value;
-      } else if (arg == "--domain-inventory") {
-        domain_inventory_path = value;
       } else if (arg == "--jobs") {
-        jobs = static_cast<size_t>(std::strtoul(value.c_str(), nullptr, 10));
-      } else if (arg == "--explain") {
+        if (!ParseJobs(value, &jobs)) {
+          std::fprintf(stderr, "skyrise_check: bad --jobs value `%s`\n",
+                       value.c_str());
+          PrintUsage();
+          return 2;
+        }
+      } else {
         const std::string text = skyrise::check::RenderExplain(value);
         if (text.empty()) {
           std::fprintf(stderr,
@@ -115,15 +101,11 @@ int main(int argc, char** argv) {
         }
         std::printf("%s", text.c_str());
         return 0;
-      } else {
-        write_baseline_path = value;
       }
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--verbose") {
       verbose = true;
-    } else if (arg == "--fix") {
-      fix = true;
     } else if (arg == "--list-rules") {
       for (const std::string& rule : skyrise::check::Checker::RuleIds()) {
         std::printf("%s\n", rule.c_str());
@@ -157,45 +139,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (!domain_inventory_path.empty()) {
-    std::ofstream out(domain_inventory_path, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "skyrise_check: cannot write %s\n",
-                   domain_inventory_path.c_str());
-      return 2;
-    }
-    out << skyrise::check::RenderDomainInventoryForTree(root);
-    if (!quiet) {
-      std::fprintf(stderr, "skyrise_check: wrote domain inventory to %s\n",
-                   domain_inventory_path.c_str());
-    }
-    return 0;
-  }
-
-  if (fix) {
-    size_t fixed = 0;
-    for (const skyrise::check::TreeFile& f :
-         skyrise::check::LoadTree(root, dirs)) {
-      const skyrise::check::SourceFile sf =
-          skyrise::check::Preprocess(f.rel, f.contents);
-      const std::string rewritten =
-          skyrise::check::ApplyMechanicalFixes(sf, f.contents);
-      if (rewritten == f.contents) continue;
-      std::ofstream out(f.abs, std::ios::trunc);
-      if (!out) {
-        std::fprintf(stderr, "skyrise_check: cannot write %s\n",
-                     f.abs.c_str());
-        return 2;
-      }
-      out << rewritten;
-      ++fixed;
-      if (!quiet) std::fprintf(stderr, "fixed: %s\n", f.rel.c_str());
-    }
-    if (!quiet) {
-      std::fprintf(stderr, "skyrise_check: rewrote %zu file(s)\n", fixed);
-    }
-  }
-
   skyrise::check::PhaseTimings timings;
   std::vector<skyrise::check::Diagnostic> diags =
       skyrise::check::CheckTree(root, dirs, jobs, &timings);
@@ -211,37 +154,6 @@ int main(int argc, char** argv) {
                  timings.files, timings.jobs, timings.preprocess_ms,
                  timings.collect_ms, timings.index_ms, timings.per_file_ms,
                  timings.interproc_ms, timings.total_ms);
-  }
-
-  if (!write_baseline_path.empty()) {
-    std::ofstream out(write_baseline_path, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "skyrise_check: cannot write %s\n",
-                   write_baseline_path.c_str());
-      return 2;
-    }
-    out << skyrise::check::RenderBaseline(diags);
-    if (!quiet) {
-      std::fprintf(stderr, "skyrise_check: wrote %zu finding(s) to %s\n",
-                   diags.size(), write_baseline_path.c_str());
-    }
-    return 0;
-  }
-
-  if (!baseline_path.empty()) {
-    std::set<std::string> baseline;
-    if (!skyrise::check::LoadBaselineFile(baseline_path, &baseline)) {
-      std::fprintf(stderr, "skyrise_check: cannot read baseline %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    const size_t total = diags.size();
-    diags = skyrise::check::FilterBaseline(diags, baseline);
-    if (!quiet && total != diags.size()) {
-      std::fprintf(stderr,
-                   "skyrise_check: %zu finding(s) covered by baseline\n",
-                   total - diags.size());
-    }
   }
 
   if (!sarif_path.empty()) {

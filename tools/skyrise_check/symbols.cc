@@ -4,8 +4,6 @@
 #include <cctype>
 #include <tuple>
 
-#include "domains.h"
-
 namespace skyrise::check {
 namespace {
 
@@ -80,9 +78,7 @@ struct Region {
   size_t open = 0;
   size_t close = 0;
   Kind kind = Kind::kOther;
-  std::string name;   ///< Namespace/class name ("" when anonymous).
-  int decl_line = 0;  ///< Line of the `namespace`/`class` keyword (domain
-                      ///< annotations attach here, not at the `{`).
+  std::string name;  ///< Namespace/class name ("" when anonymous).
 };
 
 /// Classifies brace regions in the stream: function bodies (from the scope
@@ -123,7 +119,6 @@ std::vector<Region> BuildRegions(const std::vector<Token>& toks,
         r.close = brackets.MatchOf(j);
         r.kind = Region::Kind::kNamespace;
         r.name = name;
-        r.decl_line = toks[i].line;
         by_open[j] = r;
       }
       continue;
@@ -183,7 +178,6 @@ std::vector<Region> BuildRegions(const std::vector<Token>& toks,
         r.close = brackets.MatchOf(brace);
         r.kind = is_enum ? Region::Kind::kEnum : Region::Kind::kClass;
         r.name = name;
-        r.decl_line = toks[i].line;
         by_open[brace] = r;
       }
     }
@@ -316,238 +310,6 @@ std::string JoinTokens(const std::vector<Token>& toks, size_t b, size_t e) {
     text += toks[j].text;
   }
   return text;
-}
-
-/// Annotation note on `line` or the line directly above it (the same
-/// coverage rule `skyrise-check: allow` uses), or nullptr.
-const std::string* NoteAt(const std::map<int, std::string>& notes, int line) {
-  auto it = notes.find(line);
-  if (it != notes.end()) return &it->second;
-  it = notes.find(line - 1);
-  if (it != notes.end()) return &it->second;
-  return nullptr;
-}
-
-/// Innermost namespace/class region enclosing token `pos`, or nullptr.
-const Region* InnermostScopeRegion(const std::vector<Region>& regions,
-                                   size_t pos) {
-  const Region* best = nullptr;
-  for (const Region& r : regions) {
-    if (r.open >= pos || r.close <= pos) continue;
-    if (r.kind != Region::Kind::kNamespace &&
-        r.kind != Region::Kind::kClass) {
-      continue;
-    }
-    if (best == nullptr || r.open > best->open) best = &r;
-  }
-  return best;
-}
-
-/// First qualified-name segment that maps to a built-in domain, or nullptr.
-const char* InferredSegmentDomain(const std::string& qualified) {
-  size_t pos = 0;
-  while (pos <= qualified.size()) {
-    const size_t sep = qualified.find("::", pos);
-    const std::string seg =
-        sep == std::string::npos ? qualified.substr(pos)
-                                 : qualified.substr(pos, sep - pos);
-    if (const char* d = DomainForSegment(seg)) return d;
-    if (sep == std::string::npos) break;
-    pos = sep + 2;
-  }
-  return nullptr;
-}
-
-/// Domain assignment (see domains.h): explicit annotation on the definition
-/// wins, then the innermost annotated enclosing namespace/class, then
-/// namespace-segment inference, then the `shared` default. Provenance is
-/// recorded so inference is explicit in the inventory, never silent.
-void AssignDomain(const SourceFile& file, const std::vector<Region>& regions,
-                  size_t pos, int decl_line, const std::string& qualified,
-                  std::string* domain, const char** source) {
-  if (const std::string* note = NoteAt(file.domain_notes, decl_line)) {
-    *domain = *note;
-    *source = "annotation";
-    return;
-  }
-  const Region* annotated = nullptr;
-  for (const Region& r : regions) {
-    if (r.open >= pos || r.close <= pos) continue;
-    if (r.kind != Region::Kind::kNamespace &&
-        r.kind != Region::Kind::kClass) {
-      continue;
-    }
-    if (NoteAt(file.domain_notes, r.decl_line) == nullptr) continue;
-    if (annotated == nullptr || r.open > annotated->open) annotated = &r;
-  }
-  if (annotated != nullptr) {
-    *domain = *NoteAt(file.domain_notes, annotated->decl_line);
-    *source = "annotation";
-    return;
-  }
-  if (const char* inferred = InferredSegmentDomain(qualified)) {
-    *domain = inferred;
-    *source = "namespace";
-    return;
-  }
-  *domain = kSharedDomain;
-  *source = "default";
-}
-
-bool IsSmartHandle(const std::string& s) {
-  return s == "unique_ptr" || s == "shared_ptr" || s == "weak_ptr";
-}
-
-/// Joins the qualified identifier chain ending at token `last` (inclusive),
-/// walking back over `A::B` pairs; empty when `last` is not an identifier.
-std::string QualifiedChainEndingAt(const std::vector<Token>& toks,
-                                   size_t last, size_t begin) {
-  if (last >= toks.size() || !toks[last].IsIdent()) return "";
-  std::string name = toks[last].text;
-  size_t idx = last;
-  while (idx >= begin + 2 && toks[idx - 1].Is("::") &&
-         toks[idx - 2].IsIdent()) {
-    name = toks[idx - 2].text + "::" + name;
-    idx -= 2;
-  }
-  return name;
-}
-
-/// Records the member declared at [begin, delim) as a handle field when its
-/// type retains a reference: a top-level `*`/`&`, or a
-/// unique_ptr/shared_ptr/weak_ptr. Plain value members are skipped — a copy
-/// cannot mutate across a shard boundary. Pointers *into containers*
-/// (`vector<Foo*>`) are a documented under-approximation: the angle group is
-/// jumped like everywhere else in this index.
-void MaybeRecordHandle(const SourceFile& file, const std::vector<Token>& toks,
-                       size_t begin, size_t delim, ClassSym* cls) {
-  const std::string name = DeclaratorName(toks, begin, delim);
-  if (name.empty()) return;
-  size_t type_end;
-  {
-    size_t idx = delim - 1;
-    while (idx > begin && toks[idx].Is("]")) {
-      while (idx > begin && !toks[idx].Is("[")) --idx;
-      if (idx > begin) --idx;
-    }
-    while (idx >= begin + 2 && toks[idx - 1].Is("::") &&
-           toks[idx - 2].IsIdent()) {
-      idx -= 2;
-    }
-    type_end = idx;
-  }
-  if (type_end <= begin) return;
-  std::string pointee;
-  bool is_const = false;
-  for (size_t j = begin; j < type_end; ++j) {
-    if (toks[j].Is("<") && j > begin && toks[j - 1].IsIdent()) {
-      const size_t m = AngleMatch(toks, j);
-      if (m == kNone) return;
-      j = m;
-      continue;
-    }
-    if (toks[j].Is("const")) is_const = true;
-    if ((toks[j].Is("*") || toks[j].Is("&")) && j > begin &&
-        pointee.empty()) {
-      pointee = QualifiedChainEndingAt(toks, j - 1, begin);
-    }
-  }
-  if (pointee.empty()) {
-    for (size_t j = begin; j + 1 < type_end; ++j) {
-      if (toks[j].IsIdent() && IsSmartHandle(toks[j].text) &&
-          toks[j + 1].Is("<")) {
-        size_t k = j + 2;
-        while (k < type_end && toks[k].Is("const")) {
-          is_const = true;
-          ++k;
-        }
-        if (k < type_end && toks[k].IsIdent()) {
-          std::string chain = toks[k].text;
-          while (k + 2 < type_end && toks[k + 1].Is("::") &&
-                 toks[k + 2].IsIdent()) {
-            chain += "::" + toks[k + 2].text;
-            k += 2;
-          }
-          pointee = chain;
-        }
-        break;
-      }
-    }
-  }
-  if (pointee.empty()) return;
-  FieldHandle h;
-  h.name = name;
-  h.pointee = pointee;
-  h.is_const = is_const;
-  h.type_text = JoinTokens(toks, begin, type_end);
-  h.line = toks[begin].line;
-  h.suppressed = IsSuppressed(file, h.line, "domain-escape");
-  cls->handles.push_back(std::move(h));
-}
-
-/// Class inventory pass: one ClassSym per named class/struct region, with
-/// domain assignment and the handle members the escape analysis inspects.
-/// Nested regions (method bodies, nested classes — inventoried on their own)
-/// are jumped, so only class-top-level member declarations are walked.
-void CollectClassesIn(const SourceFile& file, const std::vector<Token>& toks,
-                      const BracketMap& brackets,
-                      const std::vector<Region>& regions,
-                      std::vector<ClassSym>* out) {
-  std::map<size_t, const Region*> by_open;
-  for (const Region& r : regions) by_open[r.open] = &r;
-  for (const Region& r : regions) {
-    if (r.kind != Region::Kind::kClass || r.name.empty()) continue;
-    ClassSym cls;
-    cls.name = r.name;
-    const std::string prefix = PrefixAt(regions, r.open);
-    cls.qualified = prefix.empty() ? r.name : prefix + "::" + r.name;
-    cls.file = file.path;
-    cls.line = r.decl_line;
-    AssignDomain(file, regions, r.open + 1, r.decl_line, cls.qualified,
-                 &cls.domain, &cls.domain_source);
-    size_t i = r.open + 1;
-    while (i < r.close) {
-      auto rit = by_open.find(i);
-      if (rit != by_open.end()) {
-        i = rit->second->close + 1;
-        continue;
-      }
-      const Token& t = toks[i];
-      if (t.Is("}") || t.Is(";") || t.Is(":")) {
-        ++i;
-        continue;
-      }
-      if (t.Is("public") || t.Is("private") || t.Is("protected")) {
-        i += 2;  // The specifier and its `:`.
-        continue;
-      }
-      if (t.Is("static") || t.Is("class") || t.Is("struct") ||
-          t.Is("union") || t.Is("enum") || IsDeclKeyword(t.text)) {
-        // Statics live in the state inventory; nested type leads advance to
-        // their `;` or region brace so the by_open jump above takes over.
-        size_t j = i + 1;
-        while (j < r.close && !toks[j].Is(";") && by_open.count(j) == 0) {
-          if (toks[j].Is("(") || toks[j].Is("[")) {
-            const size_t m = brackets.MatchOf(j);
-            if (m == BracketMap::kUnmatched) break;
-            j = m;
-          }
-          ++j;
-        }
-        i = (j < r.close && toks[j].Is(";")) ? j + 1 : j;
-        continue;
-      }
-      const size_t delim = FirstDelim(toks, brackets, i);
-      if (delim == kNone || delim >= r.close) break;
-      if (!toks[delim].Is("(") && !toks[delim].Is("}") &&
-          by_open.count(delim) == 0) {
-        MaybeRecordHandle(file, toks, i, delim, &cls);
-      }
-      i = by_open.count(delim) > 0 ? delim
-                                   : SkipDecl(toks, brackets, delim);
-    }
-    out->push_back(std::move(cls));
-  }
 }
 
 /// Static-storage variable inventory pass: walks the token stream with the
@@ -800,27 +562,6 @@ void SymbolIndex::AddFile(const SourceFile& file) {
       sym.file = file.path;
       sym.line = toks[scope.body_begin].line;
       sym.is_lambda = scope.is_lambda;
-      // Domain facts anchor on the declarator line (where a
-      // `skyrise-domain(...)` / `skyrise-domain-crossing(...)` comment sits
-      // on or above), not the body `{`, which may be lines later.
-      int decl_line = toks[scope.body_begin].line;
-      if (!scope.is_lambda && scope.params_begin != kNone &&
-          scope.params_begin >= 1) {
-        decl_line = toks[scope.params_begin - 1].line;
-      } else if (scope.is_lambda && scope.capture_begin != kNone &&
-                 scope.capture_begin >= 2) {
-        decl_line = toks[scope.capture_begin - 2].line;
-      }
-      AssignDomain(file, regions, scope.body_begin, decl_line, qualified,
-                   &sym.domain, &sym.domain_source);
-      if (const std::string* note =
-              NoteAt(file.crossing_notes, decl_line)) {
-        sym.crossing_point = true;
-        sym.crossing_rationale = *note;
-      }
-      const Region* enclosing = InnermostScopeRegion(regions, scope.body_begin);
-      sym.in_class =
-          enclosing != nullptr && enclosing->kind == Region::Kind::kClass;
       infos[s].sym = functions_.size();
       infos[s].owner_sym = infos[s].sym;
       functions_.push_back(std::move(sym));
@@ -925,38 +666,6 @@ void SymbolIndex::AddFile(const SourceFile& file) {
     };
     scan_bounds(scope.params_begin, scope.params_end);
     scan_bounds(scope.capture_begin, scope.capture_end);
-    // Trailing `const` qualifier between `)` and the body: a const method.
-    // Stop at `->` (trailing return type) and `:` (member-init list).
-    if (!scope.is_lambda && scope.params_end != kNone) {
-      for (size_t j = scope.params_end + 1;
-           j < scope.body_begin && j < toks.size(); ++j) {
-        if (toks[j].Is("->") || toks[j].Is(":")) break;
-        if (toks[j].Is("const")) {
-          sym.is_const_method = true;
-          break;
-        }
-      }
-    }
-    // Leading `static` in the declaration head (in-class definitions only;
-    // out-of-line definitions do not repeat it): a static factory/helper.
-    if (!scope.is_lambda && scope.params_begin != kNone &&
-        scope.params_begin >= 1) {
-      size_t idx = scope.params_begin - 1;  // Name token.
-      while (idx >= 2 && toks[idx - 1].Is("::") && toks[idx - 2].IsIdent()) {
-        idx -= 2;
-      }
-      size_t steps = 0;
-      while (idx > 0 && steps < 12) {
-        const Token& q = toks[idx - 1];
-        if (q.Is(";") || q.Is("{") || q.Is("}")) break;
-        if (q.Is("static")) {
-          sym.is_static_method = true;
-          break;
-        }
-        --idx;
-        ++steps;
-      }
-    }
     // Return type `[obs::]SpanId name(...)`, walking back over the explicit
     // qualifier chain from the name token.
     if (!scope.is_lambda && scope.params_begin != kNone &&
@@ -978,14 +687,10 @@ void SymbolIndex::AddFile(const SourceFile& file) {
               return std::tie(a.file, a.line, a.qualified) <
                      std::tie(b.file, b.line, b.qualified);
             });
-
-  // --- Pass 5: class definitions and their retained handle members.
-  CollectClassesIn(file, toks, brackets, regions, &classes_);
 }
 
 void SymbolIndex::Merge(SymbolIndex&& other) {
   for (FunctionSym& f : other.functions_) functions_.push_back(std::move(f));
-  for (ClassSym& c : other.classes_) classes_.push_back(std::move(c));
   for (StaticVar& v : other.statics_) statics_.push_back(std::move(v));
   std::sort(statics_.begin(), statics_.end(),
             [](const StaticVar& a, const StaticVar& b) {

@@ -63,23 +63,6 @@ struct FunctionSym {
   std::string file;
   int line = 0;
   bool is_lambda = false;
-  /// Shard-ownership domain (see domains.h): from the innermost
-  /// `skyrise-domain(...)` annotation, else inferred from the namespace.
-  std::string domain;
-  /// "annotation" | "namespace" | "default" — how `domain` was assigned.
-  const char* domain_source = "default";
-  /// The definition sits inside a class region (an in-class method).
-  bool in_class = false;
-  /// Member function declared with a trailing `const` qualifier — a read;
-  /// never a cross-domain mutation.
-  bool is_const_method = false;
-  /// In-class definition led by `static`: no receiver, so calls pass state
-  /// explicitly — not a mutation through a retained cross-domain handle.
-  bool is_static_method = false;
-  /// Definition carries a `skyrise-domain-crossing(<rationale>)` comment:
-  /// a declared boundary API. Calls to it are sanctioned crossing edges.
-  bool crossing_point = false;
-  std::string crossing_rationale;
   /// Declared return type is (obs::)SpanId and the body calls Begin: the
   /// function hands an *open* span to its caller, transferring the End
   /// obligation (span-transfer-leak keys on this).
@@ -116,31 +99,6 @@ struct StaticVar {
   std::string type_text;      ///< Declared type, for the inventory.
 };
 
-/// One data member of a class that holds a *handle* — a raw pointer, an
-/// lvalue reference, or a std::unique_ptr/shared_ptr/weak_ptr — to another
-/// class type. Plain value members are not recorded: a copy cannot mutate
-/// across a shard boundary, a retained handle can.
-struct FieldHandle {
-  std::string name;        ///< Member name as declared.
-  std::string type_text;   ///< Declared type, for the inventory.
-  std::string pointee;     ///< Possibly qualified pointee type name.
-  int line = 0;
-  bool is_const = false;    ///< const pointee — a read-only handle.
-  bool suppressed = false;  ///< allow(domain-escape) on the line.
-};
-
-/// One class/struct definition, with its ownership domain and the handle
-/// members the escape analysis inspects.
-struct ClassSym {
-  std::string qualified;  ///< "ns::Outer::Name".
-  std::string name;       ///< Last segment.
-  std::string file;
-  int line = 0;
-  std::string domain;
-  const char* domain_source = "default";
-  std::vector<FieldHandle> handles;
-};
-
 const char* StorageName(StaticVar::Storage storage);
 
 /// Returns the reason a token is a banned nondeterminism API, or nullptr.
@@ -165,7 +123,6 @@ class SymbolIndex {
 
   const std::vector<FunctionSym>& functions() const { return functions_; }
   const std::vector<StaticVar>& statics() const { return statics_; }
-  const std::vector<ClassSym>& classes() const { return classes_; }
 
   /// Names (last segment) of functions that return an open span; the
   /// dataflow pass treats calls to these like Tracer::Begin.
@@ -174,7 +131,6 @@ class SymbolIndex {
  private:
   std::vector<FunctionSym> functions_;
   std::vector<StaticVar> statics_;
-  std::vector<ClassSym> classes_;
 };
 
 }  // namespace skyrise::check
