@@ -83,7 +83,7 @@ data::Chunk MakeLineitem(int64_t rows) {
 void BM_CofEncode(benchmark::State& state) {
   data::Chunk chunk = MakeLineitem(60000);
   for (auto _ : state) {
-    std::string file = format::WriteCofFile(chunk.schema(), {chunk});
+    std::string file = format::WriteCofFile(chunk.schema(), chunk);
     benchmark::DoNotOptimize(file.size());
     state.SetBytesProcessed(state.iterations() *
                             static_cast<int64_t>(file.size()));
@@ -93,7 +93,7 @@ BENCHMARK(BM_CofEncode);
 
 void BM_CofDecode(benchmark::State& state) {
   data::Chunk chunk = MakeLineitem(60000);
-  const std::string file = format::WriteCofFile(chunk.schema(), {chunk});
+  const std::string file = format::WriteCofFile(chunk.schema(), chunk);
   auto meta =
       format::ParseFooter(file, 0, static_cast<int64_t>(file.size()))
           .ValueOrDie();

@@ -22,7 +22,7 @@ struct Geometry {
 };
 
 Geometry Measure(const data::Schema& schema, const data::Chunk& chunk) {
-  const std::string file = format::WriteCofFile(schema, {chunk});
+  const std::string file = format::WriteCofFile(schema, chunk);
   Geometry g;
   g.rows_measured = chunk.rows();
   g.bytes_per_row =

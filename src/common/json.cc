@@ -263,9 +263,16 @@ class Parser {
     const char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        // Bounds the recursion: far deeper than any document the simulator
+        // writes, far shallower than the stack allows.
+        constexpr int kMaxDepth = 256;
+        if (depth_ == kMaxDepth) return Fail("nesting too deep");
+        ++depth_;
+        Result<Json> nested = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return nested;
+      }
       case '"': {
         auto s = ParseString();
         if (!s.ok()) return s.status();
@@ -418,6 +425,7 @@ class Parser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< Arrays and objects open at pos_.
 };
 
 }  // namespace

@@ -16,6 +16,52 @@ void Column::AppendFrom(const Column& other, size_t row) {
   }
 }
 
+void Column::AppendRange(const Column& other, size_t offset, size_t count) {
+  SKYRISE_CHECK(&other != this && type_ == other.type_);
+  SKYRISE_CHECK(offset + count <= other.size());
+  const auto first = static_cast<ptrdiff_t>(offset);
+  const auto last = static_cast<ptrdiff_t>(offset + count);
+  switch (type_) {
+    case DataType::kDouble:
+      doubles_.insert(doubles_.end(), other.doubles_.begin() + first,
+                      other.doubles_.begin() + last);
+      break;
+    case DataType::kString:
+      strings_.insert(strings_.end(), other.strings_.begin() + first,
+                      other.strings_.begin() + last);
+      break;
+    default:
+      ints_.insert(ints_.end(), other.ints_.begin() + first,
+                   other.ints_.begin() + last);
+  }
+}
+
+void Column::AppendRows(const Column& other, const uint32_t* rows,
+                        size_t count) {
+  SKYRISE_CHECK(&other != this && type_ == other.type_);
+  switch (type_) {
+    case DataType::kDouble: {
+      const size_t base = doubles_.size();
+      doubles_.resize(base + count);
+      for (size_t i = 0; i < count; ++i) {
+        doubles_[base + i] = other.doubles_[rows[i]];
+      }
+      break;
+    }
+    case DataType::kString:
+      strings_.reserve(strings_.size() + count);
+      for (size_t i = 0; i < count; ++i) {
+        strings_.push_back(other.strings_[rows[i]]);
+      }
+      break;
+    default: {
+      const size_t base = ints_.size();
+      ints_.resize(base + count);
+      for (size_t i = 0; i < count; ++i) ints_[base + i] = other.ints_[rows[i]];
+    }
+  }
+}
+
 Column Column::Filter(const std::vector<uint32_t>& selection) const {
   Column out(type_);
   switch (type_) {
@@ -117,15 +163,6 @@ void Column::Reset(DataType type) {
   Clear();
 }
 
-int64_t Column::CapacityBytes() const {
-  int64_t bytes = static_cast<int64_t>(ints_.capacity()) * 8 +
-                  static_cast<int64_t>(doubles_.capacity()) * 8 +
-                  static_cast<int64_t>(strings_.capacity() *
-                                       sizeof(std::string));
-  for (const auto& s : strings_) bytes += static_cast<int64_t>(s.capacity());
-  return bytes;
-}
-
 void Chunk::Append(const Chunk& other) {
   SKYRISE_CHECK(schema_ == other.schema_);
   if (is_synthetic() || other.is_synthetic()) {
@@ -134,10 +171,16 @@ void Chunk::Append(const Chunk& other) {
     synthetic_rows_ = total;
     return;
   }
+  AppendRange(other, 0, other.rows());
+}
+
+void Chunk::AppendRange(const Chunk& other, int64_t offset, int64_t count) {
+  SKYRISE_CHECK(&other != this && schema_ == other.schema_);
+  SKYRISE_CHECK(!is_synthetic() && !other.is_synthetic());
+  SKYRISE_CHECK(offset >= 0 && count >= 0 && offset + count <= other.rows());
   for (size_t c = 0; c < columns_.size(); ++c) {
-    for (size_t r = 0; r < static_cast<size_t>(other.rows()); ++r) {
-      columns_[c].AppendFrom(other.columns_[c], r);
-    }
+    columns_[c].AppendRange(other.columns_[c], static_cast<size_t>(offset),
+                            static_cast<size_t>(count));
   }
 }
 
@@ -187,12 +230,6 @@ void Chunk::PrepareFor(const Schema& schema) {
 void Chunk::ResetTo(const Schema& schema) {
   PrepareFor(schema);
   for (auto& column : columns_) column.Clear();
-}
-
-int64_t Chunk::CapacityBytes() const {
-  int64_t bytes = 0;
-  for (const auto& column : columns_) bytes += column.CapacityBytes();
-  return bytes;
 }
 
 int64_t Chunk::ByteSize() const {

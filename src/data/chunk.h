@@ -88,6 +88,13 @@ class Column {
   /// Appends row `row` of `other` to this column.
   void AppendFrom(const Column& other, size_t row);
 
+  /// Appends rows [offset, offset + count) of `other`, which must have this
+  /// column's type, lie within it and not alias this column.
+  void AppendRange(const Column& other, size_t offset, size_t count);
+
+  /// Appends `other`'s rows `rows[0..count)`, in that order (gather).
+  void AppendRows(const Column& other, const uint32_t* rows, size_t count);
+
   /// Gathers the rows selected by `selection` into a new column.
   Column Filter(const std::vector<uint32_t>& selection) const;
 
@@ -108,12 +115,8 @@ class Column {
   void Clear();
 
   /// Retypes the column and clears it (retained buffers of the old type keep
-  /// their capacity; CapacityBytes still counts them).
+  /// their capacity).
   void Reset(DataType type);
-
-  /// Heap bytes currently reserved by this column's buffers, independent of
-  /// value count — the quantity a chunk pool retains across reuse.
-  int64_t CapacityBytes() const;
 
  private:
   DataType type_;
@@ -163,8 +166,12 @@ class Chunk {
     return columns_[static_cast<size_t>(idx)];
   }
 
-  /// Appends all rows of `other` (schemas must match).
+  /// Appends all rows of `other` (schemas must match), column by column.
   void Append(const Chunk& other);
+
+  /// Appends rows [offset, offset + count) of the materialized `other`
+  /// (schemas must match; `other` must not alias this chunk).
+  void AppendRange(const Chunk& other, int64_t offset, int64_t count);
 
   /// Contiguous row range [offset, offset + count) as a new chunk — the
   /// morsel primitive. Synthetic chunks slice to synthetic chunks of `count`
@@ -187,9 +194,6 @@ class Chunk {
   /// Rough in-memory/in-flight byte size (used by the CPU and shuffle size
   /// models; also valid for synthetic chunks via per-type width estimates).
   int64_t ByteSize() const;
-
-  /// Heap bytes reserved across all column buffers (see Column::CapacityBytes).
-  int64_t CapacityBytes() const;
 
  private:
   Schema schema_;

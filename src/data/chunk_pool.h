@@ -18,9 +18,9 @@
 /// outlive the pool; Release is an optional donation, never an obligation.
 /// Pools are strictly per-worker (single-threaded on the sim event loop), so
 /// there is no locking. Retained capacity is *not* charged to
-/// engine::MemoryTracker — the tracker prices live data bytes, and pooled
-/// buffers hold no live rows; the retained footprint is visible through
-/// stats().retained_bytes instead.
+/// engine::MemoryTracker: the tracker prices live data bytes, and pooled
+/// buffers hold no live rows. Nothing measures the retained footprint; the
+/// `max_free` cap bounds it.
 
 namespace skyrise::data {
 
@@ -34,9 +34,7 @@ class ChunkPool {
   /// Returns an empty materialized chunk shaped to `schema`, recycling the
   /// most recently released chunk's buffers when one is available.
   Chunk Acquire(const Schema& schema) {
-    ++acquired_;
     if (!free_.empty()) {
-      ++reuse_hits_;
       Chunk chunk = std::move(free_.back());
       free_.pop_back();
       chunk.ResetTo(schema);
@@ -50,9 +48,7 @@ class ChunkPool {
   /// *element* buffers alive for FilterInto/SliceInto/DecodeColumnInto
   /// refills. Use only when every column is overwritten before being read.
   Chunk AcquirePrepared(const Schema& schema) {
-    ++acquired_;
     if (!free_.empty()) {
-      ++reuse_hits_;
       Chunk chunk = std::move(free_.back());
       free_.pop_back();
       chunk.PrepareFor(schema);
@@ -66,9 +62,7 @@ class ChunkPool {
   /// format::DecodeRowGroupInto. Returns a default-constructed chunk when
   /// the free list is empty.
   Chunk AcquireRaw() {
-    ++acquired_;
     if (!free_.empty()) {
-      ++reuse_hits_;
       Chunk chunk = std::move(free_.back());
       free_.pop_back();
       return chunk;
@@ -79,42 +73,16 @@ class ChunkPool {
   /// Donates a spent chunk's buffers back to the pool. Synthetic and
   /// moved-from chunks carry no buffers and are dropped.
   void Release(Chunk&& chunk) {
-    ++released_;
     if (chunk.is_synthetic() || chunk.num_columns() == 0 ||
         free_.size() >= max_free_) {
-      ++dropped_;
       return;
     }
     free_.push_back(std::move(chunk));
   }
 
-  struct Stats {
-    uint64_t acquired = 0;    ///< Total Acquire calls.
-    uint64_t reuse_hits = 0;  ///< Acquires served from the free list.
-    uint64_t released = 0;    ///< Total Release calls.
-    uint64_t dropped = 0;     ///< Releases dropped (synthetic or cap).
-    uint64_t free_chunks = 0;
-    int64_t retained_bytes = 0;  ///< Capacity currently parked on the free list.
-  };
-
-  Stats stats() const {
-    Stats s;
-    s.acquired = acquired_;
-    s.reuse_hits = reuse_hits_;
-    s.released = released_;
-    s.dropped = dropped_;
-    s.free_chunks = free_.size();
-    for (const auto& chunk : free_) s.retained_bytes += chunk.CapacityBytes();
-    return s;
-  }
-
  private:
   size_t max_free_;
   std::vector<Chunk> free_;
-  uint64_t acquired_ = 0;
-  uint64_t reuse_hits_ = 0;
-  uint64_t released_ = 0;
-  uint64_t dropped_ = 0;
 };
 
 }  // namespace skyrise::data

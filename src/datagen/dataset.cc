@@ -74,7 +74,7 @@ Result<DatasetInfo> UploadDataset(
       return Status::InvalidArgument("generator schema mismatch");
     }
     const std::string bytes =
-        format::WriteCofFile(schema, {chunk}, row_group_rows);
+        format::WriteCofFile(schema, chunk, row_group_rows);
     PartitionInfo part;
     part.key = DatasetPartitionKey(name, p);
     part.size_bytes = static_cast<int64_t>(bytes.size());

@@ -15,12 +15,11 @@
 #include "storage/storage_service.h"
 
 /// \file context.h
-/// Shared wiring for the engine's coordinator/worker function handlers: the
-/// simulation environment, base-table and shuffle storage, the synthetic
-/// file catalog, retry/timeout policy, and the compute platform workers are
-/// invoked on. Any number of queries may be in flight concurrently on one
-/// context (interleaved on the single-threaded event loop); per-query state
-/// lives in `query_grants`, keyed by query id.
+/// Shared wiring for the engine's function handlers: the simulation, table
+/// and shuffle storage, the synthetic file catalog and the footer memo, retry
+/// policy, and the platform workers run on. Queries in flight together on
+/// one context interleave on the single-threaded event loop; per-query
+/// state lives in `query_grants`, keyed by query id.
 
 namespace skyrise::engine {
 
@@ -29,6 +28,7 @@ struct EngineContext {
   storage::StorageService* table_store = nullptr;
   storage::StorageService* shuffle_store = nullptr;
   format::SyntheticFileCatalog* catalog = nullptr;
+  format::FooterMemo table_footers;  ///< Shuffle objects bypass it.
   storage::QueueService* queue = nullptr;
   /// Platform worker invocations go to (set per run: Lambda or EC2 fleet).
   faas::ComputePlatform* worker_platform = nullptr;

@@ -1,14 +1,16 @@
 #include "engine/executor.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <functional>
 #include <limits>
-#include <map>
+#include <numeric>
 #include <optional>
 #include <string>
-#include <unordered_map>
-
-#include "common/string_util.h"
+#include <string_view>
 
 namespace skyrise::engine {
 
@@ -19,25 +21,242 @@ using data::Column;
 using data::DataType;
 using data::Schema;
 
-/// Builds a compound key string from the named columns of `chunk` at `row`.
-std::string RowKey(const Chunk& chunk, const std::vector<int>& key_indices,
-                   size_t row) {
-  std::string key;
-  for (int idx : key_indices) {
-    const Column& col = chunk.column(static_cast<size_t>(idx));
-    switch (col.type()) {
-      case DataType::kString:
-        key += col.strings()[row];
+// --- Keys. ---
+//
+// Hash aggregation, the hash join and hash partitioning key each row by the
+// typed values of its key columns. The text rows were once keyed by still
+// defines three outputs: the order aggregate groups are emitted in, the
+// partition a row goes to (FNV-1a of the text, modulo the partition count),
+// and the bytes the MemoryTracker charges per group and per build row. That
+// text holds each key value (a string's bytes, an int or date in decimal, a
+// double as "%.17g") followed by 0x1F. EncodeKeyText streams it to a hasher,
+// a length counter or a string; only aggregation builds the string, once per
+// group.
+
+/// Feeds the key text of `col`'s value at `row` to `sink(data, size)`.
+template <typename Sink>
+void EncodeKeyText(const Column& col, size_t row, Sink&& sink) {
+  char buf[32];
+  switch (col.type()) {
+    case DataType::kString: {
+      const std::string& value = col.strings()[row];
+      sink(value.data(), value.size());
+      break;
+    }
+    case DataType::kDouble: {
+      const int n =
+          std::snprintf(buf, sizeof(buf), "%.17g", col.doubles()[row]);
+      sink(buf, static_cast<size_t>(n));
+      break;
+    }
+    default: {
+      const char* end =
+          std::to_chars(buf, buf + sizeof(buf), col.ints()[row]).ptr;
+      sink(buf, static_cast<size_t>(end - buf));
+    }
+  }
+  sink("\x1f", 1);
+}
+
+/// The key text of `row` over the key columns `keys`.
+std::string KeyText(const Chunk& chunk, const std::vector<int>& keys,
+                    size_t row) {
+  std::string text;
+  for (int k : keys) {
+    EncodeKeyText(chunk.column(static_cast<size_t>(k)), row,
+                  [&text](const char* data, size_t size) {
+                    text.append(data, size);
+                  });
+  }
+  return text;
+}
+
+/// KeyText(chunk, keys, row).size(), without building the text.
+int64_t KeyTextLength(const Chunk& chunk, const std::vector<int>& keys,
+                      size_t row) {
+  size_t length = 0;
+  for (int k : keys) {
+    EncodeKeyText(chunk.column(static_cast<size_t>(k)), row,
+                  [&length](const char*, size_t size) { length += size; });
+  }
+  return static_cast<int64_t>(length);
+}
+
+/// FNV-1a of every row's key text, computed one key column at a time.
+void FnvKeyText(const Chunk& chunk, const std::vector<int>& keys,
+                std::vector<uint64_t>* out) {
+  const size_t rows = static_cast<size_t>(chunk.rows());
+  out->assign(rows, 1469598103934665603ULL);
+  uint64_t* hashes = out->data();
+  for (int k : keys) {
+    const Column& col = chunk.column(static_cast<size_t>(k));
+    for (size_t row = 0; row < rows; ++row) {
+      uint64_t h = hashes[row];
+      EncodeKeyText(col, row, [&h](const char* data, size_t size) {
+        for (size_t i = 0; i < size; ++i) {
+          h ^= static_cast<unsigned char>(data[i]);
+          h *= 1099511628211ULL;
+        }
+      });
+      hashes[row] = h;
+    }
+  }
+}
+
+/// Key values of one kind hash and compare alike: ints and dates share the
+/// int64 vector, and doubles compare as their "%.17g" text does, so -0.0
+/// differs from 0.0 and all NaNs of one sign are equal.
+enum class KeyKind { kInt, kDouble, kString };
+
+KeyKind KindOf(DataType type) {
+  switch (type) {
+    case DataType::kDouble:
+      return KeyKind::kDouble;
+    case DataType::kString:
+      return KeyKind::kString;
+    default:
+      return KeyKind::kInt;
+  }
+}
+
+uint64_t DoubleKeyBits(double value) {
+  if (std::isnan(value)) {
+    return std::signbit(value) ? 0xFFF8000000000000ULL : 0x7FF8000000000000ULL;
+  }
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+uint64_t Mix(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
+/// Hash of every row's typed key values, computed one key column at a time.
+void HashKeys(const Chunk& chunk, const std::vector<int>& keys,
+              std::vector<uint64_t>* out) {
+  const size_t rows = static_cast<size_t>(chunk.rows());
+  out->assign(rows, 0);
+  uint64_t* hashes = out->data();
+  auto fold = [hashes, rows](auto value_hash) {
+    for (size_t row = 0; row < rows; ++row) {
+      const uint64_t h = hashes[row];
+      hashes[row] =
+          Mix(h ^ (value_hash(row) + 0x9e3779b97f4a7c15ULL + (h << 6)));
+    }
+  };
+  for (int k : keys) {
+    const Column& col = chunk.column(static_cast<size_t>(k));
+    switch (KindOf(col.type())) {
+      case KeyKind::kString:
+        fold([&col](size_t row) {
+          return std::hash<std::string_view>()(col.strings()[row]);
+        });
         break;
-      case DataType::kDouble:
-        key += StrFormat("%.17g", col.doubles()[row]);
+      case KeyKind::kDouble:
+        fold([&col](size_t row) { return DoubleKeyBits(col.doubles()[row]); });
+        break;
+      case KeyKind::kInt:
+        fold([&col](size_t row) {
+          return static_cast<uint64_t>(col.ints()[row]);
+        });
+        break;
+    }
+  }
+}
+
+/// Whether row `ra` of `a` over `a_keys` and row `rb` of `b` over `b_keys`
+/// hold equal keys. Paired key columns must be of one KeyKind.
+bool SameKey(const Chunk& a, const std::vector<int>& a_keys, size_t ra,
+             const Chunk& b, const std::vector<int>& b_keys, size_t rb) {
+  for (size_t k = 0; k < a_keys.size(); ++k) {
+    const Column& x = a.column(static_cast<size_t>(a_keys[k]));
+    const Column& y = b.column(static_cast<size_t>(b_keys[k]));
+    bool same;
+    switch (KindOf(x.type())) {
+      case KeyKind::kString:
+        same = x.strings()[ra] == y.strings()[rb];
+        break;
+      case KeyKind::kDouble:
+        same = DoubleKeyBits(x.doubles()[ra]) == DoubleKeyBits(y.doubles()[rb]);
         break;
       default:
-        key += std::to_string(col.ints()[row]);
+        same = x.ints()[ra] == y.ints()[rb];
     }
-    key.push_back('\x1f');
+    if (!same) return false;
   }
-  return key;
+  return true;
+}
+
+/// Open-addressing index from a key hash to a dense entry id. The keys live
+/// in columns, so each lookup supplies `same(id)` to compare against one.
+class KeyIndex {
+ public:
+  enum : uint32_t { kAbsent = std::numeric_limits<uint32_t>::max() };
+
+  /// The id whose key `same(id)` reports equal, or kAbsent.
+  template <typename Same>
+  uint32_t Find(uint64_t hash, Same same) const {
+    return ids_.empty() ? kAbsent : ids_[Probe(hash, same)];
+  }
+
+  /// Find(), or else records `id` under `hash` and returns it.
+  template <typename Same>
+  uint32_t FindOrAdd(uint64_t hash, uint32_t id, Same same) {
+    if (2 * (size_ + 1) > ids_.size()) Grow();
+    const size_t slot = Probe(hash, same);
+    if (ids_[slot] != kAbsent) return ids_[slot];
+    ids_[slot] = id;
+    hashes_[slot] = hash;
+    ++size_;
+    return id;
+  }
+
+ private:
+  /// The slot holding the key `same` recognises, else the empty slot that
+  /// ends its probe sequence. The table is never full.
+  template <typename Same>
+  size_t Probe(uint64_t hash, Same same) const {
+    const size_t mask = ids_.size() - 1;
+    size_t slot = hash & mask;
+    while (ids_[slot] != kAbsent &&
+           !(hashes_[slot] == hash && same(ids_[slot]))) {
+      slot = (slot + 1) & mask;
+    }
+    return slot;
+  }
+
+  void Grow() {
+    std::vector<uint32_t> ids = std::move(ids_);
+    std::vector<uint64_t> hashes = std::move(hashes_);
+    ids_.assign(std::max<size_t>(16, 2 * ids.size()), kAbsent);
+    hashes_.assign(ids_.size(), 0);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (ids[i] == kAbsent) continue;
+      const size_t slot = Probe(hashes[i], [](uint32_t) { return false; });
+      ids_[slot] = ids[i];
+      hashes_[slot] = hashes[i];
+    }
+  }
+
+  std::vector<uint32_t> ids_;
+  std::vector<uint64_t> hashes_;
+  size_t size_ = 0;
+};
+
+enum class AggFunc : uint8_t { kSum, kCount, kMin, kMax };
+
+Result<AggFunc> ParseAggFunc(const std::string& func) {
+  if (func == "sum") return AggFunc::kSum;
+  if (func == "count") return AggFunc::kCount;
+  if (func == "min") return AggFunc::kMin;
+  if (func == "max") return AggFunc::kMax;
+  return Status::InvalidArgument("unknown aggregate: " + func);
 }
 
 Result<std::vector<int>> ResolveColumns(const Schema& schema,
@@ -49,15 +268,6 @@ Result<std::vector<int>> ResolveColumns(const Schema& schema,
     out.push_back(idx);
   }
   return out;
-}
-
-uint64_t HashString(const std::string& s) {
-  uint64_t h = 1469598103934665603ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 // --- Per-operator schema propagation. ---
@@ -84,9 +294,14 @@ Result<Schema> AggSchema(const OperatorSpec& op, const Schema& in) {
     fields.push_back(in.field(static_cast<size_t>(idx)));
   }
   for (const auto& agg : op.aggregates) {
+    AggFunc func;
+    SKYRISE_ASSIGN_OR_RETURN(func, ParseAggFunc(agg.func));
+    if (func != AggFunc::kCount && agg.expr == nullptr) {
+      return Status::InvalidArgument(agg.func + " needs an argument");
+    }
     fields.push_back(data::Field{
         agg.as,
-        agg.func == "count" ? DataType::kInt64 : DataType::kDouble});
+        func == AggFunc::kCount ? DataType::kInt64 : DataType::kDouble});
   }
   return Schema(std::move(fields));
 }
@@ -106,26 +321,7 @@ Schema SessionizeSchema() {
   return Schema({{"item_sk", DataType::kInt64}});
 }
 
-// --- Stateless per-morsel operator kernels. ---
-
-Result<Chunk> ApplyFilter(const OperatorSpec& op, Chunk&& in,
-                          CostAccumulator* cost) {
-  cost->AddNs(static_cast<double>(in.rows()) *
-              cost->model().filter_ns_per_row);
-  if (in.is_synthetic()) {
-    return Chunk::Synthetic(in.schema(),
-                            static_cast<int64_t>(std::llround(
-                                static_cast<double>(in.rows()) *
-                                op.selectivity)));
-  }
-  std::vector<uint32_t> selection;
-  SKYRISE_ASSIGN_OR_RETURN(selection, EvalPredicate(*op.predicate, in));
-  std::vector<Column> columns;
-  for (size_t c = 0; c < in.num_columns(); ++c) {
-    columns.push_back(in.column(c).Filter(selection));
-  }
-  return Chunk(in.schema(), std::move(columns));
-}
+// --- Whole-input operator kernels. ---
 
 Result<Chunk> ApplySort(const OperatorSpec& op, Chunk&& in,
                         CostAccumulator* cost) {
@@ -194,26 +390,30 @@ Result<Chunk> ApplySessionize(const OperatorSpec& op, Chunk&& in,
   const auto& sale = in.column(static_cast<size_t>(indices[3])).ints();
   const auto& category = in.column(static_cast<size_t>(indices[4])).ints();
 
-  // Group row indices per user, sort each user's clicks by date.
-  std::map<int64_t, std::vector<size_t>> by_user;
-  for (size_t row = 0; row < static_cast<size_t>(in.rows()); ++row) {
-    by_user[user[row]].push_back(row);
-  }
+  // Each user's clicks by date, users ascending; ties keep row order.
+  std::vector<uint32_t> order(static_cast<size_t>(in.rows()));
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    if (user[a] != user[b]) return user[a] < user[b];
+    return date[a] < date[b];
+  });
   Chunk out = Chunk::Empty(out_schema);
   auto& out_items = out.column(0).ints();
-  for (auto& [user_sk, rows] : by_user) {
-    std::stable_sort(rows.begin(), rows.end(), [&](size_t a, size_t b) {
-      return date[a] < date[b];
-    });
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const size_t purchase = rows[i];
+  for (size_t begin = 0, end = 0; begin < order.size(); begin = end) {
+    end = begin + 1;
+    while (end < order.size() && user[order[end]] == user[order[begin]]) {
+      ++end;
+    }
+    for (size_t i = begin; i < end; ++i) {
+      const uint32_t purchase = order[i];
       if (sale[purchase] <= 0 || category[purchase] != op.target_category) {
         continue;
       }
       // Views on strictly earlier days within the window. Day-granular
       // semantics keep the result independent of intra-day row order, which
       // is arbitrary after a shuffle.
-      for (size_t view : rows) {
+      for (size_t j = begin; j < end; ++j) {
+        const uint32_t view = order[j];
         if (sale[view] != 0) continue;
         if (category[view] != op.target_category) continue;
         const int64_t gap = date[purchase] - date[view];
@@ -245,39 +445,21 @@ class OperatorState {
   virtual int64_t StateBytes() const { return 0; }
 };
 
-/// Streaming filter with pooled output: the selection vector and the output
-/// chunk's column buffers are reused across morsels (the spent input goes
-/// back to the pool in WalkFrom). Selection semantics are identical to
-/// ApplyFilter, which remains the unpooled single-shot path.
+/// Streaming filter: the shared FilterKernel, whose output chunks and
+/// selection vector are reused across morsels.
 class FilterOp final : public OperatorState {
  public:
   FilterOp(const OperatorSpec& op, CostAccumulator* cost,
            data::ChunkPool* pool)
-      : op_(op), cost_(cost), pool_(pool) {}
+      : filter_(op.predicate, op.selectivity, cost, pool) {}
   Result<std::optional<Chunk>> Push(Chunk&& in) override {
-    cost_->AddNs(static_cast<double>(in.rows()) *
-                 cost_->model().filter_ns_per_row);
-    if (in.is_synthetic()) {
-      return std::optional<Chunk>(
-          Chunk::Synthetic(in.schema(),
-                           static_cast<int64_t>(std::llround(
-                               static_cast<double>(in.rows()) *
-                               op_.selectivity))));
-    }
-    SKYRISE_RETURN_IF_ERROR(EvalPredicateInto(*op_.predicate, in,
-                                              &selection_));
-    Chunk out = pool_->AcquirePrepared(in.schema());
-    for (size_t c = 0; c < in.num_columns(); ++c) {
-      in.column(c).FilterInto(selection_, &out.column(c));
-    }
+    Chunk out;
+    SKYRISE_ASSIGN_OR_RETURN(out, filter_.Apply(std::move(in)));
     return std::optional<Chunk>(std::move(out));
   }
 
  private:
-  const OperatorSpec& op_;
-  CostAccumulator* cost_;
-  data::ChunkPool* pool_;
-  std::vector<uint32_t> selection_;
+  FilterKernel filter_;
 };
 
 /// Streaming projection that moves pass-through columns out of the input
@@ -291,6 +473,11 @@ class ProjectOp final : public OperatorState {
   Result<std::optional<Chunk>> Push(Chunk&& in) override {
     if (!resolved_) {
       SKYRISE_ASSIGN_OR_RETURN(out_schema_, ProjectSchema(op_, in.schema()));
+      for (const auto& [name, expr] : op_.projections) {
+        sources_.push_back(expr->kind == Expr::Kind::kColumn
+                               ? in.schema().FieldIndex(expr->column)
+                               : -1);
+      }
       resolved_ = true;
     }
     cost_->AddNs(static_cast<double>(in.rows()) *
@@ -299,24 +486,34 @@ class ProjectOp final : public OperatorState {
     if (in.is_synthetic()) {
       return std::optional<Chunk>(Chunk::Synthetic(out_schema_, in.rows()));
     }
+    if (!compiled_) {
+      for (const auto& [name, expr] : op_.projections) {
+        if (expr->kind == Expr::Kind::kColumn) continue;
+        ExprKernel kernel;
+        SKYRISE_ASSIGN_OR_RETURN(kernel,
+                                 ExprKernel::Numeric(*expr, in.schema()));
+        kernels_.push_back(std::move(kernel));
+      }
+      compiled_ = true;
+    }
+    const size_t rows = static_cast<size_t>(in.rows());
     std::vector<Column> computed;
-    for (const auto& [name, expr] : op_.projections) {
-      if (expr->kind == Expr::Kind::kColumn) continue;
+    for (ExprKernel& kernel : kernels_) {
       Column col(DataType::kDouble);
-      SKYRISE_RETURN_IF_ERROR(EvalNumericInto(*expr, in, &col.doubles()));
+      const double* values = kernel.Evaluate(in);
+      col.doubles().assign(values, values + rows);
       computed.push_back(std::move(col));
     }
     std::vector<Column> columns;
     columns.reserve(op_.projections.size());
     moved_to_.assign(in.num_columns(), -1);
     size_t next_computed = 0;
-    for (const auto& [name, expr] : op_.projections) {
-      if (expr->kind != Expr::Kind::kColumn) {
+    for (int source : sources_) {
+      if (source < 0) {
         columns.push_back(std::move(computed[next_computed++]));
         continue;
       }
-      const size_t idx =
-          static_cast<size_t>(in.schema().FieldIndex(expr->column));
+      const size_t idx = static_cast<size_t>(source);
       if (moved_to_[idx] >= 0) {
         // Duplicate reference: copy from the already-built output column,
         // never from the moved-from input.
@@ -333,13 +530,18 @@ class ProjectOp final : public OperatorState {
   const OperatorSpec& op_;
   CostAccumulator* cost_;
   bool resolved_ = false;
+  bool compiled_ = false;
   Schema out_schema_;
+  std::vector<int> sources_;  ///< Input column per projection; -1: computed.
+  std::vector<ExprKernel> kernels_;  ///< One per computed projection.
   std::vector<int> moved_to_;
 };
 
 /// Pipeline breaker: accumulates group states across morsels in row order
 /// (so floating-point accumulation matches the materialized path bit for
-/// bit) and emits the sorted group table on Flush().
+/// bit) and emits the groups in key-text order on Flush(). Each morsel runs
+/// one loop per key column to hash, one lookup per row, and one loop per
+/// aggregate; a no-key aggregate is a single group and needs no lookup.
 class AggOp final : public OperatorState {
  public:
   AggOp(const OperatorSpec& op, CostAccumulator* cost)
@@ -355,8 +557,12 @@ class AggOp final : public OperatorState {
       std::vector<data::Field> key_fields;
       for (int idx : group_indices_) {
         key_fields.push_back(in.schema().field(static_cast<size_t>(idx)));
+        key_columns_.push_back(static_cast<int>(key_columns_.size()));
       }
       key_chunk_ = Chunk::Empty(Schema(std::move(key_fields)));
+      for (const auto& agg : op_.aggregates) {
+        funcs_.push_back(ParseAggFunc(agg.func).ValueOrDie());
+      }
       resolved_ = true;
     }
     if (in.is_synthetic()) {
@@ -364,58 +570,41 @@ class AggOp final : public OperatorState {
           Chunk::Synthetic(out_schema_, std::min(in.rows(), op_.groups_hint));
       return std::optional<Chunk>();
     }
-    std::vector<std::vector<double>> arguments;
-    for (const auto& agg : op_.aggregates) {
-      if (agg.func == "count" && !agg.expr) {
-        arguments.emplace_back();
-        continue;
+    if (!compiled_) {
+      for (const auto& agg : op_.aggregates) {
+        std::optional<ExprKernel> kernel;
+        if (agg.expr != nullptr) {
+          SKYRISE_ASSIGN_OR_RETURN(kernel,
+                                   ExprKernel::Numeric(*agg.expr, in.schema()));
+        }
+        arguments_.push_back(std::move(kernel));
       }
-      std::vector<double> values;
-      SKYRISE_ASSIGN_OR_RETURN(values, EvalNumeric(*agg.expr, in));
-      arguments.push_back(std::move(values));
+      compiled_ = true;
     }
     const size_t rows = static_cast<size_t>(in.rows());
+    if (rows == 0) return std::optional<Chunk>();
+    if (group_indices_.empty()) {
+      if (groups_ == 0) AddGroup(in, 0);
+      for (size_t a = 0; a < funcs_.size(); ++a) {
+        Accumulate(a, in, rows, [](size_t) { return size_t{0}; });
+      }
+      return std::optional<Chunk>();
+    }
+    HashKeys(in, group_indices_, &hashes_);
+    group_of_.resize(rows);
     for (size_t row = 0; row < rows; ++row) {
-      std::string key = RowKey(in, group_indices_, row);
-      auto [it, inserted] = groups_.try_emplace(std::move(key));
-      GroupState& state = it->second;
-      if (inserted) {
-        state.key_row = static_cast<size_t>(key_chunk_.rows());
-        for (size_t g = 0; g < group_indices_.size(); ++g) {
-          key_chunk_.column(g).AppendFrom(
-              in.column(static_cast<size_t>(group_indices_[g])), row);
-        }
-        state.accumulators.resize(op_.aggregates.size());
-        for (size_t a = 0; a < op_.aggregates.size(); ++a) {
-          const auto& func = op_.aggregates[a].func;
-          if (func == "min") {
-            state.accumulators[a] = std::numeric_limits<double>::infinity();
-          } else if (func == "max") {
-            state.accumulators[a] = -std::numeric_limits<double>::infinity();
-          } else {
-            state.accumulators[a] = 0;
-          }
-        }
-        state_bytes_ += static_cast<int64_t>(it->first.size()) + 48 +
-                        8 * static_cast<int64_t>(op_.aggregates.size());
-      }
-      for (size_t a = 0; a < op_.aggregates.size(); ++a) {
-        const auto& func = op_.aggregates[a].func;
-        if (func == "count") {
-          state.accumulators[a] += 1;
-        } else {
-          const double v = arguments[a][row];
-          if (func == "sum") {
-            state.accumulators[a] += v;
-          } else if (func == "min") {
-            state.accumulators[a] = std::min(state.accumulators[a], v);
-          } else if (func == "max") {
-            state.accumulators[a] = std::max(state.accumulators[a], v);
-          } else {
-            return Status::InvalidArgument("unknown aggregate: " + func);
-          }
-        }
-      }
+      const uint32_t group =
+          index_.FindOrAdd(hashes_[row], groups_, [&](uint32_t id) {
+            return SameKey(in, group_indices_, row, key_chunk_, key_columns_,
+                           id);
+          });
+      if (group == groups_) AddGroup(in, row);
+      group_of_[row] = group;
+    }
+    for (size_t a = 0; a < funcs_.size(); ++a) {
+      Accumulate(a, in, rows, [this](size_t row) {
+        return static_cast<size_t>(group_of_[row]);
+      });
     }
     return std::optional<Chunk>();
   }
@@ -426,58 +615,120 @@ class AggOp final : public OperatorState {
       return std::optional<Chunk>(std::move(*synthetic_result_));
     }
     if (!resolved_) return std::optional<Chunk>();
+    // Deterministic output order: ascending key text. Distinct typed keys
+    // can share a text only through a 0x1F inside a string; those keep
+    // insertion order.
+    std::vector<uint32_t> order(groups_);
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return key_texts_[a] < key_texts_[b];
+    });
     Chunk out = Chunk::Empty(out_schema_);
-    // Deterministic output order: sort group keys.
-    std::vector<std::pair<std::string, const GroupState*>> ordered;
-    ordered.reserve(groups_.size());
-    // skyrise-check: allow(unordered-iteration) — collected then sorted below.
-    for (const auto& [key, state] : groups_) ordered.emplace_back(key, &state);
-    std::sort(ordered.begin(), ordered.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [key, state] : ordered) {
-      for (size_t g = 0; g < group_indices_.size(); ++g) {
-        out.column(g).AppendFrom(key_chunk_.column(g), state->key_row);
-      }
-      for (size_t a = 0; a < op_.aggregates.size(); ++a) {
-        Column& col = out.column(group_indices_.size() + a);
-        if (op_.aggregates[a].func == "count") {
-          col.AppendInt(
-              static_cast<int64_t>(std::llround(state->accumulators[a])));
+    for (size_t g = 0; g < group_indices_.size(); ++g) {
+      out.column(g).AppendRows(key_chunk_.column(g), order.data(),
+                               order.size());
+    }
+    const size_t stride = funcs_.size();
+    for (size_t a = 0; a < stride; ++a) {
+      Column& col = out.column(group_indices_.size() + a);
+      for (uint32_t group : order) {
+        const double value = accumulators_[group * stride + a];
+        if (funcs_[a] == AggFunc::kCount) {
+          col.AppendInt(static_cast<int64_t>(std::llround(value)));
         } else {
-          col.AppendDouble(state->accumulators[a]);
+          col.AppendDouble(value);
         }
       }
     }
-    groups_.clear();
     return std::optional<Chunk>(std::move(out));
   }
 
   int64_t StateBytes() const override { return state_bytes_; }
 
  private:
-  struct GroupState {
-    size_t key_row = 0;  ///< Representative row in key_chunk_.
-    std::vector<double> accumulators;
-  };
+  /// Opens a group keyed by `row` of `in`, charging its key text, a fixed
+  /// overhead and one double per aggregate.
+  void AddGroup(const Chunk& in, size_t row) {
+    for (size_t g = 0; g < group_indices_.size(); ++g) {
+      key_chunk_.column(g).AppendFrom(
+          in.column(static_cast<size_t>(group_indices_[g])), row);
+    }
+    key_texts_.push_back(KeyText(in, group_indices_, row));
+    state_bytes_ += static_cast<int64_t>(key_texts_.back().size()) + 48 +
+                    8 * static_cast<int64_t>(funcs_.size());
+    for (AggFunc func : funcs_) {
+      accumulators_.push_back(func == AggFunc::kMin
+                                  ? std::numeric_limits<double>::infinity()
+                              : func == AggFunc::kMax
+                                  ? -std::numeric_limits<double>::infinity()
+                                  : 0);
+    }
+    ++groups_;
+  }
+
+  /// Folds aggregate `a` over the morsel's rows, in row order.
+  template <typename GroupOf>
+  void Accumulate(size_t a, const Chunk& in, size_t rows, GroupOf group_of) {
+    const size_t stride = funcs_.size();
+    double* acc = accumulators_.data() + a;
+    if (funcs_[a] == AggFunc::kCount) {
+      for (size_t row = 0; row < rows; ++row) acc[group_of(row) * stride] += 1;
+      return;
+    }
+    const double* v = arguments_[a]->Evaluate(in);
+    switch (funcs_[a]) {
+      case AggFunc::kSum:
+        for (size_t row = 0; row < rows; ++row) {
+          acc[group_of(row) * stride] += v[row];
+        }
+        break;
+      case AggFunc::kMin:
+        for (size_t row = 0; row < rows; ++row) {
+          double& slot = acc[group_of(row) * stride];
+          slot = std::min(slot, v[row]);
+        }
+        break;
+      case AggFunc::kMax:
+        for (size_t row = 0; row < rows; ++row) {
+          double& slot = acc[group_of(row) * stride];
+          slot = std::max(slot, v[row]);
+        }
+        break;
+      case AggFunc::kCount:
+        break;
+    }
+  }
 
   const OperatorSpec& op_;
   CostAccumulator* cost_;
   bool resolved_ = false;
+  bool compiled_ = false;
   Schema out_schema_;
   std::vector<int> group_indices_;
+  std::vector<int> key_columns_;  ///< 0..k-1: key_chunk_'s key columns.
+  std::vector<AggFunc> funcs_;
+  std::vector<std::optional<ExprKernel>> arguments_;  ///< Per aggregate.
   Chunk key_chunk_;  ///< One row per group, insertion order.
-  std::unordered_map<std::string, GroupState> groups_;
+  std::vector<std::string> key_texts_;  ///< Per group.
+  std::vector<double> accumulators_;    ///< Group-major, one per aggregate.
+  uint32_t groups_ = 0;
+  KeyIndex index_;
+  std::vector<uint64_t> hashes_;     ///< Scratch: per-row key hash.
+  std::vector<uint32_t> group_of_;   ///< Scratch: per-row group.
   std::optional<Chunk> synthetic_result_;
   int64_t state_bytes_ = 0;
 };
 
 /// Streaming probe over a build table constructed once on the first morsel.
 /// The build side is a pipeline breaker by construction (it arrives fully
-/// materialized); the probe side streams.
+/// materialized); the probe side streams. Each probe morsel hashes its keys
+/// one column at a time, collects (probe row, build row) pairs, and gathers
+/// the output column by column.
 class JoinOp final : public OperatorState {
  public:
-  JoinOp(const OperatorSpec& op, const Chunk* build, CostAccumulator* cost)
-      : op_(op), build_(build), cost_(cost) {}
+  JoinOp(const OperatorSpec& op, const Chunk* build, CostAccumulator* cost,
+         data::ChunkPool* pool)
+      : op_(op), build_(build), cost_(cost), pool_(pool) {}
 
   Result<std::optional<Chunk>> Push(Chunk&& in) override {
     if (!resolved_) {
@@ -500,34 +751,30 @@ class JoinOp final : public OperatorState {
                            static_cast<double>(in.rows()) *
                            op_.join_multiplier))));
     }
-    if (!table_built_) {
-      SKYRISE_ASSIGN_OR_RETURN(build_indices_,
-                               ResolveColumns(build_->schema(), op_.build_keys));
-      SKYRISE_ASSIGN_OR_RETURN(
-          carried_, ResolveColumns(build_->schema(), op_.build_columns));
-      const size_t build_rows = static_cast<size_t>(build_->rows());
-      table_.reserve(build_rows);
-      for (size_t row = 0; row < build_rows; ++row) {
-        std::string key = RowKey(*build_, build_indices_, row);
-        state_bytes_ += static_cast<int64_t>(key.size()) + 24;
-        table_.emplace(std::move(key), row);
-      }
-      table_built_ = true;
-    }
-    Chunk out = Chunk::Empty(out_schema_);
+    if (!table_built_) SKYRISE_RETURN_IF_ERROR(BuildTable(in.schema()));
+    HashKeys(in, probe_indices_, &hashes_);
+    probe_rows_.clear();
+    build_rows_.clear();
     const size_t probe_rows = static_cast<size_t>(in.rows());
     for (size_t row = 0; row < probe_rows; ++row) {
-      auto [begin, end] = table_.equal_range(RowKey(in, probe_indices_, row));
-      for (auto it = begin; it != end; ++it) {
-        for (size_t c = 0; c < in.num_columns(); ++c) {
-          out.column(c).AppendFrom(in.column(c), row);
-        }
-        for (size_t c = 0; c < carried_.size(); ++c) {
-          out.column(in.num_columns() + c)
-              .AppendFrom(build_->column(static_cast<size_t>(carried_[c])),
-                          it->second);
-        }
+      const uint32_t group = index_.Find(hashes_[row], [&](uint32_t id) {
+        return SameKey(in, probe_indices_, row, *build_, build_indices_,
+                       matches_[match_begin_[id]]);
+      });
+      if (group == KeyIndex::kAbsent) continue;
+      for (uint32_t m = match_begin_[group]; m < match_begin_[group + 1];
+           ++m) {
+        probe_rows_.push_back(static_cast<uint32_t>(row));
+        build_rows_.push_back(matches_[m]);
       }
+    }
+    Chunk out = pool_->AcquirePrepared(out_schema_);
+    for (size_t c = 0; c < in.num_columns(); ++c) {
+      in.column(c).FilterInto(probe_rows_, &out.column(c));
+    }
+    for (size_t c = 0; c < carried_.size(); ++c) {
+      build_->column(static_cast<size_t>(carried_[c]))
+          .FilterInto(build_rows_, &out.column(in.num_columns() + c));
     }
     return std::optional<Chunk>(std::move(out));
   }
@@ -535,15 +782,86 @@ class JoinOp final : public OperatorState {
   int64_t StateBytes() const override { return state_bytes_; }
 
  private:
+  Status BuildTable(const Schema& probe_schema) {
+    SKYRISE_ASSIGN_OR_RETURN(build_indices_,
+                             ResolveColumns(build_->schema(), op_.build_keys));
+    SKYRISE_ASSIGN_OR_RETURN(
+        carried_, ResolveColumns(build_->schema(), op_.build_columns));
+    if (build_indices_.size() != probe_indices_.size()) {
+      return Status::InvalidArgument("join key counts differ");
+    }
+    for (size_t k = 0; k < probe_indices_.size(); ++k) {
+      const DataType probe =
+          probe_schema.field(static_cast<size_t>(probe_indices_[k])).type;
+      const DataType build =
+          build_->schema().field(static_cast<size_t>(build_indices_[k])).type;
+      if (KindOf(probe) != KindOf(build)) {
+        return Status::InvalidArgument("join keys of different kinds: " +
+                                       op_.probe_keys[k] + " and " +
+                                       op_.build_keys[k]);
+      }
+    }
+    // Group the build rows by key, then lay each key's rows out in match
+    // order: counting sort to ascending rows, then the multimap order.
+    const size_t build_rows = static_cast<size_t>(build_->rows());
+    HashKeys(*build_, build_indices_, &hashes_);
+    std::vector<uint32_t> group_of(build_rows);
+    std::vector<uint32_t> first_row;
+    for (size_t row = 0; row < build_rows; ++row) {
+      const auto next = static_cast<uint32_t>(first_row.size());
+      const uint32_t group =
+          index_.FindOrAdd(hashes_[row], next, [&](uint32_t id) {
+            return SameKey(*build_, build_indices_, row, *build_,
+                           build_indices_, first_row[id]);
+          });
+      if (group == next) first_row.push_back(static_cast<uint32_t>(row));
+      group_of[row] = group;
+      state_bytes_ += KeyTextLength(*build_, build_indices_, row) + 24;
+    }
+    match_begin_.assign(first_row.size() + 1, 0);
+    for (uint32_t group : group_of) ++match_begin_[group + 1];
+    std::partial_sum(match_begin_.begin(), match_begin_.end(),
+                     match_begin_.begin());
+    std::vector<uint32_t> fill(match_begin_.begin(), match_begin_.end() - 1);
+    matches_.resize(build_rows);
+    for (size_t row = 0; row < build_rows; ++row) {
+      matches_[fill[group_of[row]]++] = static_cast<uint32_t>(row);
+    }
+    // A libstdc++ unordered_multimap<std::string, size_t> filled in build
+    // row order once defined the match order, and still does. While it held
+    // at most 20 rows, an insert went right after the first row of its key;
+    // later inserts went in front of them all. So ascending rows r1, s...,
+    // l... (l past row 20) match as l... descending, r1, s... descending.
+    constexpr uint32_t kSmallTableRows = 20;
+    for (size_t group = 0; group + 1 < match_begin_.size(); ++group) {
+      const auto begin = matches_.begin() + match_begin_[group];
+      const auto end = matches_.begin() + match_begin_[group + 1];
+      const auto late = std::count_if(begin + 1, end, [](uint32_t row) {
+        return row > kSmallTableRows;
+      });
+      std::reverse(begin, end);
+      std::rotate(begin + late, end - 1, end);
+    }
+    table_built_ = true;
+    return Status::OK();
+  }
+
   const OperatorSpec& op_;
   const Chunk* build_;
   CostAccumulator* cost_;
+  data::ChunkPool* pool_;
   bool resolved_ = false;
   bool build_charged_ = false;
   bool table_built_ = false;
   Schema out_schema_;
   std::vector<int> probe_indices_, build_indices_, carried_;
-  std::unordered_multimap<std::string, size_t> table_;
+  KeyIndex index_;                    ///< Key -> group of build rows.
+  /// Build rows grouped by key, in match order; group g holds
+  /// matches_[match_begin_[g]] up to matches_[match_begin_[g + 1]].
+  std::vector<uint32_t> match_begin_;
+  std::vector<uint32_t> matches_;
+  std::vector<uint64_t> hashes_;       ///< Scratch: per-row key hash.
+  std::vector<uint32_t> probe_rows_, build_rows_;  ///< Scratch: the pairs.
   int64_t state_bytes_ = 0;
 };
 
@@ -650,7 +968,9 @@ class BarrierOp final : public OperatorState {
 
 /// Sink: hash-partitions each morsel's rows (in row order, so partition
 /// contents are identical to the materialized path) into per-partition
-/// output chunks.
+/// output chunks: a row goes to FNV-1a(key text) % partition_count. Rows are
+/// bucketed per partition and appended column by column; a single partition
+/// takes each morsel whole.
 class PartitionSink final : public OperatorState {
  public:
   PartitionSink(const OperatorSpec& op, CostAccumulator* cost)
@@ -666,6 +986,9 @@ class PartitionSink final : public OperatorState {
       return std::optional<Chunk>();
     }
     if (!initialized_) {
+      if (op_.partition_count < 1) {
+        return Status::InvalidArgument("partition_count must be positive");
+      }
       SKYRISE_ASSIGN_OR_RETURN(
           key_indices_, ResolveColumns(in.schema(), op_.partition_keys));
       schema_ = in.schema();
@@ -676,12 +999,31 @@ class PartitionSink final : public OperatorState {
       initialized_ = true;
     }
     state_bytes_ += in.ByteSize();
+    if (parts_.size() == 1) {
+      parts_[0].Append(in);
+      return std::optional<Chunk>();
+    }
+    // Counting sort of the row ids by partition, stable in row order.
     const size_t rows = static_cast<size_t>(in.rows());
+    FnvKeyText(in, key_indices_, &hashes_);
+    part_begin_.assign(parts_.size() + 1, 0);
+    for (uint64_t& h : hashes_) {
+      h %= parts_.size();
+      ++part_begin_[h + 1];
+    }
+    std::partial_sum(part_begin_.begin(), part_begin_.end(),
+                     part_begin_.begin());
+    fill_.assign(part_begin_.begin(), part_begin_.end() - 1);
+    by_part_.resize(rows);
     for (size_t row = 0; row < rows; ++row) {
-      const uint64_t h = HashString(RowKey(in, key_indices_, row));
-      Chunk& dst = parts_[h % static_cast<uint64_t>(op_.partition_count)];
+      by_part_[fill_[hashes_[row]]++] = static_cast<uint32_t>(row);
+    }
+    for (size_t p = 0; p < parts_.size(); ++p) {
+      const size_t count = part_begin_[p + 1] - part_begin_[p];
+      if (count == 0) continue;
       for (size_t c = 0; c < in.num_columns(); ++c) {
-        dst.column(c).AppendFrom(in.column(c), row);
+        parts_[p].column(c).AppendRows(
+            in.column(c), by_part_.data() + part_begin_[p], count);
       }
     }
     return std::optional<Chunk>();
@@ -719,6 +1061,9 @@ class PartitionSink final : public OperatorState {
   Schema schema_;
   std::vector<int> key_indices_;
   std::vector<Chunk> parts_;
+  std::vector<uint64_t> hashes_;  ///< Scratch: per-row hash, then partition.
+  std::vector<size_t> part_begin_, fill_;  ///< Scratch: per-partition offsets.
+  std::vector<uint32_t> by_part_;  ///< Scratch: row ids by partition.
   int64_t state_bytes_ = 0;
 };
 
@@ -793,7 +1138,8 @@ Status FragmentPipeline::Impl::BuildOps() {
       if (build_index >= builds.size()) {
         return Status::InvalidArgument("missing join build input");
       }
-      ops.push_back(std::make_unique<JoinOp>(op, &builds[build_index], cost));
+      ops.push_back(
+          std::make_unique<JoinOp>(op, &builds[build_index], cost, pool));
       // Synthetic cardinality hints are nonlinear: joins against a synthetic
       // build must see the whole probe stream at once.
       if (builds[build_index].is_synthetic()) accumulating = true;
@@ -938,7 +1284,6 @@ Result<std::vector<FragmentOutput>> FragmentPipeline::Finish() {
       SKYRISE_RETURN_IF_ERROR(im.WalkFrom(i + 1, std::move(**flushed)));
     }
   }
-  im.memory->SetPooledRetained(im.pool->stats().retained_bytes);
   if (im.sink != nullptr) return im.sink->TakeOutputs();
   std::vector<FragmentOutput> outputs;
   Chunk result = im.tail.has_value()
@@ -959,9 +1304,32 @@ Result<std::vector<FragmentOutput>> ExecuteFragment(
   return executor.Finish();
 }
 
-Result<data::Chunk> ApplyFilterOp(const OperatorSpec& op, data::Chunk&& in,
-                                  CostAccumulator* cost) {
-  return ApplyFilter(op, std::move(in), cost);
+Result<data::Chunk> FilterKernel::Apply(data::Chunk&& in) {
+  cost_->AddNs(static_cast<double>(in.rows()) *
+               cost_->model().filter_ns_per_row);
+  if (in.is_synthetic()) {
+    return Chunk::Synthetic(in.schema(),
+                            static_cast<int64_t>(std::llround(
+                                static_cast<double>(in.rows()) *
+                                selectivity_)));
+  }
+  if (!kernel_.has_value()) {
+    if (predicate_ == nullptr) {
+      return Status::InvalidArgument("filter without a predicate");
+    }
+    SKYRISE_ASSIGN_OR_RETURN(kernel_,
+                             ExprKernel::Predicate(*predicate_, in.schema()));
+  }
+  kernel_->Select(in, &selection_);
+  if (selection_.size() == static_cast<size_t>(in.rows())) {
+    return std::move(in);
+  }
+  Chunk out = pool_->AcquirePrepared(in.schema());
+  for (size_t c = 0; c < in.num_columns(); ++c) {
+    in.column(c).FilterInto(selection_, &out.column(c));
+  }
+  pool_->Release(std::move(in));
+  return out;
 }
 
 Result<data::Schema> PipelineOutputSchema(

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -129,11 +130,31 @@ class FragmentPipeline {
     const PipelineSpec& pipeline, data::Chunk&& stream,
     std::vector<data::Chunk> builds, CostAccumulator* cost);
 
-/// Applies one filter operator to a chunk (used by scan workers for
-/// per-row-group predicate pushdown before morsels enter the pipeline).
-[[nodiscard]] Result<data::Chunk> ApplyFilterOp(const OperatorSpec& op,
-                                                data::Chunk&& in,
-                                                CostAccumulator* cost);
+/// The filter of the filter operator and of scan workers' per-row-group
+/// predicate pushdown. Charges the filter cost per input row, compiles the
+/// predicate against the first materialized chunk, and gathers the surviving
+/// rows into a chunk from `pool`, donating the spent input back to it. A
+/// chunk whose rows all survive passes through uncopied. Synthetic chunks
+/// keep round(rows * selectivity) rows.
+class FilterKernel {
+ public:
+  FilterKernel(ExprPtr predicate, double selectivity, CostAccumulator* cost,
+               data::ChunkPool* pool)
+      : predicate_(std::move(predicate)),
+        selectivity_(selectivity),
+        cost_(cost),
+        pool_(pool) {}
+
+  [[nodiscard]] Result<data::Chunk> Apply(data::Chunk&& in);
+
+ private:
+  ExprPtr predicate_;
+  double selectivity_;
+  CostAccumulator* cost_;
+  data::ChunkPool* pool_;
+  std::optional<ExprKernel> kernel_;
+  std::vector<uint32_t> selection_;
+};
 
 /// Output schema of the pipeline (after all non-terminal operators), given
 /// the streamed input schema and build schemas. Exposed for planning and

@@ -53,6 +53,56 @@ std::shared_ptr<Expr> Make(Expr::Kind kind) {
   return e;
 }
 
+Result<ExprKernel::CmpOp> ParseCompareOp(const std::string& op) {
+  using CmpOp = ExprKernel::CmpOp;
+  if (op == "<") return CmpOp::kLt;
+  if (op == "<=") return CmpOp::kLe;
+  if (op == ">") return CmpOp::kGt;
+  if (op == ">=") return CmpOp::kGe;
+  if (op == "==") return CmpOp::kEq;
+  if (op == "!=") return CmpOp::kNe;
+  return Status::InvalidArgument("unknown compare op: " + op);
+}
+
+Result<ExprKernel::ArithOp> ParseArithOp(const std::string& op) {
+  using ArithOp = ExprKernel::ArithOp;
+  if (op == "+") return ArithOp::kAdd;
+  if (op == "-") return ArithOp::kSub;
+  if (op == "*") return ArithOp::kMul;
+  if (op == "/") return ArithOp::kDiv;
+  return Status::InvalidArgument("unknown arith op: " + op);
+}
+
+Status CheckArity(const Expr& expr, size_t arity) {
+  if (expr.children.size() == arity) return Status::OK();
+  return Status::InvalidArgument(std::string(KindName(expr.kind)) +
+                                 " needs " + std::to_string(arity) +
+                                 " operands");
+}
+
+/// Operand count and operator of one node, as the kernels require them.
+Status CheckShape(const Expr& expr) {
+  using Kind = Expr::Kind;
+  switch (expr.kind) {
+    case Kind::kCompare:
+      SKYRISE_RETURN_IF_ERROR(ParseCompareOp(expr.op).status());
+      return CheckArity(expr, 2);
+    case Kind::kArith:
+      SKYRISE_RETURN_IF_ERROR(ParseArithOp(expr.op).status());
+      return CheckArity(expr, 2);
+    case Kind::kAnd:
+    case Kind::kOr:
+      return CheckArity(expr, 2);
+    case Kind::kBetween:
+      return CheckArity(expr, 3);
+    case Kind::kInList:
+    case Kind::kIndicator:
+      return CheckArity(expr, 1);
+    default:
+      return CheckArity(expr, 0);
+  }
+}
+
 }  // namespace
 
 Json Expr::ToJson() const {
@@ -110,6 +160,7 @@ Result<ExprPtr> Expr::FromJson(const Json& json) {
       e->children.push_back(std::move(parsed));
     }
   }
+  SKYRISE_RETURN_IF_ERROR(CheckShape(*e));
   return ExprPtr(e);
 }
 
@@ -169,190 +220,338 @@ ExprPtr Indicator(ExprPtr condition) {
 
 namespace {
 
-/// Numeric value accessor for a column (ints/dates/doubles).
-Result<std::function<double(size_t)>> NumericAccessor(
-    const data::Chunk& chunk, const std::string& name) {
-  const int idx = chunk.schema().FieldIndex(name);
-  if (idx < 0) return Status::NotFound("no column: " + name);
-  const data::Column* col = &chunk.column(static_cast<size_t>(idx));
-  if (col->type() == data::DataType::kDouble) {
-    return std::function<double(size_t)>(
-        [col](size_t row) { return col->doubles()[row]; });
+/// Calls `f(i, l_i, r_i)` for each row, with the loop chosen once for
+/// whether each side is a per-row vector or a constant.
+template <typename Operand, typename F>
+void ForEachPair(const Operand& l, const Operand& r, size_t rows, F f) {
+  if (l.values != nullptr && r.values != nullptr) {
+    for (size_t i = 0; i < rows; ++i) f(i, l.values[i], r.values[i]);
+  } else if (l.values != nullptr) {
+    const double c = r.constant;
+    for (size_t i = 0; i < rows; ++i) f(i, l.values[i], c);
+  } else if (r.values != nullptr) {
+    const double c = l.constant;
+    for (size_t i = 0; i < rows; ++i) f(i, c, r.values[i]);
+  } else {
+    for (size_t i = 0; i < rows; ++i) f(i, l.constant, r.constant);
   }
-  if (col->type() == data::DataType::kString) {
-    return Status::InvalidArgument("column is not numeric: " + name);
-  }
-  return std::function<double(size_t)>(
-      [col](size_t row) { return static_cast<double>(col->ints()[row]); });
 }
 
-Result<std::function<double(size_t)>> NumericEvaluator(
-    const Expr& expr, const data::Chunk& chunk);
+/// Calls `f` with the comparison functor for `op`, chosen once per node.
+template <typename F>
+void WithComparison(ExprKernel::CmpOp op, F f) {
+  using CmpOp = ExprKernel::CmpOp;
+  switch (op) {
+    case CmpOp::kLt:
+      return f(std::less<>());
+    case CmpOp::kLe:
+      return f(std::less_equal<>());
+    case CmpOp::kGt:
+      return f(std::greater<>());
+    case CmpOp::kGe:
+      return f(std::greater_equal<>());
+    case CmpOp::kEq:
+      return f(std::equal_to<>());
+    case CmpOp::kNe:
+      return f(std::not_equal_to<>());
+  }
+}
 
-Result<std::function<bool(size_t)>> BoolEvaluator(const Expr& expr,
-                                                  const data::Chunk& chunk) {
+/// Writes `f(l_i, r_i)` for each row into `out`.
+template <typename Operand, typename F>
+void Combine(const Operand& l, const Operand& r, size_t rows, F f,
+             double* out) {
+  ForEachPair(l, r, rows,
+              [out, f](size_t i, double a, double b) { out[i] = f(a, b); });
+}
+
+}  // namespace
+
+Result<ExprKernel> ExprKernel::Predicate(const Expr& expr,
+                                         const data::Schema& schema) {
+  ExprKernel kernel;
+  kernel.boolean_ = true;
+  SKYRISE_ASSIGN_OR_RETURN(kernel.root_, kernel.CompileBool(expr, schema));
+  return kernel;
+}
+
+Result<ExprKernel> ExprKernel::Numeric(const Expr& expr,
+                                       const data::Schema& schema) {
+  ExprKernel kernel;
+  SKYRISE_ASSIGN_OR_RETURN(kernel.root_, kernel.CompileNumber(expr, schema));
+  return kernel;
+}
+
+Status ExprKernel::CompileChildren(const Expr& expr,
+                                   const data::Schema& schema, bool boolean,
+                                   Node* node) {
+  for (const auto& child : expr.children) {
+    size_t id;
+    SKYRISE_ASSIGN_OR_RETURN(id, boolean ? CompileBool(*child, schema)
+                                         : CompileNumber(*child, schema));
+    node->children.push_back(id);
+  }
+  return Status::OK();
+}
+
+size_t ExprKernel::Add(Node node) {
+  nodes_.push_back(std::move(node));
+  return nodes_.size() - 1;
+}
+
+Status ExprKernel::ResolveColumn(const std::string& name,
+                                 const data::Schema& schema, Node* node) {
+  const int idx = schema.FieldIndex(name);
+  if (idx < 0) return Status::NotFound("no column: " + name);
+  node->column = static_cast<size_t>(idx);
+  node->type = schema.field(node->column).type;
+  return Status::OK();
+}
+
+Result<size_t> ExprKernel::CompileBool(const Expr& expr,
+                                       const data::Schema& schema) {
   using Kind = Expr::Kind;
+  Node node;
   switch (expr.kind) {
-    case Kind::kAnd: {
-      std::function<bool(size_t)> lhs, rhs;
-      SKYRISE_ASSIGN_OR_RETURN(lhs, BoolEvaluator(*expr.children[0], chunk));
-      SKYRISE_ASSIGN_OR_RETURN(rhs, BoolEvaluator(*expr.children[1], chunk));
-      return std::function<bool(size_t)>(
-          [lhs, rhs](size_t row) { return lhs(row) && rhs(row); });
-    }
-    case Kind::kOr: {
-      std::function<bool(size_t)> lhs, rhs;
-      SKYRISE_ASSIGN_OR_RETURN(lhs, BoolEvaluator(*expr.children[0], chunk));
-      SKYRISE_ASSIGN_OR_RETURN(rhs, BoolEvaluator(*expr.children[1], chunk));
-      return std::function<bool(size_t)>(
-          [lhs, rhs](size_t row) { return lhs(row) || rhs(row); });
-    }
-    case Kind::kBetween: {
-      std::function<double(size_t)> value;
-      SKYRISE_ASSIGN_OR_RETURN(value,
-                               NumericEvaluator(*expr.children[0], chunk));
-      std::function<double(size_t)> lo, hi;
-      SKYRISE_ASSIGN_OR_RETURN(lo, NumericEvaluator(*expr.children[1], chunk));
-      SKYRISE_ASSIGN_OR_RETURN(hi, NumericEvaluator(*expr.children[2], chunk));
-      return std::function<bool(size_t)>([value, lo, hi](size_t row) {
-        const double v = value(row);
-        return v >= lo(row) && v <= hi(row);
-      });
-    }
+    case Kind::kAnd:
+    case Kind::kOr:
+      SKYRISE_RETURN_IF_ERROR(CheckArity(expr, 2));
+      node.op = expr.kind == Kind::kAnd ? Op::kAnd : Op::kOr;
+      SKYRISE_RETURN_IF_ERROR(CompileChildren(expr, schema, true, &node));
+      return Add(std::move(node));
+    case Kind::kBetween:
+      SKYRISE_RETURN_IF_ERROR(CheckArity(expr, 3));
+      node.op = Op::kBetween;
+      SKYRISE_RETURN_IF_ERROR(CompileChildren(expr, schema, false, &node));
+      return Add(std::move(node));
     case Kind::kInList: {
+      SKYRISE_RETURN_IF_ERROR(CheckArity(expr, 1));
       const Expr& target = *expr.children[0];
       if (target.kind != Kind::kColumn) {
         return Status::InvalidArgument("IN requires a column");
       }
-      const int idx = chunk.schema().FieldIndex(target.column);
-      if (idx < 0) return Status::NotFound("no column: " + target.column);
-      const data::Column* col = &chunk.column(static_cast<size_t>(idx));
-      if (col->type() != data::DataType::kString) {
+      node.op = Op::kInList;
+      SKYRISE_RETURN_IF_ERROR(ResolveColumn(target.column, schema, &node));
+      if (node.type != data::DataType::kString) {
         return Status::InvalidArgument("IN requires a string column");
       }
-      auto values = std::make_shared<std::vector<std::string>>(expr.in_list);
-      std::sort(values->begin(), values->end());
-      return std::function<bool(size_t)>([col, values](size_t row) {
-        return std::binary_search(values->begin(), values->end(),
-                                  col->strings()[row]);
-      });
+      node.values = expr.in_list;
+      std::sort(node.values.begin(), node.values.end());
+      return Add(std::move(node));
     }
     case Kind::kCompare: {
+      SKYRISE_RETURN_IF_ERROR(CheckArity(expr, 2));
+      SKYRISE_ASSIGN_OR_RETURN(node.cmp, ParseCompareOp(expr.op));
       const Expr& lhs = *expr.children[0];
       const Expr& rhs = *expr.children[1];
-      // String comparison: column vs string literal.
-      const bool string_cmp =
-          rhs.kind == Kind::kString || lhs.kind == Kind::kString;
-      if (string_cmp) {
+      if (lhs.kind == Kind::kString || rhs.kind == Kind::kString) {
         if (lhs.kind != Kind::kColumn || rhs.kind != Kind::kString) {
           return Status::InvalidArgument(
               "string compare must be column <op> literal");
         }
-        const int idx = chunk.schema().FieldIndex(lhs.column);
-        if (idx < 0) return Status::NotFound("no column: " + lhs.column);
-        const data::Column* col = &chunk.column(static_cast<size_t>(idx));
-        const std::string value = rhs.text;
-        const std::string op = expr.op;
-        return std::function<bool(size_t)>([col, value, op](size_t row) {
-          const int c = col->strings()[row].compare(value);
-          if (op == "==") return c == 0;
-          if (op == "!=") return c != 0;
-          if (op == "<") return c < 0;
-          if (op == "<=") return c <= 0;
-          if (op == ">") return c > 0;
-          return c >= 0;
-        });
+        node.op = Op::kStringCompare;
+        SKYRISE_RETURN_IF_ERROR(ResolveColumn(lhs.column, schema, &node));
+        if (node.type != data::DataType::kString) {
+          return Status::InvalidArgument("column is not a string: " +
+                                         lhs.column);
+        }
+        node.text = rhs.text;
+        return Add(std::move(node));
       }
-      std::function<double(size_t)> le, re;
-      SKYRISE_ASSIGN_OR_RETURN(le, NumericEvaluator(lhs, chunk));
-      SKYRISE_ASSIGN_OR_RETURN(re, NumericEvaluator(rhs, chunk));
-      const std::string op = expr.op;
-      return std::function<bool(size_t)>([le, re, op](size_t row) {
-        const double l = le(row), r = re(row);
-        if (op == "==") return l == r;
-        if (op == "!=") return l != r;
-        if (op == "<") return l < r;
-        if (op == "<=") return l <= r;
-        if (op == ">") return l > r;
-        return l >= r;
-      });
+      node.op = Op::kCompare;
+      SKYRISE_RETURN_IF_ERROR(CompileChildren(expr, schema, false, &node));
+      return Add(std::move(node));
     }
     default:
       return Status::InvalidArgument("expression is not boolean");
   }
 }
 
-Result<std::function<double(size_t)>> NumericEvaluator(
-    const Expr& expr, const data::Chunk& chunk) {
+Result<size_t> ExprKernel::CompileNumber(const Expr& expr,
+                                         const data::Schema& schema) {
   using Kind = Expr::Kind;
+  Node node;
   switch (expr.kind) {
     case Kind::kColumn:
-      return NumericAccessor(chunk, expr.column);
-    case Kind::kNumber: {
-      const double v = expr.number;
-      return std::function<double(size_t)>([v](size_t) { return v; });
-    }
+      node.op = Op::kColumn;
+      SKYRISE_RETURN_IF_ERROR(ResolveColumn(expr.column, schema, &node));
+      if (node.type == data::DataType::kString) {
+        return Status::InvalidArgument("column is not numeric: " +
+                                       expr.column);
+      }
+      return Add(std::move(node));
+    case Kind::kNumber:
+      node.op = Op::kNumber;
+      node.number = expr.number;
+      return Add(std::move(node));
     case Kind::kArith: {
-      std::function<double(size_t)> lhs, rhs;
-      SKYRISE_ASSIGN_OR_RETURN(lhs, NumericEvaluator(*expr.children[0], chunk));
-      SKYRISE_ASSIGN_OR_RETURN(rhs, NumericEvaluator(*expr.children[1], chunk));
-      const std::string op = expr.op;
-      return std::function<double(size_t)>([lhs, rhs, op](size_t row) {
-        const double l = lhs(row), r = rhs(row);
-        if (op == "+") return l + r;
-        if (op == "-") return l - r;
-        if (op == "/") return r == 0 ? 0 : l / r;
-        return l * r;
-      });
+      SKYRISE_RETURN_IF_ERROR(CheckArity(expr, 2));
+      node.op = Op::kArith;
+      SKYRISE_ASSIGN_OR_RETURN(node.arith, ParseArithOp(expr.op));
+      SKYRISE_RETURN_IF_ERROR(CompileChildren(expr, schema, false, &node));
+      return Add(std::move(node));
     }
     case Kind::kIndicator: {
-      std::function<bool(size_t)> cond;
-      SKYRISE_ASSIGN_OR_RETURN(cond, BoolEvaluator(*expr.children[0], chunk));
-      return std::function<double(size_t)>(
-          [cond](size_t row) { return cond(row) ? 1.0 : 0.0; });
+      SKYRISE_RETURN_IF_ERROR(CheckArity(expr, 1));
+      node.op = Op::kIndicator;
+      size_t id;
+      SKYRISE_ASSIGN_OR_RETURN(id, CompileBool(*expr.children[0], schema));
+      node.children.push_back(id);
+      return Add(std::move(node));
     }
     default:
       return Status::InvalidArgument("expression is not numeric");
   }
 }
 
-}  // namespace
+const data::Column& ExprKernel::ColumnOf(const Node& node,
+                                         const data::Chunk& chunk) {
+  SKYRISE_CHECK(node.column < chunk.num_columns());
+  const data::Column& col = chunk.column(node.column);
+  SKYRISE_CHECK(col.type() == node.type);
+  return col;
+}
 
-Status EvalPredicateInto(const Expr& expr, const data::Chunk& chunk,
-                         std::vector<uint32_t>* out) {
-  std::function<bool(size_t)> eval;
-  SKYRISE_ASSIGN_OR_RETURN(eval, BoolEvaluator(expr, chunk));
-  out->clear();
-  const size_t rows = static_cast<size_t>(chunk.rows());
-  for (size_t row = 0; row < rows; ++row) {
-    if (eval(row)) out->push_back(static_cast<uint32_t>(row));
+const uint8_t* ExprKernel::Mask(size_t id, const data::Chunk& chunk,
+                                size_t rows) {
+  Node& node = nodes_[id];
+  node.mask.resize(rows);
+  uint8_t* out = node.mask.data();
+  switch (node.op) {
+    case Op::kAnd:
+    case Op::kOr: {
+      const uint8_t* a = Mask(node.children[0], chunk, rows);
+      const uint8_t* b = Mask(node.children[1], chunk, rows);
+      if (node.op == Op::kAnd) {
+        for (size_t i = 0; i < rows; ++i) out[i] = a[i] & b[i];
+      } else {
+        for (size_t i = 0; i < rows; ++i) out[i] = a[i] | b[i];
+      }
+      break;
+    }
+    case Op::kCompare: {
+      const Operand l = Values(node.children[0], chunk, rows);
+      const Operand r = Values(node.children[1], chunk, rows);
+      WithComparison(node.cmp, [&](auto cmp) {
+        ForEachPair(l, r, rows, [out, cmp](size_t i, double a, double b) {
+          out[i] = cmp(a, b);
+        });
+      });
+      break;
+    }
+    case Op::kBetween: {
+      const Operand value = Values(node.children[0], chunk, rows);
+      const Operand lo = Values(node.children[1], chunk, rows);
+      const Operand hi = Values(node.children[2], chunk, rows);
+      ForEachPair(value, lo, rows, [out](size_t i, double v, double l) {
+        out[i] = v >= l;
+      });
+      ForEachPair(value, hi, rows, [out](size_t i, double v, double h) {
+        out[i] &= v <= h;
+      });
+      break;
+    }
+    case Op::kStringCompare: {
+      const std::vector<std::string>& strings =
+          ColumnOf(node, chunk).strings();
+      WithComparison(node.cmp, [&](auto cmp) {
+        for (size_t i = 0; i < rows; ++i) {
+          out[i] = cmp(strings[i].compare(node.text), 0);
+        }
+      });
+      break;
+    }
+    case Op::kInList: {
+      const std::vector<std::string>& strings =
+          ColumnOf(node, chunk).strings();
+      for (size_t i = 0; i < rows; ++i) {
+        out[i] = std::binary_search(node.values.begin(), node.values.end(),
+                                    strings[i]);
+      }
+      break;
+    }
+    default:
+      SKYRISE_CHECK(false && "not a boolean node");
   }
-  return Status::OK();
-}
-
-Result<std::vector<uint32_t>> EvalPredicate(const Expr& expr,
-                                            const data::Chunk& chunk) {
-  std::vector<uint32_t> selection;
-  SKYRISE_RETURN_IF_ERROR(EvalPredicateInto(expr, chunk, &selection));
-  return selection;
-}
-
-Status EvalNumericInto(const Expr& expr, const data::Chunk& chunk,
-                       std::vector<double>* out) {
-  std::function<double(size_t)> eval;
-  SKYRISE_ASSIGN_OR_RETURN(eval, NumericEvaluator(expr, chunk));
-  out->clear();
-  const size_t rows = static_cast<size_t>(chunk.rows());
-  out->reserve(rows);
-  for (size_t row = 0; row < rows; ++row) out->push_back(eval(row));
-  return Status::OK();
-}
-
-Result<std::vector<double>> EvalNumeric(const Expr& expr,
-                                        const data::Chunk& chunk) {
-  std::vector<double> out;
-  SKYRISE_RETURN_IF_ERROR(EvalNumericInto(expr, chunk, &out));
   return out;
+}
+
+ExprKernel::Operand ExprKernel::Values(size_t id, const data::Chunk& chunk,
+                                       size_t rows) {
+  Node& node = nodes_[id];
+  switch (node.op) {
+    case Op::kNumber:
+      return Operand{nullptr, node.number};
+    case Op::kColumn: {
+      const data::Column& col = ColumnOf(node, chunk);
+      if (col.type() == data::DataType::kDouble) {
+        return Operand{col.doubles().data(), 0};
+      }
+      node.numbers.resize(rows);
+      const int64_t* ints = col.ints().data();
+      for (size_t i = 0; i < rows; ++i) {
+        node.numbers[i] = static_cast<double>(ints[i]);
+      }
+      break;
+    }
+    case Op::kArith: {
+      const Operand l = Values(node.children[0], chunk, rows);
+      const Operand r = Values(node.children[1], chunk, rows);
+      node.numbers.resize(rows);
+      double* out = node.numbers.data();
+      switch (node.arith) {
+        case ArithOp::kAdd:
+          Combine(l, r, rows, std::plus<>(), out);
+          break;
+        case ArithOp::kSub:
+          Combine(l, r, rows, std::minus<>(), out);
+          break;
+        case ArithOp::kMul:
+          Combine(l, r, rows, std::multiplies<>(), out);
+          break;
+        case ArithOp::kDiv:
+          Combine(l, r, rows,
+                  [](double a, double b) { return b == 0 ? 0 : a / b; }, out);
+          break;
+      }
+      break;
+    }
+    case Op::kIndicator: {
+      const uint8_t* truth = Mask(node.children[0], chunk, rows);
+      node.numbers.resize(rows);
+      for (size_t i = 0; i < rows; ++i) {
+        node.numbers[i] = truth[i] ? 1.0 : 0.0;
+      }
+      break;
+    }
+    default:
+      SKYRISE_CHECK(false && "not a numeric node");
+  }
+  return Operand{node.numbers.data(), 0};
+}
+
+void ExprKernel::Select(const data::Chunk& chunk, std::vector<uint32_t>* out) {
+  SKYRISE_CHECK(boolean_ && !chunk.is_synthetic());
+  const size_t rows = static_cast<size_t>(chunk.rows());
+  const uint8_t* truth = Mask(root_, chunk, rows);
+  out->resize(rows);
+  uint32_t* selected = out->data();
+  size_t count = 0;
+  for (size_t i = 0; i < rows; ++i) {
+    selected[count] = static_cast<uint32_t>(i);
+    count += truth[i];
+  }
+  out->resize(count);
+}
+
+const double* ExprKernel::Evaluate(const data::Chunk& chunk) {
+  SKYRISE_CHECK(!boolean_ && !chunk.is_synthetic());
+  const size_t rows = static_cast<size_t>(chunk.rows());
+  const Operand result = Values(root_, chunk, rows);
+  if (result.values != nullptr) return result.values;
+  Node& root = nodes_[root_];
+  root.numbers.assign(rows, result.constant);
+  return root.numbers.data();
 }
 
 void CollectColumns(const Expr& expr, std::vector<std::string>* out) {

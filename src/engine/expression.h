@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -30,7 +31,7 @@ class Expr {
     kCompare,  ///< op in {"<","<=",">",">=","==","!="}.
     kAnd,
     kOr,
-    kArith,    ///< op in {"+","-","*"}.
+    kArith,    ///< op in {"+","-","*","/"}; x / 0 is 0.
     kBetween,  ///< children[0] in [children[1], children[2]] (numeric).
     kInList,   ///< children[0]'s string value in literal list.
     kIndicator,  ///< 1.0 when the boolean child holds, else 0.0.
@@ -45,6 +46,7 @@ class Expr {
   std::vector<std::string> in_list;  ///< kInList.
 
   Json ToJson() const;
+  /// Rejects unknown kinds and operators and wrong child counts.
   [[nodiscard]] static Result<ExprPtr> FromJson(const Json& json);
 };
 
@@ -60,26 +62,79 @@ ExprPtr Between(ExprPtr value, ExprPtr lo, ExprPtr hi);
 ExprPtr InList(ExprPtr value, std::vector<std::string> values);
 ExprPtr Indicator(ExprPtr condition);
 
-/// Evaluates a boolean expression over a materialized chunk; returns the
-/// indices of qualifying rows.
-[[nodiscard]] Result<std::vector<uint32_t>> EvalPredicate(const Expr& expr,
-                                            const data::Chunk& chunk);
+/// An expression compiled against one schema: column references resolved to
+/// indices and types, operators to enums. Evaluation runs one typed loop per
+/// expression node over the whole chunk, into scratch buffers the kernel
+/// reuses from chunk to chunk. Compile once per operator; every chunk passed
+/// in must be materialized with the schema the kernel was compiled for.
+/// Results equal a row-at-a-time evaluation bit for bit: each node computes
+/// the same double operation per row, and pure nodes need no short-circuit.
+class ExprKernel {
+ public:
+  /// Compiles a boolean expression (compare, and, or, between, in).
+  [[nodiscard]] static Result<ExprKernel> Predicate(const Expr& expr,
+                                                    const data::Schema& schema);
+  /// Compiles a numeric expression (column, number, arith, indicator).
+  [[nodiscard]] static Result<ExprKernel> Numeric(const Expr& expr,
+                                                  const data::Schema& schema);
 
-/// Eval-into variant: clears and refills `out`, reusing its capacity across
-/// morsels. The hot path under engine::FragmentPipeline's filter operator;
-/// EvalPredicate wraps it.
-[[nodiscard]] Status EvalPredicateInto(const Expr& expr,
-                                       const data::Chunk& chunk,
-                                       std::vector<uint32_t>* out);
+  /// Predicate kernels: clears `out` and fills it with the indices of the
+  /// rows of `chunk` for which the expression holds, ascending.
+  void Select(const data::Chunk& chunk, std::vector<uint32_t>* out);
 
-/// Evaluates a numeric expression over a chunk into a double column.
-[[nodiscard]] Result<std::vector<double>> EvalNumeric(const Expr& expr,
-                                        const data::Chunk& chunk);
+  /// Numeric kernels: one value per row of `chunk`. The pointer is valid
+  /// until the next call on this kernel or until `chunk` changes.
+  const double* Evaluate(const data::Chunk& chunk);
 
-/// Eval-into variant of EvalNumeric; clears and refills `out`.
-[[nodiscard]] Status EvalNumericInto(const Expr& expr,
-                                     const data::Chunk& chunk,
-                                     std::vector<double>* out);
+  /// Operators of kCompare and kArith expressions, by their `op` strings.
+  enum class CmpOp : uint8_t { kLt, kLe, kGt, kGe, kEq, kNe };
+  enum class ArithOp : uint8_t { kAdd, kSub, kMul, kDiv };
+
+ private:
+  enum class Op : uint8_t {
+    kColumn, kNumber, kCompare, kStringCompare, kAnd, kOr, kArith, kBetween,
+    kInList, kIndicator,
+  };
+  struct Node {
+    Op op = Op::kNumber;
+    CmpOp cmp = CmpOp::kEq;
+    ArithOp arith = ArithOp::kAdd;
+    size_t column = 0;  ///< kColumn, kStringCompare, kInList.
+    data::DataType type = data::DataType::kInt64;  ///< Of `column`.
+    double number = 0;                 ///< kNumber.
+    std::string text;                  ///< kStringCompare literal.
+    std::vector<std::string> values;   ///< kInList, sorted.
+    std::vector<size_t> children;
+    std::vector<double> numbers;       ///< Scratch: per-row values.
+    std::vector<uint8_t> mask;         ///< Scratch: per-row truth.
+  };
+  /// A node's per-row values: `values`, or `constant` on every row when null.
+  struct Operand {
+    const double* values = nullptr;
+    double constant = 0;
+  };
+
+  [[nodiscard]] Result<size_t> CompileBool(const Expr& expr,
+                                           const data::Schema& schema);
+  [[nodiscard]] Result<size_t> CompileNumber(const Expr& expr,
+                                             const data::Schema& schema);
+  /// Compiles each of `expr`'s children, boolean or numeric, into `node`.
+  [[nodiscard]] Status CompileChildren(const Expr& expr,
+                                       const data::Schema& schema,
+                                       bool boolean, Node* node);
+  [[nodiscard]] static Status ResolveColumn(const std::string& name,
+                                            const data::Schema& schema,
+                                            Node* node);
+  size_t Add(Node node);
+  const uint8_t* Mask(size_t id, const data::Chunk& chunk, size_t rows);
+  Operand Values(size_t id, const data::Chunk& chunk, size_t rows);
+  static const data::Column& ColumnOf(const Node& node,
+                                       const data::Chunk& chunk);
+
+  std::vector<Node> nodes_;
+  size_t root_ = 0;
+  bool boolean_ = false;
+};
 
 /// Columns referenced anywhere in the expression (deduplicated).
 void CollectColumns(const Expr& expr, std::vector<std::string>* out);

@@ -196,6 +196,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
         grants != nullptr ? grants->retry_budget : nullptr;
     storage_ctx_.breaker = ec_->storage_breaker;
     loaded_.resize(pipeline_.inputs.size());
+    pushdown_.resize(pipeline_.inputs.size());
     LoadBuildInput(1);
   }
 
@@ -247,16 +248,18 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     const TableFileAssignment& file = (*files)[file_index];
     auto self = shared_from_this();
     FetchFooter(file, [self, index, files, file_index](
-                          format::FileMeta meta) {
+                          std::shared_ptr<const format::FileMeta> meta) {
       self->ReadFileColumns(index, files, file_index, (*files)[file_index],
                             std::move(meta));
     });
   }
 
-  /// Fetches + parses a file footer (or resolves it via the synthetic
-  /// catalog) and hands the FileMeta to `then`. Failures finish the task.
-  void FetchFooter(const TableFileAssignment& file,
-                   std::function<void(format::FileMeta)> then) {
+  /// Fetches a file footer and hands its FileMeta to `then`: parsed through
+  /// the engine's footer memo, or resolved via the synthetic catalog.
+  /// Failures finish the task.
+  void FetchFooter(
+      const TableFileAssignment& file,
+      std::function<void(std::shared_ptr<const format::FileMeta>)> then) {
     const int64_t fetch =
         std::min<int64_t>(file.size, format::kFooterFetchSize);
     auto self = shared_from_this();
@@ -269,17 +272,18 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
             return;
           }
           self->bytes_read_ += result->size();
-          format::FileMeta meta;
+          std::shared_ptr<const format::FileMeta> meta;
           if (result->is_synthetic()) {
             auto found = self->ec_->catalog->Find(file.key);
             if (!found.ok()) {
               self->Fail(found.status());
               return;
             }
-            meta = std::move(found).ValueUnsafe();
+            meta = std::make_shared<const format::FileMeta>(
+                std::move(found).ValueUnsafe());
           } else {
-            auto parsed = format::ParseFooter(result->data(),
-                                              file.size - fetch, file.size);
+            auto parsed = self->ec_->table_footers.Parse(
+                result->data(), file.size - fetch, file.size);
             if (!parsed.ok()) {
               self->Fail(parsed.status());
               return;
@@ -324,30 +328,26 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     return projection;
   }
 
-  /// Applies the input's pushdown predicate to a freshly decoded row group.
-  /// Synthetic pruning already reduced groups; the residual selectivity is
-  /// relative to the pruned set.
-  [[nodiscard]] Result<Chunk> ApplyPushdown(const InputSpec& spec,
-                                            Chunk&& chunk) {
+  /// Applies input `index`'s pushdown predicate to a freshly decoded row
+  /// group, through the filter kernel the filter operator uses; the decoded
+  /// buffers go back to the pool. Synthetic pruning already reduced groups;
+  /// the residual selectivity is relative to the pruned set.
+  [[nodiscard]] Result<Chunk> ApplyPushdown(size_t index, Chunk&& chunk) {
+    const InputSpec& spec = pipeline_.inputs[index];
     if (!spec.pushdown) return std::move(chunk);
-    OperatorSpec filter;
-    filter.op = "filter";
-    filter.predicate = spec.pushdown;
-    filter.selectivity = spec.pushdown_selectivity;
-    Result<Chunk> out = ApplyFilterOp(filter, std::move(chunk), &cost_);
-    // ApplyFilterOp copies surviving rows out; the decoded source buffers
-    // go back to the pool for the next row group.
-    // skyrise-check: allow(use-after-move) — Release accepts moved-from chunks.
-    chunk_pool_.Release(std::move(chunk));
-    return out;
+    std::optional<FilterKernel>& filter = pushdown_[index];
+    if (!filter.has_value()) {
+      filter.emplace(spec.pushdown, spec.pushdown_selectivity, &cost_,
+                     &chunk_pool_);
+    }
+    return filter->Apply(std::move(chunk));
   }
 
   void ReadFileColumns(size_t index,
                        std::shared_ptr<std::vector<TableFileAssignment>> files,
                        size_t file_index, const TableFileAssignment& file,
-                       format::FileMeta meta) {
+                       std::shared_ptr<const format::FileMeta> meta_ptr) {
     const InputSpec& spec = pipeline_.inputs[index];
-    auto meta_ptr = std::make_shared<format::FileMeta>(std::move(meta));
     auto survivors =
         std::make_shared<std::vector<size_t>>(PruneRowGroups(spec, *meta_ptr));
     std::vector<std::string> projection = ProjectionFor(spec, *meta_ptr);
@@ -409,8 +409,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
           self->Fail(decode_status);
           return;
         }
-        auto filtered = self->ApplyPushdown(self->pipeline_.inputs[index],
-                                            std::move(decoded));
+        auto filtered = self->ApplyPushdown(index, std::move(decoded));
         if (!filtered.ok()) {
           self->Fail(filtered.status());
           return;
@@ -620,14 +619,16 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     }
     const TableFileAssignment& file = (*stream_files_)[file_index];
     auto self = shared_from_this();
-    FetchFooter(file, [self, file_index](format::FileMeta meta) {
+    FetchFooter(file, [self, file_index](
+                          std::shared_ptr<const format::FileMeta> meta) {
       self->StreamFileColumns(file_index, std::move(meta));
     });
   }
 
-  void StreamFileColumns(size_t file_index, format::FileMeta meta) {
+  void StreamFileColumns(size_t file_index,
+                         std::shared_ptr<const format::FileMeta> meta) {
     const InputSpec& spec = pipeline_.inputs[0];
-    stream_meta_ = std::make_shared<format::FileMeta>(std::move(meta));
+    stream_meta_ = std::move(meta);
     stream_projection_ = ProjectionFor(spec, *stream_meta_);
     stream_survivors_ = PruneRowGroups(spec, *stream_meta_);
     {
@@ -742,7 +743,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
         Fail(decode_status);
         return;
       }
-      auto filtered = ApplyPushdown(pipeline_.inputs[0], std::move(decoded));
+      auto filtered = ApplyPushdown(0, std::move(decoded));
       if (!filtered.ok()) {
         Fail(filtered.status());
         return;
@@ -877,7 +878,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
         blob = Blob::Synthetic(encoded);
       } else {
         std::string bytes =
-            format::WriteCofFile(output.chunk.schema(), {output.chunk});
+            format::WriteCofFile(output.chunk.schema(), output.chunk);
         cost_.AddNs(static_cast<double>(bytes.size()) *
                     cost_.model().encode_ns_per_byte);
         blob = Blob::FromString(std::move(bytes));
@@ -968,6 +969,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
   int barrier_participants_ = 0;
   std::vector<WorkerInputAssignment> assignments_;
   std::vector<std::optional<Chunk>> loaded_;  ///< Build-side inputs.
+  std::vector<std::optional<FilterKernel>> pushdown_;  ///< Per input.
 
   // Streaming state for input 0.
   /// Per-task recycling pool: decoded row groups, pushdown-spent inputs, and
@@ -984,7 +986,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
   std::optional<data::Schema> fallback_schema_;
   std::shared_ptr<std::vector<TableFileAssignment>> stream_files_;
   size_t stream_file_index_ = 0;
-  std::shared_ptr<format::FileMeta> stream_meta_;
+  std::shared_ptr<const format::FileMeta> stream_meta_;
   std::vector<std::string> stream_projection_;
   std::vector<size_t> stream_survivors_;
   std::deque<ReadOp> stream_pending_;

@@ -10,26 +10,21 @@ namespace skyrise::format {
 namespace {
 constexpr char kMagic[4] = {'C', 'O', 'F', '1'};
 
-std::optional<double> ColumnMin(const data::Column& col) {
+/// Sets `cm`'s min and max over rows [offset, offset + count) of a numeric
+/// or date column; strings and empty ranges leave them unset.
+void SetMinMax(const data::Column& col, size_t offset, size_t count,
+               ColumnChunkMeta* cm) {
   using data::DataType;
-  if (col.size() == 0) return std::nullopt;
+  if (count == 0 || col.type() == DataType::kString) return;
   if (col.type() == DataType::kDouble) {
-    return *std::min_element(col.doubles().begin(), col.doubles().end());
+    const double* first = col.doubles().data() + offset;
+    cm->min = *std::min_element(first, first + count);
+    cm->max = *std::max_element(first, first + count);
+    return;
   }
-  if (col.type() == DataType::kString) return std::nullopt;
-  return static_cast<double>(
-      *std::min_element(col.ints().begin(), col.ints().end()));
-}
-
-std::optional<double> ColumnMax(const data::Column& col) {
-  using data::DataType;
-  if (col.size() == 0) return std::nullopt;
-  if (col.type() == DataType::kDouble) {
-    return *std::max_element(col.doubles().begin(), col.doubles().end());
-  }
-  if (col.type() == DataType::kString) return std::nullopt;
-  return static_cast<double>(
-      *std::max_element(col.ints().begin(), col.ints().end()));
+  const int64_t* first = col.ints().data() + offset;
+  cm->min = static_cast<double>(*std::min_element(first, first + count));
+  cm->max = static_cast<double>(*std::max_element(first, first + count));
 }
 
 data::DataType TypeFromName(const std::string& name) {
@@ -81,9 +76,13 @@ Json FileMeta::ToJson() const {
 
 Result<FileMeta> FileMeta::FromJson(const Json& json) {
   if (!json.is_object()) return Status::IoError("footer is not an object");
+  if (!json.Get("schema").is_array() || !json.Get("row_groups").is_array()) {
+    return Status::IoError("footer lacks a schema or row groups");
+  }
   FileMeta meta;
   std::vector<data::Field> fields;
   for (const auto& f : json.Get("schema").AsArray()) {
+    if (!f.is_object()) return Status::IoError("footer field not an object");
     fields.push_back(
         data::Field{f.GetString("name"), TypeFromName(f.GetString("type"))});
   }
@@ -91,12 +90,20 @@ Result<FileMeta> FileMeta::FromJson(const Json& json) {
   meta.data_size = json.GetInt("data_size");
   meta.synthetic = json.GetBool("synthetic");
   for (const auto& g : json.Get("row_groups").AsArray()) {
+    if (!g.is_object() || !g.Get("columns").is_array()) {
+      return Status::IoError("footer row group lacks columns");
+    }
     RowGroupMeta rg;
     rg.rows = g.GetInt("rows");
     for (const auto& c : g.Get("columns").AsArray()) {
+      if (!c.is_object()) return Status::IoError("footer column not an object");
       ColumnChunkMeta cm;
       cm.offset = c.GetInt("offset");
       cm.size = c.GetInt("size");
+      if (cm.offset < 0 || cm.size < 0 || cm.offset > meta.data_size ||
+          cm.size > meta.data_size - cm.offset) {
+        return Status::IoError("footer column chunk outside the data region");
+      }
       if (c.Has("min")) cm.min = c.GetDouble("min");
       if (c.Has("max")) cm.max = c.GetDouble("max");
       rg.columns.push_back(cm);
@@ -123,54 +130,55 @@ Status CofWriter::Append(const data::Chunk& chunk) {
   if (chunk.is_synthetic()) {
     return Status::InvalidArgument("cannot write synthetic chunk");
   }
-  buffer_.Append(chunk);
-  while (buffer_.rows() >= row_group_rows_) FlushRowGroup();
+  // Row groups take rows in order: first top up a buffered partial group,
+  // then encode whole groups in place, then buffer the rest.
+  int64_t offset = 0;
+  const int64_t rows = chunk.rows();
+  if (buffer_.rows() > 0) {
+    const int64_t take = std::min(rows, row_group_rows_ - buffer_.rows());
+    buffer_.AppendRange(chunk, 0, take);
+    offset = take;
+    if (buffer_.rows() == row_group_rows_) {
+      WriteRowGroup(buffer_, 0, row_group_rows_);
+      buffer_.ResetTo(schema_);
+    }
+  }
+  for (; rows - offset >= row_group_rows_; offset += row_group_rows_) {
+    WriteRowGroup(chunk, offset, row_group_rows_);
+  }
+  buffer_.AppendRange(chunk, offset, rows - offset);
   return Status::OK();
 }
 
-void CofWriter::FlushRowGroup() {
-  const int64_t take = std::min<int64_t>(buffer_.rows(), row_group_rows_);
-  if (take == 0) return;
-  // Split buffer into [0, take) and the remainder.
-  data::Chunk group = data::Chunk::Empty(schema_);
-  data::Chunk rest = data::Chunk::Empty(schema_);
-  std::vector<uint32_t> head, tail;
-  for (int64_t i = 0; i < buffer_.rows(); ++i) {
-    (i < take ? head : tail).push_back(static_cast<uint32_t>(i));
-  }
-  std::vector<data::Column> head_cols, tail_cols;
-  for (size_t c = 0; c < buffer_.num_columns(); ++c) {
-    head_cols.push_back(buffer_.column(c).Filter(head));
-    tail_cols.push_back(buffer_.column(c).Filter(tail));
-  }
-  group = data::Chunk(schema_, std::move(head_cols));
-  rest = data::Chunk(schema_, std::move(tail_cols));
-
+void CofWriter::WriteRowGroup(const data::Chunk& chunk, int64_t offset,
+                              int64_t rows) {
   RowGroupMeta rg;
-  rg.rows = group.rows();
-  for (size_t c = 0; c < group.num_columns(); ++c) {
+  rg.rows = rows;
+  for (size_t c = 0; c < chunk.num_columns(); ++c) {
+    const data::Column& column = chunk.column(c);
     ColumnChunkMeta cm;
     cm.offset = static_cast<int64_t>(data_.size());
-    cm.min = ColumnMin(group.column(c));
-    cm.max = ColumnMax(group.column(c));
-    std::string encoded;
-    EncodeColumn(group.column(c), &encoded);
-    cm.size = static_cast<int64_t>(encoded.size());
-    data_ += encoded;
+    SetMinMax(column, static_cast<size_t>(offset), static_cast<size_t>(rows),
+              &cm);
+    EncodeColumn(column, static_cast<size_t>(offset),
+                 static_cast<size_t>(rows), &data_);
+    cm.size = static_cast<int64_t>(data_.size()) - cm.offset;
     rg.columns.push_back(cm);
   }
   row_groups_.push_back(std::move(rg));
-  buffer_ = std::move(rest);
 }
 
 std::string CofWriter::Finish() {
-  while (buffer_.rows() > 0) FlushRowGroup();
+  if (buffer_.rows() > 0) WriteRowGroup(buffer_, 0, buffer_.rows());
   FileMeta meta;
   meta.schema = schema_;
   meta.row_groups = std::move(row_groups_);
   meta.data_size = static_cast<int64_t>(data_.size());
   const std::string footer = meta.ToJson().Dump();
-  std::string out = std::move(data_);
+  // Sized exactly: stored files keep their capacity for as long as they live.
+  std::string out;
+  out.reserve(data_.size() + footer.size() + kCofTrailerSize);
+  out += data_;
   out += footer;
   const uint32_t footer_size = static_cast<uint32_t>(footer.size());
   char trailer[8];
@@ -180,11 +188,10 @@ std::string CofWriter::Finish() {
   return out;
 }
 
-std::string WriteCofFile(const data::Schema& schema,
-                         const std::vector<data::Chunk>& chunks,
+std::string WriteCofFile(const data::Schema& schema, const data::Chunk& chunk,
                          int64_t row_group_rows) {
   CofWriter writer(schema, row_group_rows);
-  for (const auto& chunk : chunks) SKYRISE_CHECK_OK(writer.Append(chunk));
+  SKYRISE_CHECK_OK(writer.Append(chunk));
   return writer.Finish();
 }
 
@@ -233,8 +240,11 @@ FileMeta BuildSyntheticFileMeta(
   return meta;
 }
 
-Result<FileMeta> ParseFooter(const std::string& tail, int64_t tail_offset,
-                             int64_t file_size) {
+namespace {
+
+/// The footer bytes at the end of `tail`, once the trailer checks out.
+Result<std::string_view> FooterBytes(const std::string& tail,
+                                     int64_t tail_offset, int64_t file_size) {
   if (tail.size() < kCofTrailerSize) return Status::IoError("file too small");
   const int64_t tail_end = tail_offset + static_cast<int64_t>(tail.size());
   if (tail_end != file_size) {
@@ -248,11 +258,39 @@ Result<FileMeta> ParseFooter(const std::string& tail, int64_t tail_offset,
   if (footer_size + static_cast<size_t>(kCofTrailerSize) > tail.size()) {
     return Status::IoError("footer larger than fetched tail");
   }
-  const std::string footer =
-      tail.substr(tail.size() - kCofTrailerSize - footer_size, footer_size);
+  return std::string_view(tail).substr(
+      tail.size() - kCofTrailerSize - footer_size, footer_size);
+}
+
+Result<FileMeta> ParseFooterBytes(std::string_view footer) {
   Json json;
-  SKYRISE_ASSIGN_OR_RETURN(json, Json::Parse(footer));
+  SKYRISE_ASSIGN_OR_RETURN(json, Json::Parse(std::string(footer)));
   return FileMeta::FromJson(json);
+}
+
+}  // namespace
+
+Result<FileMeta> ParseFooter(const std::string& tail, int64_t tail_offset,
+                             int64_t file_size) {
+  std::string_view footer;
+  SKYRISE_ASSIGN_OR_RETURN(footer, FooterBytes(tail, tail_offset, file_size));
+  return ParseFooterBytes(footer);
+}
+
+Result<std::shared_ptr<const FileMeta>> FooterMemo::Parse(
+    const std::string& tail, int64_t tail_offset, int64_t file_size) {
+  std::string_view footer;
+  SKYRISE_ASSIGN_OR_RETURN(footer, FooterBytes(tail, tail_offset, file_size));
+  auto it = parsed_.find(footer);
+  if (it == parsed_.end()) {
+    FileMeta meta;
+    SKYRISE_ASSIGN_OR_RETURN(meta, ParseFooterBytes(footer));
+    it = parsed_
+             .emplace(std::string(footer),
+                      std::make_shared<const FileMeta>(std::move(meta)))
+             .first;
+  }
+  return it->second;
 }
 
 Result<std::vector<ColumnRange>> RowGroupColumnRanges(

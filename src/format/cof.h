@@ -1,8 +1,10 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.h"
@@ -22,17 +24,15 @@
 /// column chunks a query projects (projection pushdown) — the Section 3.2
 /// access pattern on cloud object storage.
 ///
-/// For paper-scale experiments a file can be *synthetic*: the footer is
-/// materialized, the data region is a size without content, and scans yield
-/// synthetic chunks (row counts only) through the same request sequence.
+/// A *synthetic* file (paper-scale runs) materializes only its footer; scans
+/// yield row-count-only chunks through the same request sequence.
 
 namespace skyrise::format {
 
 struct ColumnChunkMeta {
   int64_t offset = 0;  ///< Absolute file offset.
   int64_t size = 0;
-  /// Min/max for numeric/date columns (unset for strings).
-  std::optional<double> min;
+  std::optional<double> min;  ///< Min/max: numeric and date columns only.
   std::optional<double> max;
 };
 
@@ -62,14 +62,17 @@ class CofWriter {
   /// `row_group_rows`: target rows per row group.
   explicit CofWriter(data::Schema schema, int64_t row_group_rows = 65536);
 
-  /// Appends a materialized chunk (split across row groups as needed).
+  /// Appends a materialized chunk, split across row groups as needed.
+  /// Whole row groups are encoded straight from `chunk`'s columns; only a
+  /// partial group's rows are buffered.
   [[nodiscard]] Status Append(const data::Chunk& chunk);
 
   /// Finalizes and returns the file bytes.
   std::string Finish();
 
  private:
-  void FlushRowGroup();
+  /// Encodes rows [offset, offset + rows) of `chunk` as one row group.
+  void WriteRowGroup(const data::Chunk& chunk, int64_t offset, int64_t rows);
 
   data::Schema schema_;
   int64_t row_group_rows_;
@@ -78,9 +81,8 @@ class CofWriter {
   std::vector<RowGroupMeta> row_groups_;
 };
 
-/// Serializes a materialized table in one call.
-std::string WriteCofFile(const data::Schema& schema,
-                         const std::vector<data::Chunk>& chunks,
+/// Serializes a materialized chunk of `schema` in one call.
+std::string WriteCofFile(const data::Schema& schema, const data::Chunk& chunk,
                          int64_t row_group_rows = 65536);
 
 /// Builds the footer for a synthetic file of `rows` rows and roughly
@@ -98,9 +100,24 @@ FileMeta BuildSyntheticFileMeta(const data::Schema& schema, int64_t rows,
                                 const std::vector<SyntheticColumnStats>& stats);
 
 /// Parses a footer from the trailing `tail` bytes of a file of `file_size`
-/// bytes. `tail_offset` is the file offset where `tail` begins.
+/// bytes. `tail_offset` is the file offset where `tail` begins. A footer
+/// without its schema, row groups or column lists, or with a column chunk
+/// outside the data region, is an IoError.
 [[nodiscard]] Result<FileMeta> ParseFooter(const std::string& tail, int64_t tail_offset,
                              int64_t file_size);
+
+/// ParseFooter for immutable files read many times, such as base tables:
+/// each distinct footer is parsed once, keyed by its bytes, so equal bytes
+/// share one FileMeta. Engine-instance state (see
+/// engine::EngineContext::table_footers); not thread-safe.
+class FooterMemo {
+ public:
+  [[nodiscard]] Result<std::shared_ptr<const FileMeta>> Parse(
+      const std::string& tail, int64_t tail_offset, int64_t file_size);
+
+ private:
+  std::map<std::string, std::shared_ptr<const FileMeta>, std::less<>> parsed_;
+};
 
 /// One ranged read needed to fetch a projected column chunk of a row group.
 struct ColumnRange {

@@ -33,26 +33,30 @@ int64_t ZigzagDecode(uint64_t v) {
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
 }
 
-ColumnEncoding EncodeColumn(const data::Column& column, std::string* out) {
+ColumnEncoding EncodeColumn(const data::Column& column, size_t offset,
+                            size_t count, std::string* out) {
   using data::DataType;
+  SKYRISE_CHECK(offset + count <= column.size());
   switch (column.type()) {
     case DataType::kDouble: {
       out->push_back(static_cast<char>(ColumnEncoding::kDoubleRaw));
-      const auto& vals = column.doubles();
       const size_t base = out->size();
-      out->resize(base + vals.size() * 8);
-      std::memcpy(out->data() + base, vals.data(), vals.size() * 8);
+      out->resize(base + count * 8);
+      std::memcpy(out->data() + base, column.doubles().data() + offset,
+                  count * 8);
       return ColumnEncoding::kDoubleRaw;
     }
     case DataType::kString: {
-      const auto& vals = column.strings();
+      const auto first = column.strings().begin() +
+                         static_cast<ptrdiff_t>(offset);
+      const auto last = first + static_cast<ptrdiff_t>(count);
       // Count distinct values (bail out once clearly high-cardinality).
       std::map<std::string, uint32_t> dict;
-      for (const auto& s : vals) {
-        dict.emplace(s, 0);
+      for (auto it = first; it != last; ++it) {
+        dict.emplace(*it, 0);
         if (dict.size() > 255) break;
       }
-      if (dict.size() <= 255 && !vals.empty()) {
+      if (dict.size() <= 255 && count > 0) {
         out->push_back(static_cast<char>(ColumnEncoding::kStringDict));
         uint32_t next = 0;
         for (auto& [key, id] : dict) id = next++;
@@ -61,24 +65,25 @@ ColumnEncoding EncodeColumn(const data::Column& column, std::string* out) {
           PutVarint(out, key.size());
           out->append(key);
         }
-        for (const auto& s : vals) {
-          out->push_back(static_cast<char>(dict[s]));
+        for (auto it = first; it != last; ++it) {
+          out->push_back(static_cast<char>(dict[*it]));
         }
         return ColumnEncoding::kStringDict;
       }
       out->push_back(static_cast<char>(ColumnEncoding::kStringPlain));
-      for (const auto& s : vals) {
-        PutVarint(out, s.size());
-        out->append(s);
+      for (auto it = first; it != last; ++it) {
+        PutVarint(out, it->size());
+        out->append(*it);
       }
       return ColumnEncoding::kStringPlain;
     }
     default: {  // kInt64 / kDate.
       out->push_back(static_cast<char>(ColumnEncoding::kIntDelta));
       int64_t prev = 0;
-      for (int64_t v : column.ints()) {
-        PutVarint(out, ZigzagEncode(v - prev));
-        prev = v;
+      const int64_t* values = column.ints().data() + offset;
+      for (size_t i = 0; i < count; ++i) {
+        PutVarint(out, ZigzagEncode(values[i] - prev));
+        prev = values[i];
       }
       return ColumnEncoding::kIntDelta;
     }

@@ -27,9 +27,17 @@ enum class ColumnEncoding : uint8_t {
   kStringDict = 3,
 };
 
-/// Encodes a column into `out`; returns the encoding used. The first byte of
-/// the encoded chunk records the encoding.
-ColumnEncoding EncodeColumn(const data::Column& column, std::string* out);
+/// Appends the encoding of rows [offset, offset + count) of a column to
+/// `out`; returns the encoding used. The first byte of the encoded chunk
+/// records the encoding.
+ColumnEncoding EncodeColumn(const data::Column& column, size_t offset,
+                            size_t count, std::string* out);
+
+/// EncodeColumn over all of `column`'s rows.
+inline ColumnEncoding EncodeColumn(const data::Column& column,
+                                   std::string* out) {
+  return EncodeColumn(column, 0, column.size(), out);
+}
 
 /// Decodes an encoded column chunk of `rows` values.
 [[nodiscard]] Result<data::Column> DecodeColumn(const std::string& bytes,

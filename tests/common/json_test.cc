@@ -102,6 +102,22 @@ TEST(JsonTest, ParseErrors) {
   EXPECT_FALSE(Json::Parse("\"unterminated").ok());
 }
 
+TEST(JsonTest, RegressionDeepNestingIsAnError) {
+  // 100,000 '[' once overflowed the parser's stack.
+  auto deep = Json::Parse(std::string(100000, '['));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().code(), StatusCode::kInvalidArgument);
+  // The limit is 256 open arrays or objects.
+  EXPECT_TRUE(
+      Json::Parse(std::string(256, '[') + std::string(256, ']')).ok());
+  EXPECT_FALSE(
+      Json::Parse(std::string(257, '[') + std::string(257, ']')).ok());
+  std::string objects;
+  for (int i = 0; i < 257; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(257, '}');
+  EXPECT_FALSE(Json::Parse(objects).ok());
+}
+
 TEST(JsonTest, LargeIntegersPreserved) {
   Json v(int64_t{123456789012345});
   auto parsed = Json::Parse(v.Dump());

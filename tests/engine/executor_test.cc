@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
+#include "common/string_util.h"
+#include "engine/memory_tracker.h"
+
 namespace skyrise::engine {
 namespace {
 
@@ -30,6 +36,91 @@ PipelineSpec PipelineWith(std::vector<OperatorSpec> ops) {
   p.id = 1;
   p.ops = std::move(ops);
   return p;
+}
+
+/// Rows with keys of every kind: ints across digit widths and signs, two
+/// string columns, and doubles including -0.0 and NaNs of both signs.
+Chunk KeyKindsChunk() {
+  Schema schema({{"i", DataType::kInt64},
+                 {"d", DataType::kDouble},
+                 {"s", DataType::kString},
+                 {"t", DataType::kString},
+                 {"v", DataType::kDouble}});
+  Chunk chunk = Chunk::Empty(schema);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int64_t ints[] = {100, -1, 9, 10, 9, -1, 100, 10, -5, 0};
+  const double doubles[] = {1.5, -0.0, 0.0, nan, -nan,
+                            std::nan("7"), 10.0, 9.5, -2.5, 1.5};
+  const char* s[] = {"b", "a", "ab", "a", "b", "a", "a", "", "a", "b"};
+  const char* t[] = {"x", "yy", "", "b", "x", "yy", "b", "a", "", "x"};
+  for (int r = 0; r < 10; ++r) {
+    chunk.column(0).AppendInt(ints[r]);
+    chunk.column(1).AppendDouble(doubles[r]);
+    chunk.column(2).AppendString(s[r]);
+    chunk.column(3).AppendString(t[r]);
+    chunk.column(4).AppendDouble(1 << r);
+  }
+  return chunk;
+}
+
+OperatorSpec SumAndCountBy(std::vector<std::string> keys) {
+  OperatorSpec agg;
+  agg.op = "hash_agg";
+  agg.group_by = std::move(keys);
+  agg.aggregates.push_back({"sum", Col("v"), "total"});
+  agg.aggregates.push_back({"count", nullptr, "n"});
+  return agg;
+}
+
+/// A 30-row build side whose keys repeat on both sides of row 20, and a
+/// `tag` column holding each row's index.
+Chunk DuplicateKeyBuild() {
+  Schema schema({{"id", DataType::kInt64}, {"tag", DataType::kInt64}});
+  Chunk build = Chunk::Empty(schema);
+  for (int64_t r = 0; r < 30; ++r) {
+    int64_t id = 100 + r;
+    if (r == 0 || r == 5 || r == 12 || r == 20 || r == 21 || r == 25 ||
+        r == 28) {
+      id = 1;
+    } else if (r == 3 || r == 22) {
+      id = 2;
+    } else if (r == 1 || r == 2) {
+      id = -10;
+    }
+    build.column(0).AppendInt(id);
+    build.column(1).AppendInt(r);
+  }
+  return build;
+}
+
+OperatorSpec JoinOnKeyTaggingBuildRows() {
+  OperatorSpec join;
+  join.op = "hash_join";
+  join.probe_keys = {"key"};
+  join.build_keys = {"id"};
+  join.build_columns = {"tag"};
+  return join;
+}
+
+/// Runs `pipeline` in 4-row morsels with a MemoryTracker.
+struct TrackedRun {
+  std::vector<FragmentOutput> outputs;
+  int64_t peak_memory = 0;
+};
+
+TrackedRun RunTracked(const PipelineSpec& pipeline, Chunk input,
+                      std::vector<Chunk> builds) {
+  CostAccumulator cost;
+  MemoryTracker memory;
+  FragmentPipeline executor(pipeline, std::move(builds), &cost, &memory,
+                            /*morsel_rows=*/4);
+  EXPECT_TRUE(executor.Push(std::move(input)).ok());
+  auto outputs = executor.Finish();
+  EXPECT_TRUE(outputs.ok());
+  TrackedRun run;
+  if (outputs.ok()) run.outputs = std::move(outputs).ValueUnsafe();
+  run.peak_memory = memory.peak();
+  return run;
 }
 
 TEST(ExecutorTest, FilterMaterialized) {
@@ -98,11 +189,105 @@ TEST(ExecutorTest, HashAggregateScalar) {
   OperatorSpec agg;
   agg.op = "hash_agg";
   agg.aggregates.push_back({"sum", Col("amount"), "total"});
+  agg.aggregates.push_back({"count", nullptr, "n"});
+  agg.aggregates.push_back({"min", Col("amount"), "lo"});
   CostAccumulator cost;
   auto out = ExecuteFragment(PipelineWith({agg}), SalesChunk(), {}, &cost);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ((*out)[0].chunk.rows(), 1);
   EXPECT_DOUBLE_EQ((*out)[0].chunk.column(0).doubles()[0], 210);
+  EXPECT_EQ((*out)[0].chunk.column(1).ints()[0], 6);
+  EXPECT_DOUBLE_EQ((*out)[0].chunk.column(2).doubles()[0], 10);
+  // No input rows: no group, so no output row.
+  auto empty = ExecuteFragment(PipelineWith({agg}),
+                               Chunk::Empty(SalesChunk().schema()), {}, &cost);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ((*empty)[0].chunk.rows(), 0);
+}
+
+TEST(ExecutorTest, HashAggregateEmitsGroupsInKeyTextOrder) {
+  // Groups come out in ascending order of their keys' text: decimal ints,
+  // "%.17g" doubles, each field followed by 0x1F. So 10 and 100 sort before
+  // 9, -0.0 is apart from 0.0, and NaNs of one sign form one group.
+  CostAccumulator cost;
+  auto ints = ExecuteFragment(PipelineWith({SumAndCountBy({"i"})}),
+                              KeyKindsChunk(), {}, &cost);
+  ASSERT_TRUE(ints.ok());
+  const Chunk& by_int = (*ints)[0].chunk;
+  EXPECT_EQ(by_int.column(0).ints(),
+            (std::vector<int64_t>{-1, -5, 0, 10, 100, 9}));
+  EXPECT_EQ(by_int.column(1).doubles(),
+            (std::vector<double>{34, 256, 512, 136, 65, 20}));
+  EXPECT_EQ(by_int.column(2).ints(), (std::vector<int64_t>{2, 1, 1, 2, 2, 2}));
+
+  auto strings = ExecuteFragment(PipelineWith({SumAndCountBy({"s", "t"})}),
+                                 KeyKindsChunk(), {}, &cost);
+  ASSERT_TRUE(strings.ok());
+  const Chunk& by_strings = (*strings)[0].chunk;
+  EXPECT_EQ(by_strings.column(0).strings(),
+            (std::vector<std::string>{"", "a", "a", "a", "ab", "b"}));
+  EXPECT_EQ(by_strings.column(1).strings(),
+            (std::vector<std::string>{"a", "", "b", "yy", "", "x"}));
+  EXPECT_EQ(by_strings.column(2).doubles(),
+            (std::vector<double>{128, 256, 72, 34, 4, 529}));
+
+  auto doubles = ExecuteFragment(PipelineWith({SumAndCountBy({"d"})}),
+                                 KeyKindsChunk(), {}, &cost);
+  ASSERT_TRUE(doubles.ok());
+  const Chunk& by_double = (*doubles)[0].chunk;
+  EXPECT_EQ(by_double.column(1).doubles(),
+            (std::vector<double>{2, 256, 16, 4, 513, 64, 128, 40}));
+  EXPECT_EQ(by_double.column(2).ints(),
+            (std::vector<int64_t>{1, 1, 1, 1, 2, 1, 1, 2}));
+  std::vector<std::string> keys;
+  for (double d : by_double.column(0).doubles()) {
+    keys.push_back(StrFormat("%.17g", d));
+  }
+  EXPECT_EQ(keys, (std::vector<std::string>{"-0", "-2.5", "-nan", "0", "1.5",
+                                            "10", "9.5", "nan"}));
+}
+
+TEST(ExecutorTest, HashAggregateKeepsSeparatorStringsApart) {
+  // ("a\x1f" "b", "c") and ("a", "b\x1f" "c") share a key text but are
+  // distinct keys: they stay two groups, in insertion order.
+  Schema schema({{"s", DataType::kString},
+                 {"t", DataType::kString},
+                 {"v", DataType::kDouble}});
+  Chunk chunk = Chunk::Empty(schema);
+  chunk.column(0).AppendString("a\x1f" "b");
+  chunk.column(1).AppendString("c");
+  chunk.column(0).AppendString("a");
+  chunk.column(1).AppendString("b\x1f" "c");
+  chunk.column(2).AppendDouble(1);
+  chunk.column(2).AppendDouble(2);
+  CostAccumulator cost;
+  auto out = ExecuteFragment(PipelineWith({SumAndCountBy({"s", "t"})}),
+                             std::move(chunk), {}, &cost);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ((*out)[0].chunk.column(2).doubles(), (std::vector<double>{1, 2}));
+}
+
+TEST(ExecutorTest, HashAggregateRejectsUnknownFunctionWithoutRows) {
+  OperatorSpec agg;
+  agg.op = "hash_agg";
+  agg.aggregates.push_back({"median", Col("amount"), "m"});
+  CostAccumulator cost;
+  auto out = ExecuteFragment(PipelineWith({agg}),
+                             Chunk::Empty(SalesChunk().schema()), {}, &cost);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(
+      PipelineOutputSchema(PipelineWith({agg}), SalesChunk().schema(), {})
+          .ok());
+}
+
+TEST(ExecutorTest, HashAggregatePeakMemoryChargesKeyText) {
+  const TrackedRun run =
+      RunTracked(PipelineWith({SumAndCountBy({"d", "s"})}), KeyKindsChunk(),
+                 {});
+  ASSERT_EQ(run.outputs.size(), 1u);
+  EXPECT_EQ(run.outputs[0].chunk.rows(), 8);
+  EXPECT_EQ(run.peak_memory, 625);
 }
 
 TEST(ExecutorTest, HashAggregateSyntheticGroupsHint) {
@@ -142,6 +327,59 @@ TEST(ExecutorTest, HashJoinInner) {
   EXPECT_EQ(chunk.schema().FieldIndex("name"), 3);
   // Row 0: key 1 -> "one".
   EXPECT_EQ(chunk.column(3).strings()[0], "one");
+}
+
+TEST(ExecutorTest, HashJoinEmitsDuplicateMatchesInMultimapOrder) {
+  // Per probe row, matches come in the order a libstdc++
+  // unordered_multimap<std::string, size_t> returned them: build rows
+  // inserted while the table held at most 20 rows follow the first one,
+  // newest first; later ones go in front of the group, newest first.
+  Schema probe_schema({{"key", DataType::kInt64}, {"p", DataType::kInt64}});
+  Chunk probe = Chunk::Empty(probe_schema);
+  const int64_t keys[] = {1, 2, 7, -10, 1};
+  for (int64_t r = 0; r < 5; ++r) {
+    probe.column(0).AppendInt(keys[r]);
+    probe.column(1).AppendInt(r);
+  }
+  const TrackedRun run =
+      RunTracked(PipelineWith({JoinOnKeyTaggingBuildRows()}),
+                 std::move(probe), {DuplicateKeyBuild()});
+  ASSERT_EQ(run.outputs.size(), 1u);
+  const Chunk& chunk = run.outputs[0].chunk;
+  EXPECT_EQ(chunk.column(1).ints(),
+            (std::vector<int64_t>{0, 0, 0, 0, 0, 0, 0, 1, 1, 3, 3, 4, 4, 4, 4,
+                                  4, 4, 4}));
+  EXPECT_EQ(chunk.column(2).ints(),
+            (std::vector<int64_t>{28, 25, 21, 0, 20, 12, 5, 22, 3, 1, 2, 28,
+                                  25, 21, 0, 20, 12, 5}));
+  EXPECT_EQ(run.peak_memory, 1734);
+}
+
+TEST(ExecutorTest, HashJoinRejectsKeysOfDifferentKinds) {
+  // Int and date keys join; an int key never matches a string or double
+  // key through their text.
+  Schema dim_schema({{"id", DataType::kString},
+                     {"day", DataType::kDate},
+                     {"price", DataType::kDouble}});
+  Chunk dim = Chunk::Empty(dim_schema);
+  dim.column(0).AppendString("1");
+  dim.column(1).AppendInt(1);
+  dim.column(2).AppendDouble(1);
+  OperatorSpec join;
+  join.op = "hash_join";
+  join.probe_keys = {"key"};
+  CostAccumulator cost;
+  for (const char* key : {"id", "price"}) {
+    join.build_keys = {key};
+    auto out = ExecuteFragment(PipelineWith({join}), SalesChunk(), {dim},
+                               &cost);
+    ASSERT_FALSE(out.ok()) << key;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << key;
+  }
+  join.build_keys = {"day"};
+  auto out = ExecuteFragment(PipelineWith({join}), SalesChunk(), {dim}, &cost);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ((*out)[0].chunk.rows(), 3);
 }
 
 TEST(ExecutorTest, HashJoinMissingBuildInputFails) {
@@ -210,6 +448,44 @@ TEST(ExecutorTest, PartitionWriteSplitsByHash) {
       }
     }
   }
+  // A row goes to partition FNV-1a(key text) % 4; the key text is the one
+  // hash aggregation orders by. Pinned per row via the unique amounts.
+  std::vector<std::vector<double>> amounts;
+  for (const auto& output : *out) {
+    amounts.push_back(output.chunk.column(1).doubles());
+  }
+  EXPECT_EQ(amounts, (std::vector<std::vector<double>>{
+                         {20, 50}, {40}, {}, {10, 30, 60}}));
+  write.partition_keys = {"region"};
+  auto by_string =
+      ExecuteFragment(PipelineWith({write}), SalesChunk(), {}, &cost);
+  ASSERT_TRUE(by_string.ok());
+  amounts.clear();
+  for (const auto& output : *by_string) {
+    amounts.push_back(output.chunk.column(1).doubles());
+  }
+  EXPECT_EQ(amounts, (std::vector<std::vector<double>>{
+                         {20, 50}, {}, {10, 30, 60}, {40}}));
+  write.partition_keys = {"region", "key"};
+  auto by_both =
+      ExecuteFragment(PipelineWith({write}), SalesChunk(), {}, &cost);
+  ASSERT_TRUE(by_both.ok());
+  amounts.clear();
+  for (const auto& output : *by_both) {
+    amounts.push_back(output.chunk.column(1).doubles());
+  }
+  EXPECT_EQ(amounts, (std::vector<std::vector<double>>{
+                         {}, {40}, {10, 30, 60}, {20, 50}}));
+  write.partition_keys = {"i"};
+  auto by_int =
+      ExecuteFragment(PipelineWith({write}), KeyKindsChunk(), {}, &cost);
+  ASSERT_TRUE(by_int.ok());
+  amounts.clear();
+  for (const auto& output : *by_int) {
+    amounts.push_back(output.chunk.column(4).doubles());
+  }
+  EXPECT_EQ(amounts, (std::vector<std::vector<double>>{
+                         {}, {}, {2, 32, 256, 512}, {1, 4, 8, 16, 64, 128}}));
 }
 
 TEST(ExecutorTest, PartitionWriteSyntheticEvenSplit) {

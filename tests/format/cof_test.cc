@@ -120,7 +120,7 @@ TEST(EncodingTest, TypeMismatchRejected) {
 
 TEST(CofTest, WriteParseRoundTrip) {
   Chunk chunk = SampleChunk(5000);
-  const std::string file = WriteCofFile(chunk.schema(), {chunk}, 1000);
+  const std::string file = WriteCofFile(chunk.schema(), chunk, 1000);
   auto meta = ParseFooter(file, 0, static_cast<int64_t>(file.size()));
   ASSERT_TRUE(meta.ok()) << meta.status().ToString();
   EXPECT_EQ(meta->row_groups.size(), 5u);
@@ -143,7 +143,7 @@ TEST(CofTest, WriteParseRoundTrip) {
 
 TEST(CofTest, FooterOnlyTailParse) {
   Chunk chunk = SampleChunk(100);
-  const std::string file = WriteCofFile(chunk.schema(), {chunk});
+  const std::string file = WriteCofFile(chunk.schema(), chunk);
   // Fetch only the trailing kFooterFetchSize bytes, like the reader does.
   const int64_t fetch =
       std::min<int64_t>(static_cast<int64_t>(file.size()), kFooterFetchSize);
@@ -156,7 +156,7 @@ TEST(CofTest, FooterOnlyTailParse) {
 
 TEST(CofTest, MinMaxStatisticsPerRowGroup) {
   Chunk chunk = SampleChunk(2000);
-  const std::string file = WriteCofFile(chunk.schema(), {chunk}, 500);
+  const std::string file = WriteCofFile(chunk.schema(), chunk, 500);
   auto meta = ParseFooter(file, 0, static_cast<int64_t>(file.size()));
   ASSERT_TRUE(meta.ok());
   // id column: group 1 covers [500, 999].
@@ -170,7 +170,7 @@ TEST(CofTest, MinMaxStatisticsPerRowGroup) {
 
 TEST(CofTest, ProjectionDecodesSubset) {
   Chunk chunk = SampleChunk(100);
-  const std::string file = WriteCofFile(chunk.schema(), {chunk});
+  const std::string file = WriteCofFile(chunk.schema(), chunk);
   auto meta = ParseFooter(file, 0, static_cast<int64_t>(file.size()));
   ASSERT_TRUE(meta.ok());
   std::vector<std::string> projection{"price", "id"};  // Reordered subset.
@@ -191,7 +191,7 @@ TEST(CofTest, ProjectionDecodesSubset) {
 TEST(CofTest, CorruptFilesRejected) {
   EXPECT_FALSE(ParseFooter("short", 0, 5).ok());
   Chunk chunk = SampleChunk(10);
-  std::string file = WriteCofFile(chunk.schema(), {chunk});
+  std::string file = WriteCofFile(chunk.schema(), chunk);
   std::string bad_magic = file;
   bad_magic.back() = 'X';
   EXPECT_FALSE(
@@ -201,9 +201,112 @@ TEST(CofTest, CorruptFilesRejected) {
       ParseFooter(file, 10, static_cast<int64_t>(file.size())).ok());
 }
 
+/// A file holding only `footer` and a valid trailer: the footer's length as
+/// 4 bytes little-endian, then the magic.
+std::string FileWithFooter(const std::string& footer) {
+  std::string file = footer;
+  const uint32_t size = static_cast<uint32_t>(footer.size());
+  for (int i = 0; i < 4; ++i) {
+    file.push_back(static_cast<char>(size >> (8 * i)));
+  }
+  return file + "COF1";
+}
+
+TEST(CofTest, RegressionEmptyObjectFooterIsIoError) {
+  // Ten bytes, "{}" plus a valid trailer: parsing once aborted on the
+  // missing schema instead of failing.
+  const std::string file = FileWithFooter("{}");
+  ASSERT_EQ(file.size(), 10u);
+  auto meta = ParseFooter(file, 0, 10);
+  ASSERT_FALSE(meta.ok());
+  EXPECT_EQ(meta.status().code(), StatusCode::kIoError);
+}
+
+TEST(CofTest, MalformedFootersAreIoErrors) {
+  Chunk chunk = SampleChunk(10);
+  const std::string file = WriteCofFile(chunk.schema(), chunk);
+  auto meta = ParseFooter(file, 0, static_cast<int64_t>(file.size()));
+  ASSERT_TRUE(meta.ok());
+  const std::string good = meta->ToJson().Dump();
+  ASSERT_TRUE(ParseFooter(FileWithFooter(good), 0,
+                          static_cast<int64_t>(good.size()) + 8)
+                  .ok());
+  // Json copies share their arrays and objects: edit a fresh parse each time.
+  auto fresh = [&good] { return Json::Parse(good).ValueOrDie(); };
+  auto expect_io_error = [](const Json& footer, const char* what) {
+    const std::string bad = FileWithFooter(footer.Dump());
+    auto parsed = ParseFooter(bad, 0, static_cast<int64_t>(bad.size()));
+    ASSERT_FALSE(parsed.ok()) << what;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kIoError) << what;
+  };
+  Json footer = fresh();
+  footer["schema"] = "id";
+  expect_io_error(footer, "schema not an array");
+  footer = fresh();
+  footer.AsObject().erase("row_groups");
+  expect_io_error(footer, "no row groups");
+  footer = fresh();
+  footer["row_groups"].AsArray()[0].AsObject().erase("columns");
+  expect_io_error(footer, "no column list");
+  footer = fresh();
+  footer["row_groups"].AsArray()[0]["columns"].AsArray()[1]["offset"] = -1;
+  expect_io_error(footer, "negative offset");
+  footer = fresh();
+  footer["row_groups"].AsArray()[0]["columns"].AsArray()[1]["size"] = -5;
+  expect_io_error(footer, "negative size");
+  footer = fresh();
+  footer["row_groups"].AsArray()[0]["columns"].AsArray()[3]["size"] =
+      meta->data_size;
+  expect_io_error(footer, "chunk past the data region");
+}
+
+TEST(CofTest, FooterMemoParsesEachFooterOnce) {
+  FooterMemo memo;
+  Chunk chunk = SampleChunk(300);
+  const std::string file = WriteCofFile(chunk.schema(), chunk, 100);
+  const auto size = static_cast<int64_t>(file.size());
+  auto whole = memo.Parse(file, 0, size);
+  ASSERT_TRUE(whole.ok());
+  EXPECT_EQ((*whole)->row_groups.size(), 3u);
+  // Another fetch of the same footer bytes shares the parse.
+  const std::string tail = file.substr(file.size() - 2000);
+  auto again = memo.Parse(tail, size - 2000, size);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(whole->get(), again->get());
+  const std::string other = WriteCofFile(chunk.schema(), chunk, 150);
+  auto different =
+      memo.Parse(other, 0, static_cast<int64_t>(other.size()));
+  ASSERT_TRUE(different.ok());
+  EXPECT_NE(different->get(), whole->get());
+  EXPECT_EQ((*different)->row_groups.size(), 2u);
+  // Failures are reported every time and not remembered.
+  EXPECT_FALSE(memo.Parse(FileWithFooter("{}"), 0, 10).ok());
+  EXPECT_FALSE(memo.Parse(FileWithFooter("{}"), 0, 10).ok());
+}
+
+TEST(CofTest, WriterBytesIndependentOfAppendSplits) {
+  // Row groups take rows in order whatever the appended chunks' sizes:
+  // appends that straddle, fill or skip row-group boundaries write the
+  // bytes one whole-chunk append does.
+  const Chunk whole = SampleChunk(1000);
+  const std::string expected = WriteCofFile(whole.schema(), whole, 128);
+  for (const std::vector<int64_t>& splits :
+       {std::vector<int64_t>{1000}, std::vector<int64_t>{1, 127, 128, 744},
+        std::vector<int64_t>{300, 0, 300, 400},
+        std::vector<int64_t>{50, 50, 50, 256, 594}}) {
+    CofWriter writer(whole.schema(), 128);
+    int64_t offset = 0;
+    for (int64_t rows : splits) {
+      ASSERT_TRUE(writer.Append(whole.Slice(offset, rows)).ok());
+      offset += rows;
+    }
+    EXPECT_EQ(writer.Finish(), expected) << splits.size();
+  }
+}
+
 TEST(CofTest, EmptyFileHasSchemaNoGroups) {
   Schema schema({{"x", DataType::kInt64}});
-  const std::string file = WriteCofFile(schema, {Chunk::Empty(schema)});
+  const std::string file = WriteCofFile(schema, Chunk::Empty(schema));
   auto meta = ParseFooter(file, 0, static_cast<int64_t>(file.size()));
   ASSERT_TRUE(meta.ok());
   EXPECT_EQ(meta->TotalRows(), 0);
@@ -240,7 +343,7 @@ TEST(CofTest, SyntheticDecodeYieldsSyntheticChunks) {
 
 TEST(CofTest, FileMetaJsonRoundTrip) {
   Chunk chunk = SampleChunk(300);
-  const std::string file = WriteCofFile(chunk.schema(), {chunk}, 100);
+  const std::string file = WriteCofFile(chunk.schema(), chunk, 100);
   auto meta = ParseFooter(file, 0, static_cast<int64_t>(file.size()));
   ASSERT_TRUE(meta.ok());
   auto round = FileMeta::FromJson(meta->ToJson());
@@ -256,7 +359,7 @@ TEST(CofTest, RowGroupColumnRangesLocateColumnBytes) {
   // exactly the byte spans the streaming reader fetches: decoding them
   // reproduces the original column slices.
   Chunk chunk = SampleChunk(250);
-  const std::string file = WriteCofFile(chunk.schema(), {chunk}, 100);
+  const std::string file = WriteCofFile(chunk.schema(), chunk, 100);
   auto meta = ParseFooter(file, 0, static_cast<int64_t>(file.size()));
   ASSERT_TRUE(meta.ok());
   ASSERT_EQ(meta->row_groups.size(), 3u);
@@ -284,7 +387,7 @@ TEST(CofTest, RowGroupColumnRangesLocateColumnBytes) {
 
 TEST(CofTest, RowGroupColumnRangesRejectsBadInputs) {
   Chunk chunk = SampleChunk(50);
-  const std::string file = WriteCofFile(chunk.schema(), {chunk});
+  const std::string file = WriteCofFile(chunk.schema(), chunk);
   auto meta = ParseFooter(file, 0, static_cast<int64_t>(file.size()));
   ASSERT_TRUE(meta.ok());
   EXPECT_FALSE(RowGroupColumnRanges(*meta, 99, {"id"}).ok());
