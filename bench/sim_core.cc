@@ -14,6 +14,9 @@
 ///     cancellation workload;
 ///   - bytes decoded/sec through format::DecodeColumnInto with reused
 ///     column buffers, over all four column encodings;
+///   - allocations per attempt and spilled event callbacks on the storage
+///     request path (storage::RetryClient into a throttling
+///     storage::ObjectStore);
 ///   - peak RSS of the whole run.
 ///
 /// With --check-baseline <file>, the measured numbers are gated against the
@@ -42,6 +45,8 @@
 #include "format/encoding.h"
 #include "platform/report.h"
 #include "sim/environment.h"
+#include "storage/object_store.h"
+#include "storage/retry_client.h"
 
 #include "host_stats.h"
 
@@ -348,6 +353,93 @@ DecodeResult RunDecodeBench() {
   return result;
 }
 
+/// Closed-loop 1 KiB GETs and PUTs through storage::RetryClient into one
+/// Standard bucket, with more request slots than a partition serves, so
+/// throttles, timeouts and retries all occur (hostbench's s3_iops shape,
+/// shorter). Every key is formatted up front, writes overwrite existing
+/// objects, and the caller's callbacks capture 8 bytes, which
+/// std::function stores inline: each allocation counted belongs to the
+/// request path itself.
+class RequestLoop {
+ public:
+  RequestLoop(sim::SimEnvironment* env, storage::RetryClient* client,
+              const std::vector<std::string>* keys, SimTime stop)
+      : env_(env), client_(client), keys_(keys), stop_(stop) {}
+
+  void Start(int slots) {
+    for (int i = 0; i < slots; ++i) Issue();
+  }
+  int64_t requests() const { return requests_; }
+
+ private:
+  void Issue() {
+    if (env_->now() >= stop_) return;
+    ++requests_;
+    const uint64_t draw = SplitMix64(&rng_);
+    const std::string& key = (*keys_)[draw % keys_->size()];
+    if ((draw >> 32) % 10 < 4) {
+      client_->Put(key, storage::Blob::Synthetic(kKiB), ctx_,
+                   [this](const Status&) { Issue(); });
+      return;
+    }
+    client_->GetRange(key, 0, kKiB, ctx_,
+                      [this](const Result<storage::Blob>&) { Issue(); });
+  }
+
+  sim::SimEnvironment* env_;
+  storage::RetryClient* client_;
+  const std::vector<std::string>* keys_;
+  SimTime stop_;
+  storage::ClientContext ctx_;
+  uint64_t rng_ = 0x5107ab1eull;
+  int64_t requests_ = 0;
+};
+
+struct RequestPathResult {
+  int64_t requests = 0;
+  storage::RetryClient::Stats stats;
+  uint64_t allocations = 0;
+  uint64_t heap_callbacks = 0;
+  double seconds = 0;
+  double allocs_per_attempt() const {
+    return static_cast<double>(allocations) /
+           static_cast<double>(stats.attempts);
+  }
+};
+
+RequestPathResult RunRequestPath() {
+  constexpr int kObjects = 4096;
+  constexpr int kSlots = 600;
+  sim::SimEnvironment env(/*seed=*/7);
+  storage::ObjectStore bucket(&env, storage::ObjectStore::StandardOptions());
+  std::vector<std::string> keys;
+  for (int i = 0; i < kObjects; ++i) {
+    keys.push_back(StrFormat("bench/request-path/obj-%06d", i));
+    SKYRISE_CHECK_OK(
+        bucket.Insert(keys.back(), storage::Blob::Synthetic(kKiB)));
+  }
+  storage::RetryClient::Options options;
+  options.request_timeout = Millis(200);
+  options.backoff_base = Millis(25);
+  options.backoff_cap = Seconds(2);
+  options.max_attempts = 16;
+  storage::RetryClient client(&env, &bucket, options);
+  RequestLoop loop(&env, &client, &keys, Seconds(20));
+
+  RequestPathResult result;
+  const uint64_t allocs_before = g_allocations;
+  const double start = NowSeconds();
+  loop.Start(kSlots);
+  env.Run();
+  result.seconds = NowSeconds() - start;
+  result.allocations = g_allocations - allocs_before;
+  result.requests = loop.requests();
+  result.stats = client.stats();
+  result.heap_callbacks = env.pool_stats().heap_callbacks;
+  SKYRISE_CHECK(result.stats.throttles > 0 && result.stats.timeouts > 0);
+  return result;
+}
+
 /// Gates the measured numbers against the committed baseline's
 /// machine-independent ratios and generous absolute floors. Returns the
 /// number of failed gates.
@@ -402,6 +494,12 @@ int CheckBaseline(const std::string& path, const Json& report) {
   gate_min("decode.bytes_per_sec",
            report.Get("decode").GetDouble("bytes_per_sec"),
            baseline.GetDouble("min_decode_bytes_per_sec"));
+  gate_max("request_path.allocs_per_attempt",
+           report.Get("request_path").GetDouble("allocs_per_attempt"),
+           baseline.GetDouble("max_request_path_allocs_per_attempt"));
+  gate_max("request_path.heap_callbacks",
+           report.Get("request_path").GetDouble("heap_callbacks"),
+           baseline.GetDouble("max_request_path_heap_callbacks"));
   return failures;
 }
 
@@ -430,6 +528,7 @@ int main(int argc, char** argv) {
   const sim::EventPoolStats& pool = churn.pool;
   const double invocations_per_sec = RunInvocationReplay(kInvocations);
   const DecodeResult decode = RunDecodeBench();
+  const RequestPathResult requests = RunRequestPath();
   const int64_t peak_rss = bench::PeakRssBytes();
   const double speedup = churn.speedup();
 
@@ -453,6 +552,12 @@ int main(int argc, char** argv) {
                 StrFormat("%.3f", quantised.calendar.allocs_per_event()),
                 StrFormat("%lld",
                           static_cast<long long>(quantised.calendar.events))});
+  table.AddRow({"request path, per attempt",
+                StrFormat("%.0f", static_cast<double>(requests.stats.attempts) /
+                                      requests.seconds),
+                StrFormat("%.3f", requests.allocs_per_attempt()),
+                StrFormat("%lld",
+                          static_cast<long long>(requests.stats.attempts))});
   table.Print();
   std::printf("speedup %.2fx | quantised speedup %.2fx (%llu rebuilds) | "
               "invocations/sec %.0f | decode %s/s | "
@@ -464,6 +569,13 @@ int main(int argc, char** argv) {
               FormatBytes(static_cast<int64_t>(decode.bytes_per_sec)).c_str(),
               static_cast<unsigned long long>(pool.heap_callbacks),
               FormatBytes(peak_rss).c_str());
+  std::printf("request path: %lld requests, %lld attempts, %lld throttles, "
+              "%lld timeouts, %llu heap-spilled callbacks\n",
+              static_cast<long long>(requests.requests),
+              static_cast<long long>(requests.stats.attempts),
+              static_cast<long long>(requests.stats.throttles),
+              static_cast<long long>(requests.stats.timeouts),
+              static_cast<unsigned long long>(requests.heap_callbacks));
 
   JsonObject heap_json;
   heap_json["events_per_sec"] = heap.events_per_sec();
@@ -491,6 +603,17 @@ int main(int argc, char** argv) {
   decode_json["bytes_per_sec"] = decode.bytes_per_sec;
   decode_json["allocs_per_iter"] = decode.allocs_per_iter;
 
+  JsonObject request_path_json;
+  request_path_json["requests"] = requests.requests;
+  request_path_json["attempts"] = requests.stats.attempts;
+  request_path_json["throttles"] = requests.stats.throttles;
+  request_path_json["timeouts"] = requests.stats.timeouts;
+  request_path_json["attempts_per_sec"] =
+      static_cast<double>(requests.stats.attempts) / requests.seconds;
+  request_path_json["allocs_per_attempt"] = requests.allocs_per_attempt();
+  request_path_json["heap_callbacks"] =
+      static_cast<int64_t>(requests.heap_callbacks);
+
   JsonObject doc;
   doc["heap_baseline"] = heap_json;
   doc["calendar"] = calendar_json;
@@ -498,6 +621,7 @@ int main(int argc, char** argv) {
   doc["quantised"] = quantised_json;
   doc["invocations_per_sec"] = invocations_per_sec;
   doc["decode"] = decode_json;
+  doc["request_path"] = request_path_json;
   doc["peak_rss_bytes"] = peak_rss;
   std::ofstream out("BENCH_sim_core.json");
   SKYRISE_CHECK(out.good());

@@ -16,6 +16,7 @@ struct BenchState {
   StorageIoResult result;
   std::vector<std::unique_ptr<net::Nic>> nics;
   std::vector<storage::ClientContext> contexts;  ///< Per client.
+  std::vector<std::string> read_keys;  ///< The pre-created objects.
   Rng rng{0};
   int64_t next_write_key = 0;
   int64_t next_read_key = 0;
@@ -88,11 +89,8 @@ void IssueNext(std::shared_ptr<BenchState> state, int client) {
         state->service->Put(key, std::move(blob), ctx, std::move(cb));
       }
     } else {
-      const std::string key =
-          state->config.key_prefix +
-          StrFormat("obj-%08lld",
-                    static_cast<long long>(state->next_read_key++ %
-                                           state->config.object_count));
+      const std::string& key = state->read_keys[static_cast<size_t>(
+          state->next_read_key++ % state->config.object_count)];
       auto cb = [state, client, issued](Result<storage::Blob> result) {
         OnComplete(state, client, issued, result.ok(),
                    result.ok() ? result->size() : 0);
@@ -125,8 +123,10 @@ StorageIoResult RunStorageIo(sim::SimEnvironment* env,
   // Pre-create read objects (control plane).
   if (!config.write) {
     for (int i = 0; i < config.object_count; ++i) {
+      state->read_keys.push_back(config.key_prefix +
+                                 StrFormat("obj-%08d", i));
       SKYRISE_CHECK_OK(service->Insert(
-          config.key_prefix + StrFormat("obj-%08d", i),
+          state->read_keys.back(),
           storage::Blob::Synthetic(config.request_bytes)));
     }
   }

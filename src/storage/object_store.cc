@@ -1,6 +1,7 @@
 #include "storage/object_store.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -252,80 +253,79 @@ void ObjectStore::MaybeSplit(Partition* partition) {
   partitions_.emplace_back(opt_, now);
 }
 
-void ObjectStore::FailAfterRejectLatency(const ClientContext& ctx,
-                                         Status error, GetCallback get_cb,
-                                         PutCallback put_cb) {
-  (void)ctx;
+template <typename Callback>
+void ObjectStore::Reject(Status error, Callback callback) {
   const SimDuration delay = SampleLatency(opt_.throttle_latency, &rng_);
-  env_->Schedule(delay, [error = std::move(error), get_cb = std::move(get_cb),
-                         put_cb = std::move(put_cb)] {
-    if (get_cb) get_cb(error);
-    if (put_cb) put_cb(error);
-  });
+  env_->Schedule(delay, [error = std::move(error),
+                         callback = std::move(callback)] { callback(error); });
 }
 
-void ObjectStore::FinishGet(Blob payload, const ClientContext& ctx,
-                            GetCallback callback) {
-  SimDuration first_byte = SampleLatency(opt_.read_latency, &rng_);
+uint32_t ObjectStore::Open(bool is_put) {
+  uint32_t slot = free_pending_;
+  if (slot == kNoSlot) {
+    slot = static_cast<uint32_t>(pending_.size());
+    pending_.emplace_back();
+  } else {
+    free_pending_ = pending_[slot].next_free;
+  }
+  pending_[slot].is_put = is_put;
+  return slot;
+}
+
+void ObjectStore::Finish(uint32_t slot, const ClientContext& ctx) {
+  Pending& p = pending_[slot];
+  SimDuration first_byte = SampleLatency(
+      p.is_put ? opt_.write_latency : opt_.read_latency, &rng_);
   if (fault_injector_ != nullptr) {
     first_byte += fault_injector_->MaybeNetworkBlip();
   }
-  const double rate = opt_.read_stream_rate *
-                      rng_.Lognormal(0.0, opt_.stream_jitter_sigma);
-  if (ctx.fabric != nullptr && ctx.nic != nullptr &&
-      payload.size() >= opt_.min_fabric_bytes) {
-    env_->Schedule(first_byte, [this, payload, ctx, rate,
-                                callback = std::move(callback)]() mutable {
-      net::Fabric::TransferSpec spec;
-      spec.src = &service_nic_;
-      spec.dst = ctx.nic;
-      spec.flows = 1;
-      spec.total_bytes = payload.size();
-      spec.vpc = ctx.vpc;
-      spec.rate_cap_bytes_per_sec = rate;
-      spec.on_complete = [payload, callback = std::move(callback)](
-                             net::TransferId) { callback(payload); };
-      ctx.fabric->StartTransfer(spec);
-    });
-    return;
-  }
-  const SimDuration transfer =
-      Seconds(static_cast<double>(payload.size()) / rate);
-  env_->Schedule(first_byte + transfer,
-                 [payload, callback = std::move(callback)] {
-                   callback(payload);
-                 });
-}
-
-void ObjectStore::FinishPut(int64_t bytes, const ClientContext& ctx,
-                            PutCallback callback) {
-  SimDuration first_byte = SampleLatency(opt_.write_latency, &rng_);
-  if (fault_injector_ != nullptr) {
-    first_byte += fault_injector_->MaybeNetworkBlip();
-  }
-  const double rate = opt_.write_stream_rate *
-                      rng_.Lognormal(0.0, opt_.stream_jitter_sigma);
+  const double rate =
+      (p.is_put ? opt_.write_stream_rate : opt_.read_stream_rate) *
+      rng_.Lognormal(0.0, opt_.stream_jitter_sigma);
+  const int64_t bytes = p.payload.size();
   if (ctx.fabric != nullptr && ctx.nic != nullptr &&
       bytes >= opt_.min_fabric_bytes) {
-    env_->Schedule(first_byte, [this, bytes, ctx, rate,
-                                callback = std::move(callback)]() mutable {
-      net::Fabric::TransferSpec spec;
-      spec.src = ctx.nic;
-      spec.dst = &service_nic_;
-      spec.flows = 1;
-      spec.total_bytes = bytes;
-      spec.vpc = ctx.vpc;
-      spec.rate_cap_bytes_per_sec = rate;
-      spec.on_complete = [callback = std::move(callback)](net::TransferId) {
-        callback(Status::OK());
-      };
-      ctx.fabric->StartTransfer(spec);
-    });
+    p.nic = ctx.nic;
+    p.fabric = ctx.fabric;
+    p.vpc = ctx.vpc;
+    p.rate = rate;
+    env_->Schedule(first_byte, [this, slot] { StartTransfer(slot); });
     return;
   }
   const SimDuration transfer = Seconds(static_cast<double>(bytes) / rate);
-  env_->Schedule(first_byte + transfer,
-                 [callback = std::move(callback)] { callback(Status::OK()); });
+  env_->Schedule(first_byte + transfer, [this, slot] { Complete(slot); });
+}
+
+void ObjectStore::StartTransfer(uint32_t slot) {
+  const Pending& p = pending_[slot];
+  net::Fabric::TransferSpec spec;
+  spec.src = p.is_put ? p.nic : &service_nic_;
+  spec.dst = p.is_put ? &service_nic_ : p.nic;
+  spec.flows = 1;
+  spec.total_bytes = p.payload.size();
+  spec.vpc = p.vpc;
+  spec.rate_cap_bytes_per_sec = p.rate;
+  spec.on_complete = [this, slot](net::TransferId) { Complete(slot); };
+  p.fabric->StartTransfer(std::move(spec));
+}
+
+void ObjectStore::Complete(uint32_t slot) {
+  Pending& p = pending_[slot];
+  const bool is_put = p.is_put;
+  Blob payload = std::exchange(p.payload, Blob());
+  GetCallback get_cb = std::exchange(p.get_cb, nullptr);
+  PutCallback put_cb = std::exchange(p.put_cb, nullptr);
+  // The object becomes visible on completion (read-after-write consistency).
+  if (is_put) objects_[p.key] = std::move(payload);
+  // The callback may issue requests that take this slot or grow the table,
+  // so the slot is freed before it runs.
+  p.next_free = free_pending_;
+  free_pending_ = slot;
+  if (is_put) {
+    put_cb(Status::OK());
+  } else {
+    get_cb(std::move(payload));
+  }
 }
 
 void ObjectStore::Get(const std::string& key, const ClientContext& ctx,
@@ -352,8 +352,7 @@ void ObjectStore::GetRange(const std::string& key, int64_t offset,
       if (ctx.metrics != nullptr) {
         ctx.metrics->Add("storage." + opt_.service_name + ".faults_injected");
       }
-      FailAfterRejectLatency(ctx, std::move(injected), std::move(callback),
-                             nullptr);
+      Reject(std::move(injected), std::move(callback));
       return;
     }
   }
@@ -368,14 +367,18 @@ void ObjectStore::GetRange(const std::string& key, int64_t offset,
   }
   auto it = objects_.find(key);
   const bool found = it != objects_.end();
+  const int64_t size = found ? it->second.size() : 0;
+  // A range that starts before the object or past its end is S3's 416
+  // InvalidRange.
+  const bool in_range = offset >= 0 && length >= -1 && offset <= size;
   const int64_t payload_size =
-      !found ? 0
-             : (length < 0 ? it->second.size() - std::min(offset, it->second.size())
-                           : std::min(length, it->second.size() - offset));
+      !found || !in_range
+          ? 0
+          : (length < 0 ? size - offset : std::min(length, size - offset));
   if (ctx.meter != nullptr) {
     const double usd = ctx.meter->RecordStorageRequest(
-        opt_.service_name, /*is_write=*/false,
-        std::max<int64_t>(payload_size, 0), admitted && found);
+        opt_.service_name, /*is_write=*/false, payload_size,
+        admitted && found && in_range);
     if (ctx.tracer != nullptr) ctx.tracer->AddCost(ctx.span, usd);
   }
   if (!admitted) {
@@ -383,22 +386,25 @@ void ObjectStore::GetRange(const std::string& key, int64_t offset,
       ctx.tracer->Instant("storage/" + opt_.service_name, "throttle",
                           "storage", ctx.span);
     }
-    FailAfterRejectLatency(ctx,
-                           Status::ResourceExhausted("503 SlowDown: " + key),
-                           std::move(callback), nullptr);
+    Reject(Status::ResourceExhausted("503 SlowDown: " + key),
+           std::move(callback));
     return;
   }
   if (!found) {
-    FailAfterRejectLatency(ctx, Status::NotFound("NoSuchKey: " + key),
-                           std::move(callback), nullptr);
+    Reject(Status::NotFound("NoSuchKey: " + key), std::move(callback));
     return;
   }
-  Blob payload = length < 0 && offset == 0
-                     ? it->second
-                     : it->second.Slice(offset, length < 0
-                                                    ? it->second.size() - offset
-                                                    : length);
-  FinishGet(std::move(payload), ctx, std::move(callback));
+  if (!in_range) {
+    Reject(Status::OutOfRange("InvalidRange: " + key), std::move(callback));
+    return;
+  }
+  const uint32_t slot = Open(/*is_put=*/false);
+  pending_[slot].payload =
+      length < 0 && offset == 0
+          ? it->second
+          : it->second.Slice(offset, length < 0 ? size - offset : length);
+  pending_[slot].get_cb = std::move(callback);
+  Finish(slot, ctx);
 }
 
 void ObjectStore::Put(const std::string& key, Blob data,
@@ -420,18 +426,16 @@ void ObjectStore::Put(const std::string& key, Blob data,
       if (ctx.metrics != nullptr) {
         ctx.metrics->Add("storage." + opt_.service_name + ".faults_injected");
       }
-      FailAfterRejectLatency(ctx, std::move(injected), nullptr,
-                             std::move(callback));
+      Reject(std::move(injected), std::move(callback));
       return;
     }
   }
   if (opt_.max_object_bytes > 0 && data.size() > opt_.max_object_bytes) {
     // Size violations are rejected synchronously at request validation and
     // are not billed (the SDK refuses to send them).
-    env_->Schedule(0, [key, callback = std::move(callback)] {
-      callback(Status::InvalidArgument(
-          StrFormat("item too large: %s", key.c_str())));
-    });
+    env_->Schedule(0, [error = Status::InvalidArgument(StrFormat(
+                           "item too large: %s", key.c_str())),
+                       callback = std::move(callback)] { callback(error); });
     return;
   }
   const bool admitted = global_write_bucket_.TryConsume(1, now);
@@ -445,19 +449,16 @@ void ObjectStore::Put(const std::string& key, Blob data,
       ctx.tracer->Instant("storage/" + opt_.service_name, "throttle",
                           "storage", ctx.span);
     }
-    FailAfterRejectLatency(ctx,
-                           Status::ResourceExhausted("503 SlowDown: " + key),
-                           nullptr, std::move(callback));
+    Reject(Status::ResourceExhausted("503 SlowDown: " + key),
+           std::move(callback));
     return;
   }
-  const int64_t bytes = data.size();
-  // The object becomes visible on completion (read-after-write consistency).
-  FinishPut(bytes, ctx,
-            [this, key, data = std::move(data),
-             callback = std::move(callback)](Status status) mutable {
-              if (status.ok()) objects_[key] = std::move(data);
-              callback(status);
-            });
+  const uint32_t slot = Open(/*is_put=*/true);
+  Pending& pending = pending_[slot];
+  pending.key = key;
+  pending.payload = std::move(data);
+  pending.put_cb = std::move(callback);
+  Finish(slot, ctx);
 }
 
 Status ObjectStore::Insert(const std::string& key, Blob data) {

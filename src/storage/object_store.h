@@ -109,6 +109,7 @@ class ObjectStore : public StorageService {
 
   ObjectStore(sim::SimEnvironment* env, const Options& options,
               uint64_t rng_stream = 1001);
+  SKYRISE_DISALLOW_COPY_AND_ASSIGN(ObjectStore);
 
   const std::string& service_name() const override {
     return opt_.service_name;
@@ -165,17 +166,45 @@ class ObjectStore : public StorageService {
   void UpdateLoadEwma();
   void ApplyCooling();
 
-  /// Common read/write completion path: latency, streaming, callback.
-  void FinishGet(Blob payload, const ClientContext& ctx, GetCallback callback);
-  void FinishPut(int64_t bytes, const ClientContext& ctx, PutCallback callback);
-  void FailAfterRejectLatency(const ClientContext& ctx, Status error,
-                              GetCallback get_cb, PutCallback put_cb);
+  enum : uint32_t { kNoSlot = 0xffffffffu };
+
+  /// An admitted request waiting for its first byte, its transfer and its
+  /// callback. Slots are recycled through a free list and keep their key's
+  /// capacity; the events on the way capture only (store, slot).
+  struct Pending {
+    bool is_put = false;
+    std::string key;  ///< PUT: where the payload lands on completion.
+    Blob payload;     ///< GET: the bytes delivered; PUT: the bytes stored.
+    GetCallback get_cb;
+    PutCallback put_cb;
+    // The fabric route, when the payload streams through the network.
+    net::Nic* nic = nullptr;
+    net::FabricDriver* fabric = nullptr;
+    net::VpcId vpc = net::kNoVpc;
+    double rate = 0;
+    uint32_t next_free = kNoSlot;
+  };
+
+  /// Takes a free slot. The table may grow, so a reference to a slot is
+  /// never held across a call that can issue a request.
+  uint32_t Open(bool is_put);
+  /// Common read/write completion path: latency, then streaming (inline or
+  /// through the fabric), then Complete.
+  void Finish(uint32_t slot, const ClientContext& ctx);
+  void StartTransfer(uint32_t slot);
+  /// Stores a PUT's payload, frees the slot and runs the callback.
+  void Complete(uint32_t slot);
+  /// Delivers `error` after a sampled throttle-response latency.
+  template <typename Callback>
+  void Reject(Status error, Callback callback);
 
   sim::SimEnvironment* env_;
   Options opt_;
   Rng rng_;
   sim::FaultInjector* fault_injector_ = nullptr;
   std::map<std::string, Blob> objects_;
+  std::vector<Pending> pending_;
+  uint32_t free_pending_ = kNoSlot;
   std::vector<Partition> partitions_;
   sim::TokenBucket global_write_bucket_;  ///< Writes never scale (4.4.1).
   sim::TokenBucket express_read_bucket_;  ///< Only when !partitioned.

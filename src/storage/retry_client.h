@@ -1,6 +1,8 @@
 #pragma once
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "sim/environment.h"
 #include "storage/storage_service.h"
@@ -18,6 +20,18 @@
 /// from `ctx.retry_budget` when one is attached (successes refund a
 /// fraction); and an open `ctx.breaker` sheds attempts with a typed
 /// ResourceExhausted carrying the retry-after hint.
+///
+/// Request state lives in a per-client table. A request's key, range or
+/// payload, context, callback, attempt number, spans and timeout event sit
+/// in one slot, recycled through a free list. GETs and PUTs share one
+/// attempt path. The timeout, backoff and shed events capture only
+/// (client, slot, serial), which fits the kernel's inline callback buffer.
+/// An attempt's serial changes once the attempt settles, so whichever of
+/// its timeout and its response fires second is ignored. A response can
+/// arrive after its attempt timed out and after the client is destroyed
+/// (engine tasks drop their clients when they finish), so the service
+/// completion holds the per-slot serial table, which outlives the client,
+/// rather than the client itself. The destructor empties that table.
 
 namespace skyrise::storage {
 
@@ -58,6 +72,10 @@ class RetryClient {
 
   RetryClient(sim::SimEnvironment* env, StorageService* service,
               const Options& options, uint64_t rng_stream = 2001);
+  /// Responses to attempts that already timed out may still arrive; they
+  /// are dropped. Requests still in progress must not outlive the client.
+  ~RetryClient();
+  SKYRISE_DISALLOW_COPY_AND_ASSIGN(RetryClient);
 
   /// Retrying full-object read. The callback receives the final outcome
   /// after all attempts. When `ctx.tracer` is set, the request opens a span
@@ -77,28 +95,70 @@ class RetryClient {
   const Options& options() const { return opt_; }
 
  private:
+  enum : uint32_t { kNoSlot = 0xffffffffu };
+
+  /// One request from issue to final callback.
+  struct Request {
+    bool is_put = false;
+    int attempt = 0;  ///< Zero-based number of the current attempt.
+    std::string key;
+    int64_t offset = 0;  ///< GET range.
+    int64_t length = -1;
+    Blob data;  ///< PUT payload.
+    ClientContext ctx;
+    GetCallback get_cb;
+    PutCallback put_cb;
+    obs::SpanId span = obs::kNoSpan;
+    obs::SpanId attempt_span = obs::kNoSpan;
+    obs::SpanId backoff_span = obs::kNoSpan;
+    SimTime start = 0;
+    SimTime attempt_start = 0;
+    sim::EventId timeout_event = sim::kInvalidEventId;
+    uint32_t next_free = kNoSlot;
+  };
+
   SimDuration TimeoutFor(int64_t expected_bytes) const;
   SimDuration BackoffDelay(int attempt);
-  std::string Track() const;
-  std::string MetricPrefix() const;
+  /// The metric "storage.<service><suffix>", composed in a reused buffer.
+  const std::string& Metric(const char* suffix);
 
+  /// Takes a free slot for a new request. The table may grow, so a
+  /// reference to a slot is never held across a call that can issue one.
+  uint32_t Open(const std::string& key, const ClientContext& ctx,
+                bool is_put);
   /// Pre-attempt admission: OK to proceed, or the typed shed error (open
   /// breaker -> ResourceExhausted with a retry-after hint, expired deadline
   /// -> DeadlineExceeded). Stats/metrics for the shed are recorded here.
-  [[nodiscard]] Status AdmitAttempt(const ClientContext& ctx, int attempt,
-                                    obs::SpanId req_span);
-
-  void AttemptGet(const std::string& key, int64_t offset, int64_t length,
-                  const ClientContext& ctx, int attempt, obs::SpanId req_span,
-                  GetCallback callback);
-  void AttemptPut(const std::string& key, Blob data, const ClientContext& ctx,
-                  int attempt, obs::SpanId req_span, PutCallback callback);
+  [[nodiscard]] Status AdmitAttempt(uint32_t slot);
+  void StartAttempt(uint32_t slot);
+  /// True if `serial` is still the slot's current serial; then advances
+  /// it, so the attempt's other pending event becomes a no-op.
+  bool Claim(uint32_t slot, uint32_t serial);
+  void OnTimeout(uint32_t slot, uint32_t serial);
+  void OnResponse(uint32_t slot, uint32_t serial, Status status,
+                  Blob payload);
+  void OnBackoff(uint32_t slot, uint32_t serial);
+  /// Ends the attempt span and records attempt_ms.
+  void Settle(uint32_t slot, const char* outcome);
+  void RetryOrFail(uint32_t slot, Status error);
+  void GiveUp(uint32_t slot, Status status);
+  /// Records request_ms, ends the request span, frees the slot and runs
+  /// the caller's callback.
+  void Finish(uint32_t slot, Status status, Blob payload = Blob());
 
   sim::SimEnvironment* env_;
   StorageService* service_;
   Options opt_;
   Rng rng_;
   Stats stats_;
+  std::string track_;   ///< "storage/<service>".
+  std::string metric_;  ///< Metric-name buffer, "storage.<service>...".
+  size_t metric_prefix_;
+  std::vector<Request> requests_;
+  uint32_t free_head_ = kNoSlot;
+  /// Current serial per slot, shared with every service completion in
+  /// flight; emptied when the client is destroyed.
+  std::shared_ptr<std::vector<uint32_t>> serials_;
 };
 
 }  // namespace skyrise::storage

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/histogram.h"
 #include "storage/retry_client.h"
 
@@ -64,6 +67,48 @@ TEST_F(ObjectStoreTest, GetRangeSlices) {
   });
   env_.Run();
   EXPECT_EQ(got, "2345");
+}
+
+TEST_F(ObjectStoreTest, GetRangeOutsideObjectIsInvalidRange) {
+  pricing::CostMeter meter;
+  ClientContext ctx;
+  ctx.meter = &meter;
+  ObjectStore s3(&env_, ObjectStore::StandardOptions());
+  ASSERT_TRUE(s3.Insert("k", Blob::FromString("0123456789")).ok());
+  // Before the object, past its end (to the end, or a fixed length), and
+  // a length below -1: each is S3's 416, billed as a failed request.
+  const std::pair<int64_t, int64_t> ranges[] = {{-1, 4}, {11, -1}, {11, 2},
+                                                {2, -2}};
+  std::vector<Status> statuses;
+  for (const auto& [offset, length] : ranges) {
+    s3.GetRange("k", offset, length, ctx,
+                [&](Result<Blob> r) { statuses.push_back(r.status()); });
+  }
+  // The end of the object is still a valid, empty range.
+  std::string tail = "unset";
+  s3.GetRange("k", 10, -1, ctx, [&](Result<Blob> r) {
+    ASSERT_TRUE(r.ok());
+    tail = r->data();
+  });
+  env_.Run();
+  ASSERT_EQ(statuses.size(), 4u);
+  for (const Status& status : statuses) {
+    EXPECT_EQ(status.code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(status.message(), "InvalidRange: k");
+  }
+  EXPECT_EQ(tail, "");
+  EXPECT_EQ(meter.RequestCount("s3"), 5);
+  EXPECT_EQ(meter.FailedRequests(), 4);
+
+  // Not retriable: the retrying client fails fast on the first attempt.
+  RetryClient client(&env_, &s3, RetryClient::Options());
+  Status status;
+  client.GetRange("k", 11, -1, {},
+                  [&](Result<Blob> r) { status = r.status(); });
+  env_.Run();
+  EXPECT_EQ(status.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(client.stats().attempts, 1);
+  EXPECT_EQ(client.stats().fail_fasts, 1);
 }
 
 TEST_F(ObjectStoreTest, PutVisibleAfterCompletion) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "storage/object_store.h"
 
 namespace skyrise::storage {
@@ -80,6 +83,37 @@ TEST_F(RetryClientTest, TimeoutTriggersRetry) {
   EXPECT_EQ(client.stats().attempts, 3);
   EXPECT_EQ(client.stats().timeouts, 3);
   EXPECT_EQ(client.stats().permanent_failures, 1);
+}
+
+TEST_F(RetryClientTest, LateResponseAfterClientIsDestroyedIsDropped) {
+  // A timed-out attempt still gets its store response later. Engine tasks
+  // destroy their clients when they finish, so that response can arrive
+  // after the client is gone; it must not touch the client. The sanitizer
+  // build turns a touch into a heap-use-after-free report.
+  auto opt = ObjectStore::StandardOptions();
+  opt.read_latency = LatencyProfile::FromMedianP95(1000, 1100);
+  opt.read_latency.tail_probability = 0;
+  opt.write_latency = opt.read_latency;
+  ObjectStore s3(&env_, opt);
+  ASSERT_TRUE(s3.Insert("k", Blob::Synthetic(kKiB)).ok());
+  RetryClient::Options ropt = FastOptions();
+  ropt.max_attempts = 1;
+  auto client = std::make_unique<RetryClient>(&env_, &s3, ropt);
+  std::vector<Status> gets;
+  std::vector<Status> puts;
+  client->Get("k", {}, [&](Result<Blob> r) { gets.push_back(r.status()); });
+  client->Put("p", Blob::Synthetic(kKiB), {},
+              [&](Status s) { puts.push_back(std::move(s)); });
+  env_.RunUntil(Millis(500));
+  client.reset();
+  env_.Run();  // The store answers both attempts at ~1 s.
+  EXPECT_GT(env_.now(), Millis(800));
+  ASSERT_EQ(gets.size(), 1u);
+  ASSERT_EQ(puts.size(), 1u);
+  EXPECT_TRUE(gets[0].IsDeadlineExceeded());
+  EXPECT_TRUE(puts[0].IsDeadlineExceeded());
+  // The late PUT still landed in the store.
+  EXPECT_TRUE(s3.Contains("p"));
 }
 
 TEST_F(RetryClientTest, BackoffDelaysGrowExponentially) {
