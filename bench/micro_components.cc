@@ -101,10 +101,10 @@ void BM_CofDecode(benchmark::State& state) {
   for (const auto& f : meta.schema.fields()) projection.push_back(f.name);
   for (auto _ : state) {
     for (size_t rg = 0; rg < meta.row_groups.size(); ++rg) {
-      std::vector<std::string> bytes;
+      std::vector<std::string_view> bytes;
       for (const auto& cm : meta.row_groups[rg].columns) {
-        bytes.push_back(file.substr(static_cast<size_t>(cm.offset),
-                                    static_cast<size_t>(cm.size)));
+        bytes.push_back(std::string_view(file).substr(
+            static_cast<size_t>(cm.offset), static_cast<size_t>(cm.size)));
       }
       auto decoded = format::DecodeRowGroup(meta, rg, projection, bytes);
       benchmark::DoNotOptimize(decoded.ok());

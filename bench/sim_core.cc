@@ -17,6 +17,8 @@
 ///   - allocations per attempt and spilled event callbacks on the storage
 ///     request path (storage::RetryClient into a throttling
 ///     storage::ObjectStore);
+///   - allocations per worker invocation on the engine's query path (TPC-H
+///     Q1 and Q12 through engine::QueryEngine on faas::LambdaPlatform);
 ///   - peak RSS of the whole run.
 ///
 /// With --check-baseline <file>, the measured numbers are gated against the
@@ -42,10 +44,19 @@
 #include "common/json.h"
 #include "common/string_util.h"
 #include "data/chunk.h"
+#include "datagen/dataset.h"
+#include "datagen/tpch.h"
+#include "engine/engine.h"
+#include "engine/queries.h"
+#include "faas/lambda_platform.h"
 #include "format/encoding.h"
+#include "net/fabric.h"
+#include "net/fabric_driver.h"
 #include "platform/report.h"
+#include "pricing/cost_meter.h"
 #include "sim/environment.h"
 #include "storage/object_store.h"
+#include "storage/queue_service.h"
 #include "storage/retry_client.h"
 
 #include "host_stats.h"
@@ -440,6 +451,90 @@ RequestPathResult RunRequestPath() {
   return result;
 }
 
+struct QueryPathResult {
+  int64_t queries = 0;
+  int64_t worker_invocations = 0;
+  uint64_t allocations = 0;
+  double seconds = 0;
+  double allocs_per_invocation() const {
+    return static_cast<double>(allocations) /
+           static_cast<double>(worker_invocations);
+  }
+};
+
+/// TPC-H Q1 and Q12, three times each, through an engine::QueryEngine on a
+/// faas::LambdaPlatform over small real tables: the per-fragment path of
+/// plan hand-off, footers, manifests, ranged reads, decode and shuffle
+/// writes. Tables and deployment are set up before counting, so every
+/// allocation counted belongs to running queries; worker invocations are
+/// the fragments the queries report (no faults, so no retries).
+QueryPathResult RunQueryPath() {
+  constexpr int kParts = 4;
+  constexpr int kRounds = 3;
+  sim::SimEnvironment env(/*seed=*/2024);
+  net::Fabric fabric;
+  net::FabricDriver fabric_driver(&env, &fabric);
+  storage::ObjectStore store(&env, storage::ObjectStore::StandardOptions());
+  storage::QueueService queue(&env);
+  format::SyntheticFileCatalog catalog;
+  pricing::CostMeter meter;
+  datagen::TpchConfig tpch;
+  tpch.scale_factor = 0.002;
+  SKYRISE_CHECK_OK(datagen::UploadDataset(
+                       &store, "lineitem", datagen::LineitemSchema(), kParts,
+                       [&](int p) {
+                         return datagen::GenerateLineitemPartition(tpch, p,
+                                                                   kParts);
+                       })
+                       .status());
+  SKYRISE_CHECK_OK(datagen::UploadDataset(
+                       &store, "orders", datagen::OrdersSchema(), kParts,
+                       [&](int p) {
+                         return datagen::GenerateOrdersPartition(tpch, p,
+                                                                 kParts);
+                       })
+                       .status());
+  engine::EngineContext context;
+  context.env = &env;
+  context.table_store = &store;
+  context.shuffle_store = &store;
+  context.catalog = &catalog;
+  context.queue = &queue;
+  context.meter = &meter;
+  context.partitions_per_worker = 1;
+  engine::QueryEngine engine(std::move(context));
+  faas::FunctionRegistry registry;
+  SKYRISE_CHECK_OK(engine.Deploy(&registry));
+  faas::LambdaPlatform lambda(&env, &fabric_driver, &registry,
+                              faas::LambdaPlatform::Options());
+  engine::QuerySuiteOptions suite;
+  suite.join_partitions = kParts;
+  const std::vector<engine::QueryPlan> plans = {engine::BuildTpchQ1(),
+                                                engine::BuildTpchQ12(suite)};
+
+  QueryPathResult result;
+  const uint64_t allocs_before = g_allocations;
+  const double start = NowSeconds();
+  for (int round = 0; round < kRounds; ++round) {
+    for (const engine::QueryPlan& plan : plans) {
+      const std::string id = StrFormat("%s-%d", plan.query_name.c_str(), round);
+      Result<engine::QueryResponse> outcome =
+          Status::Internal("query did not finish");
+      engine.Run(&lambda, plan, id,
+                 [&outcome](Result<engine::QueryResponse> r) {
+                   outcome = std::move(r);
+                 });
+      env.Run();
+      SKYRISE_CHECK_OK(outcome.status());
+      ++result.queries;
+      result.worker_invocations += outcome->total_workers;
+    }
+  }
+  result.seconds = NowSeconds() - start;
+  result.allocations = g_allocations - allocs_before;
+  return result;
+}
+
 /// Gates the measured numbers against the committed baseline's
 /// machine-independent ratios and generous absolute floors. Returns the
 /// number of failed gates.
@@ -500,6 +595,9 @@ int CheckBaseline(const std::string& path, const Json& report) {
   gate_max("request_path.heap_callbacks",
            report.Get("request_path").GetDouble("heap_callbacks"),
            baseline.GetDouble("max_request_path_heap_callbacks"));
+  gate_max("query_path.allocs_per_invocation",
+           report.Get("query_path").GetDouble("allocs_per_invocation"),
+           baseline.GetDouble("max_query_path_allocs_per_invocation"));
   return failures;
 }
 
@@ -529,6 +627,7 @@ int main(int argc, char** argv) {
   const double invocations_per_sec = RunInvocationReplay(kInvocations);
   const DecodeResult decode = RunDecodeBench();
   const RequestPathResult requests = RunRequestPath();
+  const QueryPathResult query_path = RunQueryPath();
   const int64_t peak_rss = bench::PeakRssBytes();
   const double speedup = churn.speedup();
 
@@ -576,6 +675,11 @@ int main(int argc, char** argv) {
               static_cast<long long>(requests.stats.throttles),
               static_cast<long long>(requests.stats.timeouts),
               static_cast<unsigned long long>(requests.heap_callbacks));
+  std::printf("query path: %lld queries, %lld worker invocations, "
+              "%.1f allocations per invocation, %.2f s\n",
+              static_cast<long long>(query_path.queries),
+              static_cast<long long>(query_path.worker_invocations),
+              query_path.allocs_per_invocation(), query_path.seconds);
 
   JsonObject heap_json;
   heap_json["events_per_sec"] = heap.events_per_sec();
@@ -614,6 +718,12 @@ int main(int argc, char** argv) {
   request_path_json["heap_callbacks"] =
       static_cast<int64_t>(requests.heap_callbacks);
 
+  JsonObject query_path_json;
+  query_path_json["queries"] = query_path.queries;
+  query_path_json["worker_invocations"] = query_path.worker_invocations;
+  query_path_json["allocs_per_invocation"] =
+      query_path.allocs_per_invocation();
+
   JsonObject doc;
   doc["heap_baseline"] = heap_json;
   doc["calendar"] = calendar_json;
@@ -622,6 +732,7 @@ int main(int argc, char** argv) {
   doc["invocations_per_sec"] = invocations_per_sec;
   doc["decode"] = decode_json;
   doc["request_path"] = request_path_json;
+  doc["query_path"] = query_path_json;
   doc["peak_rss_bytes"] = peak_rss;
   std::ofstream out("BENCH_sim_core.json");
   SKYRISE_CHECK(out.good());

@@ -1,8 +1,9 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
 
 #include "common/macros.h"
 #include "common/string_util.h"
@@ -48,15 +49,15 @@ JsonObject& Json::AsObject() {
   return *object_;
 }
 
-const Json& Json::Get(const std::string& key) const {
+const Json& Json::Get(std::string_view key) const {
   static const Json kNull;
   if (!is_object()) return kNull;
   auto it = object_->find(key);
   return it == object_->end() ? kNull : it->second;
 }
 
-bool Json::Has(const std::string& key) const {
-  return is_object() && object_->count(key) > 0;
+bool Json::Has(std::string_view key) const {
+  return is_object() && object_->find(key) != object_->end();
 }
 
 Json& Json::operator[](const std::string& key) {
@@ -68,20 +69,20 @@ Json& Json::operator[](const std::string& key) {
   return (*object_)[key];
 }
 
-int64_t Json::GetInt(const std::string& key, int64_t def) const {
+int64_t Json::GetInt(std::string_view key, int64_t def) const {
   const Json& v = Get(key);
   return v.is_number() ? v.AsInt() : def;
 }
-double Json::GetDouble(const std::string& key, double def) const {
+double Json::GetDouble(std::string_view key, double def) const {
   const Json& v = Get(key);
   return v.is_number() ? v.AsDouble() : def;
 }
-std::string Json::GetString(const std::string& key,
+std::string Json::GetString(std::string_view key,
                             const std::string& def) const {
   const Json& v = Get(key);
   return v.is_string() ? v.AsString() : def;
 }
-bool Json::GetBool(const std::string& key, bool def) const {
+bool Json::GetBool(std::string_view key, bool def) const {
   const Json& v = Get(key);
   return v.is_bool() ? v.AsBool() : def;
 }
@@ -101,9 +102,7 @@ size_t Json::size() const {
   return 0;
 }
 
-namespace {
-
-void EscapeString(const std::string& s, std::string* out) {
+void AppendJsonString(std::string_view s, std::string* out) {
   out->push_back('"');
   for (char c : s) {
     switch (c) {
@@ -124,7 +123,10 @@ void EscapeString(const std::string& s, std::string* out) {
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", c);
+          // "\u00XX", lower-case hex.
+          *out += "\\u00";
+          out->push_back("0123456789abcdef"[(c >> 4) & 0xF]);
+          out->push_back("0123456789abcdef"[c & 0xF]);
         } else {
           out->push_back(c);
         }
@@ -133,13 +135,24 @@ void EscapeString(const std::string& s, std::string* out) {
   out->push_back('"');
 }
 
-void AppendNumber(double n, std::string* out) {
-  if (std::isfinite(n) && n == std::floor(n) && std::fabs(n) < 1e15) {
-    *out += StrFormat("%lld", static_cast<long long>(n));
-  } else {
+void AppendJsonNumber(double n, std::string* out) {
+  if (!std::isfinite(n)) {
     *out += StrFormat("%.17g", n);
+    return;
   }
+  // std::to_chars writes what printf's %lld and %.17g write, without the
+  // format string and the temporary string.
+  char buffer[32];
+  const std::to_chars_result written =
+      n == std::floor(n) && std::fabs(n) < 1e15
+          ? std::to_chars(buffer, buffer + sizeof(buffer),
+                          static_cast<long long>(n))
+          : std::to_chars(buffer, buffer + sizeof(buffer), n,
+                          std::chars_format::general, 17);
+  out->append(buffer, written.ptr);
 }
+
+namespace {
 
 void Indent(std::string* out, int indent, int depth) {
   if (indent < 0) return;
@@ -158,10 +171,10 @@ void Json::DumpTo(std::string* out, int indent, int depth) const {
       *out += bool_ ? "true" : "false";
       break;
     case Type::kNumber:
-      AppendNumber(number_, out);
+      AppendJsonNumber(number_, out);
       break;
     case Type::kString:
-      EscapeString(string_, out);
+      AppendJsonString(string_, out);
       break;
     case Type::kArray: {
       out->push_back('[');
@@ -183,7 +196,7 @@ void Json::DumpTo(std::string* out, int indent, int depth) const {
         if (!first) out->push_back(',');
         first = false;
         Indent(out, indent, depth + 1);
-        EscapeString(k, out);
+        AppendJsonString(k, out);
         out->push_back(':');
         if (indent >= 0) out->push_back(' ');
         v.DumpTo(out, indent, depth + 1);
@@ -220,218 +233,364 @@ bool Json::operator==(const Json& other) const {
   return false;
 }
 
+Status JsonReader::Fail(const char* what) const {
+  return Status::InvalidArgument(
+      StrFormat("JSON parse error at offset %zu: %s", pos_, what));
+}
+
+void JsonReader::SkipWhitespace() {
+  while (pos_ < text_.size() &&
+         std::isspace(static_cast<unsigned char>(text_[pos_]))) {
+    ++pos_;
+  }
+}
+
+Status JsonReader::Peek(Json::Type* type) {
+  SkipWhitespace();
+  if (pos_ >= text_.size()) return Fail("unexpected end of input");
+  switch (text_[pos_]) {
+    case '{':
+      *type = Json::Type::kObject;
+      break;
+    case '[':
+      *type = Json::Type::kArray;
+      break;
+    case '"':
+      *type = Json::Type::kString;
+      break;
+    case 't':
+    case 'f':
+      *type = Json::Type::kBool;
+      break;
+    case 'n':
+      *type = Json::Type::kNull;
+      break;
+    default:
+      *type = Json::Type::kNumber;  // ReadNumber rejects what is not one.
+  }
+  return Status::OK();
+}
+
+Status JsonReader::ReadNull() {
+  SkipWhitespace();
+  if (text_.substr(pos_, 4) != "null") return Fail("invalid literal");
+  pos_ += 4;
+  return Status::OK();
+}
+
+Status JsonReader::ReadBool(bool* out) {
+  SkipWhitespace();
+  const std::string_view rest = text_.substr(pos_);
+  if (rest.substr(0, 4) == "true") {
+    *out = true;
+    pos_ += 4;
+  } else if (rest.substr(0, 5) == "false") {
+    *out = false;
+    pos_ += 5;
+  } else {
+    return Fail("invalid literal");
+  }
+  return Status::OK();
+}
+
+Status JsonReader::ReadNumber(double* out) {
+  SkipWhitespace();
+  const size_t start = pos_;
+  if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+  bool integral = true;
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c >= '0' && c <= '9') {
+      ++pos_;
+    } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
+      integral = false;
+      ++pos_;
+    } else {
+      break;
+    }
+  }
+  if (pos_ == start) return Fail("invalid number");
+  const std::string_view span = text_.substr(start, pos_ - start);
+  const bool negative = span[0] == '-';
+  const size_t digits = span.size() - (negative ? 1 : 0);
+  if (integral && digits > 0 && digits <= 15) {
+    // Exact in a double, as strtod would return it.
+    uint64_t value = 0;
+    for (char c : span.substr(negative ? 1 : 0)) {
+      value = value * 10 + static_cast<uint64_t>(c - '0');
+    }
+    *out = negative ? -static_cast<double>(value) : static_cast<double>(value);
+    return Status::OK();
+  }
+  // strtod needs a terminated string; the text may be a view into a larger
+  // buffer.
+  char buffer[64];
+  std::string long_span;
+  const char* terminated = buffer;
+  if (span.size() < sizeof(buffer)) {
+    span.copy(buffer, span.size());
+    buffer[span.size()] = '\0';
+  } else {
+    long_span.assign(span);
+    terminated = long_span.c_str();
+  }
+  char* end = nullptr;
+  const double value = std::strtod(terminated, &end);
+  if (end != terminated + span.size()) return Fail("invalid number");
+  *out = value;
+  return Status::OK();
+}
+
+Status JsonReader::ReadString(std::string_view* out) {
+  SkipWhitespace();
+  if (pos_ >= text_.size() || text_[pos_] != '"') return Fail("expected '\"'");
+  const size_t start = ++pos_;
+  // Without escapes the string is a view of the text.
+  while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
+    ++pos_;
+  }
+  if (pos_ < text_.size() && text_[pos_] == '"') {
+    *out = text_.substr(start, pos_ - start);
+    ++pos_;
+    return Status::OK();
+  }
+  scratch_.assign(text_.substr(start, pos_ - start));
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_++];
+    if (c == '"') {
+      *out = scratch_;
+      return Status::OK();
+    }
+    if (c != '\\') {
+      scratch_.push_back(c);
+      continue;
+    }
+    if (pos_ >= text_.size()) return Fail("unterminated escape");
+    const char esc = text_[pos_++];
+    switch (esc) {
+      case '"':
+        scratch_.push_back('"');
+        break;
+      case '\\':
+        scratch_.push_back('\\');
+        break;
+      case '/':
+        scratch_.push_back('/');
+        break;
+      case 'n':
+        scratch_.push_back('\n');
+        break;
+      case 'r':
+        scratch_.push_back('\r');
+        break;
+      case 't':
+        scratch_.push_back('\t');
+        break;
+      case 'b':
+        scratch_.push_back('\b');
+        break;
+      case 'f':
+        scratch_.push_back('\f');
+        break;
+      case 'u': {
+        if (pos_ + 4 > text_.size()) return Fail("bad \\u escape");
+        unsigned int code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = text_[pos_++];
+          code <<= 4;
+          if (h >= '0' && h <= '9') {
+            code += static_cast<unsigned>(h - '0');
+          } else if (h >= 'a' && h <= 'f') {
+            code += static_cast<unsigned>(h - 'a' + 10);
+          } else if (h >= 'A' && h <= 'F') {
+            code += static_cast<unsigned>(h - 'A' + 10);
+          } else {
+            return Fail("bad \\u escape");
+          }
+        }
+        // Encode as UTF-8 (BMP only; adequate for our plan/result files).
+        if (code < 0x80) {
+          scratch_.push_back(static_cast<char>(code));
+        } else if (code < 0x800) {
+          scratch_.push_back(static_cast<char>(0xC0 | (code >> 6)));
+          scratch_.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        } else {
+          scratch_.push_back(static_cast<char>(0xE0 | (code >> 12)));
+          scratch_.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+          scratch_.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        }
+        break;
+      }
+      default:
+        return Fail("unknown escape");
+    }
+  }
+  return Fail("unterminated string");
+}
+
+Status JsonReader::Open(char bracket) {
+  SkipWhitespace();
+  if (pos_ >= text_.size() || text_[pos_] != bracket) {
+    return Fail(bracket == '[' ? "expected '['" : "expected '{'");
+  }
+  // Bounds the recursion of tree builders and Skip: far deeper than any
+  // document the simulator writes, far shallower than the stack allows.
+  constexpr int kMaxDepth = 256;
+  if (depth_ == kMaxDepth) return Fail("nesting too deep");
+  ++depth_;
+  ++pos_;
+  just_opened_ = true;
+  return Status::OK();
+}
+
+Status JsonReader::BeginArray() { return Open('['); }
+Status JsonReader::BeginObject() { return Open('{'); }
+
+Status JsonReader::Advance(char close, bool* more) {
+  SkipWhitespace();
+  const bool opened = just_opened_;
+  just_opened_ = false;
+  if (pos_ < text_.size() && text_[pos_] == close) {
+    ++pos_;
+    --depth_;
+    *more = false;
+    return Status::OK();
+  }
+  *more = true;
+  if (opened) return Status::OK();
+  if (pos_ < text_.size() && text_[pos_] == ',') {
+    ++pos_;
+    return Status::OK();
+  }
+  return Fail(close == ']' ? "expected ',' or ']'" : "expected ',' or '}'");
+}
+
+Status JsonReader::NextElement(bool* more) { return Advance(']', more); }
+
+Status JsonReader::NextMember(bool* more, std::string_view* key) {
+  SKYRISE_RETURN_IF_ERROR(Advance('}', more));
+  if (!*more) return Status::OK();
+  SKYRISE_RETURN_IF_ERROR(ReadString(key));
+  SkipWhitespace();
+  if (pos_ >= text_.size() || text_[pos_] != ':') return Fail("expected ':'");
+  ++pos_;
+  return Status::OK();
+}
+
+Status JsonReader::Skip() {
+  Json::Type type;
+  SKYRISE_RETURN_IF_ERROR(Peek(&type));
+  bool more = false;
+  switch (type) {
+    case Json::Type::kNull:
+      return ReadNull();
+    case Json::Type::kBool: {
+      bool value;
+      return ReadBool(&value);
+    }
+    case Json::Type::kNumber: {
+      double value;
+      return ReadNumber(&value);
+    }
+    case Json::Type::kString: {
+      std::string_view value;
+      return ReadString(&value);
+    }
+    case Json::Type::kArray:
+      SKYRISE_RETURN_IF_ERROR(BeginArray());
+      while (true) {
+        SKYRISE_RETURN_IF_ERROR(NextElement(&more));
+        if (!more) return Status::OK();
+        SKYRISE_RETURN_IF_ERROR(Skip());
+      }
+    case Json::Type::kObject: {
+      SKYRISE_RETURN_IF_ERROR(BeginObject());
+      std::string_view key;
+      while (true) {
+        SKYRISE_RETURN_IF_ERROR(NextMember(&more, &key));
+        if (!more) return Status::OK();
+        SKYRISE_RETURN_IF_ERROR(Skip());
+      }
+    }
+  }
+  return Status::OK();
+}
+
+Status JsonReader::Finish() {
+  SkipWhitespace();
+  if (pos_ != text_.size()) {
+    return Fail("trailing characters after JSON document");
+  }
+  return Status::OK();
+}
+
 namespace {
 
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  Result<Json> Parse() {
-    SkipWhitespace();
-    auto value = ParseValue();
-    if (!value.ok()) return value;
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Fail("trailing characters after JSON document");
+/// Reads the next value into `out` as a tree.
+Status ReadTree(JsonReader* reader, Json* out) {
+  Json::Type type;
+  SKYRISE_RETURN_IF_ERROR(reader->Peek(&type));
+  bool more = false;
+  switch (type) {
+    case Json::Type::kNull:
+      *out = Json();
+      return reader->ReadNull();
+    case Json::Type::kBool: {
+      bool value = false;
+      SKYRISE_RETURN_IF_ERROR(reader->ReadBool(&value));
+      *out = Json(value);
+      return Status::OK();
     }
-    return value;
-  }
-
- private:
-  Status Fail(const std::string& what) const {
-    return Status::InvalidArgument(
-        StrFormat("JSON parse error at offset %zu: %s", pos_, what.c_str()));
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
+    case Json::Type::kNumber: {
+      double value = 0;
+      SKYRISE_RETURN_IF_ERROR(reader->ReadNumber(&value));
+      *out = Json(value);
+      return Status::OK();
     }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
+    case Json::Type::kString: {
+      std::string_view value;
+      SKYRISE_RETURN_IF_ERROR(reader->ReadString(&value));
+      *out = Json(std::string(value));
+      return Status::OK();
     }
-    return false;
-  }
-
-  Result<Json> ParseValue() {
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    const char c = text_[pos_];
-    switch (c) {
-      case '{':
-      case '[': {
-        // Bounds the recursion: far deeper than any document the simulator
-        // writes, far shallower than the stack allows.
-        constexpr int kMaxDepth = 256;
-        if (depth_ == kMaxDepth) return Fail("nesting too deep");
-        ++depth_;
-        Result<Json> nested = c == '{' ? ParseObject() : ParseArray();
-        --depth_;
-        return nested;
+    case Json::Type::kArray: {
+      SKYRISE_RETURN_IF_ERROR(reader->BeginArray());
+      JsonArray items;
+      while (true) {
+        SKYRISE_RETURN_IF_ERROR(reader->NextElement(&more));
+        if (!more) break;
+        items.emplace_back();
+        SKYRISE_RETURN_IF_ERROR(ReadTree(reader, &items.back()));
       }
-      case '"': {
-        auto s = ParseString();
-        if (!s.ok()) return s.status();
-        return Json(std::move(s).ValueUnsafe());
+      *out = Json(std::move(items));
+      return Status::OK();
+    }
+    case Json::Type::kObject: {
+      SKYRISE_RETURN_IF_ERROR(reader->BeginObject());
+      JsonObject members;
+      std::string_view key;
+      while (true) {
+        SKYRISE_RETURN_IF_ERROR(reader->NextMember(&more, &key));
+        if (!more) break;
+        // A repeated key keeps its last value.
+        Json& value = members[std::string(key)];
+        SKYRISE_RETURN_IF_ERROR(ReadTree(reader, &value));
       }
-      case 't':
-        return ParseLiteral("true", Json(true));
-      case 'f':
-        return ParseLiteral("false", Json(false));
-      case 'n':
-        return ParseLiteral("null", Json());
-      default:
-        return ParseNumber();
+      *out = Json(std::move(members));
+      return Status::OK();
     }
   }
-
-  Result<Json> ParseLiteral(const char* lit, Json value) {
-    const size_t len = std::string(lit).size();
-    if (text_.compare(pos_, len, lit) != 0) return Fail("invalid literal");
-    pos_ += len;
-    return value;
-  }
-
-  Result<Json> ParseNumber() {
-    const size_t start = pos_;
-    if (Consume('-')) {
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail("invalid number");
-    char* end = nullptr;
-    const double v = std::strtod(text_.c_str() + start, &end);
-    if (end != text_.c_str() + pos_) return Fail("invalid number");
-    return Json(v);
-  }
-
-  Result<std::string> ParseString() {
-    if (!Consume('"')) return Fail("expected '\"'");
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return Fail("unterminated escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-            out.push_back('"');
-            break;
-          case '\\':
-            out.push_back('\\');
-            break;
-          case '/':
-            out.push_back('/');
-            break;
-          case 'n':
-            out.push_back('\n');
-            break;
-          case 'r':
-            out.push_back('\r');
-            break;
-          case 't':
-            out.push_back('\t');
-            break;
-          case 'b':
-            out.push_back('\b');
-            break;
-          case 'f':
-            out.push_back('\f');
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return Fail("bad \\u escape");
-            unsigned int code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code += static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code += static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code += static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return Fail("bad \\u escape");
-              }
-            }
-            // Encode as UTF-8 (BMP only; adequate for our plan/result files).
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
-            break;
-          }
-          default:
-            return Fail("unknown escape");
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    return Fail("unterminated string");
-  }
-
-  Result<Json> ParseArray() {
-    Consume('[');
-    Json arr = Json::Array();
-    SkipWhitespace();
-    if (Consume(']')) return arr;
-    while (true) {
-      SkipWhitespace();
-      auto v = ParseValue();
-      if (!v.ok()) return v;
-      arr.Append(std::move(v).ValueUnsafe());
-      SkipWhitespace();
-      if (Consume(']')) return arr;
-      if (!Consume(',')) return Fail("expected ',' or ']'");
-    }
-  }
-
-  Result<Json> ParseObject() {
-    Consume('{');
-    Json obj = Json::Object();
-    SkipWhitespace();
-    if (Consume('}')) return obj;
-    while (true) {
-      SkipWhitespace();
-      auto key = ParseString();
-      if (!key.ok()) return key.status();
-      SkipWhitespace();
-      if (!Consume(':')) return Fail("expected ':'");
-      SkipWhitespace();
-      auto v = ParseValue();
-      if (!v.ok()) return v;
-      obj[std::move(key).ValueUnsafe()] = std::move(v).ValueUnsafe();
-      SkipWhitespace();
-      if (Consume('}')) return obj;
-      if (!Consume(',')) return Fail("expected ',' or '}'");
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-  int depth_ = 0;  ///< Arrays and objects open at pos_.
-};
+  return Status::OK();
+}
 
 }  // namespace
 
-Result<Json> Json::Parse(const std::string& text) {
-  return Parser(text).Parse();
+Result<Json> Json::Parse(std::string_view text) {
+  JsonReader reader(text);
+  Json value;
+  SKYRISE_RETURN_IF_ERROR(ReadTree(&reader, &value));
+  SKYRISE_RETURN_IF_ERROR(reader.Finish());
+  return value;
 }
 
 }  // namespace skyrise

@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -11,13 +13,16 @@
 /// \file json.h
 /// Minimal JSON document model with parser and serializer. Used for physical
 /// query plans (coordinator protocol) and experiment result files, matching
-/// the paper's JSON-based interfaces.
+/// the paper's JSON-based interfaces. JsonReader, the lexer under
+/// Json::Parse, also reads COF footers without building a tree; the number
+/// and string writers below are shared with the COF footer writer.
 
 namespace skyrise {
 
 class Json;
 using JsonArray = std::vector<Json>;
-using JsonObject = std::map<std::string, Json>;
+/// Transparent comparator: keyed lookups take a std::string_view.
+using JsonObject = std::map<std::string, Json, std::less<>>;
 
 class Json {
  public:
@@ -55,16 +60,16 @@ class Json {
   JsonObject& AsObject();
 
   /// Object access. `Get` returns null JSON for a missing key.
-  const Json& Get(const std::string& key) const;
-  bool Has(const std::string& key) const;
+  const Json& Get(std::string_view key) const;
+  bool Has(std::string_view key) const;
   Json& operator[](const std::string& key);
 
   /// Typed object accessors with defaults for optional fields.
-  int64_t GetInt(const std::string& key, int64_t def = 0) const;
-  double GetDouble(const std::string& key, double def = 0.0) const;
-  std::string GetString(const std::string& key,
+  int64_t GetInt(std::string_view key, int64_t def = 0) const;
+  double GetDouble(std::string_view key, double def = 0.0) const;
+  std::string GetString(std::string_view key,
                         const std::string& def = "") const;
-  bool GetBool(const std::string& key, bool def = false) const;
+  bool GetBool(std::string_view key, bool def = false) const;
 
   /// Array append.
   void Append(Json value);
@@ -74,7 +79,7 @@ class Json {
   std::string Dump(int indent = -1) const;
 
   /// Parses a JSON document.
-  [[nodiscard]] static Result<Json> Parse(const std::string& text);
+  [[nodiscard]] static Result<Json> Parse(std::string_view text);
 
   bool operator==(const Json& other) const;
 
@@ -87,6 +92,70 @@ class Json {
   std::string string_;
   std::shared_ptr<JsonArray> array_;
   std::shared_ptr<JsonObject> object_;
+};
+
+/// Appends `n` as Json::Dump writes a number: an integral value below 1e15
+/// in magnitude as an integer (printf `%lld`), any other value with 17
+/// significant digits (`%.17g`).
+void AppendJsonNumber(double n, std::string* out);
+
+/// Appends `s` as Json::Dump writes a string: quoted, with `"`, `\`, and
+/// control characters escaped.
+void AppendJsonString(std::string_view s, std::string* out);
+
+/// Pull reader over JSON text, one token at a time: the lexer behind
+/// Json::Parse, and the COF footer reader's, so both follow one set of
+/// string, number and escape rules. Every call skips leading whitespace.
+/// Errors are InvalidArgument "JSON parse error at offset N: ...". At most
+/// 256 arrays and objects may be open at once.
+///
+/// Containers are read as Begin*, then Next* until it reports no more:
+///
+///   SKYRISE_RETURN_IF_ERROR(reader.BeginObject());
+///   while (true) {
+///     SKYRISE_RETURN_IF_ERROR(reader.NextMember(&more, &key));
+///     if (!more) break;
+///     // Read or Skip the member's value.
+///   }
+class JsonReader {
+ public:
+  explicit JsonReader(std::string_view text) : text_(text) {}
+
+  /// The type of the next value, without consuming it.
+  [[nodiscard]] Status Peek(Json::Type* type);
+  [[nodiscard]] Status ReadNull();
+  [[nodiscard]] Status ReadBool(bool* out);
+  [[nodiscard]] Status ReadNumber(double* out);
+  /// The decoded string. `out` views the text, or, when the string has
+  /// escapes, a buffer of the reader's; it is valid until the next call.
+  [[nodiscard]] Status ReadString(std::string_view* out);
+
+  /// Consume the opening bracket of an array or object.
+  [[nodiscard]] Status BeginArray();
+  [[nodiscard]] Status BeginObject();
+  /// Sets `more` when another element follows, else consumes the `]`.
+  [[nodiscard]] Status NextElement(bool* more);
+  /// Sets `more` and reads the next member's key and colon into `key` (as
+  /// ReadString does), or consumes the `}`.
+  [[nodiscard]] Status NextMember(bool* more, std::string_view* key);
+
+  /// Consumes one value of any type.
+  [[nodiscard]] Status Skip();
+  /// Succeeds when only whitespace remains.
+  [[nodiscard]] Status Finish();
+
+ private:
+  [[nodiscard]] Status Fail(const char* what) const;
+  void SkipWhitespace();
+  [[nodiscard]] Status Open(char bracket);
+  /// Moves past `,` or the closing `close`; the shared part of Next*.
+  [[nodiscard]] Status Advance(char close, bool* more);
+
+  std::string_view text_;
+  size_t pos_ = 0;
+  int depth_ = 0;           ///< Arrays and objects open at pos_.
+  bool just_opened_ = false;  ///< No element read since the last Begin*.
+  std::string scratch_;     ///< Decoded strings that had escapes.
 };
 
 }  // namespace skyrise

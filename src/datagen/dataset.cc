@@ -31,6 +31,9 @@ Json DatasetInfo::ToJson() const {
 
 Result<DatasetInfo> DatasetInfo::FromJson(const Json& json) {
   if (!json.is_object()) return Status::IoError("manifest is not an object");
+  if (!json.Get("schema").is_array() || !json.Get("partitions").is_array()) {
+    return Status::IoError("manifest lacks a schema or partitions");
+  }
   DatasetInfo info;
   info.name = json.GetString("name");
   std::vector<data::Field> fields;
@@ -121,13 +124,17 @@ Result<DatasetInfo> UploadSyntheticDataset(
   return info;
 }
 
+Result<DatasetInfo> ParseManifest(std::string_view text) {
+  Json json;
+  SKYRISE_ASSIGN_OR_RETURN(json, Json::Parse(text));
+  return DatasetInfo::FromJson(json);
+}
+
 Result<DatasetInfo> ReadManifest(const storage::StorageService& store,
                                  const std::string& name) {
   storage::Blob blob;
   SKYRISE_ASSIGN_OR_RETURN(blob, store.Peek(DatasetManifestKey(name)));
-  Json json;
-  SKYRISE_ASSIGN_OR_RETURN(json, Json::Parse(blob.data()));
-  return DatasetInfo::FromJson(json);
+  return ParseManifest(blob.data());
 }
 
 }  // namespace skyrise::datagen

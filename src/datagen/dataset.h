@@ -2,8 +2,10 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/json.h"
 #include "format/cof.h"
 #include "storage/storage_service.h"
 
@@ -29,8 +31,12 @@ struct DatasetInfo {
   int64_t total_rows = 0;
 
   Json ToJson() const;
+  /// IoError when the schema or partition list is missing or mistyped.
   [[nodiscard]] static Result<DatasetInfo> FromJson(const Json& json);
 };
+
+/// Parses manifest text (Json::Parse, then DatasetInfo::FromJson).
+[[nodiscard]] Result<DatasetInfo> ParseManifest(std::string_view text);
 
 /// Uploads a real dataset: `generator(partition)` produces each partition's
 /// rows, which are COF-encoded and stored. Returns the manifest (also stored

@@ -1,11 +1,13 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
 
 #include "common/circuit_breaker.h"
 #include "common/deadline.h"
 #include "common/retry_budget.h"
+#include "datagen/dataset.h"
 #include "engine/executor.h"
 #include "faas/function.h"
 #include "format/cof.h"
@@ -16,10 +18,10 @@
 
 /// \file context.h
 /// Shared wiring for the engine's function handlers: the simulation, table
-/// and shuffle storage, the synthetic file catalog and the footer memo, retry
-/// policy, and the platform workers run on. Queries in flight together on
-/// one context interleave on the single-threaded event loop; per-query
-/// state lives in `query_grants`, keyed by query id.
+/// and shuffle storage, the synthetic file catalog, the footer and manifest
+/// memos, retry policy, and the platform workers run on. Queries in flight
+/// together on one context interleave on the single-threaded event loop;
+/// per-query state lives in `query_grants`, keyed by query id.
 
 namespace skyrise::engine {
 
@@ -29,6 +31,9 @@ struct EngineContext {
   storage::StorageService* shuffle_store = nullptr;
   format::SyntheticFileCatalog* catalog = nullptr;
   format::FooterMemo table_footers;  ///< Shuffle objects bypass it.
+  /// Dataset manifests by their bytes. The coordinator still issues (and
+  /// bills) every manifest GET; only the parse is shared.
+  ParseMemo<datagen::DatasetInfo, datagen::ParseManifest> manifests;
   storage::QueueService* queue = nullptr;
   /// Platform worker invocations go to (set per run: Lambda or EC2 fleet).
   faas::ComputePlatform* worker_platform = nullptr;
@@ -119,6 +124,11 @@ struct EngineContext {
   struct QueryGrants {
     RetryBudget* retry_budget = nullptr;
     Deadline deadline;
+    /// The coordinator's parse of the plan. A live worker takes its
+    /// PipelineSpec from here instead of parsing its payload, and keeps
+    /// the plan alive for as long as it runs; a worker without a grant
+    /// parses the payload's copy of the pipeline, which is equal.
+    std::shared_ptr<const QueryPlan> plan;
   };
   std::map<std::string, QueryGrants> query_grants;
   const QueryGrants* FindGrants(const std::string& query_id) const {

@@ -46,12 +46,13 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
       Fail(plan.status());
       return;
     }
-    plan_ = std::move(plan).ValueUnsafe();
+    plan_ = std::make_shared<const QueryPlan>(std::move(plan).ValueUnsafe());
 
     // Overload-robustness setup: resolve the query deadline (propagated as
     // an absolute "deadline_us", or derived from policy when invoked
-    // without one), mint the per-query retry-token pool, and publish both
-    // on the context for the workers this query is about to launch.
+    // without one), mint the per-query retry-token pool, and publish both,
+    // with the parsed plan, on the context for the workers this query is
+    // about to launch.
     deadline_ = Deadline::At(payload.GetInt("deadline_us", 0));
     if (!deadline_.bounded() && ec_->query_deadline > 0) {
       deadline_ = Deadline::After(Now(), ec_->query_deadline);
@@ -63,7 +64,7 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
       budget_ = std::make_unique<RetryBudget>(budget_options);
     }
     ec_->query_grants[query_id_] =
-        EngineContext::QueryGrants{budget_.get(), deadline_};
+        EngineContext::QueryGrants{budget_.get(), deadline_, plan_};
     storage_observer_ = InstallBreakerObserver(ec_->storage_breaker);
     invoke_observer_ = InstallBreakerObserver(ec_->invoke_breaker);
     if (deadline_.bounded()) {
@@ -90,7 +91,7 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
     storage_ctx_.breaker = ec_->storage_breaker;
 
     // Collect referenced tables.
-    for (const auto& pipeline : plan_.pipelines) {
+    for (const auto& pipeline : plan_->pipelines) {
       for (const auto& input : pipeline.inputs) {
         if (input.type == InputSpec::Type::kTable) {
           tables_.insert(input.table);
@@ -150,7 +151,8 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
 
   /// Tears down per-query robustness state exactly once: the deadline
   /// timer, this query's published grants (workers must not read a dead
-  /// query's pool), this query's breaker observers (other in-flight
+  /// query's pool; running workers keep their own reference to the plan),
+  /// this query's breaker observers (other in-flight
   /// queries keep theirs), and — on abnormal exits — the still open stage
   /// span and its speculation timer.
   void Cleanup() {
@@ -205,13 +207,9 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
                      return;
                    }
                    // Synthetic-manifest datasets are not supported: the
-                   // manifest object is always real JSON.
-                   auto json = Json::Parse(result->data());
-                   if (!json.ok()) {
-                     self->Fail(json.status());
-                     return;
-                   }
-                   auto info = datagen::DatasetInfo::FromJson(*json);
+                   // manifest object is always real JSON. Its parse is
+                   // shared with every query that read the same bytes.
+                   auto info = self->ec_->manifests.Parse(result->data());
                    if (!info.ok()) {
                      self->Fail(info.status());
                      return;
@@ -227,9 +225,9 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
     // Topological order over pipeline dependencies.
     std::set<int> done;
     std::vector<const PipelineSpec*> order;
-    while (order.size() < plan_.pipelines.size()) {
+    while (order.size() < plan_->pipelines.size()) {
       bool progress = false;
-      for (const auto& pipeline : plan_.pipelines) {
+      for (const auto& pipeline : plan_->pipelines) {
         if (done.count(pipeline.id) > 0) continue;
         bool ready = true;
         for (int dep : pipeline.depends_on) {
@@ -256,7 +254,7 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
     if (stream.type == InputSpec::Type::kShuffle) {
       // One fragment per upstream shuffle partition.
       const PipelineSpec* upstream =
-          plan_.FindPipeline(stream.upstream_pipeline);
+          plan_->FindPipeline(stream.upstream_pipeline);
       SKYRISE_CHECK(upstream != nullptr);
       for (const auto& op : upstream->ops) {
         if (op.op == "partition_write") return op.partition_count;
@@ -265,9 +263,9 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
     }
     const auto it = manifests_.find(stream.table);
     SKYRISE_CHECK(it != manifests_.end());
-    const int files = static_cast<int>(it->second.partitions.size());
+    const int files = static_cast<int>(it->second->partitions.size());
     int ppw = partitions_per_worker_;
-    if (ppw <= 0) ppw = MemoryAwarePartitionsPerWorker(it->second);
+    if (ppw <= 0) ppw = MemoryAwarePartitionsPerWorker(*it->second);
     // Degraded scan stages pack more partitions per worker: less invoke and
     // retry pressure at the cost of per-stage latency. Shuffle-consuming
     // stages are pinned to the upstream partition count and cannot shrink.
@@ -293,14 +291,24 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
         std::clamp<int64_t>(budget / avg, 1, std::max(1, files)));
   }
 
-  Json BuildWorkerPayload(const PipelineSpec& pipeline, int fragment,
+  /// The coordinator payload's JSON of `pipeline`, which `plan_` was
+  /// parsed from. Worker payloads carry it as is: Json copies share their
+  /// objects, so no stage serializes its pipeline again.
+  const Json& PipelineJson(const PipelineSpec& pipeline) const {
+    const size_t index =
+        static_cast<size_t>(&pipeline - plan_->pipelines.data());
+    return fctx_->payload().Get("plan").Get("pipelines").AsArray()[index];
+  }
+
+  Json BuildWorkerPayload(const PipelineSpec& pipeline,
+                          const Json& pipeline_json, int fragment,
                           int fragments) {
     std::vector<WorkerInputAssignment> assignments;
     for (size_t i = 0; i < pipeline.inputs.size(); ++i) {
       const InputSpec& input = pipeline.inputs[i];
       WorkerInputAssignment assignment;
       if (input.type == InputSpec::Type::kTable) {
-        const auto& parts = manifests_[input.table].partitions;
+        const auto& parts = manifests_.at(input.table)->partitions;
         const int n = static_cast<int>(parts.size());
         if (i == 0) {
           // Streamed input: contiguous slice of the partition list.
@@ -324,7 +332,8 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
       }
       assignments.push_back(std::move(assignment));
     }
-    Json payload = WorkerPayload(query_id_, pipeline, fragment, assignments);
+    Json payload =
+        WorkerPayload(query_id_, pipeline_json, fragment, assignments);
     payload["barrier_participants"] = fragments;
     // Workers inherit the query deadline; the platform clamps their
     // execution timeout against it and their storage clients stop retrying
@@ -422,9 +431,10 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
           query_span_);
     }
     state->frags.resize(static_cast<size_t>(fragments));
+    const Json& pipeline_json = PipelineJson(pipeline);
     for (int f = 0; f < fragments; ++f) {
       state->frags[static_cast<size_t>(f)].payload =
-          BuildWorkerPayload(pipeline, f, fragments);
+          BuildWorkerPayload(pipeline, pipeline_json, f, fragments);
       state->pending.push_back(f);
     }
     ScheduleSpeculationSweep(state);
@@ -753,7 +763,7 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
     done_ = true;
     Cleanup();
     Json response = Json::Object();
-    response["query"] = plan_.query_name;
+    response["query"] = plan_->query_name;
     response["query_id"] = query_id_;
     response["result_key"] = ResultKey(query_id_);
     response["runtime_ms"] = ToMillis(Now() - start_);
@@ -796,11 +806,12 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
   obs::SpanId plan_span_ = obs::kNoSpan;
   std::unique_ptr<storage::RetryClient> client_;
   storage::ClientContext storage_ctx_;
-  QueryPlan plan_;
+  std::shared_ptr<const QueryPlan> plan_;  ///< Shared with the workers.
   std::string query_id_;
   int partitions_per_worker_ = 1;
   std::set<std::string> tables_;
-  std::map<std::string, datagen::DatasetInfo> manifests_;
+  std::map<std::string, std::shared_ptr<const datagen::DatasetInfo>>
+      manifests_;
   std::vector<const PipelineSpec*> stages_;
   std::map<int, int> fragments_of_;
   std::vector<Json> stage_summaries_;

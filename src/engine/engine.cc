@@ -92,18 +92,20 @@ Result<data::Chunk> QueryEngine::FetchResult(
                              context_.catalog->Find(ResultKey(query_id)));
     return data::Chunk::Synthetic(meta.schema, meta.TotalRows());
   }
+  // Decoded where the object lies.
+  const std::string_view bytes = blob.data();
   format::FileMeta meta;
   SKYRISE_ASSIGN_OR_RETURN(
-      meta, format::ParseFooter(blob.data(), 0,
-                                static_cast<int64_t>(blob.size())));
+      meta, format::ParseFooter(bytes, 0, static_cast<int64_t>(bytes.size())));
   std::vector<std::string> projection;
   for (const auto& f : meta.schema.fields()) projection.push_back(f.name);
   data::Chunk out = data::Chunk::Empty(meta.schema);
+  std::vector<std::string_view> column_bytes;
   for (size_t rg = 0; rg < meta.row_groups.size(); ++rg) {
-    std::vector<std::string> column_bytes;
+    column_bytes.clear();
     for (const auto& cm : meta.row_groups[rg].columns) {
-      column_bytes.push_back(blob.data().substr(
-          static_cast<size_t>(cm.offset), static_cast<size_t>(cm.size)));
+      column_bytes.push_back(bytes.substr(static_cast<size_t>(cm.offset),
+                                          static_cast<size_t>(cm.size)));
     }
     data::Chunk chunk;
     SKYRISE_ASSIGN_OR_RETURN(

@@ -149,12 +149,23 @@ Result<ExprPtr> Expr::FromJson(const Json& json) {
   if (kind == Kind::kNumber) e->number = json.GetDouble("value");
   if (kind == Kind::kString) e->text = json.GetString("value");
   if (json.Has("values")) {
-    for (const auto& v : json.Get("values").AsArray()) {
+    const Json& values = json.Get("values");
+    if (!values.is_array()) {
+      return Status::InvalidArgument("expr values is not an array");
+    }
+    for (const auto& v : values.AsArray()) {
+      if (!v.is_string()) {
+        return Status::InvalidArgument("expr values has a non-string element");
+      }
       e->in_list.push_back(v.AsString());
     }
   }
   if (json.Has("children")) {
-    for (const auto& child : json.Get("children").AsArray()) {
+    const Json& children = json.Get("children");
+    if (!children.is_array()) {
+      return Status::InvalidArgument("expr children is not an array");
+    }
+    for (const auto& child : children.AsArray()) {
       ExprPtr parsed;
       SKYRISE_ASSIGN_OR_RETURN(parsed, FromJson(child));
       e->children.push_back(std::move(parsed));

@@ -12,12 +12,31 @@ Json StringsToJson(const std::vector<std::string>& values) {
   return out;
 }
 
-std::vector<std::string> StringsFromJson(const Json& json) {
+/// A list of strings; a missing list reads as empty.
+Result<std::vector<std::string>> StringsFromJson(const Json& json,
+                                                 const char* what) {
   std::vector<std::string> out;
-  if (json.is_array()) {
-    for (const auto& v : json.AsArray()) out.push_back(v.AsString());
+  if (json.is_null()) return out;
+  if (!json.is_array()) {
+    return Status::InvalidArgument(StrFormat("%s is not an array", what));
+  }
+  for (const auto& v : json.AsArray()) {
+    if (!v.is_string()) {
+      return Status::InvalidArgument(
+          StrFormat("%s has a non-string element", what));
+    }
+    out.push_back(v.AsString());
   }
   return out;
+}
+
+/// The array under `key`, or InvalidArgument naming it.
+Result<const JsonArray*> ArrayMember(const Json& json, const char* key) {
+  const Json& value = json.Get(key);
+  if (!value.is_array()) {
+    return Status::InvalidArgument(StrFormat("plan lacks %s", key));
+  }
+  return &value.AsArray();
 }
 
 }  // namespace
@@ -41,7 +60,8 @@ Result<InputSpec> InputSpec::FromJson(const Json& json) {
   spec.type = json.GetString("type") == "shuffle" ? Type::kShuffle
                                                   : Type::kTable;
   spec.table = json.GetString("table");
-  spec.columns = StringsFromJson(json.Get("columns"));
+  SKYRISE_ASSIGN_OR_RETURN(spec.columns,
+                           StringsFromJson(json.Get("columns"), "columns"));
   if (json.Has("pushdown")) {
     SKYRISE_ASSIGN_OR_RETURN(spec.pushdown,
                              Expr::FromJson(json.Get("pushdown")));
@@ -115,15 +135,20 @@ Result<OperatorSpec> OperatorSpec::FromJson(const Json& json) {
   }
   spec.selectivity = json.GetDouble("selectivity", 1.0);
   if (json.Has("projections")) {
-    for (const auto& p : json.Get("projections").AsArray()) {
+    const JsonArray* projections = nullptr;
+    SKYRISE_ASSIGN_OR_RETURN(projections, ArrayMember(json, "projections"));
+    for (const auto& p : *projections) {
       ExprPtr expr;
       SKYRISE_ASSIGN_OR_RETURN(expr, Expr::FromJson(p.Get("expr")));
       spec.projections.emplace_back(p.GetString("name"), std::move(expr));
     }
   }
-  spec.group_by = StringsFromJson(json.Get("group_by"));
+  SKYRISE_ASSIGN_OR_RETURN(spec.group_by,
+                           StringsFromJson(json.Get("group_by"), "group_by"));
   if (json.Has("aggregates")) {
-    for (const auto& a : json.Get("aggregates").AsArray()) {
+    const JsonArray* aggregates = nullptr;
+    SKYRISE_ASSIGN_OR_RETURN(aggregates, ArrayMember(json, "aggregates"));
+    for (const auto& a : *aggregates) {
       AggregateSpec agg;
       agg.func = a.GetString("func");
       if (a.Has("expr")) {
@@ -134,16 +159,28 @@ Result<OperatorSpec> OperatorSpec::FromJson(const Json& json) {
     }
   }
   spec.groups_hint = json.GetInt("groups_hint", 1);
-  spec.probe_keys = StringsFromJson(json.Get("probe_keys"));
-  spec.build_keys = StringsFromJson(json.Get("build_keys"));
-  spec.build_columns = StringsFromJson(json.Get("build_columns"));
+  SKYRISE_ASSIGN_OR_RETURN(
+      spec.probe_keys, StringsFromJson(json.Get("probe_keys"), "probe_keys"));
+  SKYRISE_ASSIGN_OR_RETURN(
+      spec.build_keys, StringsFromJson(json.Get("build_keys"), "build_keys"));
+  SKYRISE_ASSIGN_OR_RETURN(
+      spec.build_columns,
+      StringsFromJson(json.Get("build_columns"), "build_columns"));
   spec.build_input = static_cast<int>(json.GetInt("build_input", 1));
   spec.join_multiplier = json.GetDouble("join_multiplier", 1.0);
-  spec.partition_keys = StringsFromJson(json.Get("partition_keys"));
+  SKYRISE_ASSIGN_OR_RETURN(
+      spec.partition_keys,
+      StringsFromJson(json.Get("partition_keys"), "partition_keys"));
   spec.partition_count = static_cast<int>(json.GetInt("partition_count", 1));
-  spec.sort_keys = StringsFromJson(json.Get("sort_keys"));
+  SKYRISE_ASSIGN_OR_RETURN(spec.sort_keys,
+                           StringsFromJson(json.Get("sort_keys"), "sort_keys"));
   if (json.Has("sort_ascending")) {
-    for (const auto& b : json.Get("sort_ascending").AsArray()) {
+    const JsonArray* ascending = nullptr;
+    SKYRISE_ASSIGN_OR_RETURN(ascending, ArrayMember(json, "sort_ascending"));
+    for (const auto& b : *ascending) {
+      if (!b.is_bool()) {
+        return Status::InvalidArgument("sort_ascending has a non-bool element");
+      }
       spec.sort_ascending.push_back(b.AsBool());
     }
   }
@@ -172,18 +209,25 @@ Json PipelineSpec::ToJson() const {
 Result<PipelineSpec> PipelineSpec::FromJson(const Json& json) {
   PipelineSpec spec;
   spec.id = static_cast<int>(json.GetInt("id"));
-  for (const auto& input : json.Get("inputs").AsArray()) {
+  const JsonArray* list = nullptr;
+  SKYRISE_ASSIGN_OR_RETURN(list, ArrayMember(json, "inputs"));
+  for (const auto& input : *list) {
     InputSpec parsed;
     SKYRISE_ASSIGN_OR_RETURN(parsed, InputSpec::FromJson(input));
     spec.inputs.push_back(std::move(parsed));
   }
-  for (const auto& op : json.Get("ops").AsArray()) {
+  SKYRISE_ASSIGN_OR_RETURN(list, ArrayMember(json, "ops"));
+  for (const auto& op : *list) {
     OperatorSpec parsed;
     SKYRISE_ASSIGN_OR_RETURN(parsed, OperatorSpec::FromJson(op));
     spec.ops.push_back(std::move(parsed));
   }
   if (json.Has("depends_on")) {
-    for (const auto& d : json.Get("depends_on").AsArray()) {
+    SKYRISE_ASSIGN_OR_RETURN(list, ArrayMember(json, "depends_on"));
+    for (const auto& d : *list) {
+      if (!d.is_number()) {
+        return Status::InvalidArgument("depends_on has a non-number element");
+      }
       spec.depends_on.push_back(static_cast<int>(d.AsInt()));
     }
   }
@@ -202,7 +246,9 @@ Json QueryPlan::ToJson() const {
 Result<QueryPlan> QueryPlan::FromJson(const Json& json) {
   QueryPlan plan;
   plan.query_name = json.GetString("query_name");
-  for (const auto& p : json.Get("pipelines").AsArray()) {
+  const JsonArray* pipelines = nullptr;
+  SKYRISE_ASSIGN_OR_RETURN(pipelines, ArrayMember(json, "pipelines"));
+  for (const auto& p : *pipelines) {
     PipelineSpec parsed;
     SKYRISE_ASSIGN_OR_RETURN(parsed, PipelineSpec::FromJson(p));
     plan.pipelines.push_back(std::move(parsed));

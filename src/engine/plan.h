@@ -14,6 +14,13 @@
 /// final result. Additional inputs (e.g., a hash-join build side) are fully
 /// materialized before streaming starts.
 ///
+/// The coordinator parses its payload's plan once. Worker payloads carry
+/// their pipeline's JSON from that payload, shared rather than rebuilt, and
+/// a worker takes the parsed PipelineSpec from the coordinator's grant
+/// (engine::EngineContext::QueryGrants); only a worker that outlived its
+/// coordinator parses its payload (DESIGN.md §12.7). The decoders return
+/// InvalidArgument for a missing or mistyped field they require.
+///
 /// Operators carry *synthetic-mode hints* (selectivity, group counts, join
 /// multipliers) so paper-scale runs over synthetic data propagate realistic
 /// cardinalities through the identical execution code.

@@ -1,8 +1,16 @@
+// The worker's per-fragment path (DESIGN.md §12.7). The pipeline comes
+// from the coordinator's parsed plan while its grant is live, or from the
+// payload's JSON once the coordinator has finished. Column ranges that
+// arrive in one GET are decoded where they lie in their Blob; only ranges
+// split at `range_chunk_bytes` are assembled. Shuffle objects are decoded
+// from views of the object.
+
 #include "engine/worker.h"
 
 #include <deque>
 #include <memory>
 #include <optional>
+#include <string_view>
 
 #include "common/string_util.h"
 
@@ -13,45 +21,79 @@ namespace {
 using data::Chunk;
 using storage::Blob;
 
-/// One pending ranged read; large column chunks are split into
-/// `range_chunk_bytes` pieces processed in parallel (Section 3.2).
+/// One pending ranged read of the file being read. A column range larger
+/// than `range_chunk_bytes` is split into pieces read in parallel
+/// (Section 3.2).
 struct ReadOp {
-  std::string key;
   int64_t offset = 0;
   int64_t length = 0;
-  size_t buffer = 0;  ///< Result slot.
-  int64_t buffer_offset = 0;
+  size_t range = 0;          ///< The RangeBytes this piece fills.
+  int64_t range_offset = 0;  ///< Where the piece lies within its range.
+  bool split = false;        ///< One of several pieces of its range.
 };
 
-/// Issues reads with bounded concurrency against a retrying client,
-/// reassembling split ranges, then fires `done` with the buffers. Used for
-/// build-side inputs, which must materialize fully before the probe stream
-/// starts.
+/// The bytes of one column range. A range that arrives in one piece stays
+/// the Blob it came in and is decoded where it lies; only a range split at
+/// `range_chunk_bytes` is assembled, piece by piece, at its offsets.
+struct RangeBytes {
+  Blob whole;
+  std::string assembled;
+
+  std::string_view view() const {
+    return whole.is_synthetic() ? std::string_view(assembled)
+                                : std::string_view(whole.data());
+  }
+};
+
+/// Queues the reads of column range `range`, [offset, offset + length) of
+/// the file, split at `chunk` bytes; returns the number of pieces.
+int SplitRange(int64_t offset, int64_t length, size_t range, int64_t chunk,
+               std::deque<ReadOp>* pending) {
+  const bool split = length > chunk;
+  int pieces = 0;
+  for (int64_t at = 0; at < length; at += chunk, ++pieces) {
+    pending->push_back(
+        ReadOp{offset + at, std::min(chunk, length - at), range, at, split});
+  }
+  return pieces;
+}
+
+/// Stores a completed piece into its range.
+void StorePiece(const ReadOp& op, Blob&& piece, RangeBytes* range) {
+  if (!op.split) {
+    range->whole = std::move(piece);
+    return;
+  }
+  if (piece.is_synthetic()) return;
+  const std::string& bytes = piece.data();
+  const size_t end = static_cast<size_t>(op.range_offset) + bytes.size();
+  if (range->assembled.size() < end) range->assembled.resize(end);
+  bytes.copy(range->assembled.data() + op.range_offset, bytes.size());
+}
+
+/// Issues one file's reads with bounded concurrency against a retrying
+/// client, then fires `done` with the column ranges. Used for build-side
+/// inputs, which must materialize fully before the probe stream starts.
 class ReadBatch : public std::enable_shared_from_this<ReadBatch> {
  public:
   ReadBatch(EngineContext* ec, storage::RetryClient* client,
-            storage::ClientContext storage_ctx, size_t buffer_count)
-      : ec_(ec), client_(client), storage_ctx_(std::move(storage_ctx)) {
-    buffers_.resize(buffer_count);
-    synthetic_.assign(buffer_count, false);
+            storage::ClientContext storage_ctx, std::string key,
+            size_t range_count)
+      : ec_(ec),
+        client_(client),
+        storage_ctx_(std::move(storage_ctx)),
+        key_(std::move(key)) {
+    ranges_.resize(range_count);
   }
 
-  void Add(ReadOp op) {
-    // Split oversized ranges into parallel chunked requests.
-    while (op.length > ec_->range_chunk_bytes) {
-      ReadOp piece = op;
-      piece.length = ec_->range_chunk_bytes;
-      pending_.push_back(piece);
-      op.offset += ec_->range_chunk_bytes;
-      op.buffer_offset += ec_->range_chunk_bytes;
-      op.length -= ec_->range_chunk_bytes;
-    }
-    if (op.length > 0) pending_.push_back(op);
+  /// Queues the reads of column range `range`.
+  void Add(int64_t offset, int64_t length, size_t range) {
+    SplitRange(offset, length, range, ec_->range_chunk_bytes, &pending_);
   }
 
-  /// `done(status, buffers, synthetic_flags, bytes_read)`.
-  using DoneFn = std::function<void(Status, std::vector<std::string>,
-                                    std::vector<bool>, int64_t)>;
+  /// `done(status, ranges, bytes_read)`.
+  using DoneFn =
+      std::function<void(Status, std::vector<RangeBytes>, int64_t)>;
 
   void Start(DoneFn done) {
     done_ = std::move(done);
@@ -66,11 +108,11 @@ class ReadBatch : public std::enable_shared_from_this<ReadBatch> {
  private:
   void Pump() {
     while (outstanding_ < ec_->max_concurrent_requests && !pending_.empty()) {
-      ReadOp op = pending_.front();
+      const ReadOp op = pending_.front();
       pending_.pop_front();
       ++outstanding_;
       auto self = shared_from_this();
-      client_->GetRange(op.key, op.offset, op.length, storage_ctx_,
+      client_->GetRange(key_, op.offset, op.length, storage_ctx_,
                         [self, op](Result<Blob> result) {
                           self->OnRead(op, std::move(result));
                         });
@@ -86,16 +128,7 @@ class ReadBatch : public std::enable_shared_from_this<ReadBatch> {
       return;
     }
     bytes_read_ += result->size();
-    if (result->is_synthetic()) {
-      synthetic_[op.buffer] = true;
-    } else {
-      std::string& buffer = buffers_[op.buffer];
-      const size_t end = static_cast<size_t>(op.buffer_offset) +
-                         result->data().size();
-      if (buffer.size() < end) buffer.resize(end);
-      result->data().copy(buffer.data() + op.buffer_offset,
-                          result->data().size());
-    }
+    StorePiece(op, std::move(*result), &ranges_[op.range]);
     if (completed_ == total_) {
       Settle(Status::OK());
       return;
@@ -106,16 +139,15 @@ class ReadBatch : public std::enable_shared_from_this<ReadBatch> {
   void Settle(Status status) {
     if (settled_) return;
     settled_ = true;
-    done_(std::move(status), std::move(buffers_), std::move(synthetic_),
-          bytes_read_);
+    done_(std::move(status), std::move(ranges_), bytes_read_);
   }
 
   EngineContext* ec_;
   storage::RetryClient* client_;
   storage::ClientContext storage_ctx_;
+  std::string key_;
   std::deque<ReadOp> pending_;
-  std::vector<std::string> buffers_;
-  std::vector<bool> synthetic_;
+  std::vector<RangeBytes> ranges_;
   size_t total_ = 0;
   size_t completed_ = 0;
   int outstanding_ = 0;
@@ -152,23 +184,32 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
       input_span_ = tracer_->Begin("worker", "input", "engine", fctx_->span());
       tracer_->SetArg(input_span_, "fragment", Json(fragment_));
     }
-    auto parsed = PipelineSpec::FromJson(payload.Get("pipeline"));
-    if (!parsed.ok()) {
-      Fail(parsed.status());
+    // While the query's coordinator is live, its grant carries the parsed
+    // plan. Without a grant (the coordinator has finished: a zombie
+    // attempt) the worker parses the pipeline its payload carries, the
+    // JSON the coordinator's plan was parsed from.
+    const Json& pipeline_json = payload.Get("pipeline");
+    const auto* grants = ec_->FindGrants(query_id_);
+    if (grants != nullptr && grants->plan != nullptr) {
+      const PipelineSpec* granted = grants->plan->FindPipeline(
+          static_cast<int>(pipeline_json.GetInt("id")));
+      if (granted != nullptr) pipeline_ = {grants->plan, granted};
+    }
+    if (pipeline_ == nullptr) {
+      auto parsed = PipelineSpec::FromJson(pipeline_json);
+      if (!parsed.ok()) {
+        Fail(parsed.status());
+        return;
+      }
+      pipeline_ = std::make_shared<const PipelineSpec>(
+          std::move(parsed).ValueUnsafe());
+    }
+    const Status decoded = DecodeAssignments(payload.Get("inputs"));
+    if (!decoded.ok()) {
+      Fail(decoded);
       return;
     }
-    pipeline_ = std::move(parsed).ValueUnsafe();
-    for (const auto& input : payload.Get("inputs").AsArray()) {
-      WorkerInputAssignment assignment;
-      for (const auto& f : input.Get("files").AsArray()) {
-        assignment.files.push_back(
-            TableFileAssignment{f.GetString("key"), f.GetInt("size")});
-      }
-      assignment.upstream_fragments =
-          static_cast<int>(input.GetInt("upstream_fragments"));
-      assignments_.push_back(std::move(assignment));
-    }
-    if (assignments_.size() != pipeline_.inputs.size()) {
+    if (assignments_.size() != pipeline_->inputs.size()) {
       Fail(Status::InvalidArgument("input assignment mismatch"));
       return;
     }
@@ -191,17 +232,38 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     // attempt and runs without a pooled budget.
     storage_ctx_.deadline =
         Deadline::At(fctx_->payload().GetInt("deadline_us", 0));
-    const auto* grants = ec_->FindGrants(query_id_);
     storage_ctx_.retry_budget =
         grants != nullptr ? grants->retry_budget : nullptr;
     storage_ctx_.breaker = ec_->storage_breaker;
-    loaded_.resize(pipeline_.inputs.size());
-    pushdown_.resize(pipeline_.inputs.size());
+    loaded_.resize(pipeline_->inputs.size());
+    pushdown_.resize(pipeline_->inputs.size());
     LoadBuildInput(1);
   }
 
  private:
   SimTime Now() const { return ec_->env->now(); }
+
+  /// Reads the payload's per-input file lists and upstream fragment counts.
+  [[nodiscard]] Status DecodeAssignments(const Json& inputs) {
+    if (!inputs.is_array()) {
+      return Status::InvalidArgument("worker payload lacks inputs");
+    }
+    for (const auto& input : inputs.AsArray()) {
+      const Json& files = input.Get("files");
+      if (!files.is_array()) {
+        return Status::InvalidArgument("worker payload input lacks files");
+      }
+      WorkerInputAssignment assignment;
+      for (const auto& f : files.AsArray()) {
+        assignment.files.push_back(
+            TableFileAssignment{f.GetString("key"), f.GetInt("size")});
+      }
+      assignment.upstream_fragments =
+          static_cast<int>(input.GetInt("upstream_fragments"));
+      assignments_.push_back(std::move(assignment));
+    }
+    return Status::OK();
+  }
 
   void Fail(Status status) {
     if (done_) return;
@@ -218,11 +280,11 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
   // --- Build-side inputs (pipeline inputs 1..n): fully materialized. ---
 
   void LoadBuildInput(size_t index) {
-    if (index >= pipeline_.inputs.size()) {
+    if (index >= pipeline_->inputs.size()) {
       MaybeBarrier();
       return;
     }
-    const InputSpec& spec = pipeline_.inputs[index];
+    const InputSpec& spec = pipeline_->inputs[index];
     if (spec.type == InputSpec::Type::kTable) {
       LoadTableInput(index);
     } else {
@@ -282,8 +344,13 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
             meta = std::make_shared<const format::FileMeta>(
                 std::move(found).ValueUnsafe());
           } else {
-            auto parsed = self->ec_->table_footers.Parse(
-                result->data(), file.size - fetch, file.size);
+            auto footer = format::FooterText(result->data(),
+                                             file.size - fetch, file.size);
+            if (!footer.ok()) {
+              self->Fail(footer.status());
+              return;
+            }
+            auto parsed = self->ec_->table_footers.Parse(*footer);
             if (!parsed.ok()) {
               self->Fail(parsed.status());
               return;
@@ -333,7 +400,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
   /// buffers go back to the pool. Synthetic pruning already reduced groups;
   /// the residual selectivity is relative to the pruned set.
   [[nodiscard]] Result<Chunk> ApplyPushdown(size_t index, Chunk&& chunk) {
-    const InputSpec& spec = pipeline_.inputs[index];
+    const InputSpec& spec = pipeline_->inputs[index];
     if (!spec.pushdown) return std::move(chunk);
     std::optional<FilterKernel>& filter = pushdown_[index];
     if (!filter.has_value()) {
@@ -347,7 +414,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
                        std::shared_ptr<std::vector<TableFileAssignment>> files,
                        size_t file_index, const TableFileAssignment& file,
                        std::shared_ptr<const format::FileMeta> meta_ptr) {
-    const InputSpec& spec = pipeline_.inputs[index];
+    const InputSpec& spec = pipeline_->inputs[index];
     auto survivors =
         std::make_shared<std::vector<size_t>>(PruneRowGroups(spec, *meta_ptr));
     std::vector<std::string> projection = ProjectionFor(spec, *meta_ptr);
@@ -364,7 +431,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
       }
     }
     auto batch = std::make_shared<ReadBatch>(
-        ec_, table_client_.get(), storage_ctx_,
+        ec_, table_client_.get(), storage_ctx_, file.key,
         survivors->size() * projection.size());
     size_t buffer = 0;
     for (size_t rg : *survivors) {
@@ -375,7 +442,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
         return;
       }
       for (const format::ColumnRange& range : *ranges) {
-        batch->Add(ReadOp{file.key, range.offset, range.size, buffer, 0});
+        batch->Add(range.offset, range.size, buffer);
         ++buffer;
       }
     }
@@ -384,8 +451,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
         std::make_shared<std::vector<std::string>>(std::move(projection));
     batch->Start([self, index, files, file_index, meta_ptr, survivors,
                   projection_ptr](Status status,
-                                  std::vector<std::string> buffers,
-                                  std::vector<bool> synthetic,
+                                  std::vector<RangeBytes> ranges,
                                   int64_t bytes) {
       if (!status.ok()) {
         self->Fail(status);
@@ -394,17 +460,16 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
       self->bytes_read_ += bytes;
       self->cost_.AddNs(static_cast<double>(bytes) *
                         self->cost_.model().decode_ns_per_byte);
+      std::vector<std::string_view>& views = self->column_views_;
       size_t buffer = 0;
       for (size_t rg : *survivors) {
-        std::vector<std::string> column_bytes;
+        views.clear();
         for (size_t c = 0; c < projection_ptr->size(); ++c) {
-          column_bytes.push_back(std::move(buffers[buffer]));
-          (void)synthetic;
-          ++buffer;
+          views.push_back(ranges[buffer++].view());
         }
         Chunk decoded = self->chunk_pool_.AcquireRaw();
         const Status decode_status = format::DecodeRowGroupInto(
-            *meta_ptr, rg, *projection_ptr, column_bytes, &decoded);
+            *meta_ptr, rg, *projection_ptr, views, &decoded);
         if (!decode_status.ok()) {
           self->Fail(decode_status);
           return;
@@ -446,7 +511,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
   }
 
   void PumpShuffleReads() {
-    const int upstream = pipeline_.inputs[shuffle_input_].upstream_pipeline;
+    const int upstream = pipeline_->inputs[shuffle_input_].upstream_pipeline;
     auto self = shared_from_this();
     while (shuffle_outstanding_ < ec_->max_concurrent_requests &&
            shuffle_next_ < shuffle_slots_.size()) {
@@ -499,9 +564,11 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     }
   }
 
+  /// Decodes a whole shuffle object where it lies in `blob`.
   bool DecodeShuffleObject(const std::string& key, const Blob& blob,
                            std::vector<Chunk>* out) {
     format::FileMeta meta;
+    std::string_view bytes;
     if (blob.is_synthetic()) {
       auto found = ec_->catalog->Find(key);
       if (!found.ok()) {
@@ -510,8 +577,9 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
       }
       meta = std::move(found).ValueUnsafe();
     } else {
-      auto parsed = format::ParseFooter(blob.data(), 0,
-                                        static_cast<int64_t>(blob.size()));
+      bytes = blob.data();
+      auto parsed = format::ParseFooter(bytes, 0,
+                                        static_cast<int64_t>(bytes.size()));
       if (!parsed.ok()) {
         Fail(parsed.status());
         return false;
@@ -523,20 +591,16 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     std::vector<std::string> projection;
     for (const auto& f : meta.schema.fields()) projection.push_back(f.name);
     for (size_t rg = 0; rg < meta.row_groups.size(); ++rg) {
-      std::vector<std::string> column_bytes;
-      for (size_t c = 0; c < projection.size(); ++c) {
-        if (meta.synthetic) {
-          column_bytes.emplace_back();
-        } else {
-          const auto& cm = meta.row_groups[rg].columns[c];
-          column_bytes.push_back(blob.data().substr(
-              static_cast<size_t>(cm.offset), static_cast<size_t>(cm.size)));
-        }
+      column_views_.clear();
+      for (const format::ColumnChunkMeta& cm : meta.row_groups[rg].columns) {
+        column_views_.push_back(
+            meta.synthetic ? std::string_view()
+                           : bytes.substr(static_cast<size_t>(cm.offset),
+                                          static_cast<size_t>(cm.size)));
       }
       Chunk decoded = chunk_pool_.AcquireRaw();
-      const Status decode_status =
-          format::DecodeRowGroupInto(meta, rg, projection, column_bytes,
-                                     &decoded);
+      const Status decode_status = format::DecodeRowGroupInto(
+          meta, rg, projection, column_views_, &decoded);
       if (!decode_status.ok()) {
         Fail(decode_status);
         return false;
@@ -562,7 +626,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
 
   void MaybeBarrier() {
     bool has_barrier = false;
-    for (const auto& op : pipeline_.ops) {
+    for (const auto& op : pipeline_->ops) {
       if (op.op == "barrier") has_barrier = true;
     }
     if (!has_barrier || ec_->queue == nullptr || barrier_participants_ <= 0) {
@@ -570,7 +634,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
       return;
     }
     const std::string name =
-        StrFormat("%s/p%d/barrier", query_id_.c_str(), pipeline_.id);
+        StrFormat("%s/p%d/barrier", query_id_.c_str(), pipeline_->id);
     obs::SpanId barrier_span = obs::kNoSpan;
     if (tracer_ != nullptr) {
       barrier_span = tracer_->Begin("worker", "barrier", "engine",
@@ -590,13 +654,13 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
                                               : Chunk::Empty(data::Schema()));
     }
     executor_ = std::make_unique<FragmentPipeline>(
-        pipeline_, std::move(builds), &cost_, &memory_, ec_->morsel_rows,
+        *pipeline_, std::move(builds), &cost_, &memory_, ec_->morsel_rows,
         &chunk_pool_);
-    if (pipeline_.inputs.empty()) {
+    if (pipeline_->inputs.empty()) {
       StreamEof();
       return;
     }
-    if (pipeline_.inputs[0].type == InputSpec::Type::kTable) {
+    if (pipeline_->inputs[0].type == InputSpec::Type::kTable) {
       StreamTableInput();
     } else {
       ReadShuffleInput(0);
@@ -627,7 +691,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
 
   void StreamFileColumns(size_t file_index,
                          std::shared_ptr<const format::FileMeta> meta) {
-    const InputSpec& spec = pipeline_.inputs[0];
+    const InputSpec& spec = pipeline_->inputs[0];
     stream_meta_ = std::move(meta);
     stream_projection_ = ProjectionFor(spec, *stream_meta_);
     stream_survivors_ = PruneRowGroups(spec, *stream_meta_);
@@ -645,9 +709,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
       return;
     }
     const size_t cols = stream_projection_.size();
-    const std::string& key = (*stream_files_)[file_index].key;
-    stream_buffers_.assign(stream_survivors_.size() * cols, std::string());
-    stream_synthetic_.assign(stream_survivors_.size() * cols, false);
+    stream_ranges_.assign(stream_survivors_.size() * cols, RangeBytes());
     rg_pieces_.assign(stream_survivors_.size(), 0);
     rg_ready_.assign(stream_survivors_.size(), false);
     rg_cursor_ = 0;
@@ -659,22 +721,9 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
         return;
       }
       for (size_t c = 0; c < cols; ++c) {
-        ReadOp op{key, (*ranges)[c].offset, (*ranges)[c].size, slot * cols + c,
-                  0};
-        // Split oversized ranges into parallel chunked requests.
-        while (op.length > ec_->range_chunk_bytes) {
-          ReadOp piece = op;
-          piece.length = ec_->range_chunk_bytes;
-          stream_pending_.push_back(piece);
-          ++rg_pieces_[slot];
-          op.offset += ec_->range_chunk_bytes;
-          op.buffer_offset += ec_->range_chunk_bytes;
-          op.length -= ec_->range_chunk_bytes;
-        }
-        if (op.length > 0) {
-          stream_pending_.push_back(op);
-          ++rg_pieces_[slot];
-        }
+        rg_pieces_[slot] +=
+            SplitRange((*ranges)[c].offset, (*ranges)[c].size, slot * cols + c,
+                       ec_->range_chunk_bytes, &stream_pending_);
       }
       if (rg_pieces_[slot] == 0) rg_ready_[slot] = true;
     }
@@ -684,12 +733,13 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
 
   void PumpStreamReads() {
     auto self = shared_from_this();
+    const std::string& key = (*stream_files_)[stream_file_index_].key;
     while (stream_outstanding_ < ec_->max_concurrent_requests &&
            !stream_pending_.empty()) {
-      ReadOp op = stream_pending_.front();
+      const ReadOp op = stream_pending_.front();
       stream_pending_.pop_front();
       ++stream_outstanding_;
-      table_client_->GetRange(op.key, op.offset, op.length, storage_ctx_,
+      table_client_->GetRange(key, op.offset, op.length, storage_ctx_,
                               [self, op](Result<Blob> result) {
                                 self->OnStreamRead(op, std::move(result));
                               });
@@ -706,17 +756,8 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     bytes_read_ += result->size();
     cost_.AddNs(static_cast<double>(result->size()) *
                 cost_.model().decode_ns_per_byte);
-    if (result->is_synthetic()) {
-      stream_synthetic_[op.buffer] = true;
-    } else {
-      std::string& buffer = stream_buffers_[op.buffer];
-      const size_t end = static_cast<size_t>(op.buffer_offset) +
-                         result->data().size();
-      if (buffer.size() < end) buffer.resize(end);
-      result->data().copy(buffer.data() + op.buffer_offset,
-                          result->data().size());
-    }
-    const size_t slot = op.buffer / stream_projection_.size();
+    StorePiece(op, std::move(*result), &stream_ranges_[op.range]);
+    const size_t slot = op.range / stream_projection_.size();
     if (--rg_pieces_[slot] == 0) {
       rg_ready_[slot] = true;
       AdvanceRowGroupCursor();
@@ -729,16 +770,17 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
   void AdvanceRowGroupCursor() {
     const size_t cols = stream_projection_.size();
     while (rg_cursor_ < stream_survivors_.size() && rg_ready_[rg_cursor_]) {
-      std::vector<std::string> column_bytes;
-      column_bytes.reserve(cols);
+      RangeBytes* ranges = &stream_ranges_[rg_cursor_ * cols];
+      column_views_.clear();
       for (size_t c = 0; c < cols; ++c) {
-        column_bytes.push_back(
-            std::move(stream_buffers_[rg_cursor_ * cols + c]));
+        column_views_.push_back(ranges[c].view());
       }
       Chunk decoded = chunk_pool_.AcquireRaw();
       const Status decode_status = format::DecodeRowGroupInto(
           *stream_meta_, stream_survivors_[rg_cursor_], stream_projection_,
-          column_bytes, &decoded);
+          column_views_, &decoded);
+      // The decoded chunk owns its values; the read bytes can go.
+      for (size_t c = 0; c < cols; ++c) ranges[c] = RangeBytes();
       if (!decode_status.ok()) {
         Fail(decode_status);
         return;
@@ -861,7 +903,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
       if (output.partition < 0) {
         key = ResultKey(query_id_);
       } else {
-        key = ShuffleKey(query_id_, pipeline_.id, fragment_,
+        key = ShuffleKey(query_id_, pipeline_->id, fragment_,
                          output.partition);
       }
       Blob blob;
@@ -963,13 +1005,17 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
   std::unique_ptr<storage::RetryClient> table_client_;
   std::unique_ptr<storage::RetryClient> shuffle_client_;
   storage::ClientContext storage_ctx_;
-  PipelineSpec pipeline_;
+  /// Points into the granted plan, which it keeps alive, or at this
+  /// task's own parse of its payload.
+  std::shared_ptr<const PipelineSpec> pipeline_;
   std::string query_id_;
   int fragment_ = 0;
   int barrier_participants_ = 0;
   std::vector<WorkerInputAssignment> assignments_;
   std::vector<std::optional<Chunk>> loaded_;  ///< Build-side inputs.
   std::vector<std::optional<FilterKernel>> pushdown_;  ///< Per input.
+  /// Views of one row group's column bytes, handed to the decoder.
+  std::vector<std::string_view> column_views_;
 
   // Streaming state for input 0.
   /// Per-task recycling pool: decoded row groups, pushdown-spent inputs, and
@@ -990,8 +1036,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
   std::vector<std::string> stream_projection_;
   std::vector<size_t> stream_survivors_;
   std::deque<ReadOp> stream_pending_;
-  std::vector<std::string> stream_buffers_;
-  std::vector<bool> stream_synthetic_;
+  std::vector<RangeBytes> stream_ranges_;
   std::vector<int> rg_pieces_;
   std::vector<bool> rg_ready_;
   size_t rg_cursor_ = 0;
@@ -1033,12 +1078,12 @@ faas::FunctionHandler MakeWorkerHandler(EngineContext* context) {
   };
 }
 
-Json WorkerPayload(const std::string& query_id, const PipelineSpec& pipeline,
+Json WorkerPayload(const std::string& query_id, const Json& pipeline,
                    int fragment,
                    const std::vector<WorkerInputAssignment>& inputs) {
   Json payload = Json::Object();
   payload["query_id"] = query_id;
-  payload["pipeline"] = pipeline.ToJson();
+  payload["pipeline"] = pipeline;
   payload["fragment"] = fragment;
   Json input_list = Json::Array();
   for (const auto& input : inputs) {

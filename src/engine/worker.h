@@ -27,7 +27,10 @@ struct WorkerInputAssignment {
   int upstream_fragments = 0;              ///< kShuffle inputs.
 };
 
-Json WorkerPayload(const std::string& query_id, const PipelineSpec& pipeline,
+/// A worker's invocation payload. `pipeline` is the pipeline's JSON from
+/// the coordinator's own payload; it is shared, not copied, so neither the
+/// payload nor the worker may modify it.
+Json WorkerPayload(const std::string& query_id, const Json& pipeline,
                    int fragment,
                    const std::vector<WorkerInputAssignment>& inputs);
 

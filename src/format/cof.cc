@@ -1,8 +1,10 @@
 #include "format/cof.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
+#include "common/json.h"
 #include "format/encoding.h"
 
 namespace skyrise::format {
@@ -27,7 +29,7 @@ void SetMinMax(const data::Column& col, size_t offset, size_t count,
   cm->max = static_cast<double>(*std::max_element(first, first + count));
 }
 
-data::DataType TypeFromName(const std::string& name) {
+data::DataType TypeFromName(std::string_view name) {
   if (name == "double") return data::DataType::kDouble;
   if (name == "string") return data::DataType::kString;
   if (name == "date") return data::DataType::kDate;
@@ -40,80 +42,6 @@ int64_t FileMeta::TotalRows() const {
   int64_t rows = 0;
   for (const auto& rg : row_groups) rows += rg.rows;
   return rows;
-}
-
-Json FileMeta::ToJson() const {
-  Json out = Json::Object();
-  Json schema_json = Json::Array();
-  for (const auto& field : schema.fields()) {
-    Json f = Json::Object();
-    f["name"] = field.name;
-    f["type"] = data::DataTypeName(field.type);
-    schema_json.Append(std::move(f));
-  }
-  out["schema"] = std::move(schema_json);
-  out["data_size"] = data_size;
-  out["synthetic"] = synthetic;
-  Json groups = Json::Array();
-  for (const auto& rg : row_groups) {
-    Json g = Json::Object();
-    g["rows"] = rg.rows;
-    Json cols = Json::Array();
-    for (const auto& c : rg.columns) {
-      Json cj = Json::Object();
-      cj["offset"] = c.offset;
-      cj["size"] = c.size;
-      if (c.min.has_value()) cj["min"] = *c.min;
-      if (c.max.has_value()) cj["max"] = *c.max;
-      cols.Append(std::move(cj));
-    }
-    g["columns"] = std::move(cols);
-    groups.Append(std::move(g));
-  }
-  out["row_groups"] = std::move(groups);
-  return out;
-}
-
-Result<FileMeta> FileMeta::FromJson(const Json& json) {
-  if (!json.is_object()) return Status::IoError("footer is not an object");
-  if (!json.Get("schema").is_array() || !json.Get("row_groups").is_array()) {
-    return Status::IoError("footer lacks a schema or row groups");
-  }
-  FileMeta meta;
-  std::vector<data::Field> fields;
-  for (const auto& f : json.Get("schema").AsArray()) {
-    if (!f.is_object()) return Status::IoError("footer field not an object");
-    fields.push_back(
-        data::Field{f.GetString("name"), TypeFromName(f.GetString("type"))});
-  }
-  meta.schema = data::Schema(std::move(fields));
-  meta.data_size = json.GetInt("data_size");
-  meta.synthetic = json.GetBool("synthetic");
-  for (const auto& g : json.Get("row_groups").AsArray()) {
-    if (!g.is_object() || !g.Get("columns").is_array()) {
-      return Status::IoError("footer row group lacks columns");
-    }
-    RowGroupMeta rg;
-    rg.rows = g.GetInt("rows");
-    for (const auto& c : g.Get("columns").AsArray()) {
-      if (!c.is_object()) return Status::IoError("footer column not an object");
-      ColumnChunkMeta cm;
-      cm.offset = c.GetInt("offset");
-      cm.size = c.GetInt("size");
-      if (cm.offset < 0 || cm.size < 0 || cm.offset > meta.data_size ||
-          cm.size > meta.data_size - cm.offset) {
-        return Status::IoError("footer column chunk outside the data region");
-      }
-      if (c.Has("min")) cm.min = c.GetDouble("min");
-      if (c.Has("max")) cm.max = c.GetDouble("max");
-      rg.columns.push_back(cm);
-    }
-    if (rg.columns.size() != meta.schema.size()) {
-      return Status::IoError("row group column count mismatch");
-    }
-    meta.row_groups.push_back(std::move(rg));
-  }
-  return meta;
 }
 
 CofWriter::CofWriter(data::Schema schema, int64_t row_group_rows)
@@ -174,7 +102,8 @@ std::string CofWriter::Finish() {
   meta.schema = schema_;
   meta.row_groups = std::move(row_groups_);
   meta.data_size = static_cast<int64_t>(data_.size());
-  const std::string footer = meta.ToJson().Dump();
+  std::string footer;
+  AppendFooter(meta, &footer);
   // Sized exactly: stored files keep their capacity for as long as they live.
   std::string out;
   out.reserve(data_.size() + footer.size() + kCofTrailerSize);
@@ -240,11 +169,235 @@ FileMeta BuildSyntheticFileMeta(
   return meta;
 }
 
+void AppendFooter(const FileMeta& meta, std::string* out) {
+  // Writes `text`, then `value` as a JSON number.
+  auto number = [out](const char* text, double value) {
+    *out += text;
+    AppendJsonNumber(value, out);
+  };
+  number("{\"data_size\":", static_cast<double>(meta.data_size));
+  *out += ",\"row_groups\":[";
+  for (size_t g = 0; g < meta.row_groups.size(); ++g) {
+    const RowGroupMeta& rg = meta.row_groups[g];
+    *out += g == 0 ? "{\"columns\":[" : ",{\"columns\":[";
+    for (size_t c = 0; c < rg.columns.size(); ++c) {
+      const ColumnChunkMeta& cm = rg.columns[c];
+      *out += c == 0 ? "{" : ",{";
+      if (cm.max.has_value()) number("\"max\":", *cm.max);
+      if (cm.min.has_value()) {
+        number(cm.max.has_value() ? ",\"min\":" : "\"min\":", *cm.min);
+      }
+      const bool bounded = cm.min.has_value() || cm.max.has_value();
+      number(bounded ? ",\"offset\":" : "\"offset\":",
+             static_cast<double>(cm.offset));
+      number(",\"size\":", static_cast<double>(cm.size));
+      out->push_back('}');
+    }
+    number("],\"rows\":", static_cast<double>(rg.rows));
+    out->push_back('}');
+  }
+  *out += "],\"schema\":[";
+  for (size_t f = 0; f < meta.schema.size(); ++f) {
+    const data::Field& field = meta.schema.field(f);
+    *out += f == 0 ? "{\"name\":" : ",{\"name\":";
+    AppendJsonString(field.name, out);
+    *out += ",\"type\":";
+    AppendJsonString(data::DataTypeName(field.type), out);
+    out->push_back('}');
+  }
+  *out += meta.synthetic ? "],\"synthetic\":true}" : "],\"synthetic\":false}";
+}
+
 namespace {
 
-/// The footer bytes at the end of `tail`, once the trailer checks out.
-Result<std::string_view> FooterBytes(const std::string& tail,
-                                     int64_t tail_offset, int64_t file_size) {
+// Footer members are read as Json's typed getters read them: a member of
+// another type than expected reads as the getter's default.
+
+Status ReadNumberOr0(JsonReader* json, double* out) {
+  Json::Type type;
+  SKYRISE_RETURN_IF_ERROR(json->Peek(&type));
+  if (type == Json::Type::kNumber) return json->ReadNumber(out);
+  *out = 0;
+  return json->Skip();
+}
+
+Status ReadIntOr0(JsonReader* json, int64_t* out) {
+  double value = 0;
+  SKYRISE_RETURN_IF_ERROR(ReadNumberOr0(json, &value));
+  *out = static_cast<int64_t>(std::llround(value));
+  return Status::OK();
+}
+
+Status ReadStringOrEmpty(JsonReader* json, std::string* out) {
+  Json::Type type;
+  SKYRISE_RETURN_IF_ERROR(json->Peek(&type));
+  out->clear();
+  if (type != Json::Type::kString) return json->Skip();
+  std::string_view value;
+  SKYRISE_RETURN_IF_ERROR(json->ReadString(&value));
+  out->assign(value);
+  return Status::OK();
+}
+
+/// Reads an array of objects, calling `member(key)` for every member of
+/// each; `element()` runs before each object and `not_object` is the error
+/// for an element of another type. Sets `present` to whether the value was
+/// an array at all (anything else is skipped).
+template <typename Element, typename Member>
+Status ReadObjectArray(JsonReader* json, bool* present, const char* not_object,
+                       Element element, Member member) {
+  Json::Type type;
+  SKYRISE_RETURN_IF_ERROR(json->Peek(&type));
+  *present = type == Json::Type::kArray;
+  if (!*present) return json->Skip();
+  SKYRISE_RETURN_IF_ERROR(json->BeginArray());
+  bool more = false;
+  while (true) {
+    SKYRISE_RETURN_IF_ERROR(json->NextElement(&more));
+    if (!more) return Status::OK();
+    SKYRISE_RETURN_IF_ERROR(json->Peek(&type));
+    if (type != Json::Type::kObject) return Status::IoError(not_object);
+    SKYRISE_RETURN_IF_ERROR(element());
+    SKYRISE_RETURN_IF_ERROR(json->BeginObject());
+    std::string_view key;
+    while (true) {
+      SKYRISE_RETURN_IF_ERROR(json->NextMember(&more, &key));
+      if (!more) break;
+      SKYRISE_RETURN_IF_ERROR(member(key));
+    }
+  }
+}
+
+Status ReadColumns(JsonReader* json, RowGroupMeta* rg, bool* present) {
+  rg->columns.clear();
+  return ReadObjectArray(
+      json, present, "footer column not an object",
+      [rg] {
+        rg->columns.emplace_back();
+        return Status::OK();
+      },
+      [json, rg](std::string_view key) -> Status {
+        ColumnChunkMeta& cm = rg->columns.back();
+        if (key == "offset") return ReadIntOr0(json, &cm.offset);
+        if (key == "size") return ReadIntOr0(json, &cm.size);
+        if (key == "min" || key == "max") {
+          std::optional<double>& bound = key == "min" ? cm.min : cm.max;
+          bound.emplace();
+          return ReadNumberOr0(json, &*bound);
+        }
+        return json->Skip();
+      });
+}
+
+Status ReadFooterObject(JsonReader* json, FileMeta* meta) {
+  Json::Type type;
+  SKYRISE_RETURN_IF_ERROR(json->Peek(&type));
+  if (type != Json::Type::kObject) {
+    return Status::IoError("footer is not an object");
+  }
+  std::vector<data::Field> fields;
+  std::string type_name;
+  bool has_schema = false;
+  bool has_groups = false;
+  // Whether the row group read last carried a column list.
+  bool has_columns = true;
+  SKYRISE_RETURN_IF_ERROR(json->BeginObject());
+  bool more = false;
+  std::string_view key;
+  while (true) {
+    SKYRISE_RETURN_IF_ERROR(json->NextMember(&more, &key));
+    if (!more) break;
+    if (key == "data_size") {
+      SKYRISE_RETURN_IF_ERROR(ReadIntOr0(json, &meta->data_size));
+    } else if (key == "synthetic") {
+      SKYRISE_RETURN_IF_ERROR(json->Peek(&type));
+      meta->synthetic = false;
+      if (type == Json::Type::kBool) {
+        SKYRISE_RETURN_IF_ERROR(json->ReadBool(&meta->synthetic));
+      } else {
+        SKYRISE_RETURN_IF_ERROR(json->Skip());
+      }
+    } else if (key == "schema") {
+      fields.clear();
+      SKYRISE_RETURN_IF_ERROR(ReadObjectArray(
+          json, &has_schema, "footer field not an object",
+          [&fields, &type_name] {
+            fields.emplace_back();
+            type_name.clear();
+            return Status::OK();
+          },
+          [json, &fields, &type_name](std::string_view member) -> Status {
+            data::Field& field = fields.back();
+            if (member == "name") return ReadStringOrEmpty(json, &field.name);
+            if (member == "type") {
+              SKYRISE_RETURN_IF_ERROR(ReadStringOrEmpty(json, &type_name));
+              field.type = TypeFromName(type_name);
+              return Status::OK();
+            }
+            return json->Skip();
+          }));
+    } else if (key == "row_groups") {
+      meta->row_groups.clear();
+      has_columns = true;
+      SKYRISE_RETURN_IF_ERROR(ReadObjectArray(
+          json, &has_groups, "footer row group lacks columns",
+          [meta, &has_columns] {
+            if (!has_columns) {
+              return Status::IoError("footer row group lacks columns");
+            }
+            meta->row_groups.emplace_back();
+            has_columns = false;
+            return Status::OK();
+          },
+          [json, meta, &has_columns](std::string_view member) -> Status {
+            RowGroupMeta& rg = meta->row_groups.back();
+            if (member == "rows") return ReadIntOr0(json, &rg.rows);
+            if (member == "columns") {
+              return ReadColumns(json, &rg, &has_columns);
+            }
+            return json->Skip();
+          }));
+      if (!has_columns) {
+        return Status::IoError("footer row group lacks columns");
+      }
+    } else {
+      SKYRISE_RETURN_IF_ERROR(json->Skip());
+    }
+  }
+  SKYRISE_RETURN_IF_ERROR(json->Finish());
+  if (!has_schema || !has_groups) {
+    return Status::IoError("footer lacks a schema or row groups");
+  }
+  meta->schema = data::Schema(std::move(fields));
+  for (const RowGroupMeta& rg : meta->row_groups) {
+    for (const ColumnChunkMeta& cm : rg.columns) {
+      if (cm.offset < 0 || cm.size < 0 || cm.offset > meta->data_size ||
+          cm.size > meta->data_size - cm.offset) {
+        return Status::IoError("footer column chunk outside the data region");
+      }
+    }
+    if (rg.columns.size() != meta->schema.size()) {
+      return Status::IoError("row group column count mismatch");
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<FileMeta> ParseFooterText(std::string_view footer) {
+  JsonReader json(footer);
+  FileMeta meta;
+  const Status status = ReadFooterObject(&json, &meta);
+  if (status.ok()) return meta;
+  // The lexer's syntax errors are InvalidArgument; a bad footer is an I/O
+  // error like every other.
+  if (status.code() == StatusCode::kIoError) return status;
+  return Status::IoError(status.message());
+}
+
+Result<std::string_view> FooterText(std::string_view tail, int64_t tail_offset,
+                                    int64_t file_size) {
   if (tail.size() < kCofTrailerSize) return Status::IoError("file too small");
   const int64_t tail_end = tail_offset + static_cast<int64_t>(tail.size());
   if (tail_end != file_size) {
@@ -258,39 +411,15 @@ Result<std::string_view> FooterBytes(const std::string& tail,
   if (footer_size + static_cast<size_t>(kCofTrailerSize) > tail.size()) {
     return Status::IoError("footer larger than fetched tail");
   }
-  return std::string_view(tail).substr(
-      tail.size() - kCofTrailerSize - footer_size, footer_size);
+  return tail.substr(tail.size() - kCofTrailerSize - footer_size,
+                     footer_size);
 }
 
-Result<FileMeta> ParseFooterBytes(std::string_view footer) {
-  Json json;
-  SKYRISE_ASSIGN_OR_RETURN(json, Json::Parse(std::string(footer)));
-  return FileMeta::FromJson(json);
-}
-
-}  // namespace
-
-Result<FileMeta> ParseFooter(const std::string& tail, int64_t tail_offset,
+Result<FileMeta> ParseFooter(std::string_view tail, int64_t tail_offset,
                              int64_t file_size) {
   std::string_view footer;
-  SKYRISE_ASSIGN_OR_RETURN(footer, FooterBytes(tail, tail_offset, file_size));
-  return ParseFooterBytes(footer);
-}
-
-Result<std::shared_ptr<const FileMeta>> FooterMemo::Parse(
-    const std::string& tail, int64_t tail_offset, int64_t file_size) {
-  std::string_view footer;
-  SKYRISE_ASSIGN_OR_RETURN(footer, FooterBytes(tail, tail_offset, file_size));
-  auto it = parsed_.find(footer);
-  if (it == parsed_.end()) {
-    FileMeta meta;
-    SKYRISE_ASSIGN_OR_RETURN(meta, ParseFooterBytes(footer));
-    it = parsed_
-             .emplace(std::string(footer),
-                      std::make_shared<const FileMeta>(std::move(meta)))
-             .first;
-  }
-  return it->second;
+  SKYRISE_ASSIGN_OR_RETURN(footer, FooterText(tail, tail_offset, file_size));
+  return ParseFooterText(footer);
 }
 
 Result<std::vector<ColumnRange>> RowGroupColumnRanges(
@@ -313,7 +442,7 @@ Result<std::vector<ColumnRange>> RowGroupColumnRanges(
 
 Status DecodeRowGroupInto(const FileMeta& meta, size_t row_group,
                           const std::vector<std::string>& projection,
-                          const std::vector<std::string>& column_bytes,
+                          const std::vector<std::string_view>& column_bytes,
                           data::Chunk* out) {
   if (row_group >= meta.row_groups.size()) {
     return Status::OutOfRange("row group index");
@@ -340,7 +469,7 @@ Status DecodeRowGroupInto(const FileMeta& meta, size_t row_group,
 Result<data::Chunk> DecodeRowGroup(
     const FileMeta& meta, size_t row_group,
     const std::vector<std::string>& projection,
-    const std::vector<std::string>& column_bytes) {
+    const std::vector<std::string_view>& column_bytes) {
   data::Chunk chunk;
   SKYRISE_RETURN_IF_ERROR(
       DecodeRowGroupInto(meta, row_group, projection, column_bytes, &chunk));

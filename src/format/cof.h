@@ -7,7 +7,7 @@
 #include <string_view>
 #include <vector>
 
-#include "common/json.h"
+#include "common/parse_memo.h"
 #include "data/chunk.h"
 
 /// \file cof.h
@@ -26,6 +26,12 @@
 ///
 /// A *synthetic* file (paper-scale runs) materializes only its footer; scans
 /// yield row-count-only chunks through the same request sequence.
+///
+/// The footer is JSON text (DESIGN.md "COF footer" gives its byte layout).
+/// AppendFooter writes it and ParseFooterText reads it straight into a
+/// FileMeta, with no Json tree on either side; the reader runs on
+/// JsonReader, the lexer under Json::Parse. Decoders take the column bytes
+/// as views, so a reader decodes where the bytes already lie.
 
 namespace skyrise::format {
 
@@ -48,8 +54,6 @@ struct FileMeta {
   bool synthetic = false;
 
   int64_t TotalRows() const;
-  Json ToJson() const;
-  [[nodiscard]] static Result<FileMeta> FromJson(const Json& json);
 };
 
 constexpr int64_t kCofTrailerSize = 8;  ///< Footer length + magic.
@@ -99,25 +103,35 @@ FileMeta BuildSyntheticFileMeta(const data::Schema& schema, int64_t rows,
                                 int64_t target_bytes, int64_t row_group_rows,
                                 const std::vector<SyntheticColumnStats>& stats);
 
-/// Parses a footer from the trailing `tail` bytes of a file of `file_size`
-/// bytes. `tail_offset` is the file offset where `tail` begins. A footer
-/// without its schema, row groups or column lists, or with a column chunk
-/// outside the data region, is an IoError.
-[[nodiscard]] Result<FileMeta> ParseFooter(const std::string& tail, int64_t tail_offset,
-                             int64_t file_size);
+/// Appends the footer text of `meta`: compact JSON whose members appear in
+/// byte order of their names, with numbers and strings as Json::Dump writes
+/// them (AppendJsonNumber, AppendJsonString). Min and max are written only
+/// when set.
+void AppendFooter(const FileMeta& meta, std::string* out);
 
-/// ParseFooter for immutable files read many times, such as base tables:
-/// each distinct footer is parsed once, keyed by its bytes, so equal bytes
-/// share one FileMeta. Engine-instance state (see
-/// engine::EngineContext::table_footers); not thread-safe.
-class FooterMemo {
- public:
-  [[nodiscard]] Result<std::shared_ptr<const FileMeta>> Parse(
-      const std::string& tail, int64_t tail_offset, int64_t file_size);
+/// Reads footer text. Members may come in any order, with any whitespace;
+/// unknown members are skipped. A footer that is not JSON, lacks its schema,
+/// row groups or column lists, has a column chunk outside the data region,
+/// or a row group whose column count differs from the schema's, is an
+/// IoError.
+[[nodiscard]] Result<FileMeta> ParseFooterText(std::string_view footer);
 
- private:
-  std::map<std::string, std::shared_ptr<const FileMeta>, std::less<>> parsed_;
-};
+/// The footer text at the end of `tail`, the trailing bytes of a file of
+/// `file_size` bytes that begin at file offset `tail_offset`, once the
+/// trailer checks out.
+[[nodiscard]] Result<std::string_view> FooterText(std::string_view tail,
+                                                  int64_t tail_offset,
+                                                  int64_t file_size);
+
+/// FooterText, then ParseFooterText.
+[[nodiscard]] Result<FileMeta> ParseFooter(std::string_view tail,
+                                           int64_t tail_offset,
+                                           int64_t file_size);
+
+/// ParseFooterText for immutable files read many times, such as base
+/// tables: each distinct footer text is parsed once. Shuffle objects are
+/// read once each and bypass it.
+using FooterMemo = ParseMemo<FileMeta, ParseFooterText>;
 
 /// One ranged read needed to fetch a projected column chunk of a row group.
 struct ColumnRange {
@@ -138,7 +152,7 @@ struct ColumnRange {
 [[nodiscard]] Result<data::Chunk> DecodeRowGroup(
     const FileMeta& meta, size_t row_group,
     const std::vector<std::string>& projection,
-    const std::vector<std::string>& column_bytes);
+    const std::vector<std::string_view>& column_bytes);
 
 /// Decode-into variant: reshapes `out` to the projected schema and decodes
 /// each column chunk into its reused buffers (see format::DecodeColumnInto).
@@ -148,7 +162,7 @@ struct ColumnRange {
 [[nodiscard]] Status DecodeRowGroupInto(
     const FileMeta& meta, size_t row_group,
     const std::vector<std::string>& projection,
-    const std::vector<std::string>& column_bytes, data::Chunk* out);
+    const std::vector<std::string_view>& column_bytes, data::Chunk* out);
 
 /// Registry of synthetic file footers, consulted by readers when the stored
 /// blob carries no real bytes. Keyed by the storage key.

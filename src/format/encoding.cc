@@ -1,7 +1,12 @@
 #include "format/encoding.h"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
-#include <map>
+#include <functional>
+#include <numeric>
+#include <string_view>
+#include <vector>
 
 namespace skyrise::format {
 
@@ -33,6 +38,22 @@ int64_t ZigzagDecode(uint64_t v) {
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
 }
 
+namespace {
+
+// Deltas wrap around in two's complement: between extreme values (say
+// INT64_MAX then INT64_MIN) they overflow int64_t, and the encoding stores
+// the wrapped difference.
+int64_t WrappingSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
+int64_t WrappingAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
+}  // namespace
+
 ColumnEncoding EncodeColumn(const data::Column& column, size_t offset,
                             size_t count, std::string* out) {
   using data::DataType;
@@ -47,33 +68,59 @@ ColumnEncoding EncodeColumn(const data::Column& column, size_t offset,
       return ColumnEncoding::kDoubleRaw;
     }
     case DataType::kString: {
-      const auto first = column.strings().begin() +
-                         static_cast<ptrdiff_t>(offset);
-      const auto last = first + static_cast<ptrdiff_t>(count);
-      // Count distinct values (bail out once clearly high-cardinality).
-      std::map<std::string, uint32_t> dict;
-      for (auto it = first; it != last; ++it) {
-        dict.emplace(*it, 0);
-        if (dict.size() > 255) break;
-      }
-      if (dict.size() <= 255 && count > 0) {
-        out->push_back(static_cast<char>(ColumnEncoding::kStringDict));
-        uint32_t next = 0;
-        for (auto& [key, id] : dict) id = next++;
-        PutVarint(out, dict.size());
-        for (const auto& [key, id] : dict) {
-          PutVarint(out, key.size());
-          out->append(key);
+      const std::string* values = column.strings().data() + offset;
+      // Distinct values in first-seen order, found through a 512-slot
+      // open-addressing table: one hash and a short probe per row. A chunk
+      // with more than 255 of them is written plain.
+      std::array<std::string_view, 255> distinct;
+      size_t distinct_count = 0;
+      std::array<int16_t, 512> slots;
+      slots.fill(-1);
+      std::vector<uint8_t> first_seen_ids(count);
+      bool dictionary = count > 0;
+      for (size_t i = 0; dictionary && i < count; ++i) {
+        const std::string_view value = values[i];
+        size_t slot = std::hash<std::string_view>{}(value) & (slots.size() - 1);
+        while (slots[slot] >= 0 &&
+               distinct[static_cast<size_t>(slots[slot])] != value) {
+          slot = (slot + 1) & (slots.size() - 1);
         }
-        for (auto it = first; it != last; ++it) {
-          out->push_back(static_cast<char>(dict[*it]));
+        if (slots[slot] < 0) {
+          if (distinct_count == distinct.size()) {
+            dictionary = false;
+            break;
+          }
+          slots[slot] = static_cast<int16_t>(distinct_count);
+          distinct[distinct_count++] = value;
+        }
+        first_seen_ids[i] = static_cast<uint8_t>(slots[slot]);
+      }
+      if (dictionary) {
+        out->push_back(static_cast<char>(ColumnEncoding::kStringDict));
+        // Ids follow the values' sorted order, so the bytes do not depend
+        // on which value a chunk meets first.
+        std::array<uint8_t, 255> sorted;
+        std::iota(sorted.begin(), sorted.begin() + distinct_count, 0);
+        std::sort(sorted.begin(), sorted.begin() + distinct_count,
+                  [&distinct](uint8_t a, uint8_t b) {
+                    return distinct[a] < distinct[b];
+                  });
+        std::array<uint8_t, 255> id_of;
+        PutVarint(out, distinct_count);
+        for (size_t id = 0; id < distinct_count; ++id) {
+          id_of[sorted[id]] = static_cast<uint8_t>(id);
+          PutVarint(out, distinct[sorted[id]].size());
+          out->append(distinct[sorted[id]]);
+        }
+        for (uint8_t first_seen : first_seen_ids) {
+          out->push_back(static_cast<char>(id_of[first_seen]));
         }
         return ColumnEncoding::kStringDict;
       }
       out->push_back(static_cast<char>(ColumnEncoding::kStringPlain));
-      for (auto it = first; it != last; ++it) {
-        PutVarint(out, it->size());
-        out->append(*it);
+      for (size_t i = 0; i < count; ++i) {
+        PutVarint(out, values[i].size());
+        out->append(values[i]);
       }
       return ColumnEncoding::kStringPlain;
     }
@@ -82,7 +129,7 @@ ColumnEncoding EncodeColumn(const data::Column& column, size_t offset,
       int64_t prev = 0;
       const int64_t* values = column.ints().data() + offset;
       for (size_t i = 0; i < count; ++i) {
-        PutVarint(out, ZigzagEncode(values[i] - prev));
+        PutVarint(out, ZigzagEncode(WrappingSub(values[i], prev)));
         prev = values[i];
       }
       return ColumnEncoding::kIntDelta;
@@ -202,14 +249,14 @@ Status DecodeColumnInto(const char* data, size_t size, data::DataType type,
       for (int64_t i = 0; i < rows; ++i) {
         if (p < end && *p < 0x80) {
           // One-byte fast path: deltas of sorted keys / small domains.
-          prev += ZigzagDecode(*p++);
+          prev = WrappingAdd(prev, ZigzagDecode(*p++));
           dst[i] = prev;
           continue;
         }
         uint64_t raw = 0;
         p = GetVarintSpan(p, end, &raw);
         if (p == nullptr) return Status::IoError("truncated varint");
-        prev += ZigzagDecode(raw);
+        prev = WrappingAdd(prev, ZigzagDecode(raw));
         dst[i] = prev;
       }
       return Status::OK();

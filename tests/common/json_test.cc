@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+
+#include "common/random.h"
+
 namespace skyrise {
 namespace {
 
@@ -132,6 +138,128 @@ TEST(JsonTest, EmptyContainers) {
   ASSERT_TRUE(a.ok());
   EXPECT_TRUE(a->is_array());
   EXPECT_EQ(a->size(), 0u);
+}
+
+TEST(JsonTest, KeyedAccessTakesStringViews) {
+  Json obj = Json::Object();
+  obj["partitions_per_worker"] = 4;
+  obj["upstream_fragments"] = "x";
+  const std::string_view key = "partitions_per_worker, and more";
+  EXPECT_TRUE(obj.Has(key.substr(0, 21)));
+  EXPECT_EQ(obj.GetInt(key.substr(0, 21)), 4);
+  EXPECT_EQ(obj.Get(std::string_view("upstream_fragments")).AsString(), "x");
+  EXPECT_FALSE(obj.Has(key));
+}
+
+/// What Json::Dump wrote for a number when it formatted with printf.
+std::string PrintfNumber(double n) {
+  char buffer[64];
+  if (std::isfinite(n) && n == std::floor(n) && std::fabs(n) < 1e15) {
+    std::snprintf(buffer, sizeof(buffer), "%lld", static_cast<long long>(n));
+  } else {
+    std::snprintf(buffer, sizeof(buffer), "%.17g", n);
+  }
+  return buffer;
+}
+
+TEST(JsonTest, DumpNumbersMatchPrintf) {
+  Rng rng(20260);
+  for (int i = 0; i < 200000; ++i) {
+    // Random bit patterns cover every exponent, subnormals, infinities and
+    // NaNs; the rest are integers, some near the 1e15 switch.
+    const uint64_t bits = rng.NextUint64();
+    double n = 0;
+    switch (i % 4) {
+      case 0:
+        std::memcpy(&n, &bits, sizeof(n));
+        break;
+      case 1:
+        n = static_cast<double>(static_cast<int64_t>(bits) >> (bits % 64));
+        break;
+      case 2:
+        n = 1e15 + static_cast<double>(static_cast<int64_t>(bits % 2001) -
+                                       1000);
+        break;
+      default:
+        n = rng.Uniform(-1e6, 1e6);
+    }
+    ASSERT_EQ(Json(n).Dump(), PrintfNumber(n)) << i;
+  }
+  for (double n : {0.0, -0.0, 1e15, -1e15, 999999999999999.0, 0.1, 5e-324,
+                   1.7976931348623157e308}) {
+    EXPECT_EQ(Json(n).Dump(), PrintfNumber(n)) << n;
+  }
+}
+
+TEST(JsonTest, ParseReadsWhatDumpWrote) {
+  Rng rng(8);
+  for (int i = 0; i < 20000; ++i) {
+    const double n = i % 2 == 0 ? rng.Uniform(-1e20, 1e20)
+                                : static_cast<double>(rng.UniformInt(
+                                      -1000000000000000, 1000000000000000));
+    auto parsed = Json::Parse(Json(n).Dump());
+    ASSERT_TRUE(parsed.ok());
+    ASSERT_EQ(parsed->AsDouble(), n) << i;
+  }
+  EXPECT_TRUE(std::signbit(Json::Parse("-0")->AsDouble()));
+  EXPECT_EQ(Json::Parse("-000123")->AsDouble(), -123);
+  EXPECT_EQ(Json::Parse("1e2")->AsDouble(), 100);
+}
+
+TEST(JsonReaderTest, PullsTokensWithoutATree) {
+  JsonReader reader(R"( {"a": [1, true, null, "s"], "b\"": {"c": -2.5}} )");
+  bool more = false;
+  std::string_view key;
+  ASSERT_TRUE(reader.BeginObject().ok());
+  ASSERT_TRUE(reader.NextMember(&more, &key).ok());
+  ASSERT_TRUE(more);
+  EXPECT_EQ(key, "a");
+  ASSERT_TRUE(reader.BeginArray().ok());
+  ASSERT_TRUE(reader.NextElement(&more).ok());
+  ASSERT_TRUE(more);
+  double number = 0;
+  ASSERT_TRUE(reader.ReadNumber(&number).ok());
+  EXPECT_EQ(number, 1);
+  ASSERT_TRUE(reader.NextElement(&more).ok());
+  bool flag = false;
+  ASSERT_TRUE(reader.ReadBool(&flag).ok());
+  EXPECT_TRUE(flag);
+  ASSERT_TRUE(reader.NextElement(&more).ok());
+  Json::Type type;
+  ASSERT_TRUE(reader.Peek(&type).ok());
+  EXPECT_EQ(type, Json::Type::kNull);
+  ASSERT_TRUE(reader.ReadNull().ok());
+  ASSERT_TRUE(reader.NextElement(&more).ok());
+  std::string_view text;
+  ASSERT_TRUE(reader.ReadString(&text).ok());
+  EXPECT_EQ(text, "s");
+  ASSERT_TRUE(reader.NextElement(&more).ok());
+  EXPECT_FALSE(more);
+  // An escaped key is decoded; the value is skipped whole.
+  ASSERT_TRUE(reader.NextMember(&more, &key).ok());
+  ASSERT_TRUE(more);
+  EXPECT_EQ(key, "b\"");
+  ASSERT_TRUE(reader.Skip().ok());
+  ASSERT_TRUE(reader.NextMember(&more, &key).ok());
+  EXPECT_FALSE(more);
+  EXPECT_TRUE(reader.Finish().ok());
+}
+
+TEST(JsonReaderTest, ErrorsAreInvalidArgument) {
+  for (const char* text : {"[1 2]", "{\"a\" 1}", "{1:2}", "[,1]", "[1,]",
+                           "\"\\q\"", "\"\\u12g4\"", "-", "nul", "{\"a\":1"}) {
+    JsonReader reader(text);
+    const Status status = reader.Skip();
+    const Status finished = status.ok() ? reader.Finish() : status;
+    ASSERT_FALSE(finished.ok()) << text;
+    EXPECT_EQ(finished.code(), StatusCode::kInvalidArgument) << text;
+  }
+  // Numbers are read only from the text's own bytes.
+  const std::string digits = "12345678";
+  JsonReader reader(std::string_view(digits).substr(0, 3));
+  double number = 0;
+  ASSERT_TRUE(reader.ReadNumber(&number).ok());
+  EXPECT_EQ(number, 123);
 }
 
 }  // namespace

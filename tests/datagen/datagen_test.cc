@@ -176,5 +176,51 @@ TEST(DatasetTest, SyntheticUploadRegistersCatalog) {
   EXPECT_EQ(info->total_rows, 60000000);
 }
 
+TEST(DatasetTest, RegressionEmptyManifestIsIoError) {
+  // A manifest without its schema or partition list once aborted.
+  auto info = DatasetInfo::FromJson(Json::Object());
+  ASSERT_FALSE(info.ok());
+  EXPECT_EQ(info.status().code(), StatusCode::kIoError);
+  Json manifest = Json::Object();
+  manifest["schema"] = Json::Array();
+  manifest["partitions"] = 3;
+  EXPECT_EQ(DatasetInfo::FromJson(manifest).status().code(),
+            StatusCode::kIoError);
+  manifest["partitions"] = Json::Array();
+  EXPECT_TRUE(DatasetInfo::FromJson(manifest).ok());
+}
+
+TEST(DatasetTest, ManifestMemoParsesEachManifestOnce) {
+  sim::SimEnvironment env(3);
+  storage::ObjectStore store(&env, storage::ObjectStore::StandardOptions());
+  TpchConfig config = SmallTpch();
+  for (const char* name : {"lineitem", "lineitem_copy"}) {
+    ASSERT_TRUE(UploadDataset(&store, name, LineitemSchema(), 2, [&](int p) {
+                  return GenerateLineitemPartition(config, p, 2);
+                }).ok());
+  }
+  ParseMemo<DatasetInfo, ParseManifest> memo;
+  const std::string bytes =
+      store.Peek(DatasetManifestKey("lineitem")).ValueOrDie().data();
+  auto first = memo.Parse(bytes);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ((*first)->partitions.size(), 2u);
+  EXPECT_EQ((*first)->name, "lineitem");
+  // Equal bytes, another buffer: the same parse.
+  const std::string copy = bytes;
+  auto again = memo.Parse(copy);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(first->get(), again->get());
+  auto other = memo.Parse(
+      store.Peek(DatasetManifestKey("lineitem_copy")).ValueOrDie().data());
+  ASSERT_TRUE(other.ok());
+  EXPECT_NE(other->get(), first->get());
+  EXPECT_EQ((*other)->name, "lineitem_copy");
+  // Failures are reported every time and not remembered.
+  EXPECT_EQ(memo.Parse("{}").status().code(), StatusCode::kIoError);
+  EXPECT_EQ(memo.Parse("{}").status().code(), StatusCode::kIoError);
+  EXPECT_EQ(memo.Parse("{").status().code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace skyrise::datagen

@@ -256,5 +256,96 @@ TEST_F(EngineE2ETest, SyntheticModeRunsSameQueryAtScale) {
   EXPECT_GT(bytes_read, 0);
 }
 
+/// Column-for-column equality of two result chunks.
+void ExpectSameChunk(const data::Chunk& a, const data::Chunk& b) {
+  ASSERT_TRUE(a.schema() == b.schema());
+  ASSERT_EQ(a.rows(), b.rows());
+  for (size_t c = 0; c < a.num_columns(); ++c) {
+    EXPECT_EQ(a.column(c).ints(), b.column(c).ints()) << c;
+    EXPECT_EQ(a.column(c).doubles(), b.column(c).doubles()) << c;
+    EXPECT_EQ(a.column(c).strings(), b.column(c).strings()) << c;
+  }
+}
+
+TEST_F(EngineE2ETest, SplitColumnReadsDecodeLikeWholeOnes) {
+  // At 1 KiB every column range of these tables arrives in pieces and is
+  // assembled; at the default each arrives whole and is decoded where it
+  // lies. Results, bytes moved and morsels agree; only the request count
+  // grows. Q1 streams lineitem; BbQ3 reads an item table, made large
+  // enough to split, as a build input.
+  datagen::TpcxBbConfig wide = bb_;
+  wide.scale_factor = 1.0;
+  ASSERT_TRUE(datagen::UploadDataset(&store_, "item_wide",
+                                     datagen::ItemSchema(), 1, [&](int) {
+                                       return datagen::GenerateItemTable(wide);
+                                     })
+                  .ok());
+  QuerySuiteOptions options;
+  options.join_partitions = 4;
+  QueryPlan bbq3 = BuildTpcxBbQ3(options);
+  for (auto& pipeline : bbq3.pipelines) {
+    for (auto& input : pipeline.inputs) {
+      if (input.table == "item") input.table = "item_wide";
+    }
+  }
+  const std::vector<std::pair<std::string, QueryPlan>> plans = {
+      {"q1", BuildTpchQ1()}, {"bbq3", bbq3}};
+  for (const auto& [name, plan] : plans) {
+    engine_->context()->range_chunk_bytes = 8 * kMiB;
+    const QueryResponse whole = RunOnLambda(plan, name + "-whole");
+    engine_->context()->range_chunk_bytes = kKiB;
+    const QueryResponse split = RunOnLambda(plan, name + "-split");
+    auto whole_result = engine_->FetchResult(name + "-whole");
+    auto split_result = engine_->FetchResult(name + "-split");
+    ASSERT_TRUE(whole_result.ok() && split_result.ok()) << name;
+    ExpectSameChunk(*whole_result, *split_result);
+    const JsonArray& whole_stages = whole.raw.Get("stages").AsArray();
+    const JsonArray& split_stages = split.raw.Get("stages").AsArray();
+    ASSERT_EQ(whole_stages.size(), split_stages.size());
+    for (size_t s = 0; s < whole_stages.size(); ++s) {
+      for (const char* key : {"bytes_read", "bytes_written", "batches"}) {
+        EXPECT_EQ(whole_stages[s].GetInt(key), split_stages[s].GetInt(key))
+            << name << " stage " << s << " " << key;
+      }
+    }
+    // The stages that read tables issued more, smaller requests: Q1's scan,
+    // and BbQ3's scan and its item build input.
+    for (size_t s = 0; s < (name == "q1" ? 1u : 2u); ++s) {
+      EXPECT_GT(split_stages[s].GetInt("requests"),
+                whole_stages[s].GetInt("requests"))
+          << name << " stage " << s;
+    }
+  }
+}
+
+TEST_F(EngineE2ETest, RegressionMistypedWorkerPayloadFailsTyped) {
+  // A worker of a query without a live coordinator decodes its whole
+  // payload; a missing or mistyped input list once aborted the process.
+  const Json pipeline = BuildTpchQ6().pipelines[0].ToJson();
+  Json no_files = Json::Array();
+  no_files.Append(Json::Object());
+  Json no_inputs_pipeline = Json::Parse(pipeline.Dump()).ValueOrDie();
+  no_inputs_pipeline.AsObject().erase("inputs");
+  const std::vector<std::pair<Json, Json>> cases = {
+      {pipeline, Json()},              // no "inputs"
+      {pipeline, Json("files")},       // "inputs" not an array
+      {pipeline, no_files},            // an input without "files"
+      {no_inputs_pipeline, Json::Array()}};  // a pipeline without inputs
+  for (const auto& [spec, inputs] : cases) {
+    Json payload = Json::Object();
+    payload["query_id"] = "no-coordinator";
+    payload["pipeline"] = spec;
+    payload["fragment"] = 0;
+    if (!inputs.is_null()) payload["inputs"] = inputs;
+    Result<Json> outcome = Status::Internal("did not complete");
+    lambda_->Invoke(kWorkerFunction, std::move(payload),
+                    [&outcome](Result<Json> r) { outcome = std::move(r); });
+    env_.RunUntil(env_.now() + Minutes(1));
+    ASSERT_FALSE(outcome.ok());
+    EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument)
+        << outcome.status().ToString();
+  }
+}
+
 }  // namespace
 }  // namespace skyrise::engine

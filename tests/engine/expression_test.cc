@@ -154,6 +154,23 @@ TEST(ExpressionTest, UnknownOperatorsRejected) {
   EXPECT_FALSE(Expr::FromJson(json).ok());
 }
 
+TEST(ExpressionTest, RegressionMistypedListsAreInvalidArgument) {
+  // A non-array "values" or "children", or a non-string value, once aborted.
+  Json json = Cmp(">", Col("a"), Num(1))->ToJson();
+  json["children"] = 3;
+  auto parsed = Expr::FromJson(json);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  json = InList(Col("b"), {"x", "y"})->ToJson();
+  ASSERT_TRUE(Expr::FromJson(json).ok());
+  json["values"].AsArray()[1] = 2;
+  EXPECT_EQ(Expr::FromJson(json).status().code(),
+            StatusCode::kInvalidArgument);
+  json["values"] = "x";
+  EXPECT_EQ(Expr::FromJson(json).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(ExpressionTest, KernelIsReusedAcrossChunks) {
   auto kernel =
       ExprKernel::Predicate(*Cmp(">", Col("a"), Num(1)), TestChunk().schema());

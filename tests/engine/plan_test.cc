@@ -68,5 +68,79 @@ TEST(PlanTest, PushdownSelectivityPreserved) {
   EXPECT_NEAR(round.pipelines[0].inputs[0].pushdown_selectivity, 0.125, 1e-9);
 }
 
+/// The decoders below once aborted on these inputs (a failed check in
+/// Json::AsArray or AsString); each is now a typed error.
+void ExpectInvalidArgument(const Status& status, const char* what) {
+  ASSERT_FALSE(status.ok()) << what;
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << what;
+}
+
+TEST(PlanTest, RegressionEmptyPlanIsInvalidArgument) {
+  ExpectInvalidArgument(QueryPlan::FromJson(Json::Object()).status(),
+                        "no pipelines");
+  Json plan = BuildTpchQ6().ToJson();
+  plan["pipelines"] = "p0";
+  ExpectInvalidArgument(QueryPlan::FromJson(plan).status(),
+                        "pipelines not an array");
+}
+
+TEST(PlanTest, RegressionPipelineWithoutInputsIsInvalidArgument) {
+  const Json good = BuildTpchQ6().pipelines[0].ToJson();
+  ASSERT_TRUE(PipelineSpec::FromJson(good).ok());
+  for (const char* key : {"inputs", "ops"}) {
+    Json pipeline = Json::Parse(good.Dump()).ValueOrDie();
+    pipeline.AsObject().erase(key);
+    ExpectInvalidArgument(PipelineSpec::FromJson(pipeline).status(), key);
+  }
+  Json pipeline = Json::Parse(good.Dump()).ValueOrDie();
+  pipeline["depends_on"] = Json::Array();
+  pipeline["depends_on"].Append("p1");
+  ExpectInvalidArgument(PipelineSpec::FromJson(pipeline).status(),
+                        "non-number dependency");
+}
+
+TEST(PlanTest, RegressionNonStringColumnIsInvalidArgument) {
+  Json input = BuildTpchQ6().pipelines[0].inputs[0].ToJson();
+  ASSERT_TRUE(InputSpec::FromJson(input).ok());
+  input["columns"].Append(7);
+  ExpectInvalidArgument(InputSpec::FromJson(input).status(),
+                        "non-string column");
+  input["columns"] = "l_quantity";
+  ExpectInvalidArgument(InputSpec::FromJson(input).status(),
+                        "columns not an array");
+}
+
+TEST(PlanTest, RegressionMistypedOperatorFieldsAreInvalidArgument) {
+  QuerySuiteOptions options;
+  const QueryPlan q12 = BuildTpchQ12(options);
+  // An operator of each shape: projections, aggregates, sort.
+  std::vector<Json> ops;
+  for (const auto& pipeline : q12.pipelines) {
+    for (const auto& op : pipeline.ops) ops.push_back(op.ToJson());
+  }
+  OperatorSpec sort;
+  sort.op = "sort";
+  sort.sort_keys = {"l_shipmode"};
+  sort.sort_ascending = {true};
+  ops.push_back(sort.ToJson());
+  int checked = 0;
+  for (const Json& good : ops) {
+    ASSERT_TRUE(OperatorSpec::FromJson(good).ok());
+    for (const char* key : {"projections", "aggregates", "sort_ascending",
+                            "group_by", "partition_keys"}) {
+      if (!good.Has(key)) continue;
+      Json op = Json::Parse(good.Dump()).ValueOrDie();
+      op[key] = 1;
+      ExpectInvalidArgument(OperatorSpec::FromJson(op).status(), key);
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 5);
+  Json op = sort.ToJson();
+  op["sort_ascending"].AsArray()[0] = "asc";
+  ExpectInvalidArgument(OperatorSpec::FromJson(op).status(),
+                        "non-bool sort_ascending");
+}
+
 }  // namespace
 }  // namespace skyrise::engine

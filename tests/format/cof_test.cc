@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
+#include "common/json.h"
 #include "common/units.h"
 #include "format/encoding.h"
 
@@ -130,10 +134,10 @@ TEST(CofTest, WriteParseRoundTrip) {
 
   // Decode one row group fully.
   std::vector<std::string> projection{"id", "price", "flag", "day"};
-  std::vector<std::string> column_bytes;
+  std::vector<std::string_view> column_bytes;
   for (const auto& cm : meta->row_groups[2].columns) {
-    column_bytes.push_back(file.substr(static_cast<size_t>(cm.offset),
-                                       static_cast<size_t>(cm.size)));
+    column_bytes.push_back(std::string_view(file).substr(
+        static_cast<size_t>(cm.offset), static_cast<size_t>(cm.size)));
   }
   auto decoded = DecodeRowGroup(*meta, 2, projection, column_bytes);
   ASSERT_TRUE(decoded.ok());
@@ -174,12 +178,12 @@ TEST(CofTest, ProjectionDecodesSubset) {
   auto meta = ParseFooter(file, 0, static_cast<int64_t>(file.size()));
   ASSERT_TRUE(meta.ok());
   std::vector<std::string> projection{"price", "id"};  // Reordered subset.
-  std::vector<std::string> column_bytes;
+  std::vector<std::string_view> column_bytes;
   for (const auto& name : projection) {
     const int idx = meta->schema.FieldIndex(name);
     const auto& cm = meta->row_groups[0].columns[static_cast<size_t>(idx)];
-    column_bytes.push_back(file.substr(static_cast<size_t>(cm.offset),
-                                       static_cast<size_t>(cm.size)));
+    column_bytes.push_back(std::string_view(file).substr(
+        static_cast<size_t>(cm.offset), static_cast<size_t>(cm.size)));
   }
   auto decoded = DecodeRowGroup(*meta, 0, projection, column_bytes);
   ASSERT_TRUE(decoded.ok());
@@ -227,7 +231,8 @@ TEST(CofTest, MalformedFootersAreIoErrors) {
   const std::string file = WriteCofFile(chunk.schema(), chunk);
   auto meta = ParseFooter(file, 0, static_cast<int64_t>(file.size()));
   ASSERT_TRUE(meta.ok());
-  const std::string good = meta->ToJson().Dump();
+  std::string good;
+  AppendFooter(*meta, &good);
   ASSERT_TRUE(ParseFooter(FileWithFooter(good), 0,
                           static_cast<int64_t>(good.size()) + 8)
                   .ok());
@@ -260,28 +265,106 @@ TEST(CofTest, MalformedFootersAreIoErrors) {
   expect_io_error(footer, "chunk past the data region");
 }
 
+/// ParseFooterText over a heap copy of exactly `text`'s bytes, so a read
+/// past the end is a heap overflow the sanitizer job reports.
+Result<FileMeta> ParseExactCopy(std::string_view text) {
+  std::unique_ptr<char[]> copy(new char[text.size()]);
+  std::memcpy(copy.get(), text.data(), text.size());
+  return ParseFooterText(std::string_view(copy.get(), text.size()));
+}
+
+TEST(CofTest, FooterReaderSurvivesTruncationAndCorruption) {
+  Chunk chunk = SampleChunk(10);
+  const std::string file = WriteCofFile(chunk.schema(), chunk, 4);
+  auto text = FooterText(file, 0, static_cast<int64_t>(file.size()));
+  ASSERT_TRUE(text.ok());
+  const std::string footer(*text);
+  ASSERT_TRUE(ParseExactCopy(footer).ok());
+  // Every strict prefix is an unterminated object.
+  for (size_t n = 0; n < footer.size(); ++n) {
+    auto meta = ParseExactCopy(std::string_view(footer).substr(0, n));
+    ASSERT_FALSE(meta.ok()) << n;
+    EXPECT_EQ(meta.status().code(), StatusCode::kIoError) << n;
+  }
+  // Every single-byte corruption reads as a FileMeta or an IoError.
+  int parsed = 0;
+  for (size_t i = 0; i < footer.size(); ++i) {
+    for (char c : {'\0', '"', '\\', '{', '}', '[', ']', ',', ':', '-', '9',
+                   'e', '.', 'x', ' ', '\xff'}) {
+      std::string bad = footer;
+      bad[i] = c;
+      auto meta = ParseExactCopy(bad);
+      if (meta.ok()) {
+        ++parsed;
+      } else {
+        EXPECT_EQ(meta.status().code(), StatusCode::kIoError)
+            << i << " " << static_cast<int>(c);
+      }
+    }
+  }
+  EXPECT_GT(parsed, 0);  // Some digits and spaces still make a footer.
+}
+
+TEST(CofTest, FooterReaderBoundsNestingAndSkipsUnknownMembers) {
+  Chunk chunk = SampleChunk(10);
+  const std::string file = WriteCofFile(chunk.schema(), chunk);
+  auto meta = ParseFooter(file, 0, static_cast<int64_t>(file.size()));
+  ASSERT_TRUE(meta.ok());
+  std::string good;
+  AppendFooter(*meta, &good);
+  // Members in reverse order, indented, between unknown members.
+  auto members = Json::Parse(good);
+  ASSERT_TRUE(members.ok());
+  std::string reversed = "{\n  \"zz_unknown\": [{}, -1.5e3, null]";
+  const JsonObject& object = members->AsObject();
+  for (auto it = object.rbegin(); it != object.rend(); ++it) {
+    reversed.append(",\n  \"").append(it->first).append("\": ");
+    reversed.append(it->second.Dump(2));
+  }
+  reversed += ",\n  \"aa_unknown\": {\"x\": \"\\u0041\"}\n}\n";
+  auto spaced = ParseFooterText(reversed);
+  ASSERT_TRUE(spaced.ok()) << spaced.status().ToString();
+  std::string again;
+  AppendFooter(*spaced, &again);
+  EXPECT_EQ(again, good);
+  // An unknown member nested 100,000 deep fails typed.
+  const std::string deep = "{\"x\":" + std::string(100000, '[') +
+                           std::string(100000, ']') + "," + good.substr(1);
+  auto nested = ParseFooterText(deep);
+  ASSERT_FALSE(nested.ok());
+  EXPECT_EQ(nested.status().code(), StatusCode::kIoError);
+}
+
 TEST(CofTest, FooterMemoParsesEachFooterOnce) {
   FooterMemo memo;
+  // The footer text of a file's tail, through the memo.
+  auto parse = [&memo](std::string_view tail, int64_t tail_offset,
+                       int64_t file_size)
+      -> Result<std::shared_ptr<const FileMeta>> {
+    std::string_view footer;
+    SKYRISE_ASSIGN_OR_RETURN(footer,
+                             FooterText(tail, tail_offset, file_size));
+    return memo.Parse(footer);
+  };
   Chunk chunk = SampleChunk(300);
   const std::string file = WriteCofFile(chunk.schema(), chunk, 100);
   const auto size = static_cast<int64_t>(file.size());
-  auto whole = memo.Parse(file, 0, size);
+  auto whole = parse(file, 0, size);
   ASSERT_TRUE(whole.ok());
   EXPECT_EQ((*whole)->row_groups.size(), 3u);
   // Another fetch of the same footer bytes shares the parse.
   const std::string tail = file.substr(file.size() - 2000);
-  auto again = memo.Parse(tail, size - 2000, size);
+  auto again = parse(tail, size - 2000, size);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(whole->get(), again->get());
   const std::string other = WriteCofFile(chunk.schema(), chunk, 150);
-  auto different =
-      memo.Parse(other, 0, static_cast<int64_t>(other.size()));
+  auto different = parse(other, 0, static_cast<int64_t>(other.size()));
   ASSERT_TRUE(different.ok());
   EXPECT_NE(different->get(), whole->get());
   EXPECT_EQ((*different)->row_groups.size(), 2u);
   // Failures are reported every time and not remembered.
-  EXPECT_FALSE(memo.Parse(FileWithFooter("{}"), 0, 10).ok());
-  EXPECT_FALSE(memo.Parse(FileWithFooter("{}"), 0, 10).ok());
+  EXPECT_FALSE(parse(FileWithFooter("{}"), 0, 10).ok());
+  EXPECT_FALSE(parse(FileWithFooter("{}"), 0, 10).ok());
 }
 
 TEST(CofTest, WriterBytesIndependentOfAppendSplits) {
@@ -346,7 +429,9 @@ TEST(CofTest, FileMetaJsonRoundTrip) {
   const std::string file = WriteCofFile(chunk.schema(), chunk, 100);
   auto meta = ParseFooter(file, 0, static_cast<int64_t>(file.size()));
   ASSERT_TRUE(meta.ok());
-  auto round = FileMeta::FromJson(meta->ToJson());
+  std::string footer;
+  AppendFooter(*meta, &footer);
+  auto round = ParseFooterText(footer);
   ASSERT_TRUE(round.ok());
   EXPECT_EQ(round->TotalRows(), 300);
   EXPECT_EQ(round->row_groups.size(), meta->row_groups.size());
@@ -368,13 +453,13 @@ TEST(CofTest, RowGroupColumnRangesLocateColumnBytes) {
     auto ranges = RowGroupColumnRanges(*meta, rg, projection);
     ASSERT_TRUE(ranges.ok());
     ASSERT_EQ(ranges->size(), 2u);
-    std::vector<std::string> buffers;
+    std::vector<std::string_view> buffers;
     for (const auto& r : *ranges) {
       ASSERT_GE(r.offset, 0);
       ASSERT_GT(r.size, 0);
       ASSERT_LE(r.offset + r.size, static_cast<int64_t>(file.size()));
-      buffers.push_back(file.substr(static_cast<size_t>(r.offset),
-                                    static_cast<size_t>(r.size)));
+      buffers.push_back(std::string_view(file).substr(
+          static_cast<size_t>(r.offset), static_cast<size_t>(r.size)));
     }
     auto decoded = DecodeRowGroup(*meta, rg, projection, buffers);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
