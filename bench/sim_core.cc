@@ -8,6 +8,9 @@
 ///   - the same contrast on quantised churn, where every event sits on the
 ///     20 ms fabric-step grid and the calendar rebuilds at nearly every grid
 ///     instant (the hostbench `s3_stream` event shape);
+///   - overflow-list entries one calendar rebuild reads in a watchdog storm
+///     of hostbench `s3_stream`'s pattern (about 500 pending watchdogs,
+///     rebuild after rebuild moving a first byte or two into the calendar);
 ///   - allocations/event for both loops (global operator new counting);
 ///   - invocations/sec for a FaaS-style arrival/completion/timeout pattern
 ///     where nearly every timeout is cancelled — the simulator's dominant
@@ -55,6 +58,7 @@
 #include "platform/report.h"
 #include "pricing/cost_meter.h"
 #include "sim/environment.h"
+#include "sim/watchdog_storm.h"
 #include "storage/object_store.h"
 #include "storage/queue_service.h"
 #include "storage/retry_client.h"
@@ -265,6 +269,45 @@ ChurnPair RunChurnPair(const ChurnShape& shape) {
     pair.pool = env.pool_stats();
   }
   return pair;
+}
+
+struct StormResult {
+  int64_t events = 0;
+  double seconds = 0;
+  sim::EventPoolStats pool;
+  double reads_per_rebuild() const {
+    return static_cast<double>(pool.rebuild_overflow_reads) /
+           static_cast<double>(pool.calendar_resizes);
+  }
+};
+
+/// SimEnvironment as the loop of a sim::WatchdogStorm.
+struct StormLoop {
+  sim::SimEnvironment env{/*seed=*/7};
+  uint64_t sink = 0;
+  SimTime now() const { return env.now(); }
+  sim::EventId Schedule(SimDuration delay) {
+    return env.Schedule(delay, [this] { ++sink; });
+  }
+  void Cancel(sim::EventId id) { env.Cancel(id); }
+  void RunUntil(SimTime until) { env.RunUntil(until); }
+};
+
+/// hostbench `s3_stream`'s event pattern (sim/watchdog_storm.h): about 500
+/// pending watchdogs, about 20 cancelled per 20 ms grid instant, each cancel
+/// followed by an out-of-order arrival, and between the instants calendar
+/// rebuilds that each move a first byte or two in from the overflow list.
+StormResult RunWatchdogStorm(int64_t instants) {
+  StormLoop loop;
+  sim::WatchdogStorm<StormLoop> storm(&loop, sim::WatchdogStormShape{},
+                                      /*seed=*/7);
+  const double start = NowSeconds();
+  while (storm.instants() < instants) storm.RunInstant();
+  StormResult result;
+  result.seconds = NowSeconds() - start;
+  result.pool = loop.env.pool_stats();
+  result.events = static_cast<int64_t>(result.pool.fired);
+  return result;
 }
 
 /// FaaS-style invocation replay on the real SimEnvironment: each invocation
@@ -575,6 +618,9 @@ int CheckBaseline(const std::string& path, const Json& report) {
   gate_min("quantised.speedup_events_per_sec",
            report.Get("quantised").GetDouble("speedup_events_per_sec"),
            baseline.GetDouble("min_quantised_speedup"));
+  gate_max("storm.overflow_reads_per_rebuild",
+           report.Get("storm").GetDouble("overflow_reads_per_rebuild"),
+           baseline.GetDouble("max_storm_overflow_reads_per_rebuild"));
   gate_max("calendar.allocs_per_event",
            report.Get("calendar").GetDouble("allocs_per_event"),
            baseline.GetDouble("max_allocs_per_event"));
@@ -619,6 +665,8 @@ int main(int argc, char** argv) {
                                             /*fire_target=*/400000,
                                             /*max_timeouts=*/256,
                                             /*grid=*/20000});
+  // Watchdog storm: 4,000 grid instants, 80 s of simulated time.
+  const StormResult storm = RunWatchdogStorm(4000);
   constexpr int64_t kInvocations = 200000;
 
   const ChurnResult& heap = churn.heap;
@@ -651,6 +699,10 @@ int main(int argc, char** argv) {
                 StrFormat("%.3f", quantised.calendar.allocs_per_event()),
                 StrFormat("%lld",
                           static_cast<long long>(quantised.calendar.events))});
+  table.AddRow({"watchdog storm",
+                StrFormat("%.0f", static_cast<double>(storm.events) /
+                                      storm.seconds),
+                "-", StrFormat("%lld", static_cast<long long>(storm.events))});
   table.AddRow({"request path, per attempt",
                 StrFormat("%.0f", static_cast<double>(requests.stats.attempts) /
                                       requests.seconds),
@@ -668,6 +720,11 @@ int main(int argc, char** argv) {
               FormatBytes(static_cast<int64_t>(decode.bytes_per_sec)).c_str(),
               static_cast<unsigned long long>(pool.heap_callbacks),
               FormatBytes(peak_rss).c_str());
+  std::printf("watchdog storm: %llu rebuilds, %.1f overflow entries read "
+              "per rebuild, %llu cancelled events freed\n",
+              static_cast<unsigned long long>(storm.pool.calendar_resizes),
+              storm.reads_per_rebuild(),
+              static_cast<unsigned long long>(storm.pool.cancelled_dropped));
   std::printf("request path: %lld requests, %lld attempts, %lld throttles, "
               "%lld timeouts, %llu heap-spilled callbacks\n",
               static_cast<long long>(requests.requests),
@@ -703,6 +760,17 @@ int main(int argc, char** argv) {
       static_cast<int64_t>(quantised.pool.calendar_resizes);
   quantised_json["cancelled_dropped"] =
       static_cast<int64_t>(quantised.pool.cancelled_dropped);
+  JsonObject storm_json;
+  storm_json["events"] = storm.events;
+  storm_json["events_per_sec"] =
+      static_cast<double>(storm.events) / storm.seconds;
+  storm_json["calendar_resizes"] =
+      static_cast<int64_t>(storm.pool.calendar_resizes);
+  storm_json["cancelled_dropped"] =
+      static_cast<int64_t>(storm.pool.cancelled_dropped);
+  storm_json["overflow_reads"] =
+      static_cast<int64_t>(storm.pool.rebuild_overflow_reads);
+  storm_json["overflow_reads_per_rebuild"] = storm.reads_per_rebuild();
   JsonObject decode_json;
   decode_json["bytes_per_sec"] = decode.bytes_per_sec;
   decode_json["allocs_per_iter"] = decode.allocs_per_iter;
@@ -729,6 +797,7 @@ int main(int argc, char** argv) {
   doc["calendar"] = calendar_json;
   doc["speedup_events_per_sec"] = speedup;
   doc["quantised"] = quantised_json;
+  doc["storm"] = storm_json;
   doc["invocations_per_sec"] = invocations_per_sec;
   doc["decode"] = decode_json;
   doc["request_path"] = request_path_json;

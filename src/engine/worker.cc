@@ -419,16 +419,14 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
         std::make_shared<std::vector<size_t>>(PruneRowGroups(spec, *meta_ptr));
     std::vector<std::string> projection = ProjectionFor(spec, *meta_ptr);
 
+    auto projected = meta_ptr->schema.Select(projection);
+    if (!projected.ok()) {
+      Fail(projected.status());
+      return;
+    }
     // Make the input schema known even if every row group is pruned.
-    {
-      auto projected = meta_ptr->schema.Select(projection);
-      if (!projected.ok()) {
-        Fail(projected.status());
-        return;
-      }
-      if (!loaded_[index].has_value()) {
-        loaded_[index] = Chunk::Empty(*projected);
-      }
+    if (!loaded_[index].has_value()) {
+      loaded_[index] = Chunk::Empty(*projected);
     }
     auto batch = std::make_shared<ReadBatch>(
         ec_, table_client_.get(), storage_ctx_, file.key,
@@ -447,10 +445,10 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
       }
     }
     auto self = shared_from_this();
-    auto projection_ptr =
-        std::make_shared<std::vector<std::string>>(std::move(projection));
+    auto projected_ptr = std::make_shared<const data::Schema>(
+        std::move(projected).ValueUnsafe());
     batch->Start([self, index, files, file_index, meta_ptr, survivors,
-                  projection_ptr](Status status,
+                  projected_ptr](Status status,
                                   std::vector<RangeBytes> ranges,
                                   int64_t bytes) {
       if (!status.ok()) {
@@ -464,12 +462,12 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
       size_t buffer = 0;
       for (size_t rg : *survivors) {
         views.clear();
-        for (size_t c = 0; c < projection_ptr->size(); ++c) {
+        for (size_t c = 0; c < projected_ptr->size(); ++c) {
           views.push_back(ranges[buffer++].view());
         }
         Chunk decoded = self->chunk_pool_.AcquireRaw();
         const Status decode_status = format::DecodeRowGroupInto(
-            *meta_ptr, rg, *projection_ptr, views, &decoded);
+            *meta_ptr, rg, *projected_ptr, views, &decoded);
         if (!decode_status.ok()) {
           self->Fail(decode_status);
           return;
@@ -588,8 +586,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     }
     cost_.AddNs(static_cast<double>(blob.size()) *
                 cost_.model().decode_ns_per_byte);
-    std::vector<std::string> projection;
-    for (const auto& f : meta.schema.fields()) projection.push_back(f.name);
+    // Every column, in schema order: the projected schema is the schema.
     for (size_t rg = 0; rg < meta.row_groups.size(); ++rg) {
       column_views_.clear();
       for (const format::ColumnChunkMeta& cm : meta.row_groups[rg].columns) {
@@ -600,7 +597,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
       }
       Chunk decoded = chunk_pool_.AcquireRaw();
       const Status decode_status = format::DecodeRowGroupInto(
-          meta, rg, projection, column_views_, &decoded);
+          meta, rg, meta.schema, column_views_, &decoded);
       if (!decode_status.ok()) {
         Fail(decode_status);
         return false;
@@ -701,7 +698,8 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
         Fail(projected.status());
         return;
       }
-      if (!fallback_schema_.has_value()) fallback_schema_ = *projected;
+      stream_projected_ = std::move(projected).ValueUnsafe();
+      if (!fallback_schema_.has_value()) fallback_schema_ = stream_projected_;
     }
     stream_file_index_ = file_index;
     if (stream_survivors_.empty()) {
@@ -777,7 +775,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
       }
       Chunk decoded = chunk_pool_.AcquireRaw();
       const Status decode_status = format::DecodeRowGroupInto(
-          *stream_meta_, stream_survivors_[rg_cursor_], stream_projection_,
+          *stream_meta_, stream_survivors_[rg_cursor_], stream_projected_,
           column_views_, &decoded);
       // The decoded chunk owns its values; the read bytes can go.
       for (size_t c = 0; c < cols; ++c) ranges[c] = RangeBytes();
@@ -1034,6 +1032,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
   size_t stream_file_index_ = 0;
   std::shared_ptr<const format::FileMeta> stream_meta_;
   std::vector<std::string> stream_projection_;
+  data::Schema stream_projected_;  ///< Schema of stream_projection_.
   std::vector<size_t> stream_survivors_;
   std::deque<ReadOp> stream_pending_;
   std::vector<RangeBytes> stream_ranges_;

@@ -419,7 +419,15 @@ Result<FileMeta> ParseFooter(std::string_view tail, int64_t tail_offset,
                              int64_t file_size) {
   std::string_view footer;
   SKYRISE_ASSIGN_OR_RETURN(footer, FooterText(tail, tail_offset, file_size));
-  return ParseFooterText(footer);
+  FileMeta meta;
+  SKYRISE_ASSIGN_OR_RETURN(meta, ParseFooterText(footer));
+  // Every column chunk lies inside data_size, so this keeps them all inside
+  // the file.
+  if (meta.data_size > file_size - static_cast<int64_t>(footer.size()) -
+                           kCofTrailerSize) {
+    return Status::IoError("data region larger than the file");
+  }
+  return meta;
 }
 
 Result<std::vector<ColumnRange>> RowGroupColumnRanges(
@@ -441,24 +449,22 @@ Result<std::vector<ColumnRange>> RowGroupColumnRanges(
 }
 
 Status DecodeRowGroupInto(const FileMeta& meta, size_t row_group,
-                          const std::vector<std::string>& projection,
+                          const data::Schema& projected,
                           const std::vector<std::string_view>& column_bytes,
                           data::Chunk* out) {
   if (row_group >= meta.row_groups.size()) {
     return Status::OutOfRange("row group index");
   }
-  if (projection.size() != column_bytes.size()) {
+  if (projected.size() != column_bytes.size()) {
     return Status::InvalidArgument("projection/bytes size mismatch");
   }
   const RowGroupMeta& rg = meta.row_groups[row_group];
-  data::Schema projected;
-  SKYRISE_ASSIGN_OR_RETURN(projected, meta.schema.Select(projection));
   if (meta.synthetic) {
-    *out = data::Chunk::Synthetic(std::move(projected), rg.rows);
+    *out = data::Chunk::Synthetic(projected, rg.rows);
     return Status::OK();
   }
   out->PrepareFor(projected);
-  for (size_t i = 0; i < projection.size(); ++i) {
+  for (size_t i = 0; i < column_bytes.size(); ++i) {
     SKYRISE_RETURN_IF_ERROR(DecodeColumnInto(
         column_bytes[i].data(), column_bytes[i].size(),
         projected.field(i).type, rg.rows, &out->column(i)));
@@ -470,9 +476,11 @@ Result<data::Chunk> DecodeRowGroup(
     const FileMeta& meta, size_t row_group,
     const std::vector<std::string>& projection,
     const std::vector<std::string_view>& column_bytes) {
+  data::Schema projected;
+  SKYRISE_ASSIGN_OR_RETURN(projected, meta.schema.Select(projection));
   data::Chunk chunk;
   SKYRISE_RETURN_IF_ERROR(
-      DecodeRowGroupInto(meta, row_group, projection, column_bytes, &chunk));
+      DecodeRowGroupInto(meta, row_group, projected, column_bytes, &chunk));
   return chunk;
 }
 

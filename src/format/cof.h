@@ -123,7 +123,8 @@ void AppendFooter(const FileMeta& meta, std::string* out);
                                                   int64_t tail_offset,
                                                   int64_t file_size);
 
-/// FooterText, then ParseFooterText.
+/// FooterText, then ParseFooterText. A footer whose data region runs past
+/// the bytes in front of it is an IoError.
 [[nodiscard]] Result<FileMeta> ParseFooter(std::string_view tail,
                                            int64_t tail_offset,
                                            int64_t file_size);
@@ -154,14 +155,15 @@ struct ColumnRange {
     const std::vector<std::string>& projection,
     const std::vector<std::string_view>& column_bytes);
 
-/// Decode-into variant: reshapes `out` to the projected schema and decodes
-/// each column chunk into its reused buffers (see format::DecodeColumnInto).
-/// With a pooled `out` chunk, steady-state row-group decode performs no
-/// column-vector allocations. Synthetic files reset `out` to a synthetic
-/// chunk. On error `out`'s contents are unspecified.
+/// Decode-into variant: reshapes `out` to `projected`, the file schema's
+/// Select of the projection, which is fixed per file and so built once by
+/// the caller, and decodes each column chunk into its reused buffers (see
+/// format::DecodeColumnInto). With a pooled `out` chunk, steady-state
+/// row-group decode performs no column-vector allocations. Synthetic files
+/// reset `out` to a synthetic chunk. On error `out`'s contents are
+/// unspecified.
 [[nodiscard]] Status DecodeRowGroupInto(
-    const FileMeta& meta, size_t row_group,
-    const std::vector<std::string>& projection,
+    const FileMeta& meta, size_t row_group, const data::Schema& projected,
     const std::vector<std::string_view>& column_bytes, data::Chunk* out);
 
 /// Registry of synthetic file footers, consulted by readers when the stored

@@ -188,6 +188,11 @@ Status DecodeColumnInto(const char* data, size_t size, data::DataType type,
       uint64_t dict_size = 0;
       p = GetVarintSpan(p, end, &dict_size);
       if (p == nullptr) return Status::IoError("truncated varint");
+      // One-byte ids address at most 256 entries, and each entry takes at
+      // least its length byte: check before reserving the claimed size.
+      if (dict_size > 256 || dict_size > static_cast<uint64_t>(end - p)) {
+        return Status::IoError("bad dictionary size");
+      }
       std::vector<std::pair<const char*, size_t>> dict;
       dict.reserve(dict_size);
       for (uint64_t i = 0; i < dict_size; ++i) {

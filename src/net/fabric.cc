@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/macros.h"
 
@@ -23,24 +24,43 @@ TransferId Fabric::StartTransfer(const TransferSpec& spec) {
                   static_cast<size_t>(spec.vpc) < vpc_caps_.size());
   }
   const TransferId id = next_id_++;
-  transfers_.emplace(id, Transfer{spec, 0, 0});
+  transfers_.push_back(Transfer{id, spec, 0, 0, false});
+  ++live_;
   return id;
 }
 
-void Fabric::StopTransfer(TransferId id) { transfers_.erase(id); }
-
-bool Fabric::IsActive(TransferId id) const {
-  return transfers_.count(id) > 0;
+const Fabric::Transfer* Fabric::Find(TransferId id) const {
+  auto it = std::lower_bound(
+      transfers_.begin(), transfers_.end(), id,
+      [](const Transfer& t, TransferId key) { return t.id < key; });
+  if (it == transfers_.end() || it->id != id || it->retired) return nullptr;
+  return &*it;
 }
 
+Fabric::Transfer* Fabric::Find(TransferId id) {
+  return const_cast<Transfer*>(std::as_const(*this).Find(id));
+}
+
+void Fabric::Retire(Transfer* t) {
+  t->retired = true;
+  t->spec.on_complete = nullptr;
+  --live_;
+}
+
+void Fabric::StopTransfer(TransferId id) {
+  if (Transfer* t = Find(id)) Retire(t);
+}
+
+bool Fabric::IsActive(TransferId id) const { return Find(id) != nullptr; }
+
 double Fabric::LastWindowBytes(TransferId id) const {
-  auto it = transfers_.find(id);
-  return it == transfers_.end() ? 0 : it->second.last_window;
+  const Transfer* t = Find(id);
+  return t == nullptr ? 0 : t->last_window;
 }
 
 double Fabric::TotalBytes(TransferId id) const {
-  auto it = transfers_.find(id);
-  return it == transfers_.end() ? 0 : it->second.moved;
+  const Transfer* t = Find(id);
+  return t == nullptr ? 0 : t->moved;
 }
 
 namespace {
@@ -73,6 +93,14 @@ uint32_t Fabric::ConstraintOf(uint64_t key) {
 
 void Fabric::Step(SimTime now, SimDuration dt) {
   last_window_total_ = 0;
+  if (live_ < transfers_.size()) {
+    // Drop the transfers stopped or completed since the last step, keeping
+    // id order, so the walks below see live transfers only.
+    transfers_.erase(
+        std::remove_if(transfers_.begin(), transfers_.end(),
+                       [](const Transfer& t) { return t.retired; }),
+        transfers_.end());
+  }
   if (transfers_.empty()) return;
   const double window_sec = ToSeconds(dt);
   const size_t n = transfers_.size();
@@ -80,8 +108,8 @@ void Fabric::Step(SimTime now, SimDuration dt) {
   // Build the constraint system: one capacity per (NIC, direction) touched,
   // one per VPC, plus a private cap per transfer (flow cap x flows, jitter,
   // remaining bytes). Constraint ids follow first appearance in the
-  // deterministic transfers_ (std::map) walk; the index is only looked up,
-  // never iterated, so the pointer-derived probe positions decide nothing.
+  // id-ordered walk of transfers_; the index is only looked up, never
+  // iterated, so the pointer-derived probe positions decide nothing.
   own_cap_.resize(n);
   constraints_of_.resize(n);
   remaining_.clear();
@@ -90,8 +118,8 @@ void Fabric::Step(SimTime now, SimDuration dt) {
   while (index_size < 4 * n) index_size *= 2;  // At most 3n keys.
   index_.assign(index_size, IndexSlot{});
 
-  size_t i = 0;
-  for (auto& [id, t] : transfers_) {
+  for (size_t i = 0; i < n; ++i) {
+    const Transfer& t = transfers_[i];
     double cap =
         opt_.per_flow_cap_bytes_per_sec * t.spec.flows * window_sec;
     if (t.spec.rate_cap_bytes_per_sec > 0) {
@@ -126,7 +154,6 @@ void Fabric::Step(SimTime now, SimDuration dt) {
       add_constraint(VpcKey(t.spec.vpc),
                      [&] { return vpc_caps_[t.spec.vpc] * window_sec; });
     }
-    ++i;
   }
 
   // Iterative water-filling: each round, every still-active transfer takes
@@ -138,7 +165,7 @@ void Fabric::Step(SimTime now, SimDuration dt) {
   alloc_.assign(n, 0.0);
   active_.assign(n, 1);
   size_t active_count = n;
-  for (i = 0; i < n; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     if (own_cap_[i] <= 1e-9) {
       active_[i] = 0;
       --active_count;
@@ -159,7 +186,7 @@ void Fabric::Step(SimTime now, SimDuration dt) {
                       : 0.0;
     }
     double moved = 0;
-    for (i = 0; i < n; ++i) {
+    for (size_t i = 0; i < n; ++i) {
       if (!active_[i]) continue;
       const TransferConstraints& tc = constraints_of_[i];
       double grant = own_cap_[i] - alloc_[i];
@@ -173,7 +200,7 @@ void Fabric::Step(SimTime now, SimDuration dt) {
       }
     }
     // Freeze transfers whose own cap or any constraint saturated.
-    for (i = 0; i < n; ++i) {
+    for (size_t i = 0; i < n; ++i) {
       if (!active_[i]) continue;
       const TransferConstraints& tc = constraints_of_[i];
       bool saturated = own_cap_[i] - alloc_[i] <= eps;
@@ -191,9 +218,9 @@ void Fabric::Step(SimTime now, SimDuration dt) {
 
   // Apply allocations: consume NIC budgets, advance transfers, complete.
   completed_.clear();
-  i = 0;
-  for (auto& [id, t] : transfers_) {
-    const double bytes = alloc_[i++];
+  for (size_t i = 0; i < n; ++i) {
+    Transfer& t = transfers_[i];
+    const double bytes = alloc_[i];
     t.spec.src->Consume(Direction::kOut, bytes, now, dt);
     t.spec.dst->Consume(Direction::kIn, bytes, now, dt);
     t.moved += bytes;
@@ -201,18 +228,19 @@ void Fabric::Step(SimTime now, SimDuration dt) {
     last_window_total_ += bytes;
     if (t.spec.total_bytes >= 0 &&
         t.moved >= static_cast<double>(t.spec.total_bytes) - 0.5) {
-      completed_.push_back(id);
+      completed_.push_back(t.id);
     }
   }
-  // The callbacks may start or stop transfers, or step again; completed_ is
-  // the only working array still read, so its buffer is lent to a local.
+  // The callbacks may start or stop transfers, or step again, which moves
+  // entries of transfers_; completed_ is the only working array still read,
+  // so its buffer is lent to a local, and each id is looked up afresh.
   std::vector<TransferId> completed;
   completed.swap(completed_);
   for (TransferId id : completed) {
-    auto it = transfers_.find(id);
-    if (it == transfers_.end()) continue;
-    auto on_complete = std::move(it->second.spec.on_complete);
-    transfers_.erase(it);
+    Transfer* t = Find(id);
+    if (t == nullptr) continue;  // Stopped by an earlier callback.
+    auto on_complete = std::move(t->spec.on_complete);
+    Retire(t);
     if (on_complete) on_complete(id);
   }
   completed.swap(completed_);

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -70,14 +69,23 @@ class Fabric {
   /// Sum of bytes moved by all transfers during the most recent Step.
   double last_window_total() const { return last_window_total_; }
 
-  int active_transfers() const { return static_cast<int>(transfers_.size()); }
+  int active_transfers() const { return static_cast<int>(live_); }
 
  private:
   struct Transfer {
+    TransferId id = 0;
     TransferSpec spec;
     double moved = 0;
     double last_window = 0;
+    /// Stopped or completed since the last step, which drops it.
+    bool retired = false;
   };
+
+  /// The live transfer with this id, or nullptr.
+  Transfer* Find(TransferId id);
+  const Transfer* Find(TransferId id) const;
+  /// Retires `t`, releasing its completion callback.
+  void Retire(Transfer* t);
 
   /// Ids of the constraints one transfer touches in a step: source egress,
   /// destination ingress and, if it has one, its VPC.
@@ -100,7 +108,10 @@ class Fabric {
   Options opt_;
   Rng rng_;
   TransferId next_id_ = 1;
-  std::map<TransferId, Transfer> transfers_;
+  /// The transfers in id order, which is start order: the active ones and
+  /// those retired since the last step.
+  std::vector<Transfer> transfers_;
+  size_t live_ = 0;  ///< Entries of transfers_ not retired.
   std::vector<double> vpc_caps_;
   double last_window_total_ = 0;
 

@@ -76,7 +76,8 @@ bool CalendarEventQueue::Cancel(EventId id) {
     // before they fire; once the dead outnumber the live, one linear filter
     // pass reclaims them (amortized O(1) per cancel, since each pass frees
     // at least half the list).
-    if (overflow_dead_ >= 64 && overflow_dead_ * 2 >= overflow_.size()) {
+    if (overflow_dead_ >= 64 &&
+        overflow_dead_ * 2 >= overflow_.size() - overflow_head_) {
       PurgeOverflow();
     }
   }
@@ -93,16 +94,17 @@ void CalendarEventQueue::PurgeOverflow() {
   // Compacts in place, so the survivors of the sorted prefix stay sorted.
   size_t kept = 0;
   size_t sorted_kept = 0;
-  for (size_t j = 0; j < overflow_.size(); ++j) {
-    const uint32_t index = overflow_[j];
-    if (slots_[index].cancelled) {
-      DropCancelled(index);
+  for (size_t j = overflow_head_; j < overflow_.size(); ++j) {
+    const Key key = overflow_[j];
+    if (slots_[key.index].cancelled) {
+      DropCancelled(key.index);
     } else {
       if (j < overflow_sorted_) ++sorted_kept;
-      overflow_[kept++] = index;
+      overflow_[kept++] = key;
     }
   }
   overflow_.resize(kept);
+  overflow_head_ = 0;
   overflow_sorted_ = sorted_kept;
   overflow_dead_ = 0;
 }
@@ -200,10 +202,10 @@ void CalendarEventQueue::InsertIntoCalendar(uint32_t index) {
     // near-term chain would turn every tail append into a sorted walk.
     slot.in_overflow = true;
     if (overflow_sorted_ == overflow_.size() &&
-        (overflow_.empty() || slots_[overflow_.back()].time <= slot.time)) {
+        (overflow_.empty() || overflow_.back().time <= slot.time)) {
       ++overflow_sorted_;  // In order: sequence numbers are monotone.
     }
-    overflow_.push_back(index);
+    overflow_.push_back(Key{slot.time, slot.sequence, index});
     return;
   }
   slot.in_overflow = false;
@@ -258,10 +260,16 @@ void CalendarEventQueue::MaybeShrink() {
 }
 
 void CalendarEventQueue::Resize() {
+  ++stats_.calendar_resizes;
+  if (calendar_count_ == 0 && overflow_dead_ == 0 &&
+      overflow_sorted_ == overflow_.size()) {
+    ResizeFromSortedOverflow();
+    return;
+  }
   run_.clear();
   fresh_.clear();
-  // Empty the chains into fresh_. A drained calendar (the usual trigger)
-  // has nothing to walk: every head and tail is already kNil.
+  // Empty the chains into fresh_. A drained calendar has nothing to walk:
+  // every head and tail is already kNil.
   if (calendar_count_ > 0) {
     for (size_t b = 0; b < buckets_.size(); ++b) {
       uint32_t i = buckets_[b];
@@ -284,16 +292,18 @@ void CalendarEventQueue::Resize() {
       }
     }
   }
-  for (size_t j = 0; j < overflow_.size(); ++j) {
-    const uint32_t i = overflow_[j];
-    if (slots_[i].cancelled) {
-      DropCancelled(i);
+  // Then the overflow list, freeing its cancelled events in list order.
+  stats_.rebuild_overflow_reads += overflow_.size() - overflow_head_;
+  for (size_t j = overflow_head_; j < overflow_.size(); ++j) {
+    const Key& key = overflow_[j];
+    if (slots_[key.index].cancelled) {
+      DropCancelled(key.index);
     } else {
-      std::vector<Key>& into = j < overflow_sorted_ ? run_ : fresh_;
-      into.push_back(Key{slots_[i].time, slots_[i].sequence, i});
+      (j < overflow_sorted_ ? run_ : fresh_).push_back(key);
     }
   }
   overflow_.clear();
+  overflow_head_ = 0;
   overflow_sorted_ = 0;
   overflow_dead_ = 0;
   calendar_count_ = 0;
@@ -310,52 +320,7 @@ void CalendarEventQueue::Resize() {
     sorted = &merged_;
   }
   const std::vector<Key>& queued = *sorted;
-  // Size the bucket array from the live population (post-purge): smallest
-  // power of two holding it, so grow/shrink thresholds cannot thrash.
-  size_t new_bucket_count = size_t{kMinBuckets};
-  while (new_bucket_count < queued.size()) new_bucket_count *= 2;
-  // Width from the *median* inter-event gap of the head half of the sorted
-  // population, not the global span: real populations are skewed (dense near
-  // now, sparse timeout tail), and any mean-based width lets a few far-future
-  // outliers stretch buckets until the dense head piles into long chains.
-  // The median ignores outliers entirely; far-future events simply wrap
-  // around the bucket array, which FindMin's windowed sweep handles.
-  SimTime new_width = 1;
-  SimTime min_time = 0;
-  if (!queued.empty()) {
-    min_time = queued.front().time;
-    const size_t head =
-        std::min(std::max<size_t>(queued.size() / 2, 2), queued.size());
-    // The head's gaps are nonnegative, so their median is 0 exactly when
-    // more than `median` of them are 0. Quantised event times make that the
-    // common case, which then needs no selection.
-    const size_t median = (head - 1) / 2;
-    size_t zero_gaps = 0;
-    for (size_t i = 1; i < head; ++i) {
-      if (queued[i].time == queued[i - 1].time) ++zero_gaps;
-    }
-    if (head > 1 && zero_gaps <= median) {
-      gaps_.clear();
-      for (size_t i = 1; i < head; ++i) {
-        gaps_.push_back(queued[i].time - queued[i - 1].time);
-      }
-      std::nth_element(gaps_.begin(), gaps_.begin() + median, gaps_.end());
-      new_width = std::max<SimTime>(1, 2 * gaps_[median]);
-    }
-  }
-  buckets_.resize(new_bucket_count, kNil);
-  tails_.resize(new_bucket_count, kNil);
-  bucket_mask_ = new_bucket_count - 1;
-  width_ = new_width;
-  // One calendar year spans the bucket array exactly once; anything past it
-  // re-enters the overflow list during reinsertion below.
-  const SimTime span_max = std::numeric_limits<SimTime>::max() - min_time;
-  if (new_width > span_max / static_cast<SimTime>(new_bucket_count)) {
-    year_limit_ = std::numeric_limits<SimTime>::max();
-  } else {
-    year_limit_ = min_time + new_width * static_cast<SimTime>(new_bucket_count);
-  }
-  SetCursor(min_time);
+  Reshape(queued.data(), queued.size());
   // Sorted reinsertion: every calendar insert lands as an O(1) tail append,
   // and everything from the first event beyond the year on is the new
   // overflow list, one sorted run.
@@ -365,10 +330,89 @@ void CalendarEventQueue::Resize() {
   }
   for (; k < queued.size(); ++k) {
     slots_[queued[k].index].in_overflow = true;
-    overflow_.push_back(queued[k].index);
+    overflow_.push_back(queued[k]);
   }
   overflow_sorted_ = overflow_.size();
-  ++stats_.calendar_resizes;
+}
+
+void CalendarEventQueue::ResizeFromSortedOverflow() {
+  // Resize's rebuild in the case a rebuild storm of quantised event times
+  // is made of: nothing in the chains, nothing cancelled in the overflow
+  // list and the list one sorted run whose head is about to enter the
+  // calendar. The head, up to the new year, moves into the calendar; the
+  // rest stays where it is, since it is the list a walk would rebuild.
+  const size_t reads =
+      Reshape(overflow_.data() + overflow_head_,
+              overflow_.size() - overflow_head_);
+  size_t k = overflow_head_;
+  for (; k < overflow_.size() && overflow_[k].time < year_limit_; ++k) {
+    InsertIntoCalendar(overflow_[k].index);
+  }
+  stats_.rebuild_overflow_reads += reads + (k - overflow_head_);
+  overflow_head_ = k;
+  if (2 * overflow_head_ > overflow_.size()) {
+    // More than half the array is consumed, or all of it: drop the front,
+    // amortised O(1) per consumed entry.
+    stats_.rebuild_overflow_reads += overflow_.size() - overflow_head_;
+    overflow_.erase(overflow_.begin(),
+                    overflow_.begin() + static_cast<ptrdiff_t>(overflow_head_));
+    overflow_head_ = 0;
+  }
+  overflow_sorted_ = overflow_.size();
+}
+
+size_t CalendarEventQueue::Reshape(const Key* queued, size_t count) {
+  // Size the bucket array from the live population (post-purge): smallest
+  // power of two holding it, so grow/shrink thresholds cannot thrash.
+  size_t new_bucket_count = size_t{kMinBuckets};
+  while (new_bucket_count < count) new_bucket_count *= 2;
+  // Width from the *median* inter-event gap of the head half of the sorted
+  // population, not the global span: real populations are skewed (dense near
+  // now, sparse timeout tail), and any mean-based width lets a few far-future
+  // outliers stretch buckets until the dense head piles into long chains.
+  // The median ignores outliers entirely; far-future events simply wrap
+  // around the bucket array, which FindMin's windowed sweep handles.
+  SimTime new_width = 1;
+  SimTime min_time = 0;
+  size_t read = 0;
+  if (count > 0) {
+    min_time = queued[0].time;
+    const size_t head = std::min(std::max<size_t>(count / 2, 2), count);
+    // The head's gaps are nonnegative, so their median is 0 exactly when
+    // more than `median` of them are 0. Quantised event times make that the
+    // common case, which then needs no selection and stops counting as soon
+    // as the zeros are a majority.
+    const size_t median = (head - 1) / 2;
+    size_t zero_gaps = 0;
+    size_t i = 1;
+    for (; i < head && zero_gaps <= median; ++i) {
+      if (queued[i].time == queued[i - 1].time) ++zero_gaps;
+    }
+    read = i;
+    if (head > 1 && zero_gaps <= median) {
+      gaps_.clear();
+      for (i = 1; i < head; ++i) {
+        gaps_.push_back(queued[i].time - queued[i - 1].time);
+      }
+      std::nth_element(gaps_.begin(), gaps_.begin() + median, gaps_.end());
+      new_width = std::max<SimTime>(1, 2 * gaps_[median]);
+      read = head;
+    }
+  }
+  buckets_.resize(new_bucket_count, kNil);
+  tails_.resize(new_bucket_count, kNil);
+  bucket_mask_ = new_bucket_count - 1;
+  width_ = new_width;
+  // One calendar year spans the bucket array exactly once; anything past it
+  // re-enters the overflow list.
+  const SimTime span_max = std::numeric_limits<SimTime>::max() - min_time;
+  if (new_width > span_max / static_cast<SimTime>(new_bucket_count)) {
+    year_limit_ = std::numeric_limits<SimTime>::max();
+  } else {
+    year_limit_ = min_time + new_width * static_cast<SimTime>(new_bucket_count);
+  }
+  SetCursor(min_time);
+  return read;
 }
 
 EventPoolStats CalendarEventQueue::stats() const {

@@ -162,6 +162,9 @@ struct EventPoolStats {
   uint64_t queued = 0;           ///< Events currently queued (incl. lazily cancelled).
   uint64_t bucket_count = 0;     ///< Current calendar bucket array size.
   uint64_t calendar_resizes = 0;  ///< Calendar rebuilds (grow + shrink).
+  /// Overflow-list entries read or moved by rebuilds: the host cost of the
+  /// rebuilds, not a simulated figure.
+  uint64_t rebuild_overflow_reads = 0;
 };
 
 /// Bucketed calendar queue over the slot pool. Buckets are sorted singly
@@ -172,16 +175,20 @@ struct EventPoolStats {
 /// advance it, inserts earlier than the window rewind it.
 ///
 /// Events beyond the calendar's current year (`year_limit_`) — typically
-/// long-horizon timeouts — live in an overflow list instead of wrapping
-/// around the bucket array, which would interleave them with near-term
-/// chains and defeat the tail-append fast path. The overflow is
-/// redistributed when the calendar drains, and cancelled overflow entries
-/// are purged by a cheap in-place filter once they outnumber the live ones
-/// (long-horizon timeouts are almost always cancelled before they fire).
-/// The list keeps a (time, sequence)-sorted prefix: a rebuild re-appends its
-/// beyond-the-year survivors in order, in-order pushes extend the prefix and
-/// the purge keeps relative order, so a rebuild sorts only the chain
-/// survivors and the out-of-order arrivals, then merges them with that run.
+/// long-horizon timeouts — live in an overflow list of (time, sequence,
+/// slot) keys instead of wrapping around the bucket array, which would
+/// interleave them with near-term chains and defeat the tail-append fast
+/// path. The overflow is redistributed when the calendar drains, and
+/// cancelled overflow entries are purged by a cheap in-place filter once
+/// they outnumber the live ones (long-horizon timeouts are almost always
+/// cancelled before they fire). The list keeps a (time, sequence)-sorted
+/// prefix: a rebuild leaves or re-appends its beyond-the-year survivors in
+/// order, in-order pushes extend the prefix and the purge keeps relative
+/// order. A rebuild of a drained calendar over a wholly sorted list that
+/// holds no cancelled event moves the head of the list into the calendar,
+/// touching nothing else; any other rebuild frees the cancelled events,
+/// sorts only the chain survivors and the out-of-order arrivals, then
+/// merges them with the sorted run.
 class CalendarEventQueue {
  public:
   CalendarEventQueue();
@@ -230,8 +237,9 @@ class CalendarEventQueue {
     EventCallback callback;
   };
 
-  /// A queued event's order key, copied out of its slot so a rebuild sorts
-  /// and merges contiguous values rather than chasing slot indices.
+  /// A queued event's order key, copied out of its slot so the overflow
+  /// list and a rebuild compare, sort and merge contiguous values rather
+  /// than chasing slot indices.
   struct Key {
     SimTime time = 0;
     uint64_t sequence = 0;
@@ -254,6 +262,13 @@ class CalendarEventQueue {
   uint32_t UnlinkMin();
   void SetCursor(SimTime time);
   void Resize();
+  /// Resize of a drained calendar whose overflow list is one sorted run
+  /// without cancelled events.
+  void ResizeFromSortedOverflow();
+  /// Sizes the bucket array and picks the width, year and cursor for the
+  /// `count` queued events whose keys lie sorted from `queued` on. Returns
+  /// the number of keys it read.
+  size_t Reshape(const Key* queued, size_t count);
   void MaybeGrow();
   void MaybeShrink();
   void PurgeOverflow();
@@ -271,9 +286,13 @@ class CalendarEventQueue {
   uint64_t count_ = 0;           ///< All queued events (calendar + overflow).
   uint64_t calendar_count_ = 0;  ///< Events resident in bucket chains.
 
-  std::vector<uint32_t> overflow_;  ///< Events at/beyond year_limit_.
-  size_t overflow_sorted_ = 0;      ///< Length of overflow_'s sorted prefix.
-  uint64_t overflow_dead_ = 0;      ///< Cancelled events still in overflow_.
+  /// Events at/beyond year_limit_, from overflow_head_ on; the entries
+  /// before it were moved into the calendar. It is empty whenever no entry
+  /// is left past overflow_head_.
+  std::vector<Key> overflow_;
+  size_t overflow_head_ = 0;
+  size_t overflow_sorted_ = 0;  ///< End of overflow_'s sorted prefix.
+  uint64_t overflow_dead_ = 0;  ///< Cancelled events still in overflow_.
   SimTime year_limit_ = kMinBuckets;  ///< First time outside the calendar.
 
   // Rebuild scratch, kept so a rebuild allocates only when the live

@@ -7,6 +7,7 @@
 #include "datagen/tpcxbb.h"
 #include "engine/queries.h"
 #include "engine/reference.h"
+#include "format/cof.h"
 #include "storage/object_store.h"
 
 namespace skyrise::engine {
@@ -345,6 +346,35 @@ TEST_F(EngineE2ETest, RegressionMistypedWorkerPayloadFailsTyped) {
     EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument)
         << outcome.status().ToString();
   }
+}
+
+TEST_F(EngineE2ETest, RegressionResultFooterPastObjectFailsTyped) {
+  // A 146-byte result object whose footer claims 1,000 data bytes and a
+  // column chunk at offset 900: fetching it once cut the chunk out of the
+  // object past its end and aborted with std::out_of_range.
+  format::FileMeta forged;
+  forged.schema = data::Schema({{"id", data::DataType::kInt64}});
+  forged.data_size = 1000;
+  format::ColumnChunkMeta chunk;
+  chunk.offset = 900;
+  chunk.size = 2;
+  forged.row_groups.push_back(format::RowGroupMeta{1, {chunk}});
+  std::string object;
+  format::AppendFooter(forged, &object);
+  const uint32_t footer_size = static_cast<uint32_t>(object.size());
+  ASSERT_LE(object.size() + format::kCofTrailerSize, 146u);
+  object.insert(0, 146 - format::kCofTrailerSize - object.size(), '\0');
+  for (int i = 0; i < 4; ++i) {
+    object.push_back(static_cast<char>(footer_size >> (8 * i)));
+  }
+  object += "COF1";
+  ASSERT_EQ(object.size(), 146u);
+  ASSERT_TRUE(
+      store_.Insert(ResultKey("forged"), storage::Blob::FromString(object)).ok());
+  auto result = engine_->FetchResult("forged");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIoError)
+      << result.status().ToString();
 }
 
 }  // namespace

@@ -120,6 +120,33 @@ TEST(EncodingTest, TypeMismatchRejected) {
   EXPECT_FALSE(DecodeColumn("", DataType::kInt64, 1).ok());
 }
 
+TEST(EncodingTest, RegressionHugeDictionarySizeIsIoError) {
+  // Ten bytes: the dictionary tag and a varint claiming 2^62 entries. The
+  // decoder once reserved the claimed size before reading any entry and
+  // aborted with std::length_error.
+  std::string huge(1, static_cast<char>(ColumnEncoding::kStringDict));
+  PutVarint(&huge, uint64_t{1} << 62);
+  ASSERT_EQ(huge.size(), 10u);
+  auto decoded = DecodeColumn(huge, DataType::kString, 1);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kIoError);
+  // One-byte ids address 256 entries; a 257th cannot be, even when present.
+  for (uint64_t entries : {256u, 257u}) {
+    std::string dict(1, static_cast<char>(ColumnEncoding::kStringDict));
+    PutVarint(&dict, entries);
+    dict.append(entries, '\0');  // Empty entries.
+    dict.push_back(static_cast<char>(255));
+    auto column = DecodeColumn(dict, DataType::kString, 1);
+    if (entries == 256) {
+      ASSERT_TRUE(column.ok()) << column.status().ToString();
+      EXPECT_EQ(column->strings()[0], "");
+    } else {
+      ASSERT_FALSE(column.ok());
+      EXPECT_EQ(column.status().code(), StatusCode::kIoError);
+    }
+  }
+}
+
 // --- COF files. ---
 
 TEST(CofTest, WriteParseRoundTrip) {
@@ -233,13 +260,16 @@ TEST(CofTest, MalformedFootersAreIoErrors) {
   ASSERT_TRUE(meta.ok());
   std::string good;
   AppendFooter(*meta, &good);
-  ASSERT_TRUE(ParseFooter(FileWithFooter(good), 0,
-                          static_cast<int64_t>(good.size()) + 8)
-                  .ok());
+  // Each footer goes behind the file's own data bytes, which its data
+  // region must fit in.
+  const std::string data = file.substr(0, static_cast<size_t>(meta->data_size));
+  const std::string rewritten = data + FileWithFooter(good);
+  ASSERT_TRUE(
+      ParseFooter(rewritten, 0, static_cast<int64_t>(rewritten.size())).ok());
   // Json copies share their arrays and objects: edit a fresh parse each time.
   auto fresh = [&good] { return Json::Parse(good).ValueOrDie(); };
-  auto expect_io_error = [](const Json& footer, const char* what) {
-    const std::string bad = FileWithFooter(footer.Dump());
+  auto expect_io_error = [&data](const Json& footer, const char* what) {
+    const std::string bad = data + FileWithFooter(footer.Dump());
     auto parsed = ParseFooter(bad, 0, static_cast<int64_t>(bad.size()));
     ASSERT_FALSE(parsed.ok()) << what;
     EXPECT_EQ(parsed.status().code(), StatusCode::kIoError) << what;
@@ -263,6 +293,34 @@ TEST(CofTest, MalformedFootersAreIoErrors) {
   footer["row_groups"].AsArray()[0]["columns"].AsArray()[3]["size"] =
       meta->data_size;
   expect_io_error(footer, "chunk past the data region");
+}
+
+TEST(CofTest, RegressionDataRegionPastFileIsIoError) {
+  // A 146-byte object whose footer claims 1,000 data bytes and a column
+  // chunk at offset 900: readers that cut column chunks out of the object
+  // at footer offsets once aborted past its end.
+  FileMeta forged;
+  forged.schema = Schema({{"id", DataType::kInt64}});
+  forged.data_size = 1000;
+  ColumnChunkMeta chunk;
+  chunk.offset = 900;
+  chunk.size = 2;
+  forged.row_groups.push_back(RowGroupMeta{1, {chunk}});
+  std::string footer;
+  AppendFooter(forged, &footer);
+  ASSERT_LE(footer.size() + 8, 146u);
+  const std::string file =
+      std::string(146 - 8 - footer.size(), '\0') + FileWithFooter(footer);
+  ASSERT_EQ(file.size(), 146u);
+  auto meta = ParseFooter(file, 0, static_cast<int64_t>(file.size()));
+  ASSERT_FALSE(meta.ok());
+  EXPECT_EQ(meta.status().code(), StatusCode::kIoError);
+  // The same footer behind 1,000 data bytes reads, also from a tail.
+  const std::string whole = std::string(1000, '\0') + FileWithFooter(footer);
+  EXPECT_TRUE(ParseFooter(whole, 0, static_cast<int64_t>(whole.size())).ok());
+  const std::string tail = whole.substr(900);
+  EXPECT_TRUE(
+      ParseFooter(tail, 900, static_cast<int64_t>(whole.size())).ok());
 }
 
 /// ParseFooterText over a heap copy of exactly `text`'s bytes, so a read

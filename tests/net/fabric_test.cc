@@ -1,6 +1,8 @@
 #include "net/fabric.h"
 
+#include <functional>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -241,6 +243,141 @@ TEST(FabricTest, MixedScenarioIsBitExact) {
     EXPECT_EQ(last_total[ids[k]], want_totals[k]) << "transfer " << ids[k];
   }
   EXPECT_EQ(window_sum, 0x1.9782f9p+29);
+}
+
+// Thirty-two equal downloads share one server NIC and all finish in the same
+// step. Their completion callbacks start new transfers, stop transfers that
+// are still running, stop a transfer whose callback has not run yet in the
+// same step, start and at once stop a transfer that has never been stepped,
+// stop their own finished transfer, and step the fabric again under the
+// outer step's callback loop. Between steps the test starts and stops a
+// transfer of its own. Every id ever issued is probed after every step: a
+// stopped or completed transfer must read inactive with zero bytes. The
+// figures are compared bit for bit against those recorded from the
+// std::map transfer table this fabric had before its id-ordered vector.
+TEST(FabricTest, StoppedAndCompletedTransfersReadGoneBitExact) {
+  Fabric::Options opt;
+  opt.jitter_sigma = 0.25;
+  opt.seed = 99;
+  Fabric fabric(opt);
+  const VpcId vpc = fabric.AddVpc(1.5 * kGiB);
+  UnlimitedNic server(/*in=*/0.5 * kGiB, /*out=*/1.0 * kGiB);
+  Ec2Nic::Options ec2;
+  ec2.bucket_bytes = 16.0 * kMiB;
+  std::vector<std::unique_ptr<Nic>> clients;
+  for (int k = 0; k < 32; ++k) {
+    if (k % 2 == 0) {
+      clients.push_back(std::make_unique<Ec2Nic>(ec2));
+    } else {
+      clients.push_back(std::make_unique<UnlimitedNic>(1e12));
+    }
+  }
+
+  std::vector<TransferId> ids;
+  std::vector<std::pair<TransferId, int>> completions;  // (id, step)
+  int step = 0;
+  auto start = [&](Nic* src, Nic* dst, int64_t total, VpcId v,
+                   std::function<void(TransferId)> then) {
+    Fabric::TransferSpec spec = MakeSpec(src, dst, 1, total, v);
+    spec.on_complete = [&completions, &step, then](TransferId id) {
+      completions.emplace_back(id, step);
+      if (then) then(id);
+    };
+    ids.push_back(fabric.StartTransfer(spec));
+    return ids.back();
+  };
+
+  // Unbounded uploads the callbacks stop one by one, oldest first.
+  std::vector<TransferId> uploads;
+  for (int k = 0; k < 8; ++k) {
+    uploads.push_back(start(clients[static_cast<size_t>(k)].get(), &server,
+                            -1, k % 2 == 0 ? vpc : kNoVpc, nullptr));
+  }
+  size_t next_upload = 0;
+  const TransferId first_download = ids.back() + 1;
+  for (int k = 0; k < 32; ++k) {
+    const size_t c = static_cast<size_t>(k);
+    start(&server, clients[c].get(), 8 * kMiB, vpc,
+          [&, k, c, first_download](TransferId id) {
+            switch (k % 6) {
+              case 0:  // A follow-up download, sized by its client.
+                start(&server, clients[c].get(), (2 + k) * kMiB, kNoVpc,
+                      nullptr);
+                break;
+              case 1:  // Stop a running upload.
+                if (next_upload < uploads.size()) {
+                  fabric.StopTransfer(uploads[next_upload++]);
+                }
+                break;
+              case 2:  // Stop a download whose callback has not run yet.
+                fabric.StopTransfer(first_download + static_cast<size_t>(k) +
+                                    2);
+                break;
+              case 3:  // Start a transfer and stop it before any step.
+                fabric.StopTransfer(start(clients[c].get(), &server, kMiB,
+                                          vpc, nullptr));
+                break;
+              case 4:  // Stop this transfer, which has already finished.
+                fabric.StopTransfer(id);
+                break;
+              case 5:  // Step again inside the step.
+                if (k == 29) fabric.Step(Millis(20) * step, Millis(1));
+                break;
+            }
+          });
+  }
+
+  std::map<TransferId, double> last_total;  // After its last active step.
+  double window_sum = 0;
+  double gone_bytes = 0;  // Bytes reported for inactive ids; must stay 0.
+  std::vector<int> active_counts;
+  for (step = 0; step < 40; ++step) {
+    if (step == 3) {
+      fabric.StopTransfer(start(&server, clients[1].get(), kMiB, vpc,
+                                nullptr));
+    }
+    fabric.Step(Millis(20) * step, Millis(20));
+    window_sum += fabric.last_window_total();
+    active_counts.push_back(fabric.active_transfers());
+    int active = 0;
+    for (TransferId id : ids) {
+      if (fabric.IsActive(id)) {
+        ++active;
+        last_total[id] = fabric.TotalBytes(id);
+      } else {
+        gone_bytes += fabric.TotalBytes(id) + fabric.LastWindowBytes(id);
+      }
+    }
+    EXPECT_EQ(active, fabric.active_transfers()) << "step " << step;
+  }
+  EXPECT_EQ(gone_bytes, 0.0);
+  EXPECT_FALSE(fabric.IsActive(ids.back() + 1));
+  EXPECT_EQ(fabric.TotalBytes(0), 0.0);
+
+  double total_sum = 0;  // In id order.
+  for (const auto& [id, total] : last_total) total_sum += total;
+  std::vector<std::pair<TransferId, int>> want_completions;
+  for (TransferId id = 9; id <= 40; ++id) {
+    // Downloads 13, 19, 25, 31 and 37 are stopped by an earlier callback.
+    if (id % 6 != 1) want_completions.emplace_back(id, 12);
+  }
+  want_completions.insert(want_completions.end(), {{42, 13},
+                                                   {44, 14},
+                                                   {46, 16},
+                                                   {48, 17},
+                                                   {50, 17},
+                                                   {52, 18}});
+  EXPECT_EQ(completions, want_completions);
+  std::vector<int> want_active(12, 40);
+  want_active.insert(want_active.end(), {8, 7, 6, 6, 5, 3});
+  want_active.resize(40, 2);
+  EXPECT_EQ(active_counts, want_active);
+  EXPECT_EQ(ids.size(), 52u);
+  EXPECT_EQ(window_sum, 0x1.75d0e56041899p+29);
+  EXPECT_EQ(total_sum, 0x1.6fa3e134a9632p+29);
+  EXPECT_EQ(last_total[8], 0x1.8f32099ba5e37p+27);
+  EXPECT_EQ(last_total[42], 0x1.a36e2eb1c432dp+17);
+  EXPECT_EQ(last_total[52], 0x1.e833f3aede81ep+24);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "common/random.h"
 #include "sim/environment.h"
+#include "sim/watchdog_storm.h"
 
 namespace skyrise::sim {
 namespace {
@@ -107,6 +108,8 @@ class Lockstep {
     ref_.RunUntil(until, &ref_log_);
   }
 
+  SimTime now() const { return env_.now(); }
+
   // Drains both loops and compares everything that fired.
   void Finish() {
     env_.Run();
@@ -119,6 +122,18 @@ class Lockstep {
   SimEnvironment& env() { return env_; }
   const ReferenceLoop& ref() const { return ref_; }
   size_t issued() const { return env_ids_.size(); }
+
+  // FNV-1a over every EventId issued so far. An id carries its slot index
+  // and generation, so this pins the order in which slots were freed and
+  // reused, which the firing log cannot see.
+  uint64_t IdDigest() const {
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (EventId id : env_ids_) {
+      hash ^= id;
+      hash *= 0x100000001b3ull;
+    }
+    return hash;
+  }
 
  private:
   SimEnvironment env_;
@@ -242,6 +257,58 @@ void RunQuantisedStorm(uint64_t seed, int ops,
   loops.Finish();
 }
 
+// Counters and the id digest at the end of a grid instant of a watchdog
+// storm.
+struct StormCheckpoint {
+  int instant;
+  uint64_t fired;
+  uint64_t cancelled_dropped;
+  uint64_t calendar_resizes;
+  uint64_t bucket_count;
+  uint64_t id_digest;
+};
+
+// hostbench `s3_stream`'s event pattern (sim/watchdog_storm.h): about 500
+// pending watchdogs, about 20 cancelled per 20 ms grid instant, each cancel
+// followed by an out-of-order first byte, and between the instants rebuilds
+// that only move a first byte or two into the calendar. At `outage_instant`
+// 330 watchdogs are cancelled at once, which purges the overflow list.
+void RunWatchdogStorm(uint64_t seed, int instants, int outage_instant,
+                      const std::vector<StormCheckpoint>& checkpoints) {
+  WatchdogStormShape shape;
+  shape.outage_instant = outage_instant;
+  Lockstep loops(seed);
+  WatchdogStorm<Lockstep> storm(&loops, shape, seed);
+  size_t next_checkpoint = 0;
+  uint64_t dropped_before = 0;
+  for (int instant = 0; instant < instants; ++instant) {
+    storm.RunInstant();
+    const EventPoolStats stats = loops.env().pool_stats();
+    if (instant == outage_instant) {
+      EXPECT_GE(stats.cancelled_dropped - dropped_before, 250u)
+          << "the outage did not purge the overflow list";
+    }
+    dropped_before = stats.cancelled_dropped;
+    if (next_checkpoint < checkpoints.size() &&
+        checkpoints[next_checkpoint].instant == instant) {
+      const StormCheckpoint& want = checkpoints[next_checkpoint++];
+      EXPECT_EQ(stats.fired, want.fired) << "at instant " << instant;
+      EXPECT_EQ(stats.cancelled_dropped, want.cancelled_dropped)
+          << "at instant " << instant;
+      EXPECT_EQ(stats.calendar_resizes, want.calendar_resizes)
+          << "at instant " << instant;
+      EXPECT_EQ(stats.bucket_count, want.bucket_count)
+          << "at instant " << instant;
+      EXPECT_EQ(loops.IdDigest(), want.id_digest) << "at instant " << instant;
+      if (instant != outage_instant) {
+        EXPECT_GE(storm.pending_watchdogs(), 500u) << "at instant " << instant;
+      }
+    }
+  }
+  EXPECT_EQ(next_checkpoint, checkpoints.size());
+  loops.Finish();
+}
+
 TEST(QueueEquivalenceTest, MatchesReferenceHeapSeed1) {
   RunLockstepStorm(/*seed=*/1, /*ops=*/20000);
 }
@@ -262,6 +329,18 @@ TEST(QueueEquivalenceTest, MatchesReferenceOnQuantisedTimes) {
                      {9999, 14393, 11989, 1184, 128},
                      {14999, 21748, 18376, 1774, 128},
                      {19999, 29054, 24829, 2319, 128}});
+}
+
+TEST(QueueEquivalenceTest, MatchesReferenceInWatchdogStorm) {
+  // Recorded from the queue whose rebuilds walked the whole overflow list of
+  // slot indices.
+  RunWatchdogStorm(/*seed=*/1, /*instants=*/1000, /*outage_instant=*/600,
+                   {{199, 4323, 3606, 1106, 1024, 17883034480272075955ull},
+                    {399, 8379, 7342, 3104, 1024, 8941561992468910168ull},
+                    {599, 12474, 11116, 5101, 1024, 583072640069339715ull},
+                    {600, 12492, 11464, 5102, 256, 15193013306820209358ull},
+                    {799, 16718, 15075, 6908, 1024, 13666749829845404590ull},
+                    {999, 20780, 18838, 8872, 1024, 7776201026584226076ull}});
 }
 
 TEST(QueueEquivalenceTest, MatchesReferenceUnderCancelHeavyLoad) {
