@@ -12,14 +12,6 @@ int CircuitBreaker::AddObserver(TransitionCallback callback) {
 
 void CircuitBreaker::RemoveObserver(int handle) { observers_.erase(handle); }
 
-void CircuitBreaker::set_on_transition(TransitionCallback callback) {
-  if (callback) {
-    observers_[0] = std::move(callback);
-  } else {
-    observers_.erase(0);
-  }
-}
-
 const char* CircuitBreaker::StateName(State state) {
   switch (state) {
     case State::kClosed:

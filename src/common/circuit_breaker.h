@@ -16,7 +16,7 @@
 /// probes decide between closing again and re-opening. A pure state machine
 /// over explicit `SimTime` arguments: no clock, no RNG, no dependency on
 /// sim/ or obs/ — callers (which all live above common/) pass `env->now()`
-/// in and observe transitions through the callback, so the same fault
+/// in and observe transitions through observers, so the same fault
 /// sequence produces the same transition trace on every run.
 
 namespace skyrise {
@@ -81,18 +81,12 @@ class CircuitBreaker {
   int AddObserver(TransitionCallback callback);
   void RemoveObserver(int handle);
 
-  /// Legacy single-observer accessor: replaces the previous callback set
-  /// through this entry point (observers added via AddObserver are
-  /// unaffected); pass nullptr to detach.
-  void set_on_transition(TransitionCallback callback);
-
-  /// True when `handle` is the oldest live observer registered via
-  /// AddObserver (the legacy slot is excluded). Lets N per-query observers
-  /// on a shared breaker elect exactly one emitter for per-transition
-  /// counters that must not be multiplied by the in-flight query count.
+  /// True when `handle` is the oldest live observer. Lets N per-query
+  /// observers on a shared breaker elect exactly one emitter for
+  /// per-transition counters that must not be multiplied by the in-flight
+  /// query count.
   bool IsOldestObserver(int handle) const {
-    auto it = observers_.lower_bound(1);
-    return it != observers_.end() && it->first == handle;
+    return !observers_.empty() && observers_.begin()->first == handle;
   }
 
   static const char* StateName(State state);
@@ -110,8 +104,7 @@ class CircuitBreaker {
   int probe_successes_ = 0;
   Stats stats_;
   /// Observers keyed by handle; std::map so firing order is deterministic
-  /// (registration order, since handles increase monotonically). Handle 0 is
-  /// reserved for the legacy set_on_transition slot.
+  /// (registration order, since handles increase monotonically from 1).
   std::map<int, TransitionCallback> observers_;
   int next_observer_handle_ = 1;
 };

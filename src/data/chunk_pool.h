@@ -10,11 +10,11 @@
 /// Per-worker recycling pool for data::Chunk buffers. Morsel-driven execution
 /// creates and drops a chunk per Push()/operator hop; without reuse every hop
 /// reallocates each column's vectors (and every string element). The pool
-/// keeps released chunks on a LIFO free list so the next Acquire hands back
+/// keeps released chunks on a LIFO free list so the next acquire hands back
 /// warm capacity.
 ///
 /// Ownership rules (see DESIGN.md "Event-kernel and data-plane memory
-/// model"): a chunk obtained from Acquire is owned by the caller and may
+/// model"): a chunk obtained from the pool is owned by the caller and may
 /// outlive the pool; Release is an optional donation, never an obligation.
 /// Pools are strictly per-worker (single-threaded on the sim event loop), so
 /// there is no locking. Retained capacity is *not* charged to
@@ -31,22 +31,12 @@ class ChunkPool {
   explicit ChunkPool(size_t max_free = 64) : max_free_(max_free) {}
   SKYRISE_DISALLOW_COPY_AND_ASSIGN(ChunkPool);
 
-  /// Returns an empty materialized chunk shaped to `schema`, recycling the
-  /// most recently released chunk's buffers when one is available.
-  Chunk Acquire(const Schema& schema) {
-    if (!free_.empty()) {
-      Chunk chunk = std::move(free_.back());
-      free_.pop_back();
-      chunk.ResetTo(schema);
-      return chunk;
-    }
-    return Chunk::Empty(schema);
-  }
-
-  /// Like Acquire but reshapes with Chunk::PrepareFor instead of ResetTo:
-  /// column contents are unspecified (not cleared), which keeps string
-  /// *element* buffers alive for FilterInto/SliceInto/DecodeColumnInto
-  /// refills. Use only when every column is overwritten before being read.
+  /// Returns a materialized chunk shaped to `schema`, recycling the most
+  /// recently released chunk's buffers when one is available. Reshapes with
+  /// Chunk::PrepareFor: column contents are unspecified (not cleared), which
+  /// keeps string *element* buffers alive for FilterInto/SliceInto/
+  /// DecodeColumnInto refills. Use only when every column is overwritten
+  /// before being read.
   Chunk AcquirePrepared(const Schema& schema) {
     if (!free_.empty()) {
       Chunk chunk = std::move(free_.back());

@@ -44,7 +44,6 @@ struct EngineContext {
 
   // Worker I/O policy.
   storage::RetryClient::Options retry;
-  int max_concurrent_requests = 16;
   int64_t range_chunk_bytes = 8 * kMiB;
 
   // Worker execution policy: morsel size for the streaming operator chain.
@@ -61,7 +60,6 @@ struct EngineContext {
   /// the coordinator's memory-aware partitions_per_worker default budgets
   /// worker inputs against a fraction of this allocation.
   int worker_memory_mib = 7076;
-  int max_parallelism = 10000;        ///< Scheduling wave width.
   int two_level_threshold = 256;      ///< Fan out via invoker functions.
   int invoker_fanout = 32;
 
@@ -73,8 +71,6 @@ struct EngineContext {
   /// Total invocation attempts per fragment (first + retries + speculative)
   /// before the query fails.
   int worker_max_attempts = 4;
-  /// Pause before re-invoking a failed fragment (scaled by attempt count).
-  SimDuration worker_retry_backoff = Millis(100);
   /// Straggler speculation: a duplicate of a still-running fragment is
   /// launched once it has been in flight this long (builds on the size-based
   /// straggler timeouts the storage retry policy below applies per request).
@@ -94,8 +90,10 @@ struct EngineContext {
   SimDuration query_deadline = 0;
   /// Per-query retry-token pool: every retry across layers (storage
   /// re-request, worker re-invocation, speculative duplicate) draws one
-  /// token; storage successes refund `retry_budget_refund` tokens each.
-  /// <= 0: disabled (per-call max_attempts arithmetic alone, as before).
+  /// token; storage successes refund `retry_budget_refund` tokens each. A
+  /// pool drained below a quarter of its size degrades the coordinator's
+  /// scan fan-out. <= 0: disabled (per-call max_attempts arithmetic alone,
+  /// as before).
   double retry_budget_tokens = 0;
   double retry_budget_refund = 0.15;
   /// Per-service circuit breakers, owned by the testbed/harness (optional).
@@ -104,13 +102,6 @@ struct EngineContext {
   /// fed by worker-attempt outcomes.
   CircuitBreaker* storage_breaker = nullptr;
   CircuitBreaker* invoke_breaker = nullptr;
-  /// Graceful degradation: when the live retry budget has drained below
-  /// this fraction of its initial size at stage start, the coordinator
-  /// sheds load by scaling partitions-per-worker up by
-  /// `degrade_fanout_factor` (fewer, larger fragments — less invoke and
-  /// shuffle pressure at the cost of per-stage latency).
-  double degrade_budget_fraction = 0.25;
-  int degrade_fanout_factor = 2;
 
   // Live per-query state published by the coordinator, keyed by query id.
   // Multiple queries run interleaved on one context (the serving frontend

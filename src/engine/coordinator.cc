@@ -20,6 +20,21 @@ namespace {
 /// dispatch in ~130 ms.
 constexpr SimDuration kInvokeDispatchLatency = Millis(2);
 
+/// Scheduling wave width: direct dispatch holds at most this many
+/// invocations in flight per stage.
+constexpr int kMaxParallelism = 10000;
+
+/// Pause before re-invoking a failed fragment, times its attempt count.
+constexpr SimDuration kWorkerRetryBackoff = Millis(100);
+
+/// Graceful degradation: when the query's retry budget has drained below
+/// this fraction of its initial size at stage start, scan stages pack
+/// `kDegradeFanoutFactor` times as many partitions per worker (fewer,
+/// larger fragments: less invoke and shuffle pressure at the cost of
+/// per-stage latency).
+constexpr double kDegradeBudgetFraction = 0.25;
+constexpr int kDegradeFanoutFactor = 2;
+
 class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
  public:
   CoordinatorTask(EngineContext* ec,
@@ -269,7 +284,7 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
     // Degraded scan stages pack more partitions per worker: less invoke and
     // retry pressure at the cost of per-stage latency. Shuffle-consuming
     // stages are pinned to the upstream partition count and cannot shrink.
-    if (degrade_) ppw *= std::max(1, ec_->degrade_fanout_factor);
+    if (degrade_) ppw *= kDegradeFanoutFactor;
     return std::max(1, (files + ppw - 1) / ppw);
   }
 
@@ -405,7 +420,7 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
     // Graceful degradation: a drained retry pool means the fault storm is
     // winning — trade stage latency for pressure before the pool empties.
     degrade_ = budget_ != nullptr &&
-               budget_->tokens() < ec_->degrade_budget_fraction *
+               budget_->tokens() < kDegradeBudgetFraction *
                                        budget_->options().initial_tokens;
     const int fragments = FragmentsFor(pipeline);
     fragments_of_[pipeline.id] = fragments;
@@ -494,7 +509,7 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
     // bypass the wave (they go out as soon as they are due).
     if (state->failed) return;
     if (state->pending.empty()) return;
-    if (state->running >= ec_->max_parallelism) return;  // Wave is full.
+    if (state->running >= kMaxParallelism) return;  // Wave is full.
     const int f = state->pending.front();
     state->pending.pop_front();
     InvokeFragment(state, f);
@@ -542,22 +557,30 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
     ec_->worker_platform->Invoke(
         kInvokerFunction, std::move(batch),
         [self, state, members, attempt_spans](Result<Json> r) {
-          if (!r.ok()) {
-            // The invoker itself died (crash/timeout): every fragment of
-            // the batch failed; each retries independently.
-            for (int f : members) {
-              self->OnWorkerOutcome(state, f, (*attempt_spans)[f],
-                                    r.status());
+          if (r.ok()) {
+            // The invoker returns the collected worker responses (including
+            // per-fragment error entries), routed by fragment index.
+            const Json& responses = r->Get("responses");
+            if (responses.is_array()) {
+              for (const auto& response : responses.AsArray()) {
+                const int f =
+                    static_cast<int>(response.GetInt("fragment", -1));
+                if (f < 0 || f >= state->fragments) continue;
+                self->OnWorkerOutcome(state, f, (*attempt_spans)[f],
+                                      Json(response));
+              }
+              return;
             }
-            return;
           }
-          // The invoker returns the collected worker responses (including
-          // per-fragment error entries), routed by fragment index.
-          for (const auto& response : r->Get("responses").AsArray()) {
-            const int f = static_cast<int>(response.GetInt("fragment", -1));
-            if (f < 0 || f >= state->fragments) continue;
-            self->OnWorkerOutcome(state, f, (*attempt_spans)[f],
-                                  Json(response));
+          // The invoker itself died (crash/timeout) or answered without its
+          // response list: every fragment of the batch failed; each retries
+          // independently.
+          const Status failed =
+              r.ok() ? Status::InvalidArgument(
+                           "invoker response lacks responses")
+                     : r.status();
+          for (int f : members) {
+            self->OnWorkerOutcome(state, f, (*attempt_spans)[f], failed);
           }
         });
     ec_->env->Schedule(kInvokeDispatchLatency, [self, state, i] {
@@ -641,8 +664,7 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
         }
         ++state->retries;
         auto self = shared_from_this();
-        const SimDuration backoff =
-            ec_->worker_retry_backoff * frag.attempts;
+        const SimDuration backoff = kWorkerRetryBackoff * frag.attempts;
         ec_->env->Schedule(backoff, [self, state, f] {
           if (state->failed || self->done_) return;
           if (state->frags[static_cast<size_t>(f)].completed) return;
@@ -847,8 +869,14 @@ class InvokerTask : public std::enable_shared_from_this<InvokerTask> {
       : ec_(ec), fctx_(std::move(fctx)) {}
 
   void Run() {
-    const auto& payloads = fctx_->payload().Get("payloads").AsArray();
-    total_ = static_cast<int>(payloads.size());
+    const Json& payloads = fctx_->payload().Get("payloads");
+    if (!payloads.is_array()) {
+      fctx_->FinishError(
+          Status::InvalidArgument("invoker payload lacks payloads"));
+      return;
+    }
+    payloads_ = &payloads.AsArray();
+    total_ = static_cast<int>(payloads_->size());
     if (total_ == 0) {
       Finish();
       return;
@@ -859,13 +887,12 @@ class InvokerTask : public std::enable_shared_from_this<InvokerTask> {
 
  private:
   void Issue(size_t i) {
-    const auto& payloads = fctx_->payload().Get("payloads").AsArray();
-    if (i >= payloads.size()) return;
+    if (i >= payloads_->size()) return;
     auto self = shared_from_this();
-    const int fragment =
-        static_cast<int>(payloads[i].GetInt("fragment", -1));
+    const Json& payload = (*payloads_)[i];
+    const int fragment = static_cast<int>(payload.GetInt("fragment", -1));
     ec_->worker_platform->Invoke(
-        kWorkerFunction, payloads[i], [self, i, fragment](Result<Json> r) {
+        kWorkerFunction, payload, [self, i, fragment](Result<Json> r) {
           if (r.ok()) {
             self->responses_[i] = *r;
           } else {
@@ -892,6 +919,7 @@ class InvokerTask : public std::enable_shared_from_this<InvokerTask> {
 
   EngineContext* ec_;
   std::shared_ptr<faas::FunctionContext> fctx_;
+  const JsonArray* payloads_ = nullptr;  ///< In the invocation payload.
   std::vector<Json> responses_;
   int total_ = 0;
   int completed_ = 0;

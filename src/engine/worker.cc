@@ -1,9 +1,10 @@
 // The worker's per-fragment path (DESIGN.md §12.7). The pipeline comes
 // from the coordinator's parsed plan while its grant is live, or from the
-// payload's JSON once the coordinator has finished. Column ranges that
-// arrive in one GET are decoded where they lie in their Blob; only ranges
-// split at `range_chunk_bytes` are assembled. Shuffle objects are decoded
-// from views of the object.
+// payload's JSON once the coordinator has finished. Every table input,
+// streamed or build side, goes through one per-row-group reader: column
+// ranges that arrive in one GET are decoded where they lie in their Blob,
+// and only ranges split at `range_chunk_bytes` are assembled. Shuffle
+// objects are decoded from views of the object.
 
 #include "engine/worker.h"
 
@@ -20,6 +21,10 @@ namespace {
 
 using data::Chunk;
 using storage::Blob;
+
+/// Storage requests a worker keeps in flight while reading one input or
+/// writing its outputs.
+constexpr int kMaxConcurrentRequests = 16;
 
 /// One pending ranged read of the file being read. A column range larger
 /// than `range_chunk_bytes` is split into pieces read in parallel
@@ -71,98 +76,14 @@ void StorePiece(const ReadOp& op, Blob&& piece, RangeBytes* range) {
   bytes.copy(range->assembled.data() + op.range_offset, bytes.size());
 }
 
-/// Issues one file's reads with bounded concurrency against a retrying
-/// client, then fires `done` with the column ranges. Used for build-side
-/// inputs, which must materialize fully before the probe stream starts.
-class ReadBatch : public std::enable_shared_from_this<ReadBatch> {
- public:
-  ReadBatch(EngineContext* ec, storage::RetryClient* client,
-            storage::ClientContext storage_ctx, std::string key,
-            size_t range_count)
-      : ec_(ec),
-        client_(client),
-        storage_ctx_(std::move(storage_ctx)),
-        key_(std::move(key)) {
-    ranges_.resize(range_count);
-  }
-
-  /// Queues the reads of column range `range`.
-  void Add(int64_t offset, int64_t length, size_t range) {
-    SplitRange(offset, length, range, ec_->range_chunk_bytes, &pending_);
-  }
-
-  /// `done(status, ranges, bytes_read)`.
-  using DoneFn =
-      std::function<void(Status, std::vector<RangeBytes>, int64_t)>;
-
-  void Start(DoneFn done) {
-    done_ = std::move(done);
-    if (pending_.empty()) {
-      Settle(Status::OK());
-      return;
-    }
-    total_ = pending_.size();
-    Pump();
-  }
-
- private:
-  void Pump() {
-    while (outstanding_ < ec_->max_concurrent_requests && !pending_.empty()) {
-      const ReadOp op = pending_.front();
-      pending_.pop_front();
-      ++outstanding_;
-      auto self = shared_from_this();
-      client_->GetRange(key_, op.offset, op.length, storage_ctx_,
-                        [self, op](Result<Blob> result) {
-                          self->OnRead(op, std::move(result));
-                        });
-    }
-  }
-
-  void OnRead(const ReadOp& op, Result<Blob> result) {
-    --outstanding_;
-    ++completed_;
-    if (settled_) return;
-    if (!result.ok()) {
-      Settle(result.status());
-      return;
-    }
-    bytes_read_ += result->size();
-    StorePiece(op, std::move(*result), &ranges_[op.range]);
-    if (completed_ == total_) {
-      Settle(Status::OK());
-      return;
-    }
-    Pump();
-  }
-
-  void Settle(Status status) {
-    if (settled_) return;
-    settled_ = true;
-    done_(std::move(status), std::move(ranges_), bytes_read_);
-  }
-
-  EngineContext* ec_;
-  storage::RetryClient* client_;
-  storage::ClientContext storage_ctx_;
-  std::string key_;
-  std::deque<ReadOp> pending_;
-  std::vector<RangeBytes> ranges_;
-  size_t total_ = 0;
-  size_t completed_ = 0;
-  int outstanding_ = 0;
-  int64_t bytes_read_ = 0;
-  bool settled_ = false;
-  DoneFn done_;
-};
-
-/// Executes one fragment as a streaming morsel pipeline: build-side inputs
-/// (pipeline inputs 1..n) materialize first, then the streamed input 0 is
-/// read one row group at a time and pushed through a FragmentPipeline while
-/// further ranged reads are in flight — I/O and compute overlap on the sim
-/// event loop. Decoded row groups enter the pipeline in deterministic
-/// (file, row group) / upstream-fragment order regardless of which reads
-/// straggled or were retried, so result bytes are reproducible under faults.
+/// Executes one fragment as a streaming morsel pipeline. Inputs are read one
+/// at a time by the same table and shuffle readers: the build-side inputs
+/// (pipeline inputs 1..n) first, each materializing in full, then the
+/// streamed input 0, whose row groups are pushed through a FragmentPipeline
+/// while further ranged reads are in flight — I/O and compute overlap on the
+/// sim event loop. Decoded row groups are delivered in deterministic (file,
+/// row group) / upstream-fragment order regardless of which reads straggled
+/// or were retried, so result bytes are reproducible under faults.
 class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
  public:
   WorkerTask(EngineContext* ec,
@@ -277,63 +198,86 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     fctx_->FinishError(std::move(status));
   }
 
-  // --- Build-side inputs (pipeline inputs 1..n): fully materialized. ---
+  // --- Inputs, read one at a time: the build inputs 1..n in order, then,
+  // after the barrier, the streamed input 0. The table and shuffle readers
+  // hand every decoded chunk to Deliver and finish through InputDone; since
+  // only one input is in flight, their cursors are task fields. ---
 
   void LoadBuildInput(size_t index) {
     if (index >= pipeline_->inputs.size()) {
       MaybeBarrier();
       return;
     }
-    const InputSpec& spec = pipeline_->inputs[index];
-    if (spec.type == InputSpec::Type::kTable) {
-      LoadTableInput(index);
+    ReadInput(index);
+  }
+
+  void ReadInput(size_t index) {
+    input_ = index;
+    if (pipeline_->inputs[index].type == InputSpec::Type::kTable) {
+      ReadTableFile(0);
     } else {
-      ReadShuffleInput(index);
+      ReadShuffleInput();
     }
   }
 
-  // --- Table input: footer fetch -> prune -> chunked column reads. ---
-
-  void LoadTableInput(size_t index) {
-    auto files = std::make_shared<std::vector<TableFileAssignment>>(
-        assignments_[index].files);
-    LoadNextFile(index, files, 0);
+  void Deliver(size_t index, Chunk&& chunk) {
+    if (index == 0) {
+      Enqueue(std::move(chunk));
+    } else {
+      AccumulateInput(index, std::move(chunk));
+    }
   }
 
-  void LoadNextFile(size_t index,
-                    std::shared_ptr<std::vector<TableFileAssignment>> files,
-                    size_t file_index) {
-    if (file_index >= files->size()) {
+  void InputDone(size_t index) {
+    if (index == 0) {
+      StreamEof();
+    } else {
       LoadBuildInput(index + 1);
+    }
+  }
+
+  void AccumulateInput(size_t index, Chunk&& chunk) {
+    if (!loaded_[index].has_value()) {
+      loaded_[index] = std::move(chunk);
       return;
     }
-    const TableFileAssignment& file = (*files)[file_index];
-    auto self = shared_from_this();
-    FetchFooter(file, [self, index, files, file_index](
-                          std::shared_ptr<const format::FileMeta> meta) {
-      self->ReadFileColumns(index, files, file_index, (*files)[file_index],
-                            std::move(meta));
-    });
+    loaded_[index]->Append(chunk);
+    chunk_pool_.Release(std::move(chunk));
   }
 
-  /// Fetches a file footer and hands its FileMeta to `then`: parsed through
-  /// the engine's footer memo, or resolved via the synthetic catalog.
+  // --- Table inputs: per file, a footer fetch, row-group pruning, then
+  // ranged reads per (row group, projected column) under the request
+  // window. Row groups are decoded and delivered in (file, row group) order
+  // as their columns arrive; once a file's last row group is delivered, the
+  // next file's footer is fetched. ---
+
+  void ReadTableFile(size_t file_index) {
+    if (file_index >= assignments_[input_].files.size()) {
+      InputDone(input_);
+      return;
+    }
+    FetchFooter(file_index);
+  }
+
+  /// Fetches file `file_index`'s footer, parsed through the engine's footer
+  /// memo or resolved via the synthetic catalog, then reads its columns.
   /// Failures finish the task.
-  void FetchFooter(
-      const TableFileAssignment& file,
-      std::function<void(std::shared_ptr<const format::FileMeta>)> then) {
+  void FetchFooter(size_t file_index) {
+    const TableFileAssignment& file = assignments_[input_].files[file_index];
     const int64_t fetch =
         std::min<int64_t>(file.size, format::kFooterFetchSize);
     auto self = shared_from_this();
     table_client_->GetRange(
         file.key, file.size - fetch, fetch, storage_ctx_,
-        [self, file, fetch, then](Result<Blob> result) {
+        [self, file_index, fetch](Result<Blob> result) {
           if (self->done_) return;
           if (!result.ok()) {
             self->Fail(result.status());
             return;
           }
           self->bytes_read_ += result->size();
+          const TableFileAssignment& file =
+              self->assignments_[self->input_].files[file_index];
           std::shared_ptr<const format::FileMeta> meta;
           if (result->is_synthetic()) {
             auto found = self->ec_->catalog->Find(file.key);
@@ -357,7 +301,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
             }
             meta = std::move(parsed).ValueUnsafe();
           }
-          then(std::move(meta));
+          self->ReadRowGroups(file_index, std::move(meta));
         });
   }
 
@@ -410,77 +354,124 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     return filter->Apply(std::move(chunk));
   }
 
-  void ReadFileColumns(size_t index,
-                       std::shared_ptr<std::vector<TableFileAssignment>> files,
-                       size_t file_index, const TableFileAssignment& file,
-                       std::shared_ptr<const format::FileMeta> meta_ptr) {
-    const InputSpec& spec = pipeline_->inputs[index];
-    auto survivors =
-        std::make_shared<std::vector<size_t>>(PruneRowGroups(spec, *meta_ptr));
-    std::vector<std::string> projection = ProjectionFor(spec, *meta_ptr);
-
-    auto projected = meta_ptr->schema.Select(projection);
-    if (!projected.ok()) {
-      Fail(projected.status());
+  /// Prunes file `file_index`'s row groups and queues the ranged reads of
+  /// the survivors' projected columns.
+  void ReadRowGroups(size_t file_index,
+                     std::shared_ptr<const format::FileMeta> meta) {
+    const InputSpec& spec = pipeline_->inputs[input_];
+    file_meta_ = std::move(meta);
+    projection_ = ProjectionFor(spec, *file_meta_);
+    survivors_ = PruneRowGroups(spec, *file_meta_);
+    {
+      auto projected = file_meta_->schema.Select(projection_);
+      if (!projected.ok()) {
+        Fail(projected.status());
+        return;
+      }
+      projected_ = std::move(projected).ValueUnsafe();
+    }
+    // The input's schema is known even if every row group is pruned: a
+    // build input accumulates onto this empty chunk, and a streamed input
+    // that delivers no morsel runs the chain once over it.
+    if (!loaded_[input_].has_value()) {
+      loaded_[input_] = Chunk::Empty(projected_);
+    }
+    file_index_ = file_index;
+    if (survivors_.empty()) {
+      ReadTableFile(file_index + 1);
       return;
     }
-    // Make the input schema known even if every row group is pruned.
-    if (!loaded_[index].has_value()) {
-      loaded_[index] = Chunk::Empty(*projected);
-    }
-    auto batch = std::make_shared<ReadBatch>(
-        ec_, table_client_.get(), storage_ctx_, file.key,
-        survivors->size() * projection.size());
-    size_t buffer = 0;
-    for (size_t rg : *survivors) {
-      auto ranges =
-          format::RowGroupColumnRanges(*meta_ptr, rg, projection);
+    const size_t cols = projection_.size();
+    ranges_.assign(survivors_.size() * cols, RangeBytes());
+    rg_pieces_.assign(survivors_.size(), 0);
+    rg_ready_.assign(survivors_.size(), false);
+    rg_cursor_ = 0;
+    for (size_t slot = 0; slot < survivors_.size(); ++slot) {
+      auto ranges = format::RowGroupColumnRanges(*file_meta_, survivors_[slot],
+                                                 projection_);
       if (!ranges.ok()) {
         Fail(ranges.status());
         return;
       }
-      for (const format::ColumnRange& range : *ranges) {
-        batch->Add(range.offset, range.size, buffer);
-        ++buffer;
+      for (size_t c = 0; c < cols; ++c) {
+        rg_pieces_[slot] +=
+            SplitRange((*ranges)[c].offset, (*ranges)[c].size, slot * cols + c,
+                       ec_->range_chunk_bytes, &pending_reads_);
       }
+      if (rg_pieces_[slot] == 0) rg_ready_[slot] = true;
     }
+    AdvanceRowGroupCursor();
+    PumpTableReads();
+  }
+
+  void PumpTableReads() {
     auto self = shared_from_this();
-    auto projected_ptr = std::make_shared<const data::Schema>(
-        std::move(projected).ValueUnsafe());
-    batch->Start([self, index, files, file_index, meta_ptr, survivors,
-                  projected_ptr](Status status,
-                                  std::vector<RangeBytes> ranges,
-                                  int64_t bytes) {
-      if (!status.ok()) {
-        self->Fail(status);
+    while (table_outstanding_ < kMaxConcurrentRequests &&
+           !pending_reads_.empty()) {
+      const ReadOp op = pending_reads_.front();
+      pending_reads_.pop_front();
+      ++table_outstanding_;
+      table_client_->GetRange(assignments_[input_].files[file_index_].key,
+                              op.offset, op.length, storage_ctx_,
+                              [self, op](Result<Blob> result) {
+                                self->OnTableRead(op, std::move(result));
+                              });
+    }
+  }
+
+  void OnTableRead(const ReadOp& op, Result<Blob> result) {
+    --table_outstanding_;
+    if (done_) return;
+    if (!result.ok()) {
+      Fail(result.status());
+      return;
+    }
+    bytes_read_ += result->size();
+    cost_.AddNs(static_cast<double>(result->size()) *
+                cost_.model().decode_ns_per_byte);
+    StorePiece(op, std::move(*result), &ranges_[op.range]);
+    const size_t slot = op.range / projection_.size();
+    if (--rg_pieces_[slot] == 0) {
+      rg_ready_[slot] = true;
+      AdvanceRowGroupCursor();
+    }
+    if (!done_) PumpTableReads();
+  }
+
+  /// Decodes and delivers every ready row group at the front of the
+  /// in-order cursor, then moves to the next file once this one is fully
+  /// delivered.
+  void AdvanceRowGroupCursor() {
+    const size_t cols = projection_.size();
+    while (rg_cursor_ < survivors_.size() && rg_ready_[rg_cursor_]) {
+      RangeBytes* ranges = &ranges_[rg_cursor_ * cols];
+      column_views_.clear();
+      for (size_t c = 0; c < cols; ++c) {
+        column_views_.push_back(ranges[c].view());
+      }
+      Chunk decoded = chunk_pool_.AcquireRaw();
+      const Status decode_status = format::DecodeRowGroupInto(
+          *file_meta_, survivors_[rg_cursor_], projected_, column_views_,
+          &decoded);
+      // The decoded chunk owns its values; the read bytes can go.
+      for (size_t c = 0; c < cols; ++c) ranges[c] = RangeBytes();
+      if (!decode_status.ok()) {
+        Fail(decode_status);
         return;
       }
-      self->bytes_read_ += bytes;
-      self->cost_.AddNs(static_cast<double>(bytes) *
-                        self->cost_.model().decode_ns_per_byte);
-      std::vector<std::string_view>& views = self->column_views_;
-      size_t buffer = 0;
-      for (size_t rg : *survivors) {
-        views.clear();
-        for (size_t c = 0; c < projected_ptr->size(); ++c) {
-          views.push_back(ranges[buffer++].view());
-        }
-        Chunk decoded = self->chunk_pool_.AcquireRaw();
-        const Status decode_status = format::DecodeRowGroupInto(
-            *meta_ptr, rg, *projected_ptr, views, &decoded);
-        if (!decode_status.ok()) {
-          self->Fail(decode_status);
-          return;
-        }
-        auto filtered = self->ApplyPushdown(index, std::move(decoded));
-        if (!filtered.ok()) {
-          self->Fail(filtered.status());
-          return;
-        }
-        self->AccumulateInput(index, std::move(filtered).ValueUnsafe());
+      auto filtered = ApplyPushdown(input_, std::move(decoded));
+      if (!filtered.ok()) {
+        Fail(filtered.status());
+        return;
       }
-      self->LoadNextFile(index, files, file_index + 1);
-    });
+      ++rg_cursor_;
+      Deliver(input_, std::move(filtered).ValueUnsafe());
+    }
+    if (!survivors_.empty() && rg_cursor_ == survivors_.size()) {
+      survivors_.clear();
+      rg_cursor_ = 0;
+      ReadTableFile(file_index_ + 1);
+    }
   }
 
   // --- Shuffle inputs: bounded GETs of every upstream fragment's
@@ -489,29 +480,26 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
   // one slot per upstream fragment and the slots are delivered in fragment
   // order as the completion cursor advances: the input chunk order (and thus
   // the query result bytes) is identical regardless of which attempts
-  // straggled or were retried. A build input accumulates into `loaded_` and
-  // then loads the next input; the streamed input 0 feeds the compute pump.
-  // One shuffle input is read at a time, so the cursors are task fields. ---
+  // straggled or were retried. ---
 
-  void ReadShuffleInput(size_t index) {
+  void ReadShuffleInput() {
     const size_t count =
-        static_cast<size_t>(assignments_[index].upstream_fragments);
-    shuffle_input_ = index;
+        static_cast<size_t>(assignments_[input_].upstream_fragments);
     shuffle_slots_.assign(count, {});
     shuffle_done_.assign(count, false);
     shuffle_cursor_ = 0;
     shuffle_next_ = 0;
     if (count == 0) {
-      ShuffleInputDone();
+      InputDone(input_);
       return;
     }
     PumpShuffleReads();
   }
 
   void PumpShuffleReads() {
-    const int upstream = pipeline_->inputs[shuffle_input_].upstream_pipeline;
+    const int upstream = pipeline_->inputs[input_].upstream_pipeline;
     auto self = shared_from_this();
-    while (shuffle_outstanding_ < ec_->max_concurrent_requests &&
+    while (shuffle_outstanding_ < kMaxConcurrentRequests &&
            shuffle_next_ < shuffle_slots_.size()) {
       const size_t uf = shuffle_next_++;
       ++shuffle_outstanding_;
@@ -542,24 +530,12 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     while (shuffle_cursor_ < shuffle_slots_.size() &&
            shuffle_done_[shuffle_cursor_]) {
       for (auto& chunk : shuffle_slots_[shuffle_cursor_]) {
-        if (shuffle_input_ == 0) {
-          Enqueue(std::move(chunk));
-        } else {
-          AccumulateInput(shuffle_input_, std::move(chunk));
-        }
+        Deliver(input_, std::move(chunk));
       }
       shuffle_slots_[shuffle_cursor_].clear();
       ++shuffle_cursor_;
     }
-    if (shuffle_cursor_ == shuffle_slots_.size()) ShuffleInputDone();
-  }
-
-  void ShuffleInputDone() {
-    if (shuffle_input_ == 0) {
-      StreamEof();
-    } else {
-      LoadBuildInput(shuffle_input_ + 1);
-    }
+    if (shuffle_cursor_ == shuffle_slots_.size()) InputDone(input_);
   }
 
   /// Decodes a whole shuffle object where it lies in `blob`.
@@ -610,15 +586,6 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     return true;
   }
 
-  void AccumulateInput(size_t index, Chunk&& chunk) {
-    if (!loaded_[index].has_value()) {
-      loaded_[index] = std::move(chunk);
-      return;
-    }
-    loaded_[index]->Append(chunk);
-    chunk_pool_.Release(std::move(chunk));
-  }
-
   // --- Barrier, then the streamed input drives the pipeline. ---
 
   void MaybeBarrier() {
@@ -657,146 +624,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
       StreamEof();
       return;
     }
-    if (pipeline_->inputs[0].type == InputSpec::Type::kTable) {
-      StreamTableInput();
-    } else {
-      ReadShuffleInput(0);
-    }
-  }
-
-  // --- Streamed table input: per-row-group ranged reads, decoded and
-  // pushed in (file, row group) order while later reads are in flight. ---
-
-  void StreamTableInput() {
-    stream_files_ = std::make_shared<std::vector<TableFileAssignment>>(
-        assignments_[0].files);
-    StreamNextFile(0);
-  }
-
-  void StreamNextFile(size_t file_index) {
-    if (file_index >= stream_files_->size()) {
-      StreamEof();
-      return;
-    }
-    const TableFileAssignment& file = (*stream_files_)[file_index];
-    auto self = shared_from_this();
-    FetchFooter(file, [self, file_index](
-                          std::shared_ptr<const format::FileMeta> meta) {
-      self->StreamFileColumns(file_index, std::move(meta));
-    });
-  }
-
-  void StreamFileColumns(size_t file_index,
-                         std::shared_ptr<const format::FileMeta> meta) {
-    const InputSpec& spec = pipeline_->inputs[0];
-    stream_meta_ = std::move(meta);
-    stream_projection_ = ProjectionFor(spec, *stream_meta_);
-    stream_survivors_ = PruneRowGroups(spec, *stream_meta_);
-    {
-      auto projected = stream_meta_->schema.Select(stream_projection_);
-      if (!projected.ok()) {
-        Fail(projected.status());
-        return;
-      }
-      stream_projected_ = std::move(projected).ValueUnsafe();
-      if (!fallback_schema_.has_value()) fallback_schema_ = stream_projected_;
-    }
-    stream_file_index_ = file_index;
-    if (stream_survivors_.empty()) {
-      StreamNextFile(file_index + 1);
-      return;
-    }
-    const size_t cols = stream_projection_.size();
-    stream_ranges_.assign(stream_survivors_.size() * cols, RangeBytes());
-    rg_pieces_.assign(stream_survivors_.size(), 0);
-    rg_ready_.assign(stream_survivors_.size(), false);
-    rg_cursor_ = 0;
-    for (size_t slot = 0; slot < stream_survivors_.size(); ++slot) {
-      auto ranges = format::RowGroupColumnRanges(
-          *stream_meta_, stream_survivors_[slot], stream_projection_);
-      if (!ranges.ok()) {
-        Fail(ranges.status());
-        return;
-      }
-      for (size_t c = 0; c < cols; ++c) {
-        rg_pieces_[slot] +=
-            SplitRange((*ranges)[c].offset, (*ranges)[c].size, slot * cols + c,
-                       ec_->range_chunk_bytes, &stream_pending_);
-      }
-      if (rg_pieces_[slot] == 0) rg_ready_[slot] = true;
-    }
-    AdvanceRowGroupCursor();
-    PumpStreamReads();
-  }
-
-  void PumpStreamReads() {
-    auto self = shared_from_this();
-    const std::string& key = (*stream_files_)[stream_file_index_].key;
-    while (stream_outstanding_ < ec_->max_concurrent_requests &&
-           !stream_pending_.empty()) {
-      const ReadOp op = stream_pending_.front();
-      stream_pending_.pop_front();
-      ++stream_outstanding_;
-      table_client_->GetRange(key, op.offset, op.length, storage_ctx_,
-                              [self, op](Result<Blob> result) {
-                                self->OnStreamRead(op, std::move(result));
-                              });
-    }
-  }
-
-  void OnStreamRead(const ReadOp& op, Result<Blob> result) {
-    --stream_outstanding_;
-    if (done_) return;
-    if (!result.ok()) {
-      Fail(result.status());
-      return;
-    }
-    bytes_read_ += result->size();
-    cost_.AddNs(static_cast<double>(result->size()) *
-                cost_.model().decode_ns_per_byte);
-    StorePiece(op, std::move(*result), &stream_ranges_[op.range]);
-    const size_t slot = op.range / stream_projection_.size();
-    if (--rg_pieces_[slot] == 0) {
-      rg_ready_[slot] = true;
-      AdvanceRowGroupCursor();
-    }
-    if (!done_) PumpStreamReads();
-  }
-
-  /// Decodes + pushes every ready row group at the front of the in-order
-  /// cursor, then moves to the next file once this one is fully decoded.
-  void AdvanceRowGroupCursor() {
-    const size_t cols = stream_projection_.size();
-    while (rg_cursor_ < stream_survivors_.size() && rg_ready_[rg_cursor_]) {
-      RangeBytes* ranges = &stream_ranges_[rg_cursor_ * cols];
-      column_views_.clear();
-      for (size_t c = 0; c < cols; ++c) {
-        column_views_.push_back(ranges[c].view());
-      }
-      Chunk decoded = chunk_pool_.AcquireRaw();
-      const Status decode_status = format::DecodeRowGroupInto(
-          *stream_meta_, stream_survivors_[rg_cursor_], stream_projected_,
-          column_views_, &decoded);
-      // The decoded chunk owns its values; the read bytes can go.
-      for (size_t c = 0; c < cols; ++c) ranges[c] = RangeBytes();
-      if (!decode_status.ok()) {
-        Fail(decode_status);
-        return;
-      }
-      auto filtered = ApplyPushdown(0, std::move(decoded));
-      if (!filtered.ok()) {
-        Fail(filtered.status());
-        return;
-      }
-      ++rg_cursor_;
-      Enqueue(std::move(filtered).ValueUnsafe());
-    }
-    if (!stream_survivors_.empty() &&
-        rg_cursor_ == stream_survivors_.size()) {
-      stream_survivors_.clear();
-      rg_cursor_ = 0;
-      StreamNextFile(stream_file_index_ + 1);
-    }
+    ReadInput(0);
   }
 
   // --- The compute pump: one morsel per Compute hop, charged as the
@@ -812,8 +640,8 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     // Zero-morsel streams (e.g. every row group pruned) still run the chain
     // once over an empty batch with the projected schema, as the
     // materialized path did.
-    if (morsels_seen_ == 0 && fallback_schema_.has_value()) {
-      morsels_.push_back(Chunk::Empty(*fallback_schema_));
+    if (morsels_seen_ == 0 && !loaded_.empty() && loaded_[0].has_value()) {
+      morsels_.push_back(std::move(*loaded_[0]));
     }
     stream_eof_ = true;
     input_done_ = Now();
@@ -933,7 +761,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
 
   void PumpWrites() {
     auto self = shared_from_this();
-    while (write_outstanding_ < ec_->max_concurrent_requests &&
+    while (write_outstanding_ < kMaxConcurrentRequests &&
            write_next_ < writes_.size()) {
       PendingWrite& w = writes_[write_next_++];
       ++write_outstanding_;
@@ -1010,16 +838,18 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
   int fragment_ = 0;
   int barrier_participants_ = 0;
   std::vector<WorkerInputAssignment> assignments_;
-  std::vector<std::optional<Chunk>> loaded_;  ///< Build-side inputs.
+  /// Per input: a build input's accumulated rows; for a table input, an
+  /// empty chunk of its projected schema until rows arrive.
+  std::vector<std::optional<Chunk>> loaded_;
   std::vector<std::optional<FilterKernel>> pushdown_;  ///< Per input.
   /// Views of one row group's column bytes, handed to the decoder.
   std::vector<std::string_view> column_views_;
-
-  // Streaming state for input 0.
   /// Per-task recycling pool: decoded row groups, pushdown-spent inputs, and
   /// pipeline morsels all share one free list (single-threaded on the sim
   /// event loop).
   data::ChunkPool chunk_pool_;
+
+  // The streamed input's compute pump.
   std::unique_ptr<FragmentPipeline> executor_;
   std::deque<Chunk> morsels_;
   int64_t morsels_seen_ = 0;
@@ -1027,22 +857,23 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
   bool finished_ = false;
   bool stream_eof_ = false;
   SimDuration charged_ = 0;
-  std::optional<data::Schema> fallback_schema_;
-  std::shared_ptr<std::vector<TableFileAssignment>> stream_files_;
-  size_t stream_file_index_ = 0;
-  std::shared_ptr<const format::FileMeta> stream_meta_;
-  std::vector<std::string> stream_projection_;
-  data::Schema stream_projected_;  ///< Schema of stream_projection_.
-  std::vector<size_t> stream_survivors_;
-  std::deque<ReadOp> stream_pending_;
-  std::vector<RangeBytes> stream_ranges_;
+
+  size_t input_ = 0;  ///< The input being read (see ReadInput).
+
+  // The table reader: the file being read and its row-group cursor.
+  size_t file_index_ = 0;
+  std::shared_ptr<const format::FileMeta> file_meta_;
+  std::vector<std::string> projection_;
+  data::Schema projected_;  ///< Schema of projection_.
+  std::vector<size_t> survivors_;
+  std::deque<ReadOp> pending_reads_;
+  std::vector<RangeBytes> ranges_;
   std::vector<int> rg_pieces_;
   std::vector<bool> rg_ready_;
   size_t rg_cursor_ = 0;
-  int stream_outstanding_ = 0;
+  int table_outstanding_ = 0;
 
-  // The shuffle input being read (see ReadShuffleInput).
-  size_t shuffle_input_ = 0;
+  // The shuffle reader: one slot per upstream fragment.
   std::vector<std::vector<Chunk>> shuffle_slots_;
   std::vector<bool> shuffle_done_;
   size_t shuffle_cursor_ = 0;

@@ -170,9 +170,6 @@ class ServingFrontend {
   void OnComplete(int64_t record_index, const Result<Json>& result);
   void DrainQueues();
   void Sample();
-  const char* TenantName(int tenant_index) const {
-    return tenants_[static_cast<size_t>(tenant_index)].spec.policy.name.c_str();
-  }
 
   struct TenantState {
     TenantSpec spec;

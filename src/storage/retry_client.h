@@ -90,7 +90,6 @@ class RetryClient {
            PutCallback callback);
 
   const Stats& stats() const { return stats_; }
-  void ResetStats() { stats_ = Stats(); }
   StorageService* service() { return service_; }
   const Options& options() const { return opt_; }
 

@@ -107,8 +107,8 @@ TEST(CircuitBreakerTest, TransitionTraceIsDeterministic) {
   auto run_once = []() {
     CircuitBreaker breaker(SmallBreaker());
     std::vector<std::string> trace;
-    breaker.set_on_transition([&trace](CircuitBreaker::State from,
-                                       CircuitBreaker::State to, SimTime now) {
+    breaker.AddObserver([&trace](CircuitBreaker::State from,
+                                 CircuitBreaker::State to, SimTime now) {
       trace.push_back(StrFormat("%s->%s@%lld", CircuitBreaker::StateName(from),
                                 CircuitBreaker::StateName(to),
                                 static_cast<long long>(now)));
@@ -136,13 +136,13 @@ TEST(CircuitBreakerTest, TransitionTraceIsDeterministic) {
 TEST(CircuitBreakerTest, DetachedObserverIsSafe) {
   CircuitBreaker breaker(SmallBreaker());
   int transitions = 0;
-  breaker.set_on_transition(
+  const int handle = breaker.AddObserver(
       [&transitions](CircuitBreaker::State, CircuitBreaker::State, SimTime) {
         ++transitions;
       });
   for (int i = 0; i < 4; ++i) breaker.RecordFailure(i);
   EXPECT_EQ(transitions, 1);
-  breaker.set_on_transition(nullptr);
+  breaker.RemoveObserver(handle);
   (void)breaker.Allow(3 + Seconds(5));  // open -> half_open, unobserved
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
   EXPECT_EQ(transitions, 1);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <vector>
+
 #include "datagen/dataset.h"
 #include "datagen/tpch.h"
 #include "datagen/tpcxbb.h"
@@ -319,6 +323,123 @@ TEST_F(EngineE2ETest, SplitColumnReadsDecodeLikeWholeOnes) {
   }
 }
 
+/// Uploads `dim` (keys 1..1,000 in row groups of 100, d_val = key / 4) and
+/// `fact` (2,000 rows whose keys spread over 1..1,100), one file each.
+void UploadJoinTables(storage::StorageService* store) {
+  const data::Schema dim_schema({{"d_key", data::DataType::kInt64},
+                                 {"d_val", data::DataType::kDouble}});
+  ASSERT_TRUE(datagen::UploadDataset(
+                  store, "dim", dim_schema, 1,
+                  [&](int) {
+                    data::Chunk dim = data::Chunk::Empty(dim_schema);
+                    for (int64_t key = 1; key <= 1000; ++key) {
+                      dim.column(0).ints().push_back(key);
+                      dim.column(1).doubles().push_back(
+                          static_cast<double>(key) * 0.25);
+                    }
+                    return dim;
+                  },
+                  /*row_group_rows=*/100)
+                  .ok());
+  const data::Schema fact_schema({{"f_key", data::DataType::kInt64},
+                                  {"f_amount", data::DataType::kDouble}});
+  ASSERT_TRUE(datagen::UploadDataset(
+                  store, "fact", fact_schema, 1,
+                  [&](int) {
+                    data::Chunk fact = data::Chunk::Empty(fact_schema);
+                    for (int64_t i = 0; i < 2000; ++i) {
+                      fact.column(0).ints().push_back(i * 37 % 1100 + 1);
+                      fact.column(1).doubles().push_back(
+                          static_cast<double>(i) * 1.5);
+                    }
+                    return fact;
+                  })
+                  .ok());
+}
+
+/// One stage: `fact` streams and probes a hash join whose build side is the
+/// table input `dim` filtered by `pushdown`; the join's output is the
+/// query result.
+QueryPlan BuildSideJoin(ExprPtr pushdown) {
+  PipelineSpec stage;
+  stage.id = 1;
+  InputSpec fact;
+  fact.table = "fact";
+  fact.columns = {"f_key", "f_amount"};
+  InputSpec dim;
+  dim.table = "dim";
+  dim.columns = {"d_key", "d_val"};
+  dim.pushdown = std::move(pushdown);
+  stage.inputs = {fact, dim};
+  OperatorSpec join;
+  join.op = "hash_join";
+  join.probe_keys = {"f_key"};
+  join.build_keys = {"d_key"};
+  join.build_columns = {"d_val"};
+  join.build_input = 1;
+  OperatorSpec collect;
+  collect.op = "collect";
+  stage.ops = {join, collect};
+  QueryPlan plan;
+  plan.query_name = "build-side-join";
+  plan.pipelines.push_back(std::move(stage));
+  return plan;
+}
+
+TEST_F(EngineE2ETest, BuildSideTablePushdownPrunesAndFilters) {
+  // Keys 250..719: row groups 1-200, 801-1000 are pruned on their min/max
+  // statistics; 201-300 and 701-800 are read and filtered row by row.
+  UploadJoinTables(&store_);
+  const auto in_range = [](int64_t key) { return key >= 250 && key < 720; };
+  const QueryResponse all =
+      RunOnLambda(BuildSideJoin(nullptr), "build-unfiltered");
+  const QueryResponse pushed = RunOnLambda(
+      BuildSideJoin(And(Cmp(">=", Col("d_key"), Num(250)),
+                        Cmp("<", Col("d_key"), Num(720)))),
+      "build-pushdown");
+  EXPECT_LT(pushed.raw.Get("stages").AsArray()[0].GetInt("bytes_read"),
+            all.raw.Get("stages").AsArray()[0].GetInt("bytes_read"));
+
+  auto result = engine_->FetchResult("build-pushdown");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  using Row = std::tuple<int64_t, double, double>;
+  std::vector<Row> rows;
+  for (int64_t r = 0; r < result->rows(); ++r) {
+    const size_t i = static_cast<size_t>(r);
+    rows.emplace_back(result->column("f_key").ints()[i],
+                      result->column("f_amount").doubles()[i],
+                      result->column("d_val").doubles()[i]);
+  }
+  // The same join over the filtered build rows.
+  std::vector<Row> expected;
+  for (int64_t i = 0; i < 2000; ++i) {
+    const int64_t key = i * 37 % 1100 + 1;
+    if (key <= 1000 && in_range(key)) {
+      expected.emplace_back(key, static_cast<double>(i) * 1.5,
+                            static_cast<double>(key) * 0.25);
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+  std::sort(rows.begin(), rows.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(rows, expected);
+}
+
+TEST_F(EngineE2ETest, BuildSideTablePushdownPruningEverything) {
+  // Every build row group is pruned: the join still sees the build's
+  // projected schema, and no probe row matches.
+  UploadJoinTables(&store_);
+  RunOnLambda(BuildSideJoin(Cmp(">", Col("d_key"), Num(5000))),
+              "build-pruned");
+  auto result = engine_->FetchResult("build-pruned");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows(), 0);
+  const data::Schema expected({{"f_key", data::DataType::kInt64},
+                               {"f_amount", data::DataType::kDouble},
+                               {"d_val", data::DataType::kDouble}});
+  EXPECT_TRUE(result->schema() == expected);
+}
+
 TEST_F(EngineE2ETest, RegressionMistypedWorkerPayloadFailsTyped) {
   // A worker of a query without a live coordinator decodes its whole
   // payload; a missing or mistyped input list once aborted the process.
@@ -340,6 +461,21 @@ TEST_F(EngineE2ETest, RegressionMistypedWorkerPayloadFailsTyped) {
     if (!inputs.is_null()) payload["inputs"] = inputs;
     Result<Json> outcome = Status::Internal("did not complete");
     lambda_->Invoke(kWorkerFunction, std::move(payload),
+                    [&outcome](Result<Json> r) { outcome = std::move(r); });
+    env_.RunUntil(env_.now() + Minutes(1));
+    ASSERT_FALSE(outcome.ok());
+    EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument)
+        << outcome.status().ToString();
+  }
+}
+
+TEST_F(EngineE2ETest, RegressionMistypedInvokerPayloadFailsTyped) {
+  // An invoker payload without a "payloads" list once aborted the process.
+  Json not_a_list = Json::Object();
+  not_a_list["payloads"] = 3;
+  for (const Json& payload : {Json::Object(), not_a_list}) {
+    Result<Json> outcome = Status::Internal("did not complete");
+    lambda_->Invoke(kInvokerFunction, payload,
                     [&outcome](Result<Json> r) { outcome = std::move(r); });
     env_.RunUntil(env_.now() + Minutes(1));
     ASSERT_FALSE(outcome.ok());

@@ -14,6 +14,35 @@
 namespace skyrise::engine {
 namespace {
 
+/// Passes every invocation on to `inner`, except that an invoker answers
+/// `{}`, a response without its "responses" list.
+class MuteInvokerPlatform : public faas::ComputePlatform {
+ public:
+  MuteInvokerPlatform(sim::SimEnvironment* env, faas::ComputePlatform* inner)
+      : env_(env), inner_(inner) {}
+
+  void Invoke(const std::string& function, Json payload,
+              faas::ResponseCallback callback) override {
+    if (function != kInvokerFunction) {
+      inner_->Invoke(function, std::move(payload), std::move(callback));
+      return;
+    }
+    ++invoker_calls_;
+    env_->Schedule(Millis(1), [callback = std::move(callback)] {
+      callback(Json::Object());
+    });
+  }
+  const std::string& platform_name() const override {
+    return inner_->platform_name();
+  }
+  int invoker_calls() const { return invoker_calls_; }
+
+ private:
+  sim::SimEnvironment* env_;
+  faas::ComputePlatform* inner_;
+  int invoker_calls_ = 0;
+};
+
 /// Engine tasks live exactly as long as a storage or invoke callback holding
 /// them is pending. Every handler records a weak reference to its
 /// invocation's FunctionContext (which the coordinator, worker and invoker
@@ -76,18 +105,23 @@ class TaskLifetimeTest : public ::testing::Test {
         &env_, &fabric_driver_, &registry_, lambda_options);
   }
 
-  /// Runs Q12 to completion, drains the environment, and checks the result
-  /// against the reference implementation.
-  void RunQ12AndCheck(const std::string& id) {
+  /// Runs Q12 on `platform` (Lambda when null) to completion, drains the
+  /// environment, and checks the result against the reference
+  /// implementation. Stores the stage summaries in `stages` when given.
+  void RunQ12AndCheck(const std::string& id,
+                      faas::ComputePlatform* platform = nullptr,
+                      Json* stages = nullptr) {
     QuerySuiteOptions options;
     options.join_partitions = 4;
     Result<QueryResponse> outcome = Status::Internal("did not complete");
-    engine_->Run(lambda_.get(), BuildTpchQ12(options), id,
+    engine_->Run(platform != nullptr ? platform : lambda_.get(),
+                 BuildTpchQ12(options), id,
                  [&](Result<QueryResponse> r) { outcome = std::move(r); });
     env_.Run();
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     // Four stages: lineitem scan, orders scan, join, final.
     EXPECT_EQ(outcome->raw.Get("stages").size(), 4u);
+    if (stages != nullptr) *stages = outcome->raw.Get("stages");
 
     auto result = engine_->FetchResult(id);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -164,6 +198,39 @@ TEST_F(TaskLifetimeTest, TwoLevelDispatchMatchesReferenceAndReleasesTasks) {
   RunQ12AndCheck("q12-two-level");
   EXPECT_GT(Invocations(kInvokerFunction), 0);
   EXPECT_GT(Invocations(kWorkerFunction), Invocations(kInvokerFunction));
+  EXPECT_EQ(LiveContexts(), std::vector<std::string>{});
+}
+
+TEST_F(TaskLifetimeTest, RegressionInvokerWithoutResponsesRetriesFragments) {
+  // An invoker response without its "responses" list once aborted the
+  // process. Now every fragment of the batch fails with InvalidArgument,
+  // as when the invoker dies, and is retried on its own.
+  engine_->context()->two_level_threshold = 2;
+  engine_->context()->invoker_fanout = 2;
+  MuteInvokerPlatform platform(&env_, lambda_.get());
+  Json stages;
+  RunQ12AndCheck("q12-mute-invoker", &platform, &stages);
+  EXPECT_GT(platform.invoker_calls(), 0);
+  EXPECT_EQ(Invocations(kInvokerFunction), 0);
+  for (const Json& stage : stages.AsArray()) {
+    const int64_t fragments = stage.GetInt("fragments");
+    if (fragments < 2) continue;  // Dispatched directly.
+    EXPECT_EQ(stage.GetInt("worker_errors"), fragments);
+    EXPECT_EQ(stage.GetInt("retries"), fragments);
+  }
+  // With no attempt left to retry, the query fails with that error.
+  engine_->context()->worker_max_attempts = 1;
+  QuerySuiteOptions options;
+  options.join_partitions = 4;
+  Result<QueryResponse> outcome = Status::Internal("did not complete");
+  engine_->Run(&platform, BuildTpchQ12(options), "q12-mute-invoker-once",
+               [&](Result<QueryResponse> r) { outcome = std::move(r); });
+  env_.Run();
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_NE(outcome.status().ToString().find(
+                "InvalidArgument: invoker response lacks responses"),
+            std::string::npos)
+      << outcome.status().ToString();
   EXPECT_EQ(LiveContexts(), std::vector<std::string>{});
 }
 
