@@ -15,8 +15,9 @@
 ///   - invocations/sec for a FaaS-style arrival/completion/timeout pattern
 ///     where nearly every timeout is cancelled — the simulator's dominant
 ///     cancellation workload;
-///   - bytes decoded/sec through format::DecodeColumnInto with reused
-///     column buffers, over all four column encodings;
+///   - bytes decoded/sec and allocations per iteration through
+///     format::DecodeColumnInto with reused column buffers, over all four
+///     column encodings;
 ///   - allocations per attempt and spilled event callbacks on the storage
 ///     request path (storage::RetryClient into a throttling
 ///     storage::ObjectStore);
@@ -635,6 +636,9 @@ int CheckBaseline(const std::string& path, const Json& report) {
   gate_min("decode.bytes_per_sec",
            report.Get("decode").GetDouble("bytes_per_sec"),
            baseline.GetDouble("min_decode_bytes_per_sec"));
+  gate_max("decode.allocs_per_iter",
+           report.Get("decode").GetDouble("allocs_per_iter"),
+           baseline.GetDouble("max_decode_allocs_per_iter"));
   gate_max("request_path.allocs_per_attempt",
            report.Get("request_path").GetDouble("allocs_per_attempt"),
            baseline.GetDouble("max_request_path_allocs_per_attempt"));

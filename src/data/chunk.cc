@@ -1,6 +1,138 @@
 #include "data/chunk.h"
 
+#include <algorithm>
+#include <array>
+#include <functional>
+#include <limits>
+#include <ostream>
+
 namespace skyrise::data {
+
+uint32_t StringDict::Add(std::string_view value) {
+  SKYRISE_CHECK(bytes_.size() + value.size() <=
+                std::numeric_limits<uint32_t>::max());
+  if (offsets_.empty()) offsets_.push_back(0);
+  bytes_.append(value);
+  offsets_.push_back(static_cast<uint32_t>(bytes_.size()));
+  return size() - 1;
+}
+
+uint32_t StringDict::Intern(std::string_view value) {
+  if (!distinct_) return Add(value);
+  Index();
+  const size_t mask = slots_.size() - 1;
+  size_t slot = std::hash<std::string_view>()(value) & mask;
+  while (slots_[slot] != 0) {
+    if (this->value(slots_[slot] - 1) == value) return slots_[slot] - 1;
+    slot = (slot + 1) & mask;
+  }
+  const uint32_t code = Add(value);
+  slots_[slot] = code + 1;
+  indexed_ = size();
+  return code;
+}
+
+void StringDict::Index() {
+  // At most half full, counting the value about to be put.
+  size_t capacity = std::max<size_t>(16, slots_.size());
+  while (2 * (size_t{size()} + 1) > capacity) capacity *= 2;
+  if (capacity != slots_.size()) {
+    slots_.assign(capacity, 0);
+    indexed_ = 0;
+  }
+  const size_t mask = capacity - 1;
+  for (; indexed_ < size(); ++indexed_) {
+    size_t slot = std::hash<std::string_view>()(value(indexed_)) & mask;
+    while (slots_[slot] != 0) slot = (slot + 1) & mask;
+    slots_[slot] = indexed_ + 1;
+  }
+}
+
+void StringDict::Reserve(size_t values, size_t bytes) {
+  offsets_.reserve(offsets_.size() + values + 1);
+  bytes_.reserve(bytes_.size() + bytes);
+}
+
+void StringDict::Refill(bool distinct) {
+  bytes_.clear();
+  offsets_.clear();
+  slots_.clear();
+  indexed_ = 0;
+  distinct_ = distinct;
+  ++refills_;
+}
+
+bool operator==(const StringsView& a, const StringsView& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i] != b[i]) return false;
+  }
+  return true;
+}
+
+bool operator==(const StringsView& a, const std::vector<std::string>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i] != b[i]) return false;
+  }
+  return true;
+}
+
+void PrintTo(const StringsView& view, std::ostream* os) {
+  *os << "{";
+  for (size_t i = 0; i < view.size(); ++i) {
+    *os << (i == 0 ? " \"" : ", \"") << view[i] << "\"";
+  }
+  *os << " }";
+}
+
+void Column::AppendString(std::string_view v) {
+  if (dict_ == nullptr) {
+    dict_ = std::make_shared<StringDict>(/*distinct=*/true);
+  }
+  codes_.push_back(dict_->Intern(v));
+}
+
+StringDict* Column::RefillDict(bool distinct) {
+  codes_.clear();
+  if (dict_ != nullptr && dict_.use_count() == 1) {
+    dict_->Refill(distinct);
+  } else {
+    dict_ = std::make_shared<StringDict>(distinct);
+  }
+  return dict_.get();
+}
+
+template <typename RowAt>
+void Column::AppendCodes(const Column& other, size_t count, RowAt row_at) {
+  if (count == 0) return;
+  const size_t base = codes_.size();
+  if (base == 0) dict_ = other.dict_;
+  codes_.resize(base + count);
+  uint32_t* dst = codes_.data() + base;
+  const uint32_t* src = other.codes_.data();
+  if (dict_ == other.dict_) {
+    for (size_t i = 0; i < count; ++i) dst[i] = src[row_at(i)];
+    return;
+  }
+  // Each value met is put once: through a code table when the source
+  // dictionary is no larger than the rows appended, else per row.
+  const StringDict& from = *other.dict_;
+  constexpr uint32_t kUnmapped = std::numeric_limits<uint32_t>::max();
+  std::array<uint32_t, 256> remap;
+  if (from.size() > std::min(count, remap.size())) {
+    for (size_t i = 0; i < count; ++i) {
+      dst[i] = dict_->Intern(from.value(src[row_at(i)]));
+    }
+    return;
+  }
+  std::fill_n(remap.begin(), from.size(), kUnmapped);
+  for (size_t i = 0; i < count; ++i) {
+    const uint32_t code = src[row_at(i)];
+    if (remap[code] == kUnmapped) remap[code] = dict_->Intern(from.value(code));
+    dst[i] = remap[code];
+  }
+}
 
 void Column::AppendFrom(const Column& other, size_t row) {
   SKYRISE_CHECK(type_ == other.type_);
@@ -9,7 +141,7 @@ void Column::AppendFrom(const Column& other, size_t row) {
       doubles_.push_back(other.doubles_[row]);
       break;
     case DataType::kString:
-      strings_.push_back(other.strings_[row]);
+      AppendCodes(other, 1, [row](size_t) { return row; });
       break;
     default:
       ints_.push_back(other.ints_[row]);
@@ -27,8 +159,7 @@ void Column::AppendRange(const Column& other, size_t offset, size_t count) {
                       other.doubles_.begin() + last);
       break;
     case DataType::kString:
-      strings_.insert(strings_.end(), other.strings_.begin() + first,
-                      other.strings_.begin() + last);
+      AppendCodes(other, count, [offset](size_t i) { return offset + i; });
       break;
     default:
       ints_.insert(ints_.end(), other.ints_.begin() + first,
@@ -49,10 +180,7 @@ void Column::AppendRows(const Column& other, const uint32_t* rows,
       break;
     }
     case DataType::kString:
-      strings_.reserve(strings_.size() + count);
-      for (size_t i = 0; i < count; ++i) {
-        strings_.push_back(other.strings_[rows[i]]);
-      }
+      AppendCodes(other, count, [rows](size_t i) { return rows[i]; });
       break;
     default: {
       const size_t base = ints_.size();
@@ -64,19 +192,7 @@ void Column::AppendRows(const Column& other, const uint32_t* rows,
 
 Column Column::Filter(const std::vector<uint32_t>& selection) const {
   Column out(type_);
-  switch (type_) {
-    case DataType::kDouble:
-      out.doubles_.reserve(selection.size());
-      for (uint32_t i : selection) out.doubles_.push_back(doubles_[i]);
-      break;
-    case DataType::kString:
-      out.strings_.reserve(selection.size());
-      for (uint32_t i : selection) out.strings_.push_back(strings_[i]);
-      break;
-    default:
-      out.ints_.reserve(selection.size());
-      for (uint32_t i : selection) out.ints_.push_back(ints_[i]);
-  }
+  FilterInto(selection, &out);
   return out;
 }
 
@@ -93,10 +209,11 @@ void Column::FilterInto(const std::vector<uint32_t>& selection,
       break;
     }
     case DataType::kString: {
-      // resize + operator= (not clear + push_back) so surviving elements
-      // keep their heap buffers across refills.
-      out->strings_.resize(n);
-      for (size_t i = 0; i < n; ++i) out->strings_[i] = strings_[selection[i]];
+      out->codes_.resize(n);
+      uint32_t* dst = out->codes_.data();
+      const uint32_t* src = codes_.data();
+      for (size_t i = 0; i < n; ++i) dst[i] = src[selection[i]];
+      out->dict_ = dict_;
       break;
     }
     default: {
@@ -109,53 +226,34 @@ void Column::FilterInto(const std::vector<uint32_t>& selection,
 }
 
 Column Column::Slice(size_t offset, size_t count) const {
-  SKYRISE_CHECK(offset + count <= size());
   Column out(type_);
-  switch (type_) {
-    case DataType::kDouble:
-      out.doubles_.assign(doubles_.begin() + static_cast<ptrdiff_t>(offset),
-                          doubles_.begin() +
-                              static_cast<ptrdiff_t>(offset + count));
-      break;
-    case DataType::kString:
-      out.strings_.assign(strings_.begin() + static_cast<ptrdiff_t>(offset),
-                          strings_.begin() +
-                              static_cast<ptrdiff_t>(offset + count));
-      break;
-    default:
-      out.ints_.assign(ints_.begin() + static_cast<ptrdiff_t>(offset),
-                       ints_.begin() + static_cast<ptrdiff_t>(offset + count));
-  }
+  SliceInto(offset, count, &out);
   return out;
 }
 
 void Column::SliceInto(size_t offset, size_t count, Column* out) const {
   SKYRISE_CHECK(out != this && out->type_ == type_);
   SKYRISE_CHECK(offset + count <= size());
+  const auto first = static_cast<ptrdiff_t>(offset);
+  const auto last = static_cast<ptrdiff_t>(offset + count);
   switch (type_) {
     case DataType::kDouble:
-      out->doubles_.assign(doubles_.begin() + static_cast<ptrdiff_t>(offset),
-                           doubles_.begin() +
-                               static_cast<ptrdiff_t>(offset + count));
+      out->doubles_.assign(doubles_.begin() + first, doubles_.begin() + last);
       break;
     case DataType::kString:
-      // vector::assign copies into existing elements first, so string
-      // buffers are recycled across morsels.
-      out->strings_.assign(strings_.begin() + static_cast<ptrdiff_t>(offset),
-                           strings_.begin() +
-                               static_cast<ptrdiff_t>(offset + count));
+      out->codes_.assign(codes_.begin() + first, codes_.begin() + last);
+      out->dict_ = dict_;
       break;
     default:
-      out->ints_.assign(ints_.begin() + static_cast<ptrdiff_t>(offset),
-                        ints_.begin() +
-                            static_cast<ptrdiff_t>(offset + count));
+      out->ints_.assign(ints_.begin() + first, ints_.begin() + last);
   }
 }
 
 void Column::Clear() {
   ints_.clear();
   doubles_.clear();
-  strings_.clear();
+  codes_.clear();
+  dict_.reset();
 }
 
 void Column::Reset(DataType type) {
@@ -251,8 +349,10 @@ int64_t Chunk::ByteSize() const {
         bytes += static_cast<int64_t>(col.doubles().size()) * 8;
         break;
       case DataType::kString: {
-        for (const auto& s : col.strings()) {
-          bytes += static_cast<int64_t>(s.size()) + 4;
+        bytes += 4 * static_cast<int64_t>(col.size());
+        const StringDict* dict = col.dict().get();
+        for (uint32_t code : col.codes()) {
+          bytes += static_cast<int64_t>(dict->value(code).size());
         }
         break;
       }

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/macros.h"
@@ -56,8 +58,116 @@ class Schema {
   std::vector<Field> fields_;
 };
 
+/// The values a string column's codes stand for. A code, once handed out,
+/// names the same bytes for as long as the dictionary lives: values are
+/// only appended, and only format decode empties a dictionary to refill it,
+/// when its own column holds it alone. Columns whose rows were copied from
+/// one another share one dictionary by reference count (DESIGN.md §12.3).
+/// Equal codes always mean equal values. Equal values mean equal codes only
+/// in a dictionary flagged distinct: one built by interning, or decoded from
+/// a dictionary chunk whose values strictly ascend.
+class StringDict {
+ public:
+  explicit StringDict(bool distinct) : distinct_(distinct) {}
+
+  uint32_t size() const {
+    return offsets_.empty() ? 0 : static_cast<uint32_t>(offsets_.size() - 1);
+  }
+  std::string_view value(uint32_t code) const {
+    return std::string_view(bytes_.data() + offsets_[code],
+                            offsets_[code + 1] - offsets_[code]);
+  }
+  bool distinct() const { return distinct_; }
+  /// How often the dictionary was emptied for a refill; with its identity
+  /// and size, it tells a cache of per-value results when those are stale.
+  uint64_t refills() const { return refills_; }
+
+  /// Appends `value` under a new code. A distinct dictionary must not hold
+  /// it yet; use Intern.
+  uint32_t Add(std::string_view value);
+  /// The code `value` gets: its existing one in a distinct dictionary,
+  /// else a new one.
+  uint32_t Intern(std::string_view value);
+  /// Makes room for `values` more values of `bytes` bytes in all.
+  void Reserve(size_t values, size_t bytes);
+  /// Empties the dictionary, keeping its capacity, and sets its flag.
+  void Refill(bool distinct);
+
+ private:
+  /// Codes by value hash, open addressing, each slot a code + 1 (0: empty);
+  /// covers codes [0, indexed_). Built on the first Intern into a distinct
+  /// dictionary.
+  void Index();
+
+  std::string bytes_;  ///< Every value, back to back.
+  /// Value `code` is bytes_[offsets_[code], offsets_[code + 1]); empty
+  /// until the first value.
+  std::vector<uint32_t> offsets_;
+  std::vector<uint32_t> slots_;
+  uint32_t indexed_ = 0;
+  bool distinct_;
+  uint64_t refills_ = 0;
+};
+
+/// Read-only rows of a string column: row i is the value of its code.
+class StringsView {
+ public:
+  StringsView(const StringDict* dict, const uint32_t* codes, size_t size)
+      : dict_(dict), codes_(codes), size_(size) {}
+  size_t size() const { return size_; }
+  std::string_view operator[](size_t row) const {
+    return dict_->value(codes_[row]);
+  }
+
+ private:
+  const StringDict* dict_;
+  const uint32_t* codes_;
+  size_t size_;
+};
+
+/// Row-by-row equality of values.
+bool operator==(const StringsView& a, const StringsView& b);
+bool operator==(const StringsView& a, const std::vector<std::string>& b);
+
+/// Prints the values, for test failures.
+void PrintTo(const StringsView& view, std::ostream* os);
+
+/// A result per value of one dictionary, computed once per value and kept
+/// from call to call. It recomputes everything for another dictionary, even
+/// one allocated where a freed one was (the weak reference tells them
+/// apart), and for a refilled one; it computes only the new values of one
+/// that grew.
+template <typename T>
+class DictMemo {
+ public:
+  /// `compute(value)` of each of `dict`'s values, indexed by code.
+  template <typename Compute>
+  const T* Get(const std::shared_ptr<StringDict>& dict, Compute compute) {
+    if (dict_.owner_before(dict) || dict.owner_before(dict_) ||
+        refills_ != dict->refills()) {
+      dict_ = dict;
+      refills_ = dict->refills();
+      values_.clear();
+    }
+    values_.reserve(dict->size());
+    for (auto code = static_cast<uint32_t>(values_.size());
+         code < dict->size(); ++code) {
+      values_.push_back(compute(dict->value(code)));
+    }
+    return values_.data();
+  }
+
+ private:
+  std::weak_ptr<StringDict> dict_;
+  uint64_t refills_ = 0;
+  std::vector<T> values_;
+};
+
 /// A typed value vector. Int64/date values live in `ints`, doubles in
-/// `doubles`, strings in `strings` (only the matching vector is populated).
+/// `doubles`; a string column holds one code per row into a StringDict
+/// (only the matching storage is populated). Copies, slices and gathers of
+/// a string column copy codes and share the dictionary; appends from
+/// another dictionary put each value they meet into this one once.
 class Column {
  public:
   explicit Column(DataType type) : type_(type) {}
@@ -68,7 +178,7 @@ class Column {
       case DataType::kDouble:
         return doubles_.size();
       case DataType::kString:
-        return strings_.size();
+        return codes_.size();
       default:
         return ints_.size();
     }
@@ -78,12 +188,24 @@ class Column {
   const std::vector<int64_t>& ints() const { return ints_; }
   std::vector<double>& doubles() { return doubles_; }
   const std::vector<double>& doubles() const { return doubles_; }
-  std::vector<std::string>& strings() { return strings_; }
-  const std::vector<std::string>& strings() const { return strings_; }
+  StringsView strings() const {
+    return StringsView(dict_.get(), codes_.data(), codes_.size());
+  }
+  /// A string column's codes, one per row, each below dict()->size().
+  std::vector<uint32_t>& codes() { return codes_; }
+  const std::vector<uint32_t>& codes() const { return codes_; }
+  /// Null until a string column first holds a row.
+  const std::shared_ptr<StringDict>& dict() const { return dict_; }
 
   void AppendInt(int64_t v) { ints_.push_back(v); }
   void AppendDouble(double v) { doubles_.push_back(v); }
-  void AppendString(std::string v) { strings_.push_back(std::move(v)); }
+  void AppendString(std::string_view v);
+
+  /// For format decode: empties the column and returns a dictionary only
+  /// it holds, emptied and flagged `distinct`: its own, refilled in place,
+  /// when no other column shares it, else a new one. The caller adds the
+  /// values, then the codes.
+  StringDict* RefillDict(bool distinct);
 
   /// Appends row `row` of `other` to this column.
   void AppendFrom(const Column& other, size_t row);
@@ -99,8 +221,8 @@ class Column {
   Column Filter(const std::vector<uint32_t>& selection) const;
 
   /// Gathers the selected rows into `out`, overwriting its contents but
-  /// reusing its buffers (vector capacity; per-element string capacity via
-  /// assignment). `out` must have this column's type and must not alias it.
+  /// reusing its vector capacity. `out` must have this column's type and
+  /// must not alias it.
   void FilterInto(const std::vector<uint32_t>& selection, Column* out) const;
 
   /// Copies the contiguous row range [offset, offset + count) into a new
@@ -111,7 +233,8 @@ class Column {
   /// allocation-free morsel primitive. `out` must match type, no aliasing.
   void SliceInto(size_t offset, size_t count, Column* out) const;
 
-  /// Drops all values but keeps vector capacity for refill.
+  /// Drops all values and the dictionary but keeps vector capacity for
+  /// refill.
   void Clear();
 
   /// Retypes the column and clears it (retained buffers of the old type keep
@@ -119,10 +242,17 @@ class Column {
   void Reset(DataType type);
 
  private:
+  /// Appends the codes of `other`'s rows row_at(0..count): copied when both
+  /// share a dictionary (or this column is empty and takes `other`'s);
+  /// otherwise each value met is put into this column's dictionary once.
+  template <typename RowAt>
+  void AppendCodes(const Column& other, size_t count, RowAt row_at);
+
   DataType type_;
   std::vector<int64_t> ints_;
   std::vector<double> doubles_;
-  std::vector<std::string> strings_;
+  std::vector<uint32_t> codes_;
+  std::shared_ptr<StringDict> dict_;
 };
 
 class Chunk {

@@ -9,9 +9,10 @@
 /// \file chunk_pool.h
 /// Per-worker recycling pool for data::Chunk buffers. Morsel-driven execution
 /// creates and drops a chunk per Push()/operator hop; without reuse every hop
-/// reallocates each column's vectors (and every string element). The pool
-/// keeps released chunks on a LIFO free list so the next acquire hands back
-/// warm capacity.
+/// reallocates each column's vectors. The pool keeps released chunks on a
+/// LIFO free list so the next acquire hands back warm capacity, string
+/// dictionaries included: decode refills a dictionary in place when its
+/// column holds it alone.
 ///
 /// Ownership rules (see DESIGN.md "Event-kernel and data-plane memory
 /// model"): a chunk obtained from the pool is owned by the caller and may
@@ -34,9 +35,8 @@ class ChunkPool {
   /// Returns a materialized chunk shaped to `schema`, recycling the most
   /// recently released chunk's buffers when one is available. Reshapes with
   /// Chunk::PrepareFor: column contents are unspecified (not cleared), which
-  /// keeps string *element* buffers alive for FilterInto/SliceInto/
-  /// DecodeColumnInto refills. Use only when every column is overwritten
-  /// before being read.
+  /// keeps buffers alive for FilterInto/SliceInto/DecodeColumnInto refills.
+  /// Use only when every column is overwritten before being read.
   Chunk AcquirePrepared(const Schema& schema) {
     if (!free_.empty()) {
       Chunk chunk = std::move(free_.back());

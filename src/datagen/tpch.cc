@@ -93,13 +93,13 @@ data::Chunk GenerateLineitemPartition(const TpchConfig& config, int partition,
   auto& extendedprice = chunk.column(5).doubles();
   auto& discount = chunk.column(6).doubles();
   auto& tax = chunk.column(7).doubles();
-  auto& returnflag = chunk.column(8).strings();
-  auto& linestatus = chunk.column(9).strings();
+  data::Column& returnflag = chunk.column(8);
+  data::Column& linestatus = chunk.column(9);
   auto& shipdate = chunk.column(10).ints();
   auto& commitdate = chunk.column(11).ints();
   auto& receiptdate = chunk.column(12).ints();
-  auto& shipinstruct = chunk.column(13).strings();
-  auto& shipmode = chunk.column(14).strings();
+  data::Column& shipinstruct = chunk.column(13);
+  data::Column& shipmode = chunk.column(14);
 
   const int32_t cutoff = data::DaysSinceEpoch(1995, 6, 17);
   for (int64_t o = range.first_order; o < range.first_order + range.order_count;
@@ -131,14 +131,13 @@ data::Chunk GenerateLineitemPartition(const TpchConfig& config, int partition,
       // Return flag: R/A for shipped-before-cutoff rows, N otherwise
       // (approximates the TPC-H returnability window).
       if (receipt <= cutoff) {
-        returnflag.push_back(rng.Bernoulli(0.5) ? "R" : "A");
+        returnflag.AppendString(rng.Bernoulli(0.5) ? "R" : "A");
       } else {
-        returnflag.push_back("N");
+        returnflag.AppendString("N");
       }
-      linestatus.push_back(ship > cutoff ? "O" : "F");
-      shipinstruct.push_back(
-          kShipinstruct[rng.UniformInt(0, 3)]);
-      shipmode.push_back(kShipmodes[rng.UniformInt(0, 6)]);
+      linestatus.AppendString(ship > cutoff ? "O" : "F");
+      shipinstruct.AppendString(kShipinstruct[rng.UniformInt(0, 3)]);
+      shipmode.AppendString(kShipmodes[rng.UniformInt(0, 6)]);
     }
   }
   return chunk;
@@ -151,10 +150,10 @@ data::Chunk GenerateOrdersPartition(const TpchConfig& config, int partition,
   data::Chunk chunk = data::Chunk::Empty(OrdersSchema());
   auto& orderkey = chunk.column(0).ints();
   auto& custkey = chunk.column(1).ints();
-  auto& orderstatus = chunk.column(2).strings();
+  data::Column& orderstatus = chunk.column(2);
   auto& totalprice = chunk.column(3).doubles();
   auto& orderdate = chunk.column(4).ints();
-  auto& priority = chunk.column(5).strings();
+  data::Column& priority = chunk.column(5);
 
   for (int64_t o = range.first_order; o < range.first_order + range.order_count;
        ++o) {
@@ -171,10 +170,10 @@ data::Chunk GenerateOrdersPartition(const TpchConfig& config, int partition,
     }
     orderkey.push_back(o);
     custkey.push_back(rng.UniformInt(1, 150000));
-    orderstatus.push_back(rng.Bernoulli(0.5) ? "F" : "O");
+    orderstatus.AppendString(rng.Bernoulli(0.5) ? "F" : "O");
     totalprice.push_back(std::round(total * 100) / 100);
     orderdate.push_back(date);
-    priority.push_back(kPriorities[rng.UniformInt(0, 4)]);
+    priority.AppendString(kPriorities[rng.UniformInt(0, 4)]);
   }
   return chunk;
 }

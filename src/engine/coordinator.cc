@@ -559,15 +559,31 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
         [self, state, members, attempt_spans](Result<Json> r) {
           if (r.ok()) {
             // The invoker returns the collected worker responses (including
-            // per-fragment error entries), routed by fragment index.
+            // per-fragment error entries), routed by fragment index. Each
+            // member takes its first response; entries for fragments outside
+            // the batch, and repeats, are ignored. A member left unanswered
+            // fails and retries, as when the invoker dies.
             const Json& responses = r->Get("responses");
             if (responses.is_array()) {
+              std::vector<bool> answered(members.size(), false);
               for (const auto& response : responses.AsArray()) {
                 const int f =
                     static_cast<int>(response.GetInt("fragment", -1));
-                if (f < 0 || f >= state->fragments) continue;
+                const size_t m = static_cast<size_t>(
+                    std::find(members.begin(), members.end(), f) -
+                    members.begin());
+                if (m == members.size() || answered[m]) continue;
+                answered[m] = true;
                 self->OnWorkerOutcome(state, f, (*attempt_spans)[f],
                                       Json(response));
+              }
+              for (size_t m = 0; m < members.size(); ++m) {
+                if (answered[m]) continue;
+                self->OnWorkerOutcome(
+                    state, members[m], (*attempt_spans)[members[m]],
+                    Status::InvalidArgument(
+                        StrFormat("invoker response lacks fragment %d",
+                                  members[m])));
               }
               return;
             }

@@ -39,7 +39,7 @@ void EncodeKeyText(const Column& col, size_t row, Sink&& sink) {
   char buf[32];
   switch (col.type()) {
     case DataType::kString: {
-      const std::string& value = col.strings()[row];
+      const std::string_view value = col.strings()[row];
       sink(value.data(), value.size());
       break;
     }
@@ -137,38 +137,54 @@ uint64_t Mix(uint64_t h) {
   return h;
 }
 
-/// Hash of every row's typed key values, computed one key column at a time.
-void HashKeys(const Chunk& chunk, const std::vector<int>& keys,
-              std::vector<uint64_t>* out) {
-  const size_t rows = static_cast<size_t>(chunk.rows());
-  out->assign(rows, 0);
-  uint64_t* hashes = out->data();
-  auto fold = [hashes, rows](auto value_hash) {
-    for (size_t row = 0; row < rows; ++row) {
-      const uint64_t h = hashes[row];
-      hashes[row] =
-          Mix(h ^ (value_hash(row) + 0x9e3779b97f4a7c15ULL + (h << 6)));
-    }
-  };
-  for (int k : keys) {
-    const Column& col = chunk.column(static_cast<size_t>(k));
-    switch (KindOf(col.type())) {
-      case KeyKind::kString:
-        fold([&col](size_t row) {
-          return std::hash<std::string_view>()(col.strings()[row]);
-        });
-        break;
-      case KeyKind::kDouble:
-        fold([&col](size_t row) { return DoubleKeyBits(col.doubles()[row]); });
-        break;
-      case KeyKind::kInt:
-        fold([&col](size_t row) {
-          return static_cast<uint64_t>(col.ints()[row]);
-        });
-        break;
+/// Hashes every row's typed key values, one key column at a time. A string
+/// value's hash is computed once per dictionary value and kept for the next
+/// chunk over the same dictionary.
+class KeyHasher {
+ public:
+  void Hash(const Chunk& chunk, const std::vector<int>& keys,
+            std::vector<uint64_t>* out) {
+    const size_t rows = static_cast<size_t>(chunk.rows());
+    out->assign(rows, 0);
+    if (rows == 0) return;
+    uint64_t* hashes = out->data();
+    auto fold = [hashes, rows](auto value_hash) {
+      for (size_t row = 0; row < rows; ++row) {
+        const uint64_t h = hashes[row];
+        hashes[row] =
+            Mix(h ^ (value_hash(row) + 0x9e3779b97f4a7c15ULL + (h << 6)));
+      }
+    };
+    string_hashes_.resize(keys.size());
+    for (size_t k = 0; k < keys.size(); ++k) {
+      const Column& col = chunk.column(static_cast<size_t>(keys[k]));
+      switch (KindOf(col.type())) {
+        case KeyKind::kString: {
+          const uint64_t* value_hashes = string_hashes_[k].Get(
+              col.dict(), std::hash<std::string_view>());
+          const uint32_t* codes = col.codes().data();
+          fold([value_hashes, codes](size_t row) {
+            return value_hashes[codes[row]];
+          });
+          break;
+        }
+        case KeyKind::kDouble:
+          fold([&col](size_t row) {
+            return DoubleKeyBits(col.doubles()[row]);
+          });
+          break;
+        case KeyKind::kInt:
+          fold([&col](size_t row) {
+            return static_cast<uint64_t>(col.ints()[row]);
+          });
+          break;
+      }
     }
   }
-}
+
+ private:
+  std::vector<data::DictMemo<uint64_t>> string_hashes_;  ///< Per key.
+};
 
 /// Whether row `ra` of `a` over `a_keys` and row `rb` of `b` over `b_keys`
 /// hold equal keys. Paired key columns must be of one KeyKind.
@@ -180,7 +196,8 @@ bool SameKey(const Chunk& a, const std::vector<int>& a_keys, size_t ra,
     bool same;
     switch (KindOf(x.type())) {
       case KeyKind::kString:
-        same = x.strings()[ra] == y.strings()[rb];
+        same = (x.dict() == y.dict() && x.codes()[ra] == y.codes()[rb]) ||
+               x.strings()[ra] == y.strings()[rb];
         break;
       case KeyKind::kDouble:
         same = DoubleKeyBits(x.doubles()[ra]) == DoubleKeyBits(y.doubles()[rb]);
@@ -590,7 +607,7 @@ class AggOp final : public OperatorState {
       }
       return std::optional<Chunk>();
     }
-    HashKeys(in, group_indices_, &hashes_);
+    hasher_.Hash(in, group_indices_, &hashes_);
     group_of_.resize(rows);
     for (size_t row = 0; row < rows; ++row) {
       const uint32_t group =
@@ -713,6 +730,7 @@ class AggOp final : public OperatorState {
   std::vector<double> accumulators_;    ///< Group-major, one per aggregate.
   uint32_t groups_ = 0;
   KeyIndex index_;
+  KeyHasher hasher_;
   std::vector<uint64_t> hashes_;     ///< Scratch: per-row key hash.
   std::vector<uint32_t> group_of_;   ///< Scratch: per-row group.
   std::optional<Chunk> synthetic_result_;
@@ -752,7 +770,7 @@ class JoinOp final : public OperatorState {
                            op_.join_multiplier))));
     }
     if (!table_built_) SKYRISE_RETURN_IF_ERROR(BuildTable(in.schema()));
-    HashKeys(in, probe_indices_, &hashes_);
+    hasher_.Hash(in, probe_indices_, &hashes_);
     probe_rows_.clear();
     build_rows_.clear();
     const size_t probe_rows = static_cast<size_t>(in.rows());
@@ -804,7 +822,7 @@ class JoinOp final : public OperatorState {
     // Group the build rows by key, then lay each key's rows out in match
     // order: counting sort to ascending rows, then the multimap order.
     const size_t build_rows = static_cast<size_t>(build_->rows());
-    HashKeys(*build_, build_indices_, &hashes_);
+    KeyHasher().Hash(*build_, build_indices_, &hashes_);
     std::vector<uint32_t> group_of(build_rows);
     std::vector<uint32_t> first_row;
     for (size_t row = 0; row < build_rows; ++row) {
@@ -856,6 +874,7 @@ class JoinOp final : public OperatorState {
   Schema out_schema_;
   std::vector<int> probe_indices_, build_indices_, carried_;
   KeyIndex index_;                    ///< Key -> group of build rows.
+  KeyHasher hasher_;                  ///< Of probe keys.
   /// Build rows grouped by key, in match order; group g holds
   /// matches_[match_begin_[g]] up to matches_[match_begin_[g + 1]].
   std::vector<uint32_t> match_begin_;

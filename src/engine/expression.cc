@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <string_view>
 
 namespace skyrise::engine {
 
@@ -462,23 +463,25 @@ const uint8_t* ExprKernel::Mask(size_t id, const data::Chunk& chunk,
       });
       break;
     }
-    case Op::kStringCompare: {
-      const std::vector<std::string>& strings =
-          ColumnOf(node, chunk).strings();
-      WithComparison(node.cmp, [&](auto cmp) {
-        for (size_t i = 0; i < rows; ++i) {
-          out[i] = cmp(strings[i].compare(node.text), 0);
-        }
-      });
-      break;
-    }
+    case Op::kStringCompare:
     case Op::kInList: {
-      const std::vector<std::string>& strings =
-          ColumnOf(node, chunk).strings();
-      for (size_t i = 0; i < rows; ++i) {
-        out[i] = std::binary_search(node.values.begin(), node.values.end(),
-                                    strings[i]);
-      }
+      // Evaluated once per dictionary value, then looked up by code.
+      if (rows == 0) break;
+      const data::Column& col = ColumnOf(node, chunk);
+      const uint8_t* truth =
+          node.truth.Get(col.dict(), [&node](std::string_view value) {
+            if (node.op == Op::kInList) {
+              return static_cast<uint8_t>(std::binary_search(
+                  node.values.begin(), node.values.end(), value));
+            }
+            uint8_t holds = 0;
+            WithComparison(node.cmp, [&](auto cmp) {
+              holds = cmp(value.compare(node.text), 0);
+            });
+            return holds;
+          });
+      const uint32_t* codes = col.codes().data();
+      for (size_t i = 0; i < rows; ++i) out[i] = truth[codes[i]];
       break;
     }
     default:

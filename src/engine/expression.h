@@ -65,8 +65,10 @@ ExprPtr Indicator(ExprPtr condition);
 /// An expression compiled against one schema: column references resolved to
 /// indices and types, operators to enums. Evaluation runs one typed loop per
 /// expression node over the whole chunk, into scratch buffers the kernel
-/// reuses from chunk to chunk. Compile once per operator; every chunk passed
-/// in must be materialized with the schema the kernel was compiled for.
+/// reuses from chunk to chunk; a string predicate holds its truth per value
+/// of the column's dictionary and looks rows up by code. Compile once per
+/// operator; every chunk passed in must be materialized with the schema the
+/// kernel was compiled for.
 /// Results equal a row-at-a-time evaluation bit for bit: each node computes
 /// the same double operation per row, and pure nodes need no short-circuit.
 class ExprKernel {
@@ -104,6 +106,8 @@ class ExprKernel {
     double number = 0;                 ///< kNumber.
     std::string text;                  ///< kStringCompare literal.
     std::vector<std::string> values;   ///< kInList, sorted.
+    /// kStringCompare, kInList: truth per value of the last dictionary.
+    data::DictMemo<uint8_t> truth;
     std::vector<size_t> children;
     std::vector<double> numbers;       ///< Scratch: per-row values.
     std::vector<uint8_t> mask;         ///< Scratch: per-row truth.

@@ -43,7 +43,8 @@ std::vector<Q1Group> ReferenceQ1(const data::Chunk& lineitem) {
   std::map<std::pair<std::string, std::string>, double> discs;
   for (size_t i = 0; i < shipdate.size(); ++i) {
     if (shipdate[i] > cutoff) continue;
-    auto key = std::make_pair(returnflag[i], linestatus[i]);
+    const std::pair<std::string, std::string> key(returnflag[i],
+                                                  linestatus[i]);
     Q1Group& g = groups[key];
     g.returnflag = returnflag[i];
     g.linestatus = linestatus[i];
@@ -88,7 +89,7 @@ std::vector<Q12Group> ReferenceQ12(const data::Chunk& lineitem,
     if (receiptdate[i] < lo || receiptdate[i] >= hi) continue;
     auto it = priority_of.find(l_orderkey[i]);
     if (it == priority_of.end()) continue;
-    Q12Group& g = groups[shipmode[i]];
+    Q12Group& g = groups[std::string(shipmode[i])];
     g.shipmode = shipmode[i];
     if (it->second == "1-URGENT" || it->second == "2-HIGH") {
       g.high_line_count += 1;

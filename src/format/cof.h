@@ -159,7 +159,9 @@ struct ColumnRange {
 /// Select of the projection, which is fixed per file and so built once by
 /// the caller, and decodes each column chunk into its reused buffers (see
 /// format::DecodeColumnInto). With a pooled `out` chunk, steady-state
-/// row-group decode performs no column-vector allocations. Synthetic files
+/// row-group decode performs no column-vector allocations; a string column
+/// takes a new dictionary only when another column shares its own.
+/// Synthetic files
 /// reset `out` to a synthetic chunk. On error `out`'s contents are
 /// unspecified.
 [[nodiscard]] Status DecodeRowGroupInto(

@@ -52,6 +52,35 @@ int64_t WrappingAdd(int64_t a, int64_t b) {
                               static_cast<uint64_t>(b));
 }
 
+/// Finds the distinct keys of `count` rows (`key_of(row)`, a code or a
+/// value) in first-seen order through a 512-slot open-addressing table: one
+/// hash and a short probe per row. Stores each key's value in `distinct`
+/// and each row's first-seen index in `ids`; false past 255 keys.
+template <typename KeyOf, typename ValueOf>
+bool FirstSeen(size_t count, KeyOf key_of, ValueOf value_of,
+               std::array<std::string_view, 255>* distinct,
+               size_t* distinct_count, uint8_t* ids) {
+  using Key = decltype(key_of(0));
+  std::array<Key, 255> keys;
+  std::array<int16_t, 512> slots;
+  slots.fill(-1);
+  for (size_t i = 0; i < count; ++i) {
+    const Key key = key_of(i);
+    size_t slot = std::hash<Key>{}(key) & (slots.size() - 1);
+    while (slots[slot] >= 0 && keys[static_cast<size_t>(slots[slot])] != key) {
+      slot = (slot + 1) & (slots.size() - 1);
+    }
+    if (slots[slot] < 0) {
+      if (*distinct_count == keys.size()) return false;
+      slots[slot] = static_cast<int16_t>(*distinct_count);
+      keys[*distinct_count] = key;
+      (*distinct)[(*distinct_count)++] = value_of(key);
+    }
+    ids[i] = static_cast<uint8_t>(slots[slot]);
+  }
+  return true;
+}
+
 }  // namespace
 
 ColumnEncoding EncodeColumn(const data::Column& column, size_t offset,
@@ -68,33 +97,27 @@ ColumnEncoding EncodeColumn(const data::Column& column, size_t offset,
       return ColumnEncoding::kDoubleRaw;
     }
     case DataType::kString: {
-      const std::string* values = column.strings().data() + offset;
-      // Distinct values in first-seen order, found through a 512-slot
-      // open-addressing table: one hash and a short probe per row. A chunk
-      // with more than 255 of them is written plain.
+      const uint32_t* codes = column.codes().data() + offset;
+      const data::StringDict* dict = column.dict().get();
+      // Distinct values in first-seen order. A distinct dictionary names
+      // each value by one code, so codes find them; other dictionaries may
+      // repeat a value under two codes, so values do. A chunk with more
+      // than 255 of them is written plain.
       std::array<std::string_view, 255> distinct;
       size_t distinct_count = 0;
-      std::array<int16_t, 512> slots;
-      slots.fill(-1);
       std::vector<uint8_t> first_seen_ids(count);
-      bool dictionary = count > 0;
-      for (size_t i = 0; dictionary && i < count; ++i) {
-        const std::string_view value = values[i];
-        size_t slot = std::hash<std::string_view>{}(value) & (slots.size() - 1);
-        while (slots[slot] >= 0 &&
-               distinct[static_cast<size_t>(slots[slot])] != value) {
-          slot = (slot + 1) & (slots.size() - 1);
-        }
-        if (slots[slot] < 0) {
-          if (distinct_count == distinct.size()) {
-            dictionary = false;
-            break;
-          }
-          slots[slot] = static_cast<int16_t>(distinct_count);
-          distinct[distinct_count++] = value;
-        }
-        first_seen_ids[i] = static_cast<uint8_t>(slots[slot]);
-      }
+      const bool dictionary =
+          count > 0 &&
+          (dict->distinct()
+               ? FirstSeen(
+                     count, [codes](size_t i) { return codes[i]; },
+                     [dict](uint32_t code) { return dict->value(code); },
+                     &distinct, &distinct_count, first_seen_ids.data())
+               : FirstSeen(
+                     count,
+                     [codes, dict](size_t i) { return dict->value(codes[i]); },
+                     [](std::string_view value) { return value; }, &distinct,
+                     &distinct_count, first_seen_ids.data()));
       if (dictionary) {
         out->push_back(static_cast<char>(ColumnEncoding::kStringDict));
         // Ids follow the values' sorted order, so the bytes do not depend
@@ -119,8 +142,9 @@ ColumnEncoding EncodeColumn(const data::Column& column, size_t offset,
       }
       out->push_back(static_cast<char>(ColumnEncoding::kStringPlain));
       for (size_t i = 0; i < count; ++i) {
-        PutVarint(out, values[i].size());
-        out->append(values[i]);
+        const std::string_view value = dict->value(codes[i]);
+        PutVarint(out, value.size());
+        out->append(value);
       }
       return ColumnEncoding::kStringPlain;
     }
@@ -193,8 +217,9 @@ Status DecodeColumnInto(const char* data, size_t size, data::DataType type,
       if (dict_size > 256 || dict_size > static_cast<uint64_t>(end - p)) {
         return Status::IoError("bad dictionary size");
       }
-      std::vector<std::pair<const char*, size_t>> dict;
-      dict.reserve(dict_size);
+      std::array<std::string_view, 256> entries;
+      bool ascending = true;
+      size_t value_bytes = 0;
       for (uint64_t i = 0; i < dict_size; ++i) {
         uint64_t len = 0;
         p = GetVarintSpan(p, end, &len);
@@ -202,21 +227,30 @@ Status DecodeColumnInto(const char* data, size_t size, data::DataType type,
         if (static_cast<size_t>(end - p) < len) {
           return Status::IoError("truncated dictionary");
         }
-        dict.emplace_back(reinterpret_cast<const char*>(p), len);
+        entries[i] = std::string_view(reinterpret_cast<const char*>(p), len);
+        value_bytes += len;
+        ascending = ascending && (i == 0 || entries[i - 1] < entries[i]);
         p += len;
       }
       if (static_cast<size_t>(end - p) < static_cast<size_t>(rows)) {
         return Status::IoError("truncated dict indices");
       }
-      auto& strings = out->strings();
-      strings.resize(static_cast<size_t>(rows));
+      // Values that strictly ascend, as the encoder writes them, are
+      // distinct; a chunk that repeats one keeps both entries.
+      data::StringDict* dict = out->RefillDict(ascending);
+      dict->Reserve(dict_size, value_bytes);
+      for (uint64_t i = 0; i < dict_size; ++i) dict->Add(entries[i]);
+      auto& codes = out->codes();
+      codes.resize(static_cast<size_t>(rows));
+      uint32_t* dst = codes.data();
+      uint8_t max_id = 0;
       for (int64_t i = 0; i < rows; ++i) {
-        const uint8_t id = p[i];
-        if (id >= dict.size()) return Status::IoError("bad dict index");
-        // assign into the existing element: per-string capacity is recycled
-        // across decode calls when the column buffer is pooled.
-        strings[static_cast<size_t>(i)].assign(dict[id].first,
-                                               dict[id].second);
+        dst[i] = p[i];
+        max_id = std::max(max_id, p[i]);
+      }
+      if (rows > 0 && max_id >= dict_size) {
+        codes.clear();
+        return Status::IoError("bad dict index");
       }
       return Status::OK();
     }
@@ -224,8 +258,14 @@ Status DecodeColumnInto(const char* data, size_t size, data::DataType type,
       if (type != DataType::kString) {
         return Status::IoError("encoding/type mismatch");
       }
-      auto& strings = out->strings();
-      strings.resize(static_cast<size_t>(rows));
+      // One value per row: code i is row i.
+      data::StringDict* dict = out->RefillDict(false);
+      // Each row takes at least its length byte.
+      const size_t max_rows =
+          std::min(static_cast<size_t>(rows), static_cast<size_t>(end - p));
+      dict->Reserve(max_rows, static_cast<size_t>(end - p));
+      auto& codes = out->codes();
+      codes.reserve(max_rows);
       for (int64_t i = 0; i < rows; ++i) {
         uint64_t len = 0;
         if (p < end && *p < 0x80) {
@@ -237,8 +277,8 @@ Status DecodeColumnInto(const char* data, size_t size, data::DataType type,
         if (static_cast<size_t>(end - p) < len) {
           return Status::IoError("truncated string");
         }
-        strings[static_cast<size_t>(i)].assign(
-            reinterpret_cast<const char*>(p), len);
+        codes.push_back(
+            dict->Add(std::string_view(reinterpret_cast<const char*>(p), len)));
         p += len;
       }
       return Status::OK();

@@ -29,7 +29,8 @@ enum class ColumnEncoding : uint8_t {
 
 /// Appends the encoding of rows [offset, offset + count) of a column to
 /// `out`; returns the encoding used. The first byte of the encoded chunk
-/// records the encoding.
+/// records the encoding. A string chunk of at most 255 distinct values is
+/// written as a dictionary of them, sorted, else plain.
 ColumnEncoding EncodeColumn(const data::Column& column, size_t offset,
                             size_t count, std::string* out);
 
@@ -44,12 +45,15 @@ inline ColumnEncoding EncodeColumn(const data::Column& column,
                                   data::DataType type, int64_t rows);
 
 /// Decode-into-reused-buffer variant: overwrites `out` (retyping it if
-/// needed), recycling its vector capacity and — for strings — per-element
-/// buffers across calls. The decode kernels run branch-light over the
-/// contiguous input span (pointer-walked varints with a one-byte fast path)
-/// instead of per-byte bounds-checked string indexing. On error `out`'s
-/// contents are unspecified. This is the hot path under
-/// format::DecodeRowGroupInto; DecodeColumn wraps it.
+/// needed), recycling its vector capacity across calls. A string chunk
+/// becomes a data::StringDict and one code per row: a dictionary chunk's
+/// entries and ids, or a plain chunk's values with code i for row i. The
+/// dictionary is `out`'s own, refilled in place, when no other column
+/// shares it. The decode kernels run branch-light over the contiguous input
+/// span (pointer-walked varints with a one-byte fast path) instead of
+/// per-byte bounds-checked string indexing. On error `out`'s values are
+/// unspecified. This is the hot path under format::DecodeRowGroupInto;
+/// DecodeColumn wraps it.
 [[nodiscard]] Status DecodeColumnInto(const char* data, size_t size,
                                       data::DataType type, int64_t rows,
                                       data::Column* out);

@@ -479,10 +479,13 @@ Status ObjectStore::Delete(const std::string& key) {
 
 std::vector<ObjectInfo> ObjectStore::List(const std::string& prefix) const {
   std::vector<ObjectInfo> out;
-  for (auto it = objects_.lower_bound(prefix); it != objects_.end(); ++it) {
-    if (!StartsWith(it->first, prefix)) break;
-    out.push_back(ObjectInfo{it->first, it->second.size()});
+  for (const auto& [key, blob] : objects_) {
+    if (StartsWith(key, prefix)) out.push_back(ObjectInfo{key, blob.size()});
   }
+  std::sort(out.begin(), out.end(),
+            [](const ObjectInfo& a, const ObjectInfo& b) {
+              return a.key < b.key;
+            });
   return out;
 }
 

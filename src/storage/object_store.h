@@ -1,7 +1,7 @@
 #pragma once
 
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/environment.h"
@@ -202,7 +202,8 @@ class ObjectStore : public StorageService {
   Options opt_;
   Rng rng_;
   sim::FaultInjector* fault_injector_ = nullptr;
-  std::map<std::string, Blob> objects_;
+  /// By key; List sorts what it collects.
+  std::unordered_map<std::string, Blob> objects_;
   std::vector<Pending> pending_;
   uint32_t free_pending_ = kNoSlot;
   std::vector<Partition> partitions_;

@@ -131,5 +131,153 @@ TEST(ChunkTest, ColumnByName) {
   EXPECT_DOUBLE_EQ(c.column("y").doubles()[0], 2.5);
 }
 
+// --- Dictionary-coded string columns. ---
+
+/// A string column of `values`, interned into a dictionary of its own.
+Column Strings(const std::vector<std::string>& values) {
+  Column column(DataType::kString);
+  for (const auto& value : values) column.AppendString(value);
+  return column;
+}
+
+/// The column's values, one string per row.
+std::vector<std::string> Values(const Column& column) {
+  std::vector<std::string> out;
+  for (size_t row = 0; row < column.size(); ++row) {
+    out.emplace_back(column.strings()[row]);
+  }
+  return out;
+}
+
+TEST(StringColumnTest, AppendString) {
+  Column column = Strings({"b", "a", "b", "", "a"});
+  EXPECT_EQ(Values(column), (std::vector<std::string>{"b", "a", "b", "", "a"}));
+  // Interned: one code per value.
+  EXPECT_TRUE(column.dict()->distinct());
+  EXPECT_EQ(column.dict()->size(), 3u);
+  EXPECT_EQ(column.codes(), (std::vector<uint32_t>{0, 1, 0, 2, 1}));
+}
+
+TEST(StringColumnTest, AppendsAcrossDictionariesKeepValues) {
+  const Column a = Strings({"x", "y", "x", "z"});
+  const Column b = Strings({"z", "w", "x", "w", "v"});
+  const std::vector<std::string> va = Values(a), vb = Values(b);
+  ASSERT_NE(a.dict(), b.dict());
+  auto expect_a_then = [&](const Column& column,
+                           const std::vector<std::string>& tail) {
+    std::vector<std::string> expected = va;
+    expected.insert(expected.end(), tail.begin(), tail.end());
+    EXPECT_EQ(Values(column), expected);
+  };
+
+  Column from = a;
+  for (size_t row = 0; row < b.size(); ++row) from.AppendFrom(b, row);
+  expect_a_then(from, vb);
+
+  Column range = a;
+  range.AppendRange(b, 1, 3);
+  expect_a_then(range, {"w", "x", "w"});
+
+  // Many rows from a small dictionary map codes through a table; one row
+  // from a larger one puts its value directly.
+  Column rows = a;
+  const uint32_t picks[] = {4, 0, 4, 2, 1, 1};
+  rows.AppendRows(b, picks, 6);
+  rows.AppendRows(b, picks, 1);
+  expect_a_then(rows, {"v", "z", "v", "x", "w", "w", "v"});
+  // The interned target still names each value by one code.
+  EXPECT_TRUE(rows.dict()->distinct());
+  EXPECT_EQ(rows.dict()->size(), 5u);
+
+  Schema schema({{"s", DataType::kString}, {"n", DataType::kInt64}});
+  Chunk first = Chunk::Empty(schema);
+  Chunk second = Chunk::Empty(schema);
+  for (const auto& value : va) {
+    first.column(0).AppendString(value);
+    first.column(1).AppendInt(1);
+  }
+  for (const auto& value : vb) {
+    second.column(0).AppendString(value);
+    second.column(1).AppendInt(2);
+  }
+  first.Append(second);
+  expect_a_then(first.column(0), vb);
+
+  // A target whose dictionary repeats a value keeps every value too.
+  Column repeated(DataType::kString);
+  StringDict* dict = repeated.RefillDict(/*distinct=*/false);
+  dict->Add("x");
+  dict->Add("x");
+  repeated.codes() = {0, 1};
+  repeated.AppendRange(b, 0, b.size());
+  EXPECT_EQ(Values(repeated),
+            (std::vector<std::string>{"x", "x", "z", "w", "x", "w", "v"}));
+}
+
+TEST(StringColumnTest, GathersShareTheSourceDictionary) {
+  const Column source = Strings({"p", "q", "r", "q"});
+  Column filtered(DataType::kString);
+  source.FilterInto({1, 3, 2}, &filtered);
+  EXPECT_EQ(filtered.dict(), source.dict());
+  EXPECT_EQ(Values(filtered), (std::vector<std::string>{"q", "q", "r"}));
+  const Column sliced = source.Slice(1, 2);
+  EXPECT_EQ(sliced.dict(), source.dict());
+  EXPECT_EQ(Values(sliced), (std::vector<std::string>{"q", "r"}));
+  EXPECT_EQ(source.Filter({0}).dict(), source.dict());
+  // An empty column takes the dictionary it appends from.
+  Column appended(DataType::kString);
+  appended.AppendRange(source, 0, 2);
+  EXPECT_EQ(appended.dict(), source.dict());
+  // Growing a shared dictionary leaves every holder's values alone.
+  filtered.AppendString("s");
+  EXPECT_EQ(filtered.dict(), source.dict());
+  EXPECT_EQ(Values(source), (std::vector<std::string>{"p", "q", "r", "q"}));
+  EXPECT_EQ(Values(filtered), (std::vector<std::string>{"q", "q", "r", "s"}));
+}
+
+TEST(StringColumnTest, ClearDropsTheDictionary) {
+  Column column = Strings({"a", "b"});
+  column.Clear();
+  EXPECT_EQ(column.size(), 0u);
+  EXPECT_EQ(column.dict(), nullptr);
+  column.AppendString("c");
+  EXPECT_EQ(Values(column), (std::vector<std::string>{"c"}));
+}
+
+TEST(StringColumnTest, RefillReusesADictionaryHeldAlone) {
+  Column column = Strings({"a", "b"});
+  const StringDict* own = column.dict().get();
+  const uint64_t refills = own->refills();
+  EXPECT_EQ(column.RefillDict(true), own);
+  EXPECT_EQ(own->refills(), refills + 1);
+  EXPECT_EQ(own->size(), 0u);
+  EXPECT_EQ(column.size(), 0u);
+  // A shared dictionary is never refilled: the column gets a new one.
+  column.AppendString("a");
+  const Column copy = column;
+  EXPECT_NE(column.RefillDict(true), copy.dict().get());
+  EXPECT_EQ(Values(copy), (std::vector<std::string>{"a"}));
+}
+
+TEST(StringColumnTest, ByteSizeSumsValueLengthsPlusFour) {
+  Schema schema({{"s", DataType::kString}});
+  Chunk chunk = Chunk::Empty(schema);
+  for (const char* value : {"abc", "", "abc", "de"}) {
+    chunk.column(0).AppendString(value);
+  }
+  EXPECT_EQ(chunk.ByteSize(), (3 + 4) + (0 + 4) + (3 + 4) + (2 + 4));
+}
+
+TEST(StringColumnTest, ViewsCompareAndPrintValues) {
+  const Column a = Strings({"x", "y"});
+  const Column b = Strings({"y", "x", "y"});
+  EXPECT_EQ(a.strings(), b.Slice(1, 2).strings());
+  EXPECT_FALSE(a.strings() == b.strings());
+  EXPECT_EQ(a.strings(), (std::vector<std::string>{"x", "y"}));
+  EXPECT_EQ(testing::PrintToString(a.strings()), "{ \"x\", \"y\" }");
+  EXPECT_EQ(testing::PrintToString(Column(DataType::kString).strings()),
+            "{ }");
+}
+
 }  // namespace
 }  // namespace skyrise::data

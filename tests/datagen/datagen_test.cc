@@ -54,8 +54,8 @@ TEST(TpchGenTest, ValueDomains) {
     EXPECT_LE(quantity[i], 50);
     EXPECT_GE(discount[i], 0.0);
     EXPECT_LE(discount[i], 0.10);
-    EXPECT_TRUE(flags.count(returnflag[i]) > 0);
-    EXPECT_TRUE(modes.count(shipmode[i]) > 0);
+    EXPECT_TRUE(flags.count(std::string(returnflag[i])) > 0);
+    EXPECT_TRUE(modes.count(std::string(shipmode[i])) > 0);
     EXPECT_GE(shipdate[i], 0);
   }
 }

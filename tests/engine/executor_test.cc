@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <map>
 
 #include "common/string_util.h"
+#include "data/chunk_pool.h"
 #include "engine/memory_tracker.h"
+#include "format/encoding.h"
 
 namespace skyrise::engine {
 namespace {
@@ -581,6 +585,163 @@ TEST(ExecutorTest, SyntheticAndRealSchemasAgree) {
   EXPECT_TRUE((*real)[0].chunk.schema() == (*synthetic)[0].chunk.schema());
   // Identical row counts charge identical CPU cost.
   EXPECT_DOUBLE_EQ(c1.ns(), c2.ns());
+}
+
+// --- Dictionary-coded string columns. ---
+//
+// Predicates and key hashes are computed once per dictionary value and kept
+// from chunk to chunk; these runs change the dictionary under them between
+// chunks: another one, one that grew, one refilled in place, one freed.
+
+data::Column Strings(const std::vector<std::string>& values) {
+  data::Column column(DataType::kString);
+  for (const auto& value : values) column.AppendString(value);
+  return column;
+}
+
+/// A chunk of `strings` as column "s" and a 1 per row as column "v"; the
+/// chunk shares `strings`' dictionary.
+Chunk ChunkOf(const data::Column& strings) {
+  Chunk chunk = Chunk::Empty(
+      Schema({{"s", DataType::kString}, {"v", DataType::kInt64}}));
+  chunk.column(0) = strings;
+  for (size_t row = 0; row < strings.size(); ++row) {
+    chunk.column(1).AppendInt(1);
+  }
+  return chunk;
+}
+
+/// Decodes the encoding of `values` into `column`, which must hold its
+/// dictionary alone: the dictionary is refilled in place.
+void RefillInPlace(const std::vector<std::string>& values,
+                   data::Column* column) {
+  std::string encoded;
+  format::EncodeColumn(Strings(values), &encoded);
+  const data::StringDict* dict = column->dict().get();
+  const uint64_t refills = dict->refills();
+  ASSERT_TRUE(format::DecodeColumnInto(encoded.data(), encoded.size(),
+                                       DataType::kString,
+                                       static_cast<int64_t>(values.size()),
+                                       column)
+                  .ok());
+  ASSERT_EQ(column->dict().get(), dict);
+  ASSERT_EQ(dict->refills(), refills + 1);
+}
+
+TEST(DictionaryTest, StringPredicateFollowsEachDictionary) {
+  const ExprPtr predicate = Or(InList(Col("s"), {"MAIL", "SHIP"}),
+                               Cmp(">=", Col("s"), Str("TRUCK")));
+  auto kernel =
+      ExprKernel::Predicate(*predicate, ChunkOf(Strings({})).schema());
+  ASSERT_TRUE(kernel.ok());
+  auto check = [&](const data::Column& strings) {
+    std::vector<uint32_t> expected;
+    for (size_t row = 0; row < strings.size(); ++row) {
+      const std::string_view value = strings.strings()[row];
+      if (value == "MAIL" || value == "SHIP" || value >= "TRUCK") {
+        expected.push_back(static_cast<uint32_t>(row));
+      }
+    }
+    std::vector<uint32_t> rows;
+    kernel->Select(ChunkOf(strings), &rows);
+    EXPECT_EQ(rows, expected) << testing::PrintToString(strings.strings());
+  };
+  data::Column first = Strings({"MAIL", "AIR", "TRUCK", "SHIP", "AIR"});
+  data::Column second = Strings({"FOB", "AIR", "RAIL", "ZULU"});
+  check(first);
+  check(second);
+  check(first);
+  // The first dictionary grows through a column that shares it.
+  data::Column grown = first;
+  for (const char* value : {"REG AIR", "XRAY", "MAIL", "FOB"}) {
+    grown.AppendString(value);
+  }
+  ASSERT_EQ(grown.dict(), first.dict());
+  check(grown);
+  check(first);
+  // The second is refilled in place, four values at its four codes.
+  check(second);
+  RefillInPlace({"SHIP", "MAIL", "TRUCK", "AIR", "SHIP"}, &second);
+  check(second);
+  // A dictionary is freed, and another takes its place.
+  { check(Strings({"AIR", "MAIL"})); }
+  check(Strings({"MAIL", "AIR"}));
+}
+
+TEST(DictionaryTest, StringKeyAggregateFollowsEachDictionary) {
+  OperatorSpec agg;
+  agg.op = "hash_agg";
+  agg.group_by = {"s"};
+  agg.aggregates.push_back({"count", nullptr, "n"});
+  const PipelineSpec pipeline = PipelineWith({agg});
+  CostAccumulator cost;
+  data::ChunkPool no_reuse(0);  // Keeps no pushed chunk alive.
+  FragmentPipeline executor(pipeline, {}, &cost, nullptr, 0, &no_reuse);
+  std::map<std::string, int64_t> expected;
+  auto push = [&](const data::Column& strings) {
+    for (size_t row = 0; row < strings.size(); ++row) {
+      ++expected[std::string(strings.strings()[row])];
+    }
+    ASSERT_TRUE(executor.Push(ChunkOf(strings)).ok());
+  };
+  const data::Column first = Strings({"N", "R", "A", "N"});
+  data::Column second = Strings({"O", "F", "O"});
+  push(first);
+  push(second);
+  {
+    data::Column grown = second;
+    grown.AppendString("P");
+    grown.AppendString("N");
+    push(grown);
+  }
+  push(second);
+  RefillInPlace({"Q", "P", "F", "Q"}, &second);
+  push(second);
+  push(Strings({"Q", "F", "P"}));
+  push(first);
+  auto outputs = executor.Finish();
+  ASSERT_TRUE(outputs.ok()) << outputs.status().ToString();
+  const Chunk& result = (*outputs)[0].chunk;
+  std::vector<std::string> keys;
+  std::vector<int64_t> counts;
+  for (int64_t g = 0; g < result.rows(); ++g) {
+    keys.emplace_back(result.column(0).strings()[static_cast<size_t>(g)]);
+    counts.push_back(result.column(1).ints()[static_cast<size_t>(g)]);
+  }
+  std::vector<std::string> expected_keys;
+  std::vector<int64_t> expected_counts;
+  for (const auto& [key, count] : expected) {
+    expected_keys.push_back(key);
+    expected_counts.push_back(count);
+  }
+  EXPECT_EQ(keys, expected_keys);
+  EXPECT_EQ(counts, expected_counts);
+}
+
+TEST(DictionaryTest, ValueListedTwiceInADictionaryIsOneGroup) {
+  // A hand-built dictionary chunk listing "MAIL" twice, ids using both.
+  std::string encoded(1,
+                      static_cast<char>(format::ColumnEncoding::kStringDict));
+  format::PutVarint(&encoded, 3);
+  for (const char* value : {"AIR", "MAIL", "MAIL"}) {
+    format::PutVarint(&encoded, std::strlen(value));
+    encoded.append(value);
+  }
+  for (uint8_t id : {1, 2, 0, 2, 1}) encoded.push_back(static_cast<char>(id));
+  auto decoded = format::DecodeColumn(encoded, DataType::kString, 5);
+  ASSERT_TRUE(decoded.ok());
+  OperatorSpec agg;
+  agg.op = "hash_agg";
+  agg.group_by = {"s"};
+  agg.aggregates.push_back({"count", nullptr, "n"});
+  CostAccumulator cost;
+  auto outputs =
+      ExecuteFragment(PipelineWith({agg}), ChunkOf(*decoded), {}, &cost);
+  ASSERT_TRUE(outputs.ok());
+  const Chunk& result = (*outputs)[0].chunk;
+  EXPECT_EQ(result.column(0).strings(),
+            (std::vector<std::string>{"AIR", "MAIL"}));
+  EXPECT_EQ(result.column(1).ints(), (std::vector<int64_t>{1, 4}));
 }
 
 }  // namespace

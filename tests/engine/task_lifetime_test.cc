@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,11 +16,13 @@ namespace skyrise::engine {
 namespace {
 
 /// Passes every invocation on to `inner`, except that an invoker answers
-/// `{}`, a response without its "responses" list.
+/// `answer` without running: by default `{}`, a response without its
+/// "responses" list.
 class MuteInvokerPlatform : public faas::ComputePlatform {
  public:
-  MuteInvokerPlatform(sim::SimEnvironment* env, faas::ComputePlatform* inner)
-      : env_(env), inner_(inner) {}
+  MuteInvokerPlatform(sim::SimEnvironment* env, faas::ComputePlatform* inner,
+                      Json answer = Json::Object())
+      : env_(env), inner_(inner), answer_(std::move(answer)) {}
 
   void Invoke(const std::string& function, Json payload,
               faas::ResponseCallback callback) override {
@@ -28,8 +31,8 @@ class MuteInvokerPlatform : public faas::ComputePlatform {
       return;
     }
     ++invoker_calls_;
-    env_->Schedule(Millis(1), [callback = std::move(callback)] {
-      callback(Json::Object());
+    env_->Schedule(Millis(1), [this, callback = std::move(callback)] {
+      callback(answer_);
     });
   }
   const std::string& platform_name() const override {
@@ -40,7 +43,64 @@ class MuteInvokerPlatform : public faas::ComputePlatform {
  private:
   sim::SimEnvironment* env_;
   faas::ComputePlatform* inner_;
+  Json answer_;
   int invoker_calls_ = 0;
+};
+
+/// Passes every invocation on to `inner`; each invoker answer gains a
+/// repeat of its first response and a response for a fragment outside its
+/// batch.
+class TamperingInvokerPlatform : public faas::ComputePlatform {
+ public:
+  explicit TamperingInvokerPlatform(faas::ComputePlatform* inner)
+      : inner_(inner) {}
+
+  void Invoke(const std::string& function, Json payload,
+              faas::ResponseCallback callback) override {
+    if (function != kInvokerFunction) {
+      inner_->Invoke(function, std::move(payload), std::move(callback));
+      return;
+    }
+    inner_->Invoke(function, std::move(payload),
+                   [callback = std::move(callback)](Result<Json> r) {
+                     if (!r.ok()) {
+                       callback(std::move(r));
+                       return;
+                     }
+                     callback(Tampered(*r));
+                   });
+  }
+  const std::string& platform_name() const override {
+    return inner_->platform_name();
+  }
+
+ private:
+  static Json Tampered(const Json& answer) {
+    const JsonArray& responses = answer.Get("responses").AsArray();
+    if (responses.empty()) return answer;
+    // The answer's arrays may be shared: build new ones.
+    Json list = Json::Array();
+    int64_t lowest = responses[0].GetInt("fragment");
+    int64_t highest = lowest;
+    for (const Json& response : responses) {
+      list.Append(response);
+      lowest = std::min(lowest, response.GetInt("fragment"));
+      highest = std::max(highest, response.GetInt("fragment"));
+    }
+    list.Append(responses[0]);
+    Json outsider = Json::Object();
+    for (const auto& [key, value] : responses[0].AsObject()) {
+      outsider[key] = value;
+    }
+    outsider["fragment"] = lowest > 0 ? lowest - 1 : highest + 1;
+    list.Append(std::move(outsider));
+    Json tampered = Json::Object();
+    for (const auto& [key, value] : answer.AsObject()) tampered[key] = value;
+    tampered["responses"] = std::move(list);
+    return tampered;
+  }
+
+  faas::ComputePlatform* inner_;
 };
 
 /// Engine tasks live exactly as long as a storage or invoke callback holding
@@ -232,6 +292,64 @@ TEST_F(TaskLifetimeTest, RegressionInvokerWithoutResponsesRetriesFragments) {
             std::string::npos)
       << outcome.status().ToString();
   EXPECT_EQ(LiveContexts(), std::vector<std::string>{});
+}
+
+TEST_F(TaskLifetimeTest, RegressionEmptyInvokerResponsesRetryEachMember) {
+  // An invoker that answered {"responses": []} once left every member of
+  // its batch waiting until speculation relaunched it, about 12 s per
+  // stage. Now each unanswered member fails at once and retries.
+  engine_->context()->two_level_threshold = 2;
+  engine_->context()->invoker_fanout = 2;
+  Json empty = Json::Object();
+  empty["responses"] = Json::Array();
+  MuteInvokerPlatform platform(&env_, lambda_.get(), std::move(empty));
+  Json stages;
+  RunQ12AndCheck("q12-empty-invoker", &platform, &stages);
+  EXPECT_GT(platform.invoker_calls(), 0);
+  int two_level = 0;
+  for (const Json& stage : stages.AsArray()) {
+    const int64_t fragments = stage.GetInt("fragments");
+    if (fragments < 2) continue;  // Dispatched directly.
+    ++two_level;
+    EXPECT_EQ(stage.GetInt("worker_errors"), fragments);
+    EXPECT_EQ(stage.GetInt("retries"), fragments);
+    EXPECT_EQ(stage.GetInt("speculative"), 0);
+    EXPECT_LT(stage.GetDouble("runtime_ms"), 2000);
+  }
+  EXPECT_GT(two_level, 0);
+  EXPECT_EQ(LiveContexts(), std::vector<std::string>{});
+}
+
+/// Q12 through invokers, two fragments each, on a fixture of its own.
+class TwoLevelQ12 : public TaskLifetimeTest {
+ public:
+  void TestBody() override {}
+
+  /// The stage summaries of a run whose invoker answers are tampered with
+  /// when `tamper` is set.
+  Json Stages(bool tamper) {
+    engine_->context()->two_level_threshold = 2;
+    engine_->context()->invoker_fanout = 2;
+    TamperingInvokerPlatform tampering(lambda_.get());
+    Json stages;
+    RunQ12AndCheck("q12-two-level", tamper ? &tampering : nullptr, &stages);
+    EXPECT_GT(Invocations(kInvokerFunction), 0);
+    return stages;
+  }
+};
+
+TEST(InvokerResponseTest, RepeatsAndOutsidersAreIgnored) {
+  // A repeated response, and one for a fragment of another batch, once
+  // reached the coordinator as outcomes of their fragments.
+  TwoLevelQ12 plain;
+  TwoLevelQ12 tampered;
+  const Json expected = plain.Stages(false);
+  const Json actual = tampered.Stages(true);
+  EXPECT_EQ(actual.Dump(), expected.Dump());
+  for (const Json& stage : actual.AsArray()) {
+    EXPECT_EQ(stage.GetInt("worker_errors"), 0);
+    EXPECT_EQ(stage.GetInt("speculative"), 0);
+  }
 }
 
 }  // namespace

@@ -147,6 +147,90 @@ TEST(EncodingTest, RegressionHugeDictionarySizeIsIoError) {
   }
 }
 
+TEST(EncodingTest, DictionaryRepeatingAValueDecodesAndReencodes) {
+  // Hand-built: a dictionary listing "MAIL" twice, ids using both entries.
+  // The encoder never writes one (its values strictly ascend).
+  std::string chunk(1, static_cast<char>(ColumnEncoding::kStringDict));
+  PutVarint(&chunk, 3);
+  for (const char* value : {"AIR", "MAIL", "MAIL"}) {
+    PutVarint(&chunk, std::strlen(value));
+    chunk.append(value);
+  }
+  for (uint8_t id : {1, 2, 0, 2, 1}) chunk.push_back(static_cast<char>(id));
+  auto decoded = DecodeColumn(chunk, DataType::kString, 5);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->strings(),
+            (std::vector<std::string>{"MAIL", "MAIL", "AIR", "MAIL", "MAIL"}));
+  EXPECT_FALSE(decoded->dict()->distinct());
+  // Re-encoded, the repeated value is one dictionary entry.
+  std::string reencoded;
+  EXPECT_EQ(EncodeColumn(*decoded, &reencoded), ColumnEncoding::kStringDict);
+  std::string expected(1, static_cast<char>(ColumnEncoding::kStringDict));
+  PutVarint(&expected, 2);
+  for (const char* value : {"AIR", "MAIL"}) {
+    PutVarint(&expected, std::strlen(value));
+    expected.append(value);
+  }
+  for (uint8_t id : {1, 1, 0, 1, 1}) expected.push_back(static_cast<char>(id));
+  EXPECT_EQ(reencoded, expected);
+  // A decoded dictionary whose values ascend names each value once.
+  auto clean = DecodeColumn(expected, DataType::kString, 5);
+  ASSERT_TRUE(clean.ok());
+  EXPECT_TRUE(clean->dict()->distinct());
+}
+
+TEST(EncodingTest, PlainChunkDecodesOneValuePerRowAndReencodes) {
+  Column names(DataType::kString);
+  for (int i = 0; i < 600; ++i) {
+    names.AppendString("v" + std::to_string(i % 300));
+  }
+  std::string encoded;
+  ASSERT_EQ(EncodeColumn(names, &encoded), ColumnEncoding::kStringPlain);
+  auto decoded = DecodeColumn(encoded, DataType::kString, 600);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->strings(), names.strings());
+  // Code i is row i, values repeating or not.
+  EXPECT_FALSE(decoded->dict()->distinct());
+  EXPECT_EQ(decoded->dict()->size(), 600u);
+  EXPECT_EQ(decoded->codes()[599], 599u);
+  std::string reencoded;
+  EXPECT_EQ(EncodeColumn(*decoded, &reencoded), ColumnEncoding::kStringPlain);
+  EXPECT_EQ(reencoded, encoded);
+  // Rows of few values, gathered from it, encode as a dictionary again.
+  std::vector<uint32_t> few;
+  for (uint32_t row = 0; row < 600; row += 100) few.push_back(row);
+  const Column gathered = decoded->Filter(few);
+  std::string small;
+  EXPECT_EQ(EncodeColumn(gathered, &small), ColumnEncoding::kStringDict);
+  auto redecoded = DecodeColumn(small, DataType::kString, 6);
+  ASSERT_TRUE(redecoded.ok());
+  EXPECT_EQ(redecoded->strings(), gathered.strings());
+}
+
+TEST(EncodingTest, DecodeRefillsADictionaryOnlyItsColumnHolds) {
+  Column flags(DataType::kString);
+  for (int i = 0; i < 100; ++i) flags.AppendString(i % 3 ? "F" : "O");
+  std::string encoded;
+  EncodeColumn(flags, &encoded);
+  Column out(DataType::kString);
+  ASSERT_TRUE(DecodeColumnInto(encoded.data(), encoded.size(),
+                               DataType::kString, 100, &out)
+                  .ok());
+  const data::StringDict* first = out.dict().get();
+  ASSERT_TRUE(DecodeColumnInto(encoded.data(), encoded.size(),
+                               DataType::kString, 100, &out)
+                  .ok());
+  EXPECT_EQ(out.dict().get(), first);
+  // While another column shares it, decode leaves it be.
+  const Column holder = out.Slice(0, 3);
+  ASSERT_TRUE(DecodeColumnInto(encoded.data(), encoded.size(),
+                               DataType::kString, 100, &out)
+                  .ok());
+  EXPECT_NE(out.dict().get(), first);
+  EXPECT_EQ(holder.strings(), (std::vector<std::string>{"O", "F", "F"}));
+  EXPECT_EQ(out.strings(), flags.strings());
+}
+
 // --- COF files. ---
 
 TEST(CofTest, WriteParseRoundTrip) {
