@@ -500,9 +500,20 @@ struct QueryPathResult {
   int64_t worker_invocations = 0;
   uint64_t allocations = 0;
   double seconds = 0;
+  /// Table column chunks the engine's column memo decoded, per round.
+  std::vector<int64_t> table_decodes;
   double allocs_per_invocation() const {
     return static_cast<double>(allocations) /
            static_cast<double>(worker_invocations);
+  }
+  /// Table column decodes after the first round, which read the same
+  /// stored tables: 0 while every chunk is decoded once per engine.
+  int64_t repeat_table_decodes() const {
+    int64_t decodes = 0;
+    for (size_t round = 1; round < table_decodes.size(); ++round) {
+      decodes += table_decodes[round];
+    }
+    return decodes;
   }
 };
 
@@ -511,7 +522,8 @@ struct QueryPathResult {
 /// plan hand-off, footers, manifests, ranged reads, decode and shuffle
 /// writes. Tables and deployment are set up before counting, so every
 /// allocation counted belongs to running queries; worker invocations are
-/// the fragments the queries report (no faults, so no retries).
+/// the fragments the queries report (no faults, so no retries). The engine's
+/// column memo decodes each table column chunk in the first round only.
 QueryPathResult RunQueryPath() {
   constexpr int kParts = 4;
   constexpr int kRounds = 3;
@@ -559,7 +571,9 @@ QueryPathResult RunQueryPath() {
   QueryPathResult result;
   const uint64_t allocs_before = g_allocations;
   const double start = NowSeconds();
+  const engine::ColumnChunkMemo& memo = engine.context()->table_columns;
   for (int round = 0; round < kRounds; ++round) {
+    const int64_t decodes_before = memo.misses();
     for (const engine::QueryPlan& plan : plans) {
       const std::string id = StrFormat("%s-%d", plan.query_name.c_str(), round);
       Result<engine::QueryResponse> outcome =
@@ -573,6 +587,7 @@ QueryPathResult RunQueryPath() {
       ++result.queries;
       result.worker_invocations += outcome->total_workers;
     }
+    result.table_decodes.push_back(memo.misses() - decodes_before);
   }
   result.seconds = NowSeconds() - start;
   result.allocations = g_allocations - allocs_before;
@@ -648,6 +663,9 @@ int CheckBaseline(const std::string& path, const Json& report) {
   gate_max("query_path.allocs_per_invocation",
            report.Get("query_path").GetDouble("allocs_per_invocation"),
            baseline.GetDouble("max_query_path_allocs_per_invocation"));
+  gate_max("query_path.repeat_table_decodes",
+           report.Get("query_path").GetDouble("repeat_table_decodes"),
+           baseline.GetDouble("max_query_path_repeat_table_decodes"));
   return failures;
 }
 
@@ -736,11 +754,18 @@ int main(int argc, char** argv) {
               static_cast<long long>(requests.stats.throttles),
               static_cast<long long>(requests.stats.timeouts),
               static_cast<unsigned long long>(requests.heap_callbacks));
+  std::string decodes_per_round;
+  for (const int64_t decodes : query_path.table_decodes) {
+    if (!decodes_per_round.empty()) decodes_per_round += "/";
+    decodes_per_round += std::to_string(decodes);
+  }
   std::printf("query path: %lld queries, %lld worker invocations, "
-              "%.1f allocations per invocation, %.2f s\n",
+              "%.1f allocations per invocation, %.2f s, "
+              "table column decodes per round %s\n",
               static_cast<long long>(query_path.queries),
               static_cast<long long>(query_path.worker_invocations),
-              query_path.allocs_per_invocation(), query_path.seconds);
+              query_path.allocs_per_invocation(), query_path.seconds,
+              decodes_per_round.c_str());
 
   JsonObject heap_json;
   heap_json["events_per_sec"] = heap.events_per_sec();
@@ -795,6 +820,12 @@ int main(int argc, char** argv) {
   query_path_json["worker_invocations"] = query_path.worker_invocations;
   query_path_json["allocs_per_invocation"] =
       query_path.allocs_per_invocation();
+  JsonArray table_decodes_json;
+  for (const int64_t decodes : query_path.table_decodes) {
+    table_decodes_json.push_back(Json(decodes));
+  }
+  query_path_json["table_decodes_per_round"] = Json(table_decodes_json);
+  query_path_json["repeat_table_decodes"] = query_path.repeat_table_decodes();
 
   JsonObject doc;
   doc["heap_baseline"] = heap_json;

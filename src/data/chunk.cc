@@ -59,7 +59,14 @@ void StringDict::Refill(bool distinct) {
   slots_.clear();
   indexed_ = 0;
   distinct_ = distinct;
+  frozen_ = false;
   ++refills_;
+}
+
+std::shared_ptr<StringDict> StringDict::UnfrozenCopy() const {
+  auto copy = std::make_shared<StringDict>(*this);
+  copy->frozen_ = false;
+  return copy;
 }
 
 bool operator==(const StringsView& a, const StringsView& b) {
@@ -87,10 +94,17 @@ void PrintTo(const StringsView& view, std::ostream* os) {
 }
 
 void Column::AppendString(std::string_view v) {
+  if (dict_ == nullptr || dict_->frozen()) DictToGrow();
+  codes_.push_back(dict_->Intern(v));
+}
+
+StringDict& Column::DictToGrow() {
   if (dict_ == nullptr) {
     dict_ = std::make_shared<StringDict>(/*distinct=*/true);
+  } else if (dict_->frozen()) {
+    dict_ = dict_->UnfrozenCopy();
   }
-  codes_.push_back(dict_->Intern(v));
+  return *dict_;
 }
 
 StringDict* Column::RefillDict(bool distinct) {
@@ -118,18 +132,19 @@ void Column::AppendCodes(const Column& other, size_t count, RowAt row_at) {
   // Each value met is put once: through a code table when the source
   // dictionary is no larger than the rows appended, else per row.
   const StringDict& from = *other.dict_;
+  StringDict& to = DictToGrow();
   constexpr uint32_t kUnmapped = std::numeric_limits<uint32_t>::max();
   std::array<uint32_t, 256> remap;
   if (from.size() > std::min(count, remap.size())) {
     for (size_t i = 0; i < count; ++i) {
-      dst[i] = dict_->Intern(from.value(src[row_at(i)]));
+      dst[i] = to.Intern(from.value(src[row_at(i)]));
     }
     return;
   }
   std::fill_n(remap.begin(), from.size(), kUnmapped);
   for (size_t i = 0; i < count; ++i) {
     const uint32_t code = src[row_at(i)];
-    if (remap[code] == kUnmapped) remap[code] = dict_->Intern(from.value(code));
+    if (remap[code] == kUnmapped) remap[code] = to.Intern(from.value(code));
     dst[i] = remap[code];
   }
 }

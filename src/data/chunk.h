@@ -65,7 +65,9 @@ class Schema {
 /// one another share one dictionary by reference count (DESIGN.md §12.3).
 /// Equal codes always mean equal values. Equal values mean equal codes only
 /// in a dictionary flagged distinct: one built by interning, or decoded from
-/// a dictionary chunk whose values strictly ascend.
+/// a dictionary chunk whose values strictly ascend. A frozen dictionary
+/// takes no more values: a column about to put one into it takes an
+/// unfrozen copy instead.
 class StringDict {
  public:
   explicit StringDict(bool distinct) : distinct_(distinct) {}
@@ -90,8 +92,14 @@ class StringDict {
   uint32_t Intern(std::string_view value);
   /// Makes room for `values` more values of `bytes` bytes in all.
   void Reserve(size_t values, size_t bytes);
-  /// Empties the dictionary, keeping its capacity, and sets its flag.
+  /// Empties the dictionary, keeping its capacity, sets its flag and
+  /// unfreezes it.
   void Refill(bool distinct);
+
+  bool frozen() const { return frozen_; }
+  void Freeze() { frozen_ = true; }
+  /// A copy that is not frozen, its values and codes unchanged.
+  std::shared_ptr<StringDict> UnfrozenCopy() const;
 
  private:
   /// Codes by value hash, open addressing, each slot a code + 1 (0: empty);
@@ -106,6 +114,7 @@ class StringDict {
   std::vector<uint32_t> slots_;
   uint32_t indexed_ = 0;
   bool distinct_;
+  bool frozen_ = false;
   uint64_t refills_ = 0;
 };
 
@@ -247,6 +256,10 @@ class Column {
   /// otherwise each value met is put into this column's dictionary once.
   template <typename RowAt>
   void AppendCodes(const Column& other, size_t count, RowAt row_at);
+
+  /// The dictionary to put new values into: this column's own, a new one
+  /// when it has none, or an unfrozen copy of a frozen one.
+  StringDict& DictToGrow();
 
   DataType type_;
   std::vector<int64_t> ints_;

@@ -134,7 +134,7 @@ Result<DatasetInfo> ReadManifest(const storage::StorageService& store,
                                  const std::string& name) {
   storage::Blob blob;
   SKYRISE_ASSIGN_OR_RETURN(blob, store.Peek(DatasetManifestKey(name)));
-  return ParseManifest(blob.data());
+  return ParseManifest(blob.bytes());
 }
 
 }  // namespace skyrise::datagen

@@ -8,6 +8,7 @@
 #include "common/deadline.h"
 #include "common/retry_budget.h"
 #include "datagen/dataset.h"
+#include "engine/column_memo.h"
 #include "engine/executor.h"
 #include "faas/function.h"
 #include "format/cof.h"
@@ -18,10 +19,10 @@
 
 /// \file context.h
 /// Shared wiring for the engine's function handlers: the simulation, table
-/// and shuffle storage, the synthetic file catalog, the footer and manifest
-/// memos, retry policy, and the platform workers run on. Queries in flight
-/// together on one context interleave on the single-threaded event loop;
-/// per-query state lives in `query_grants`, keyed by query id.
+/// and shuffle storage, the synthetic file catalog, the footer, column and
+/// manifest memos, retry policy, and the platform workers run on. Queries
+/// in flight together on one context interleave on the single-threaded
+/// event loop; per-query state lives in `query_grants`, keyed by query id.
 
 namespace skyrise::engine {
 
@@ -31,6 +32,10 @@ struct EngineContext {
   storage::StorageService* shuffle_store = nullptr;
   format::SyntheticFileCatalog* catalog = nullptr;
   format::FooterMemo table_footers;  ///< Shuffle objects bypass it.
+  /// Table column chunks by where their bytes lie. The worker still issues
+  /// every ranged GET and charges every byte's decode; shuffle objects,
+  /// ranges split at `range_chunk_bytes` and synthetic files bypass it.
+  ColumnChunkMemo table_columns;
   /// Dataset manifests by their bytes. The coordinator still issues (and
   /// bills) every manifest GET; only the parse is shared.
   ParseMemo<datagen::DatasetInfo, datagen::ParseManifest> manifests;

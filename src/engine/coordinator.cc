@@ -224,7 +224,7 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
                    // Synthetic-manifest datasets are not supported: the
                    // manifest object is always real JSON. Its parse is
                    // shared with every query that read the same bytes.
-                   auto info = self->ec_->manifests.Parse(result->data());
+                   auto info = self->ec_->manifests.Parse(result->bytes());
                    if (!info.ok()) {
                      self->Fail(info.status());
                      return;

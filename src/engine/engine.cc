@@ -93,7 +93,7 @@ Result<data::Chunk> QueryEngine::FetchResult(
     return data::Chunk::Synthetic(meta.schema, meta.TotalRows());
   }
   // Decoded where the object lies.
-  const std::string_view bytes = blob.data();
+  const std::string_view bytes = blob.bytes();
   format::FileMeta meta;
   SKYRISE_ASSIGN_OR_RETURN(
       meta, format::ParseFooter(bytes, 0, static_cast<int64_t>(bytes.size())));

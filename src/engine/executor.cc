@@ -1332,13 +1332,7 @@ Result<data::Chunk> FilterKernel::Apply(data::Chunk&& in) {
                                 static_cast<double>(in.rows()) *
                                 selectivity_)));
   }
-  if (!kernel_.has_value()) {
-    if (predicate_ == nullptr) {
-      return Status::InvalidArgument("filter without a predicate");
-    }
-    SKYRISE_ASSIGN_OR_RETURN(kernel_,
-                             ExprKernel::Predicate(*predicate_, in.schema()));
-  }
+  SKYRISE_RETURN_IF_ERROR(Compile(in.schema()));
   kernel_->Select(in, &selection_);
   if (selection_.size() == static_cast<size_t>(in.rows())) {
     return std::move(in);
@@ -1349,6 +1343,32 @@ Result<data::Chunk> FilterKernel::Apply(data::Chunk&& in) {
   }
   pool_->Release(std::move(in));
   return out;
+}
+
+Result<data::Chunk> FilterKernel::Gather(const data::Schema& schema,
+                                         const ExprKernel::ColumnRefs& columns,
+                                         size_t rows) {
+  cost_->AddNs(static_cast<double>(rows) * cost_->model().filter_ns_per_row);
+  SKYRISE_RETURN_IF_ERROR(Compile(schema));
+  kernel_->Select(columns, rows, &selection_);
+  Chunk out = pool_->AcquirePrepared(schema);
+  for (size_t c = 0; c < columns.size(); ++c) {
+    if (selection_.size() == rows) {
+      columns[c]->SliceInto(0, rows, &out.column(c));
+    } else {
+      columns[c]->FilterInto(selection_, &out.column(c));
+    }
+  }
+  return out;
+}
+
+Status FilterKernel::Compile(const data::Schema& schema) {
+  if (kernel_.has_value()) return Status::OK();
+  if (predicate_ == nullptr) {
+    return Status::InvalidArgument("filter without a predicate");
+  }
+  SKYRISE_ASSIGN_OR_RETURN(kernel_, ExprKernel::Predicate(*predicate_, schema));
+  return Status::OK();
 }
 
 Result<data::Schema> PipelineOutputSchema(

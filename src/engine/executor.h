@@ -132,10 +132,10 @@ class FragmentPipeline {
 
 /// The filter of the filter operator and of scan workers' per-row-group
 /// predicate pushdown. Charges the filter cost per input row, compiles the
-/// predicate against the first materialized chunk, and gathers the surviving
-/// rows into a chunk from `pool`, donating the spent input back to it. A
-/// chunk whose rows all survive passes through uncopied. Synthetic chunks
-/// keep round(rows * selectivity) rows.
+/// predicate against the first materialized input's schema, and gathers the
+/// surviving rows into a chunk from `pool`. Apply donates the spent input
+/// back to the pool, and passes a chunk whose rows all survive through
+/// uncopied. Synthetic chunks keep round(rows * selectivity) rows.
 class FilterKernel {
  public:
   FilterKernel(ExprPtr predicate, double selectivity, CostAccumulator* cost,
@@ -147,7 +147,17 @@ class FilterKernel {
 
   [[nodiscard]] Result<data::Chunk> Apply(data::Chunk&& in);
 
+  /// Apply without consuming: `columns`, `rows` rows of `schema` that no
+  /// chunk holds (a scan's memoised decoded columns), are only read, and
+  /// the survivors are gathered even when every row survives.
+  [[nodiscard]] Result<data::Chunk> Gather(
+      const data::Schema& schema, const ExprKernel::ColumnRefs& columns,
+      size_t rows);
+
  private:
+  /// Compiles the predicate against `schema` on first use.
+  [[nodiscard]] Status Compile(const data::Schema& schema);
+
   ExprPtr predicate_;
   double selectivity_;
   CostAccumulator* cost_;

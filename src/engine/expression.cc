@@ -417,14 +417,14 @@ Result<size_t> ExprKernel::CompileNumber(const Expr& expr,
 }
 
 const data::Column& ExprKernel::ColumnOf(const Node& node,
-                                         const data::Chunk& chunk) {
-  SKYRISE_CHECK(node.column < chunk.num_columns());
-  const data::Column& col = chunk.column(node.column);
+                                         const ColumnRefs& columns) {
+  SKYRISE_CHECK(node.column < columns.size());
+  const data::Column& col = *columns[node.column];
   SKYRISE_CHECK(col.type() == node.type);
   return col;
 }
 
-const uint8_t* ExprKernel::Mask(size_t id, const data::Chunk& chunk,
+const uint8_t* ExprKernel::Mask(size_t id, const ColumnRefs& columns,
                                 size_t rows) {
   Node& node = nodes_[id];
   node.mask.resize(rows);
@@ -432,8 +432,8 @@ const uint8_t* ExprKernel::Mask(size_t id, const data::Chunk& chunk,
   switch (node.op) {
     case Op::kAnd:
     case Op::kOr: {
-      const uint8_t* a = Mask(node.children[0], chunk, rows);
-      const uint8_t* b = Mask(node.children[1], chunk, rows);
+      const uint8_t* a = Mask(node.children[0], columns, rows);
+      const uint8_t* b = Mask(node.children[1], columns, rows);
       if (node.op == Op::kAnd) {
         for (size_t i = 0; i < rows; ++i) out[i] = a[i] & b[i];
       } else {
@@ -442,8 +442,8 @@ const uint8_t* ExprKernel::Mask(size_t id, const data::Chunk& chunk,
       break;
     }
     case Op::kCompare: {
-      const Operand l = Values(node.children[0], chunk, rows);
-      const Operand r = Values(node.children[1], chunk, rows);
+      const Operand l = Values(node.children[0], columns, rows);
+      const Operand r = Values(node.children[1], columns, rows);
       WithComparison(node.cmp, [&](auto cmp) {
         ForEachPair(l, r, rows, [out, cmp](size_t i, double a, double b) {
           out[i] = cmp(a, b);
@@ -452,9 +452,9 @@ const uint8_t* ExprKernel::Mask(size_t id, const data::Chunk& chunk,
       break;
     }
     case Op::kBetween: {
-      const Operand value = Values(node.children[0], chunk, rows);
-      const Operand lo = Values(node.children[1], chunk, rows);
-      const Operand hi = Values(node.children[2], chunk, rows);
+      const Operand value = Values(node.children[0], columns, rows);
+      const Operand lo = Values(node.children[1], columns, rows);
+      const Operand hi = Values(node.children[2], columns, rows);
       ForEachPair(value, lo, rows, [out](size_t i, double v, double l) {
         out[i] = v >= l;
       });
@@ -467,7 +467,7 @@ const uint8_t* ExprKernel::Mask(size_t id, const data::Chunk& chunk,
     case Op::kInList: {
       // Evaluated once per dictionary value, then looked up by code.
       if (rows == 0) break;
-      const data::Column& col = ColumnOf(node, chunk);
+      const data::Column& col = ColumnOf(node, columns);
       const uint8_t* truth =
           node.truth.Get(col.dict(), [&node](std::string_view value) {
             if (node.op == Op::kInList) {
@@ -490,14 +490,14 @@ const uint8_t* ExprKernel::Mask(size_t id, const data::Chunk& chunk,
   return out;
 }
 
-ExprKernel::Operand ExprKernel::Values(size_t id, const data::Chunk& chunk,
+ExprKernel::Operand ExprKernel::Values(size_t id, const ColumnRefs& columns,
                                        size_t rows) {
   Node& node = nodes_[id];
   switch (node.op) {
     case Op::kNumber:
       return Operand{nullptr, node.number};
     case Op::kColumn: {
-      const data::Column& col = ColumnOf(node, chunk);
+      const data::Column& col = ColumnOf(node, columns);
       if (col.type() == data::DataType::kDouble) {
         return Operand{col.doubles().data(), 0};
       }
@@ -509,8 +509,8 @@ ExprKernel::Operand ExprKernel::Values(size_t id, const data::Chunk& chunk,
       break;
     }
     case Op::kArith: {
-      const Operand l = Values(node.children[0], chunk, rows);
-      const Operand r = Values(node.children[1], chunk, rows);
+      const Operand l = Values(node.children[0], columns, rows);
+      const Operand r = Values(node.children[1], columns, rows);
       node.numbers.resize(rows);
       double* out = node.numbers.data();
       switch (node.arith) {
@@ -531,7 +531,7 @@ ExprKernel::Operand ExprKernel::Values(size_t id, const data::Chunk& chunk,
       break;
     }
     case Op::kIndicator: {
-      const uint8_t* truth = Mask(node.children[0], chunk, rows);
+      const uint8_t* truth = Mask(node.children[0], columns, rows);
       node.numbers.resize(rows);
       for (size_t i = 0; i < rows; ++i) {
         node.numbers[i] = truth[i] ? 1.0 : 0.0;
@@ -544,10 +544,23 @@ ExprKernel::Operand ExprKernel::Values(size_t id, const data::Chunk& chunk,
   return Operand{node.numbers.data(), 0};
 }
 
+const ExprKernel::ColumnRefs& ExprKernel::RefsOf(const data::Chunk& chunk) {
+  SKYRISE_CHECK(!chunk.is_synthetic());
+  chunk_columns_.clear();
+  for (size_t c = 0; c < chunk.num_columns(); ++c) {
+    chunk_columns_.push_back(&chunk.column(c));
+  }
+  return chunk_columns_;
+}
+
 void ExprKernel::Select(const data::Chunk& chunk, std::vector<uint32_t>* out) {
-  SKYRISE_CHECK(boolean_ && !chunk.is_synthetic());
-  const size_t rows = static_cast<size_t>(chunk.rows());
-  const uint8_t* truth = Mask(root_, chunk, rows);
+  Select(RefsOf(chunk), static_cast<size_t>(chunk.rows()), out);
+}
+
+void ExprKernel::Select(const ColumnRefs& columns, size_t rows,
+                        std::vector<uint32_t>* out) {
+  SKYRISE_CHECK(boolean_);
+  const uint8_t* truth = Mask(root_, columns, rows);
   out->resize(rows);
   uint32_t* selected = out->data();
   size_t count = 0;
@@ -559,9 +572,9 @@ void ExprKernel::Select(const data::Chunk& chunk, std::vector<uint32_t>* out) {
 }
 
 const double* ExprKernel::Evaluate(const data::Chunk& chunk) {
-  SKYRISE_CHECK(!boolean_ && !chunk.is_synthetic());
+  SKYRISE_CHECK(!boolean_);
   const size_t rows = static_cast<size_t>(chunk.rows());
-  const Operand result = Values(root_, chunk, rows);
+  const Operand result = Values(root_, RefsOf(chunk), rows);
   if (result.values != nullptr) return result.values;
   Node& root = nodes_[root_];
   root.numbers.assign(rows, result.constant);

@@ -80,9 +80,16 @@ class ExprKernel {
   [[nodiscard]] static Result<ExprKernel> Numeric(const Expr& expr,
                                                   const data::Schema& schema);
 
+  /// The columns an evaluation reads, by their position in the schema the
+  /// kernel was compiled for.
+  using ColumnRefs = std::vector<const data::Column*>;
+
   /// Predicate kernels: clears `out` and fills it with the indices of the
   /// rows of `chunk` for which the expression holds, ascending.
   void Select(const data::Chunk& chunk, std::vector<uint32_t>* out);
+  /// Select over `columns` of `rows` rows each, which no chunk need hold.
+  void Select(const ColumnRefs& columns, size_t rows,
+              std::vector<uint32_t>* out);
 
   /// Numeric kernels: one value per row of `chunk`. The pointer is valid
   /// until the next call on this kernel or until `chunk` changes.
@@ -130,12 +137,15 @@ class ExprKernel {
                                             const data::Schema& schema,
                                             Node* node);
   size_t Add(Node node);
-  const uint8_t* Mask(size_t id, const data::Chunk& chunk, size_t rows);
-  Operand Values(size_t id, const data::Chunk& chunk, size_t rows);
+  /// `chunk`'s columns, in the reused chunk_columns_.
+  const ColumnRefs& RefsOf(const data::Chunk& chunk);
+  const uint8_t* Mask(size_t id, const ColumnRefs& columns, size_t rows);
+  Operand Values(size_t id, const ColumnRefs& columns, size_t rows);
   static const data::Column& ColumnOf(const Node& node,
-                                       const data::Chunk& chunk);
+                                       const ColumnRefs& columns);
 
   std::vector<Node> nodes_;
+  ColumnRefs chunk_columns_;
   size_t root_ = 0;
   bool boolean_ = false;
 };

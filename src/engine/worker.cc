@@ -2,9 +2,11 @@
 // from the coordinator's parsed plan while its grant is live, or from the
 // payload's JSON once the coordinator has finished. Every table input,
 // streamed or build side, goes through one per-row-group reader: column
-// ranges that arrive in one GET are decoded where they lie in their Blob,
-// and only ranges split at `range_chunk_bytes` are assembled. Shuffle
-// objects are decoded from views of the object.
+// ranges that arrive in one GET are views of the stored object, decoded
+// once per engine by its column memo, and a row group's rows are gathered
+// from the memo's columns; only ranges split at `range_chunk_bytes` are
+// assembled and decoded here. Shuffle objects are decoded from views of the
+// object.
 
 #include "engine/worker.h"
 
@@ -38,15 +40,14 @@ struct ReadOp {
 };
 
 /// The bytes of one column range. A range that arrives in one piece stays
-/// the Blob it came in and is decoded where it lies; only a range split at
+/// the Blob it came in, a view of the stored object; only a range split at
 /// `range_chunk_bytes` is assembled, piece by piece, at its offsets.
 struct RangeBytes {
   Blob whole;
   std::string assembled;
 
   std::string_view view() const {
-    return whole.is_synthetic() ? std::string_view(assembled)
-                                : std::string_view(whole.data());
+    return whole.is_synthetic() ? std::string_view(assembled) : whole.bytes();
   }
 };
 
@@ -70,7 +71,7 @@ void StorePiece(const ReadOp& op, Blob&& piece, RangeBytes* range) {
     return;
   }
   if (piece.is_synthetic()) return;
-  const std::string& bytes = piece.data();
+  const std::string_view bytes = piece.bytes();
   const size_t end = static_cast<size_t>(op.range_offset) + bytes.size();
   if (range->assembled.size() < end) range->assembled.resize(end);
   bytes.copy(range->assembled.data() + op.range_offset, bytes.size());
@@ -288,7 +289,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
             meta = std::make_shared<const format::FileMeta>(
                 std::move(found).ValueUnsafe());
           } else {
-            auto footer = format::FooterText(result->data(),
+            auto footer = format::FooterText(result->bytes(),
                                              file.size - fetch, file.size);
             if (!footer.ok()) {
               self->Fail(footer.status());
@@ -339,19 +340,17 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     return projection;
   }
 
-  /// Applies input `index`'s pushdown predicate to a freshly decoded row
-  /// group, through the filter kernel the filter operator uses; the decoded
-  /// buffers go back to the pool. Synthetic pruning already reduced groups;
-  /// the residual selectivity is relative to the pruned set.
-  [[nodiscard]] Result<Chunk> ApplyPushdown(size_t index, Chunk&& chunk) {
+  /// Input `index`'s pushdown predicate, run through the filter kernel the
+  /// filter operator uses. Synthetic pruning already reduced groups; the
+  /// residual selectivity is relative to the pruned set.
+  FilterKernel& Pushdown(size_t index) {
     const InputSpec& spec = pipeline_->inputs[index];
-    if (!spec.pushdown) return std::move(chunk);
     std::optional<FilterKernel>& filter = pushdown_[index];
     if (!filter.has_value()) {
       filter.emplace(spec.pushdown, spec.pushdown_selectivity, &cost_,
                      &chunk_pool_);
     }
-    return filter->Apply(std::move(chunk));
+    return *filter;
   }
 
   /// Prunes file `file_index`'s row groups and queues the ranged reads of
@@ -445,33 +444,67 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     const size_t cols = projection_.size();
     while (rg_cursor_ < survivors_.size() && rg_ready_[rg_cursor_]) {
       RangeBytes* ranges = &ranges_[rg_cursor_ * cols];
-      column_views_.clear();
-      for (size_t c = 0; c < cols; ++c) {
-        column_views_.push_back(ranges[c].view());
-      }
-      Chunk decoded = chunk_pool_.AcquireRaw();
-      const Status decode_status = format::DecodeRowGroupInto(
-          *file_meta_, survivors_[rg_cursor_], projected_, column_views_,
-          &decoded);
-      // The decoded chunk owns its values; the read bytes can go.
+      Result<Chunk> rows = ReadyRowGroup(ranges);
+      // The chunk owns its values; the read bytes can go.
       for (size_t c = 0; c < cols; ++c) ranges[c] = RangeBytes();
-      if (!decode_status.ok()) {
-        Fail(decode_status);
-        return;
-      }
-      auto filtered = ApplyPushdown(input_, std::move(decoded));
-      if (!filtered.ok()) {
-        Fail(filtered.status());
+      if (!rows.ok()) {
+        Fail(rows.status());
         return;
       }
       ++rg_cursor_;
-      Deliver(input_, std::move(filtered).ValueUnsafe());
+      Deliver(input_, std::move(rows).ValueUnsafe());
     }
     if (!survivors_.empty() && rg_cursor_ == survivors_.size()) {
       survivors_.clear();
       rg_cursor_ = 0;
       ReadTableFile(file_index_ + 1);
     }
+  }
+
+  /// The rows of row group rg_cursor_ that input_'s pushdown keeps, in a
+  /// chunk of their own. When each column range of a real file arrived in
+  /// one GET, the columns come from the engine's column memo, and only the
+  /// survivors are gathered (every row without a pushdown); otherwise the
+  /// row group is decoded into a pool chunk and filtered.
+  [[nodiscard]] Result<Chunk> ReadyRowGroup(const RangeBytes* ranges) {
+    const size_t cols = projection_.size();
+    const size_t rg = survivors_[rg_cursor_];
+    const bool has_pushdown = pipeline_->inputs[input_].pushdown != nullptr;
+    bool memoised = !file_meta_->synthetic;
+    for (size_t c = 0; c < cols; ++c) {
+      memoised = memoised && !ranges[c].whole.is_synthetic();
+    }
+    if (!memoised) {
+      column_views_.clear();
+      for (size_t c = 0; c < cols; ++c) {
+        column_views_.push_back(ranges[c].view());
+      }
+      Chunk decoded = chunk_pool_.AcquireRaw();
+      SKYRISE_RETURN_IF_ERROR(format::DecodeRowGroupInto(
+          *file_meta_, rg, projected_, column_views_, &decoded));
+      if (!has_pushdown) return decoded;
+      return Pushdown(input_).Apply(std::move(decoded));
+    }
+    // The memo's columns stay valid while `ranges` hold their buffers.
+    const int64_t rows = file_meta_->row_groups[rg].rows;
+    column_refs_.clear();
+    for (size_t c = 0; c < cols; ++c) {
+      const data::Column* column = nullptr;
+      SKYRISE_ASSIGN_OR_RETURN(
+          column, ec_->table_columns.Decode(ranges[c].whole,
+                                            projected_.field(c).type, rows));
+      column_refs_.push_back(column);
+    }
+    if (has_pushdown) {
+      return Pushdown(input_).Gather(projected_, column_refs_,
+                                     static_cast<size_t>(rows));
+    }
+    Chunk copy = chunk_pool_.AcquirePrepared(projected_);
+    for (size_t c = 0; c < cols; ++c) {
+      column_refs_[c]->SliceInto(0, static_cast<size_t>(rows),
+                                 &copy.column(c));
+    }
+    return copy;
   }
 
   // --- Shuffle inputs: bounded GETs of every upstream fragment's
@@ -551,7 +584,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
       }
       meta = std::move(found).ValueUnsafe();
     } else {
-      bytes = blob.data();
+      bytes = blob.bytes();
       auto parsed = format::ParseFooter(bytes, 0,
                                         static_cast<int64_t>(bytes.size()));
       if (!parsed.ok()) {
@@ -844,6 +877,8 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
   std::vector<std::optional<FilterKernel>> pushdown_;  ///< Per input.
   /// Views of one row group's column bytes, handed to the decoder.
   std::vector<std::string_view> column_views_;
+  /// One row group's memoised columns, for the filter kernel.
+  ExprKernel::ColumnRefs column_refs_;
   /// Per-task recycling pool: decoded row groups, pushdown-spent inputs, and
   /// pipeline morsels all share one free list (single-threaded on the sim
   /// event loop).

@@ -330,29 +330,31 @@ void LambdaPlatform::ReleaseSandbox(const std::string& function,
   const double lifetime_ms =
       ToMillis(opt_.idle_lifetime_median) *
       rng_.Lognormal(0.0, opt_.idle_lifetime_sigma);
-  sandbox->reap_event = env_->Schedule(Millis(lifetime_ms), [this, function,
-                                                             id] {
-    auto& pool = warm_pool_[function];
-    for (auto it = pool.begin(); it != pool.end(); ++it) {
-      if ((*it)->id == id) {
-        const int64_t uses = (*it)->uses;
-        pool.erase(it);
-        --warm_total_;
-        ++stats_.reaped_sandboxes;
-        if (metrics_ != nullptr) {
-          metrics_->Add("lambda.reaped_sandboxes");
-          // Reuse distribution: how many executions this environment served
-          // before going idle long enough to be reclaimed.
-          metrics_->Record("lambda.sandbox_uses",
-                           static_cast<double>(uses));
+  // A mutable copy of the name keeps the closure nothrow-movable, so the
+  // kernel stores it inline instead of on the heap.
+  sandbox->reap_event = env_->Schedule(
+      Millis(lifetime_ms), [this, function = function, id] {
+        auto& pool = warm_pool_[function];
+        for (auto it = pool.begin(); it != pool.end(); ++it) {
+          if ((*it)->id == id) {
+            const int64_t uses = (*it)->uses;
+            pool.erase(it);
+            --warm_total_;
+            ++stats_.reaped_sandboxes;
+            if (metrics_ != nullptr) {
+              metrics_->Add("lambda.reaped_sandboxes");
+              // Reuse distribution: how many executions this environment
+              // served before going idle long enough to be reclaimed.
+              metrics_->Record("lambda.sandbox_uses",
+                               static_cast<double>(uses));
+            }
+            if (tracer_ != nullptr) {
+              tracer_->Instant("lambda", "sandbox.reap", "faas");
+            }
+            return;
+          }
         }
-        if (tracer_ != nullptr) {
-          tracer_->Instant("lambda", "sandbox.reap", "faas");
-        }
-        return;
-      }
-    }
-  });
+      });
   warm_pool_[function].push_back(std::move(sandbox));
   ++warm_total_;
   if (warm_total_ > stats_.warm_pool_peak) {

@@ -134,7 +134,7 @@ struct Stack {
     auto blob = store.Peek(engine::ResultKey(id));
     if (!blob.ok()) return std::string();
     if (blob->is_synthetic()) return std::string();
-    return blob->data();
+    return std::string(blob->bytes());
   }
 
   sim::SimEnvironment env;

@@ -235,6 +235,37 @@ TEST(StringColumnTest, GathersShareTheSourceDictionary) {
   EXPECT_EQ(Values(filtered), (std::vector<std::string>{"q", "q", "r", "s"}));
 }
 
+TEST(StringColumnTest, FrozenDictionaryIsCopiedBeforeItGrows) {
+  Column source = Strings({"p", "q", "p"});
+  const std::shared_ptr<StringDict> frozen = source.dict();
+  frozen->Freeze();
+  // Gathers and appends of its own codes still share it.
+  Column gathered(DataType::kString);
+  source.FilterInto({2, 1}, &gathered);
+  gathered.AppendRange(source, 0, 3);
+  EXPECT_EQ(gathered.dict(), frozen);
+  // Another dictionary's values, and a new string, go into a copy.
+  gathered.AppendRange(Strings({"r", "p"}), 0, 2);
+  EXPECT_NE(gathered.dict(), frozen);
+  EXPECT_FALSE(gathered.dict()->frozen());
+  EXPECT_TRUE(gathered.dict()->distinct());
+  EXPECT_EQ(Values(gathered),
+            (std::vector<std::string>{"p", "q", "p", "q", "p", "r", "p"}));
+  Column appended(DataType::kString);
+  appended.AppendRange(source, 1, 1);
+  appended.AppendString("s");
+  EXPECT_NE(appended.dict(), frozen);
+  EXPECT_EQ(Values(appended), (std::vector<std::string>{"q", "s"}));
+  // The frozen dictionary and its column are as they were.
+  EXPECT_EQ(frozen->size(), 2u);
+  EXPECT_TRUE(frozen->frozen());
+  EXPECT_EQ(Values(source), (std::vector<std::string>{"p", "q", "p"}));
+  // A refill in place is the column's alone, so it thaws the dictionary.
+  Column alone = Strings({"x"});
+  alone.dict()->Freeze();
+  EXPECT_FALSE(alone.RefillDict(true)->frozen());
+}
+
 TEST(StringColumnTest, ClearDropsTheDictionary) {
   Column column = Strings({"a", "b"});
   column.Clear();

@@ -274,10 +274,10 @@ void ExpectSameChunk(const data::Chunk& a, const data::Chunk& b) {
 
 TEST_F(EngineE2ETest, SplitColumnReadsDecodeLikeWholeOnes) {
   // At 1 KiB every column range of these tables arrives in pieces and is
-  // assembled; at the default each arrives whole and is decoded where it
-  // lies. Results, bytes moved and morsels agree; only the request count
-  // grows. Q1 streams lineitem; BbQ3 reads an item table, made large
-  // enough to split, as a build input.
+  // assembled; at the default each arrives whole and is decoded through
+  // the column memo. Results, bytes moved and morsels agree; only the
+  // request count grows. Q1 streams lineitem; BbQ3 reads an item table,
+  // made large enough to split, as a build input.
   datagen::TpcxBbConfig wide = bb_;
   wide.scale_factor = 1.0;
   ASSERT_TRUE(datagen::UploadDataset(&store_, "item_wide",
@@ -299,7 +299,10 @@ TEST_F(EngineE2ETest, SplitColumnReadsDecodeLikeWholeOnes) {
     engine_->context()->range_chunk_bytes = 8 * kMiB;
     const QueryResponse whole = RunOnLambda(plan, name + "-whole");
     engine_->context()->range_chunk_bytes = kKiB;
+    const ColumnChunkMemo& memo = engine_->context()->table_columns;
+    const int64_t lookups = memo.hits() + memo.misses();
     const QueryResponse split = RunOnLambda(plan, name + "-split");
+    EXPECT_EQ(memo.hits() + memo.misses(), lookups) << name;
     auto whole_result = engine_->FetchResult(name + "-whole");
     auto split_result = engine_->FetchResult(name + "-split");
     ASSERT_TRUE(whole_result.ok() && split_result.ok()) << name;

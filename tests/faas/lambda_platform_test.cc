@@ -185,6 +185,27 @@ TEST_F(LambdaPlatformTest, SandboxesReapedAfterIdleLifetime) {
   EXPECT_EQ(platform->stats().reaped_sandboxes, 1);
 }
 
+TEST_F(LambdaPlatformTest, WarmInvocationSpillsThreeCallbacks) {
+  // Of a warm invocation's event callbacks, only Execute's timeout (240 B)
+  // and DoInvoke's two (168 B, 240 B) outgrow the kernel's inline buffer:
+  // the sandbox reap closure (48 B, nothrow-movable) is stored inline.
+  auto platform = MakePlatform();
+  platform->Invoke("echo", Json::Object(), [](Result<Json>) {});
+  RunFor(Seconds(30));
+  constexpr int kWarm = 5;
+  const uint64_t before = env_.pool_stats().heap_callbacks;
+  int warm = 0;
+  for (int i = 0; i < kWarm; ++i) {
+    platform->Invoke("echo", Json::Object(), [&](Result<Json> r) {
+      ASSERT_TRUE(r.ok());
+      warm += r->GetBool("cold") ? 0 : 1;
+    });
+    RunFor(Seconds(30));
+  }
+  EXPECT_EQ(warm, kWarm);
+  EXPECT_EQ(env_.pool_stats().heap_callbacks - before, 3u * kWarm);
+}
+
 TEST_F(LambdaPlatformTest, PrewarmAvoidsColdstarts) {
   auto platform = MakePlatform();
   platform->Prewarm("echo", 5);

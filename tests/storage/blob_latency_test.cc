@@ -35,10 +35,51 @@ TEST(BlobTest, SliceSynthetic) {
   EXPECT_EQ(s.size(), 10);
 }
 
+TEST(BlobTest, EmptyRealBlobIsNotSynthetic) {
+  Blob b = Blob::FromString("");
+  EXPECT_FALSE(b.is_synthetic());
+  EXPECT_EQ(b.bytes(), "");
+  EXPECT_FALSE(b.Slice(0, 5).is_synthetic());
+}
+
+TEST(BlobTest, SliceSharesTheSourceBuffer) {
+  Blob b = Blob::FromString("0123456789");
+  Blob s = b.Slice(3, 4);
+  EXPECT_EQ(s.bytes(), "3456");
+  EXPECT_EQ(s.bytes().data(), b.bytes().data() + 3);
+  // A slice of a slice views the first buffer at the summed offset, and
+  // clamps to the slice's end, not the buffer's.
+  Blob t = s.Slice(1, 2);
+  EXPECT_EQ(t.bytes(), "45");
+  EXPECT_EQ(t.bytes().data(), b.bytes().data() + 4);
+  Blob u = s.Slice(2, 100);
+  EXPECT_EQ(u.bytes(), "56");
+  EXPECT_EQ(u.bytes().data(), b.bytes().data() + 5);
+  EXPECT_EQ(s.Slice(9, 1).size(), 0);
+  EXPECT_FALSE(s.Slice(9, 1).is_synthetic());
+  // data() is a copy; the buffer lives while any view of it does.
+  EXPECT_EQ(s.data(), "3456");
+  std::weak_ptr<const char> buffer = b.buffer();
+  b = Blob();
+  s = Blob();
+  u = Blob();
+  EXPECT_FALSE(buffer.expired());
+  EXPECT_EQ(t.bytes(), "45");
+  t = Blob();
+  EXPECT_TRUE(buffer.expired());
+}
+
+TEST(BlobTest, SyntheticSliceOfASlice) {
+  Blob s = Blob::Synthetic(100).Slice(10, 50).Slice(45, 20);
+  EXPECT_TRUE(s.is_synthetic());
+  EXPECT_EQ(s.size(), 5);
+  EXPECT_TRUE(s.buffer().expired());
+}
+
 TEST(BlobTest, SharedOwnershipIsCheap) {
   Blob a = Blob::FromString(std::string(1000, 'x'));
   Blob b = a;  // Copy shares the buffer.
-  EXPECT_EQ(&a.data(), &b.data());
+  EXPECT_EQ(a.bytes().data(), b.bytes().data());
 }
 
 TEST(LatencyModelTest, MedianP95Calibration) {

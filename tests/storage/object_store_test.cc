@@ -69,6 +69,49 @@ TEST_F(ObjectStoreTest, GetRangeSlices) {
   EXPECT_EQ(got, "2345");
 }
 
+TEST_F(ObjectStoreTest, GetRangeReturnsAViewOfTheStoredObject) {
+  ObjectStore s3(&env_, ObjectStore::StandardOptions());
+  ASSERT_TRUE(s3.Insert("k", Blob::FromString("0123456789")).ok());
+  const Blob stored = s3.Peek("k").ValueOrDie();
+  Blob range;
+  Blob whole;
+  s3.GetRange("k", 2, 4, {}, [&](Result<Blob> r) {
+    ASSERT_TRUE(r.ok());
+    range = *r;
+  });
+  s3.Get("k", {}, [&](Result<Blob> r) {
+    ASSERT_TRUE(r.ok());
+    whole = *r;
+  });
+  env_.Run();
+  EXPECT_EQ(range.bytes(), "2345");
+  EXPECT_EQ(range.bytes().data(), stored.bytes().data() + 2);
+  EXPECT_EQ(whole.bytes().data(), stored.bytes().data());
+}
+
+TEST_F(ObjectStoreTest, PutUnderTheSameKeyLeavesEarlierViewsIntact) {
+  ObjectStore s3(&env_, ObjectStore::StandardOptions());
+  ASSERT_TRUE(s3.Insert("k", Blob::FromString("old bytes")).ok());
+  auto read = [&](Blob* out) {
+    s3.GetRange("k", 4, 5, {}, [out](Result<Blob> r) {
+      ASSERT_TRUE(r.ok());
+      *out = *r;
+    });
+    env_.Run();
+  };
+  Blob earlier;
+  read(&earlier);
+  bool put = false;
+  s3.Put("k", Blob::FromString("new BYTES"), {},
+         [&](Status status) { put = status.ok(); });
+  env_.Run();
+  ASSERT_TRUE(put);
+  Blob later;
+  read(&later);
+  EXPECT_EQ(earlier.bytes(), "bytes");
+  EXPECT_EQ(later.bytes(), "BYTES");
+}
+
 TEST_F(ObjectStoreTest, GetRangeOutsideObjectIsInvalidRange) {
   pricing::CostMeter meter;
   ClientContext ctx;
