@@ -7,6 +7,7 @@
 #include "common/histogram.h"
 #include "common/json.h"
 #include "common/random.h"
+#include "data/chunk_pool.h"
 #include "datagen/tpch.h"
 #include "engine/executor.h"
 #include "engine/queries.h"
@@ -132,6 +133,48 @@ void BM_ExecutorQ6Fragment(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * chunk.rows());
 }
 BENCHMARK(BM_ExecutorQ6Fragment);
+
+void BM_ExecutorQ1Partial(benchmark::State& state) {
+  data::Chunk chunk = MakeLineitem(60000);
+  auto plan = engine::BuildTpchQ1();
+  // The scan pipeline's pushdown, projection and partial aggregate over the
+  // two dictionary-coded keys, without the shuffle write.
+  engine::PipelineSpec pipeline = plan.pipelines[0];
+  pipeline.ops.pop_back();
+  engine::OperatorSpec filter;
+  filter.op = "filter";
+  filter.predicate = pipeline.inputs[0].pushdown;
+  pipeline.ops.insert(pipeline.ops.begin(), filter);
+  for (auto _ : state) {
+    engine::CostAccumulator cost;
+    auto out = engine::ExecuteFragment(pipeline, data::Chunk(chunk), {}, &cost);
+    benchmark::DoNotOptimize(out.ok());
+  }
+  state.SetItemsProcessed(state.iterations() * chunk.rows());
+}
+BENCHMARK(BM_ExecutorQ1Partial);
+
+void BM_ExecutorQ12Pushdown(benchmark::State& state) {
+  const data::Chunk chunk = MakeLineitem(60000);
+  const engine::InputSpec input = engine::BuildTpchQ12().pipelines[0].inputs[0];
+  // The five-conjunct pushdown over the scan's columns, read in place as a
+  // scan reads memoised columns.
+  const data::Schema schema = chunk.schema().Select(input.columns).ValueOrDie();
+  engine::ExprKernel::ColumnRefs columns;
+  for (const auto& name : input.columns) columns.push_back(&chunk.column(name));
+  engine::CostAccumulator cost;
+  data::ChunkPool pool;
+  engine::FilterKernel filter(input.pushdown, input.pushdown_selectivity,
+                              &cost, &pool);
+  const auto rows = static_cast<size_t>(chunk.rows());
+  for (auto _ : state) {
+    auto out = filter.Gather(schema, columns, rows);
+    benchmark::DoNotOptimize(out.ok());
+    if (out.ok()) pool.Release(std::move(out).ValueUnsafe());
+  }
+  state.SetItemsProcessed(state.iterations() * chunk.rows());
+}
+BENCHMARK(BM_ExecutorQ12Pushdown);
 
 void BM_HashJoinProbe(benchmark::State& state) {
   data::Schema dim_schema({{"id", data::DataType::kInt64},

@@ -32,6 +32,19 @@ uint32_t StringDict::Intern(std::string_view value) {
   return code;
 }
 
+uint32_t StringDict::Find(std::string_view value) {
+  // Intern's probe loop, repeated: one probe shared out of line would cost
+  // every AppendString a call.
+  SKYRISE_CHECK(distinct_);
+  Index();
+  const size_t mask = slots_.size() - 1;
+  for (size_t slot = std::hash<std::string_view>()(value) & mask;
+       slots_[slot] != 0; slot = (slot + 1) & mask) {
+    if (this->value(slots_[slot] - 1) == value) return slots_[slot] - 1;
+  }
+  return kNoCode;
+}
+
 void StringDict::Index() {
   // At most half full, counting the value about to be put.
   size_t capacity = std::max<size_t>(16, slots_.size());
@@ -98,6 +111,14 @@ void Column::AppendString(std::string_view v) {
   codes_.push_back(dict_->Intern(v));
 }
 
+uint32_t Column::CodeFor(std::string_view value) {
+  if (dict_ != nullptr && dict_->frozen() && dict_->distinct()) {
+    const uint32_t code = dict_->Find(value);
+    if (code != StringDict::kNoCode) return code;
+  }
+  return DictToGrow().Intern(value);
+}
+
 StringDict& Column::DictToGrow() {
   if (dict_ == nullptr) {
     dict_ = std::make_shared<StringDict>(/*distinct=*/true);
@@ -132,19 +153,18 @@ void Column::AppendCodes(const Column& other, size_t count, RowAt row_at) {
   // Each value met is put once: through a code table when the source
   // dictionary is no larger than the rows appended, else per row.
   const StringDict& from = *other.dict_;
-  StringDict& to = DictToGrow();
   constexpr uint32_t kUnmapped = std::numeric_limits<uint32_t>::max();
   std::array<uint32_t, 256> remap;
   if (from.size() > std::min(count, remap.size())) {
     for (size_t i = 0; i < count; ++i) {
-      dst[i] = to.Intern(from.value(src[row_at(i)]));
+      dst[i] = CodeFor(from.value(src[row_at(i)]));
     }
     return;
   }
   std::fill_n(remap.begin(), from.size(), kUnmapped);
   for (size_t i = 0; i < count; ++i) {
     const uint32_t code = src[row_at(i)];
-    if (remap[code] == kUnmapped) remap[code] = to.Intern(from.value(code));
+    if (remap[code] == kUnmapped) remap[code] = CodeFor(from.value(code));
     dst[i] = remap[code];
   }
 }

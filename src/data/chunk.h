@@ -67,9 +67,12 @@ class Schema {
 /// in a dictionary flagged distinct: one built by interning, or decoded from
 /// a dictionary chunk whose values strictly ascend. A frozen dictionary
 /// takes no more values: a column about to put one into it takes an
-/// unfrozen copy instead.
+/// unfrozen copy instead; an append from another dictionary copies it only
+/// for a value it does not hold, if it is distinct.
 class StringDict {
  public:
+  enum : uint32_t { kNoCode = 0xFFFFFFFFu };
+
   explicit StringDict(bool distinct) : distinct_(distinct) {}
 
   uint32_t size() const {
@@ -90,6 +93,9 @@ class StringDict {
   /// The code `value` gets: its existing one in a distinct dictionary,
   /// else a new one.
   uint32_t Intern(std::string_view value);
+  /// The code of `value` in a distinct dictionary, or kNoCode when it holds
+  /// none. Adds no value, so a frozen dictionary answers too.
+  uint32_t Find(std::string_view value);
   /// Makes room for `values` more values of `bytes` bytes in all.
   void Reserve(size_t values, size_t bytes);
   /// Empties the dictionary, keeping its capacity, sets its flag and
@@ -103,8 +109,8 @@ class StringDict {
 
  private:
   /// Codes by value hash, open addressing, each slot a code + 1 (0: empty);
-  /// covers codes [0, indexed_). Built on the first Intern into a distinct
-  /// dictionary.
+  /// covers codes [0, indexed_). Built on the first Intern into, or Find
+  /// in, a distinct dictionary.
   void Index();
 
   std::string bytes_;  ///< Every value, back to back.
@@ -256,6 +262,10 @@ class Column {
   /// otherwise each value met is put into this column's dictionary once.
   template <typename RowAt>
   void AppendCodes(const Column& other, size_t count, RowAt row_at);
+
+  /// The code of another dictionary's `value` in this column's: its code in
+  /// a frozen distinct one that holds it, else Intern into DictToGrow().
+  uint32_t CodeFor(std::string_view value);
 
   /// The dictionary to put new values into: this column's own, a new one
   /// when it has none, or an unfrozen copy of a frozen one.

@@ -137,6 +137,11 @@ uint64_t Mix(uint64_t h) {
   return h;
 }
 
+/// A row's key hash `h` so far, folded with its next key value's hash.
+uint64_t FoldKeyHash(uint64_t h, uint64_t value_hash) {
+  return Mix(h ^ (value_hash + 0x9e3779b97f4a7c15ULL + (h << 6)));
+}
+
 /// Hashes every row's typed key values, one key column at a time. A string
 /// value's hash is computed once per dictionary value and kept for the next
 /// chunk over the same dictionary.
@@ -150,9 +155,7 @@ class KeyHasher {
     uint64_t* hashes = out->data();
     auto fold = [hashes, rows](auto value_hash) {
       for (size_t row = 0; row < rows; ++row) {
-        const uint64_t h = hashes[row];
-        hashes[row] =
-            Mix(h ^ (value_hash(row) + 0x9e3779b97f4a7c15ULL + (h << 6)));
+        hashes[row] = FoldKeyHash(hashes[row], value_hash(row));
       }
     };
     string_hashes_.resize(keys.size());
@@ -180,6 +183,18 @@ class KeyHasher {
           break;
       }
     }
+  }
+
+  /// The hash Hash gives `row` of `chunk`, whose keys are all strings.
+  static uint64_t HashStringRow(const Chunk& chunk,
+                                const std::vector<int>& keys, size_t row) {
+    uint64_t h = 0;
+    for (int k : keys) {
+      const std::string_view value =
+          chunk.column(static_cast<size_t>(k)).strings()[row];
+      h = FoldKeyHash(h, std::hash<std::string_view>()(value));
+    }
+    return h;
   }
 
  private:
@@ -559,6 +574,10 @@ class ProjectOp final : public OperatorState {
 /// bit) and emits the groups in key-text order on Flush(). Each morsel runs
 /// one loop per key column to hash, one lookup per row, and one loop per
 /// aggregate; a no-key aggregate is a single group and needs no lookup.
+/// Keys that are all dictionary-coded strings, with at most kDenseSlots
+/// tuples of codes, find their group by code in a dense table instead: only
+/// a tuple's first row is hashed and looked up, so groups open at the rows
+/// and in the order the hashed lookup opens them.
 class AggOp final : public OperatorState {
  public:
   AggOp(const OperatorSpec& op, CostAccumulator* cost)
@@ -607,16 +626,14 @@ class AggOp final : public OperatorState {
       }
       return std::optional<Chunk>();
     }
-    hasher_.Hash(in, group_indices_, &hashes_);
     group_of_.resize(rows);
-    for (size_t row = 0; row < rows; ++row) {
-      const uint32_t group =
-          index_.FindOrAdd(hashes_[row], groups_, [&](uint32_t id) {
-            return SameKey(in, group_indices_, row, key_chunk_, key_columns_,
-                           id);
-          });
-      if (group == groups_) AddGroup(in, row);
-      group_of_[row] = group;
+    if (LayOutDense(in)) {
+      GroupByCodes(in, rows);
+    } else {
+      hasher_.Hash(in, group_indices_, &hashes_);
+      for (size_t row = 0; row < rows; ++row) {
+        group_of_[row] = FindOrAddGroup(in, row, hashes_[row]);
+      }
     }
     for (size_t a = 0; a < funcs_.size(); ++a) {
       Accumulate(a, in, rows, [this](size_t row) {
@@ -663,6 +680,85 @@ class AggOp final : public OperatorState {
   int64_t StateBytes() const override { return state_bytes_; }
 
  private:
+  /// Caps of dense grouping: tuples of codes, and key columns.
+  enum : uint32_t { kDenseSlots = 4096, kDenseKeys = 4 };
+
+  /// The dictionary a key's codes index dense_ by, as it was when dense_
+  /// was laid out.
+  struct DenseKey {
+    std::weak_ptr<data::StringDict> dict;
+    uint64_t refills = 0;
+    uint32_t size = 0;
+  };
+
+  /// The group of `row` of `in`, whose key hash is `hash`: an existing one
+  /// with an equal key, or a new one.
+  uint32_t FindOrAddGroup(const Chunk& in, size_t row, uint64_t hash) {
+    const uint32_t group = index_.FindOrAdd(hash, groups_, [&](uint32_t id) {
+      return SameKey(in, group_indices_, row, key_chunk_, key_columns_, id);
+    });
+    if (group == groups_) AddGroup(in, row);
+    return group;
+  }
+
+  /// Whether `in`'s keys can find their groups in dense_: every key is a
+  /// string and the product of their dictionary sizes is at most
+  /// kDenseSlots. Empties dense_ unless each key's dictionary is the one,
+  /// with the refill count and size, it was laid out for.
+  bool LayOutDense(const Chunk& in) {
+    if (group_indices_.size() > kDenseKeys) return false;
+    uint32_t slots = 1;
+    for (int k : group_indices_) {
+      const Column& col = in.column(static_cast<size_t>(k));
+      if (col.type() != DataType::kString ||
+          col.dict()->size() > kDenseSlots / slots) {
+        return false;
+      }
+      slots *= col.dict()->size();
+    }
+    bool stale = dense_keys_.size() != group_indices_.size();
+    dense_keys_.resize(group_indices_.size());
+    for (size_t k = 0; k < group_indices_.size(); ++k) {
+      const auto& dict =
+          in.column(static_cast<size_t>(group_indices_[k])).dict();
+      DenseKey& key = dense_keys_[k];
+      if (key.dict.owner_before(dict) || dict.owner_before(key.dict) ||
+          key.refills != dict->refills() || key.size != dict->size()) {
+        key = DenseKey{dict, dict->refills(), dict->size()};
+        stale = true;
+      }
+    }
+    if (stale) dense_.assign(slots, KeyIndex::kAbsent);
+    return true;
+  }
+
+  /// Fills group_of_ through dense_, laid out for `in` by LayOutDense: a
+  /// row's slot is its codes, the first key varying fastest.
+  void GroupByCodes(const Chunk& in, size_t rows) {
+    uint32_t* slot = group_of_.data();
+    uint32_t stride = 1;
+    for (size_t k = 0; k < group_indices_.size(); ++k) {
+      const uint32_t* codes =
+          in.column(static_cast<size_t>(group_indices_[k])).codes().data();
+      if (k == 0) {
+        std::copy(codes, codes + rows, slot);
+      } else {
+        for (size_t row = 0; row < rows; ++row) {
+          slot[row] += stride * codes[row];
+        }
+      }
+      stride *= dense_keys_[k].size;
+    }
+    for (size_t row = 0; row < rows; ++row) {
+      uint32_t& group = dense_[slot[row]];
+      if (group == KeyIndex::kAbsent) {
+        group = FindOrAddGroup(
+            in, row, KeyHasher::HashStringRow(in, group_indices_, row));
+      }
+      slot[row] = group;
+    }
+  }
+
   /// Opens a group keyed by `row` of `in`, charging its key text, a fixed
   /// overhead and one double per aggregate.
   void AddGroup(const Chunk& in, size_t row) {
@@ -731,6 +827,9 @@ class AggOp final : public OperatorState {
   uint32_t groups_ = 0;
   KeyIndex index_;
   KeyHasher hasher_;
+  std::vector<DenseKey> dense_keys_;
+  /// Group per tuple of key codes, or kAbsent until the tuple's first row.
+  std::vector<uint32_t> dense_;
   std::vector<uint64_t> hashes_;     ///< Scratch: per-row key hash.
   std::vector<uint32_t> group_of_;   ///< Scratch: per-row group.
   std::optional<Chunk> synthetic_result_;

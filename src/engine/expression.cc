@@ -277,6 +277,49 @@ void Combine(const Operand& l, const Operand& r, size_t rows, F f,
               [out, f](size_t i, double a, double b) { out[i] = f(a, b); });
 }
 
+/// Per-row readers of a compare's operands, each giving the double that
+/// ExprKernel::Values would hold for the row.
+struct IntReader {
+  const int64_t* ints;
+  double operator()(uint32_t row) const {
+    return static_cast<double>(ints[row]);
+  }
+};
+struct DoubleReader {
+  const double* doubles;
+  double operator()(uint32_t row) const { return doubles[row]; }
+};
+struct ConstantReader {
+  double value;
+  double operator()(uint32_t) const { return value; }
+};
+
+/// Rewrites `selection` to the rows for which `holds(row)` is true, in
+/// order: of every row in [0, rows) when `all`, else of its own rows.
+template <typename Holds>
+void KeepRows(bool all, size_t rows, std::vector<uint32_t>* selection,
+              Holds holds) {
+  size_t count = 0;
+  if (all) {
+    selection->resize(rows);
+    uint32_t* out = selection->data();
+    for (size_t i = 0; i < rows; ++i) {
+      const auto row = static_cast<uint32_t>(i);
+      out[count] = row;
+      count += holds(row) ? 1 : 0;
+    }
+  } else {
+    uint32_t* kept = selection->data();
+    const size_t size = selection->size();
+    for (size_t i = 0; i < size; ++i) {
+      const uint32_t row = kept[i];
+      kept[count] = row;
+      count += holds(row) ? 1 : 0;
+    }
+  }
+  selection->resize(count);
+}
+
 }  // namespace
 
 Result<ExprKernel> ExprKernel::Predicate(const Expr& expr,
@@ -284,6 +327,7 @@ Result<ExprKernel> ExprKernel::Predicate(const Expr& expr,
   ExprKernel kernel;
   kernel.boolean_ = true;
   SKYRISE_ASSIGN_OR_RETURN(kernel.root_, kernel.CompileBool(expr, schema));
+  kernel.SplitConjuncts(kernel.root_);
   return kernel;
 }
 
@@ -309,6 +353,15 @@ Status ExprKernel::CompileChildren(const Expr& expr,
 size_t ExprKernel::Add(Node node) {
   nodes_.push_back(std::move(node));
   return nodes_.size() - 1;
+}
+
+void ExprKernel::SplitConjuncts(size_t id) {
+  if (nodes_[id].op != Op::kAnd) {
+    conjuncts_.push_back(id);
+    return;
+  }
+  SplitConjuncts(nodes_[id].children[0]);
+  SplitConjuncts(nodes_[id].children[1]);
 }
 
 Status ExprKernel::ResolveColumn(const std::string& name,
@@ -465,22 +518,9 @@ const uint8_t* ExprKernel::Mask(size_t id, const ColumnRefs& columns,
     }
     case Op::kStringCompare:
     case Op::kInList: {
-      // Evaluated once per dictionary value, then looked up by code.
       if (rows == 0) break;
-      const data::Column& col = ColumnOf(node, columns);
-      const uint8_t* truth =
-          node.truth.Get(col.dict(), [&node](std::string_view value) {
-            if (node.op == Op::kInList) {
-              return static_cast<uint8_t>(std::binary_search(
-                  node.values.begin(), node.values.end(), value));
-            }
-            uint8_t holds = 0;
-            WithComparison(node.cmp, [&](auto cmp) {
-              holds = cmp(value.compare(node.text), 0);
-            });
-            return holds;
-          });
-      const uint32_t* codes = col.codes().data();
+      const uint8_t* truth = Truth(node, columns);
+      const uint32_t* codes = ColumnOf(node, columns).codes().data();
       for (size_t i = 0; i < rows; ++i) out[i] = truth[codes[i]];
       break;
     }
@@ -488,6 +528,79 @@ const uint8_t* ExprKernel::Mask(size_t id, const ColumnRefs& columns,
       SKYRISE_CHECK(false && "not a boolean node");
   }
   return out;
+}
+
+const uint8_t* ExprKernel::Truth(Node& node, const ColumnRefs& columns) {
+  // Evaluated once per dictionary value, then looked up by code.
+  return node.truth.Get(
+      ColumnOf(node, columns).dict(), [&node](std::string_view value) {
+        if (node.op == Op::kInList) {
+          return static_cast<uint8_t>(std::binary_search(
+              node.values.begin(), node.values.end(), value));
+        }
+        uint8_t holds = 0;
+        WithComparison(node.cmp, [&](auto cmp) {
+          holds = cmp(value.compare(node.text), 0);
+        });
+        return holds;
+      });
+}
+
+void ExprKernel::Keep(size_t id, const ColumnRefs& columns, size_t rows,
+                      bool all, std::vector<uint32_t>* selection) {
+  Node& node = nodes_[id];
+  auto is_operand = [this](size_t child) {
+    return nodes_[child].op == Op::kColumn || nodes_[child].op == Op::kNumber;
+  };
+  // Calls `f` with a reader of operand `child`, read in place.
+  auto with_reader = [&](size_t child, auto f) {
+    const Node& operand = nodes_[child];
+    if (operand.op == Op::kNumber) return f(ConstantReader{operand.number});
+    const data::Column& col = ColumnOf(operand, columns);
+    if (col.type() == data::DataType::kDouble) {
+      return f(DoubleReader{col.doubles().data()});
+    }
+    return f(IntReader{col.ints().data()});
+  };
+  auto compare = [&](CmpOp op, size_t lhs, size_t rhs, bool from_all) {
+    with_reader(lhs, [&](auto l) {
+      with_reader(rhs, [&](auto r) {
+        WithComparison(op, [&](auto cmp) {
+          KeepRows(from_all, rows, selection,
+                   [l, r, cmp](uint32_t row) { return cmp(l(row), r(row)); });
+        });
+      });
+    });
+  };
+  switch (node.op) {
+    case Op::kCompare:
+      if (!is_operand(node.children[0]) || !is_operand(node.children[1])) {
+        break;
+      }
+      compare(node.cmp, node.children[0], node.children[1], all);
+      return;
+    case Op::kBetween:
+      if (!is_operand(node.children[0]) || !is_operand(node.children[1]) ||
+          !is_operand(node.children[2])) {
+        break;
+      }
+      compare(CmpOp::kGe, node.children[0], node.children[1], all);
+      compare(CmpOp::kLe, node.children[0], node.children[2], false);
+      return;
+    case Op::kStringCompare:
+    case Op::kInList: {
+      const uint8_t* truth = Truth(node, columns);
+      const uint32_t* codes = ColumnOf(node, columns).codes().data();
+      KeepRows(all, rows, selection,
+               [truth, codes](uint32_t row) { return truth[codes[row]]; });
+      return;
+    }
+    default:
+      break;
+  }
+  // OR, and compares over arithmetic: every row's mask.
+  const uint8_t* mask = Mask(id, columns, rows);
+  KeepRows(all, rows, selection, [mask](uint32_t row) { return mask[row]; });
 }
 
 ExprKernel::Operand ExprKernel::Values(size_t id, const ColumnRefs& columns,
@@ -560,15 +673,12 @@ void ExprKernel::Select(const data::Chunk& chunk, std::vector<uint32_t>* out) {
 void ExprKernel::Select(const ColumnRefs& columns, size_t rows,
                         std::vector<uint32_t>* out) {
   SKYRISE_CHECK(boolean_);
-  const uint8_t* truth = Mask(root_, columns, rows);
-  out->resize(rows);
-  uint32_t* selected = out->data();
-  size_t count = 0;
-  for (size_t i = 0; i < rows; ++i) {
-    selected[count] = static_cast<uint32_t>(i);
-    count += truth[i];
+  out->clear();
+  if (rows == 0) return;
+  Keep(conjuncts_[0], columns, rows, /*all=*/true, out);
+  for (size_t c = 1; c < conjuncts_.size() && !out->empty(); ++c) {
+    Keep(conjuncts_[c], columns, rows, /*all=*/false, out);
   }
-  out->resize(count);
 }
 
 const double* ExprKernel::Evaluate(const data::Chunk& chunk) {

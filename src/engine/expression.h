@@ -69,6 +69,11 @@ ExprPtr Indicator(ExprPtr condition);
 /// of the column's dictionary and looks rows up by code. Compile once per
 /// operator; every chunk passed in must be materialized with the schema the
 /// kernel was compiled for.
+/// Select splits the predicate's top-level AND chain into conjuncts, in plan
+/// order, and refines a selection vector one conjunct at a time: the first
+/// reads every row, each later one only the rows still selected. A compare
+/// or BETWEEN of columns and numbers, a string compare and an IN read their
+/// columns in place; any other conjunct evaluates its mask over every row.
 /// Results equal a row-at-a-time evaluation bit for bit: each node computes
 /// the same double operation per row, and pure nodes need no short-circuit.
 class ExprKernel {
@@ -137,9 +142,19 @@ class ExprKernel {
                                             const data::Schema& schema,
                                             Node* node);
   size_t Add(Node node);
+  /// Appends node `id`'s conjuncts to conjuncts_: its AND operands, left to
+  /// right, or the node itself.
+  void SplitConjuncts(size_t id);
   /// `chunk`'s columns, in the reused chunk_columns_.
   const ColumnRefs& RefsOf(const data::Chunk& chunk);
+  /// Keeps the rows of `selection` for which boolean node `id` holds, in
+  /// order; with `all`, starts from every row in [0, rows) instead.
+  void Keep(size_t id, const ColumnRefs& columns, size_t rows, bool all,
+            std::vector<uint32_t>* selection);
   const uint8_t* Mask(size_t id, const ColumnRefs& columns, size_t rows);
+  /// kStringCompare, kInList: the node's truth per value of its column's
+  /// dictionary, indexed by code. The column must hold a row.
+  static const uint8_t* Truth(Node& node, const ColumnRefs& columns);
   Operand Values(size_t id, const ColumnRefs& columns, size_t rows);
   static const data::Column& ColumnOf(const Node& node,
                                        const ColumnRefs& columns);
@@ -147,6 +162,7 @@ class ExprKernel {
   std::vector<Node> nodes_;
   ColumnRefs chunk_columns_;
   size_t root_ = 0;
+  std::vector<size_t> conjuncts_;  ///< Predicate kernels: root_'s conjuncts.
   bool boolean_ = false;
 };
 

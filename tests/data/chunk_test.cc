@@ -266,6 +266,50 @@ TEST(StringColumnTest, FrozenDictionaryIsCopiedBeforeItGrows) {
   EXPECT_FALSE(alone.RefillDict(true)->frozen());
 }
 
+TEST(StringColumnTest, FrozenDistinctDictionaryIsCopiedOnlyForANewValue) {
+  Column source = Strings({"p", "q", "r"});
+  const std::shared_ptr<StringDict> frozen = source.dict();
+  frozen->Freeze();
+  ASSERT_TRUE(frozen->distinct());
+  Column target(DataType::kString);
+  target.AppendRange(source, 0, 2);
+  ASSERT_EQ(target.dict(), frozen);
+  // Another dictionary's values that the frozen one holds keep their codes
+  // in it, whether mapped through a code table or row by row.
+  const Column present = Strings({"r", "p", "r"});
+  target.AppendRange(present, 0, 3);
+  const uint32_t last = 3;
+  target.AppendRows(Strings({"z", "y", "x", "q"}), &last, 1);
+  target.AppendFrom(present, 1);
+  EXPECT_EQ(target.dict(), frozen);
+  EXPECT_EQ(target.codes(), (std::vector<uint32_t>{0, 1, 2, 0, 2, 1, 0}));
+  // One new value copies it, once; the copy then grows in place.
+  target.AppendRange(Strings({"q", "s", "t"}), 0, 3);
+  const std::shared_ptr<StringDict> copy = target.dict();
+  EXPECT_NE(copy, frozen);
+  EXPECT_FALSE(copy->frozen());
+  target.AppendString("u");
+  target.AppendRange(Strings({"v", "p"}), 0, 2);
+  EXPECT_EQ(target.dict(), copy);
+  EXPECT_EQ(Values(target),
+            (std::vector<std::string>{"p", "q", "r", "p", "r", "q", "p", "q",
+                                      "s", "t", "u", "v", "p"}));
+  EXPECT_EQ(target.codes(), (std::vector<uint32_t>{0, 1, 2, 0, 2, 1, 0, 1, 3,
+                                                   4, 5, 6, 0}));
+  EXPECT_EQ(frozen->size(), 3u);
+  EXPECT_TRUE(frozen->frozen());
+  // A frozen dictionary that is not distinct is copied before any append.
+  Column plain(DataType::kString);
+  StringDict* listed = plain.RefillDict(/*distinct=*/false);
+  listed->Add("p");
+  plain.codes() = {0};
+  plain.dict()->Freeze();
+  const StringDict* before = plain.dict().get();
+  plain.AppendRange(present, 1, 1);
+  EXPECT_NE(plain.dict().get(), before);
+  EXPECT_EQ(Values(plain), (std::vector<std::string>{"p", "p"}));
+}
+
 TEST(StringColumnTest, ClearDropsTheDictionary) {
   Column column = Strings({"a", "b"});
   column.Clear();

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <map>
 
+#include "common/random.h"
 #include "common/string_util.h"
 #include "data/chunk_pool.h"
 #include "engine/memory_tracker.h"
@@ -742,6 +744,282 @@ TEST(DictionaryTest, ValueListedTwiceInADictionaryIsOneGroup) {
   EXPECT_EQ(result.column(0).strings(),
             (std::vector<std::string>{"AIR", "MAIL"}));
   EXPECT_EQ(result.column(1).ints(), (std::vector<int64_t>{1, 4}));
+}
+
+// --- Dense grouping of dictionary-coded keys. ---
+//
+// An aggregate whose keys are all strings, with few enough tuples of codes,
+// finds each row's group by its codes. Each case runs the same rows twice:
+// once with dictionaries that allow that, once with a key's dictionary
+// padded by values no row uses, which makes the code space too large and
+// sends the rows through the hashed lookup. Both runs must agree on the
+// output chunk, the group order, the state bytes after every chunk and the
+// cost, and both must match a row-at-a-time reference.
+
+/// A string column whose dictionary lists `values`, then `padding` values
+/// no row uses, and whose rows hold `codes`.
+data::Column Coded(const std::vector<std::string>& values, bool distinct,
+                   size_t padding, std::vector<uint32_t> codes) {
+  data::Column column(DataType::kString);
+  data::StringDict* dict = column.RefillDict(distinct);
+  for (const auto& value : values) dict->Add(value);
+  for (size_t p = 0; p < padding; ++p) dict->Add(StrFormat("pad%zu", p));
+  column.codes() = std::move(codes);
+  return column;
+}
+
+/// `column`'s dictionary, shared, under `codes`.
+data::Column WithCodes(const data::Column& column,
+                       std::vector<uint32_t> codes) {
+  data::Column out = column;
+  out.codes() = std::move(codes);
+  return out;
+}
+
+/// `rows` codes below `size`.
+std::vector<uint32_t> RandomCodes(Rng* rng, size_t rows, uint32_t size) {
+  std::vector<uint32_t> codes(rows);
+  for (uint32_t& code : codes) {
+    code = static_cast<uint32_t>(rng->UniformInt(0, size - 1));
+  }
+  return codes;
+}
+
+/// A sum and a count of "v" grouped by `keys` of the columns "s", "t" (both
+/// strings) and "i", fed chunk by chunk; keeps the state bytes after each
+/// chunk, and a row-at-a-time reference of the groups.
+class KeyedAggRun {
+ public:
+  explicit KeyedAggRun(std::vector<std::string> keys)
+      : keys_(keys),
+        pipeline_(PipelineWith({SumAndCountBy(std::move(keys))})),
+        executor_(pipeline_, {}, &cost_, &memory_, 0, &no_reuse_) {}
+
+  /// Pushes one chunk of `s` and `t` ("i" is the row's position overall).
+  void Push(const data::Column& s, const data::Column& t) {
+    Chunk chunk = Chunk::Empty(Schema({{"s", DataType::kString},
+                                       {"t", DataType::kString},
+                                       {"i", DataType::kInt64},
+                                       {"v", DataType::kDouble}}));
+    chunk.column(0) = s;
+    chunk.column(1) = t;
+    for (size_t row = 0; row < s.size(); ++row, ++next_) {
+      chunk.column(2).AppendInt(static_cast<int64_t>(next_ % 3) - 1);
+      chunk.column(3).AppendDouble(0.1 * static_cast<double>(next_ + 1));
+      std::vector<std::string> key;
+      for (const auto& name : keys_) {
+        const data::Column& col = chunk.column(name);
+        key.push_back(col.type() == DataType::kString
+                          ? std::string(col.strings()[row])
+                          : std::to_string(col.ints()[row]));
+      }
+      auto [it, added] = index_.emplace(key, groups_.size());
+      if (added) groups_.push_back({key, 0, 0});
+      groups_[it->second].sum += chunk.column(3).doubles()[row];
+      ++groups_[it->second].count;
+    }
+    ASSERT_TRUE(executor_.Push(std::move(chunk)).ok());
+    state_bytes_.push_back(memory_.current());
+  }
+
+  /// Ends the stream, checks the output against the reference and returns
+  /// it.
+  Chunk Finish() {
+    auto outputs = executor_.Finish();
+    EXPECT_TRUE(outputs.ok()) << outputs.status().ToString();
+    if (!outputs.ok()) return Chunk();
+    Chunk out = std::move((*outputs)[0].chunk);
+    // Groups in ascending key text; equal texts keep insertion order.
+    auto text = [](const Group& g) {
+      std::string t;
+      for (const auto& value : g.key) t += value + "\x1f";
+      return t;
+    };
+    std::vector<Group> order = groups_;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](const Group& a, const Group& b) {
+                       return text(a) < text(b);
+                     });
+    EXPECT_EQ(out.rows(), static_cast<int64_t>(order.size()));
+    for (size_t g = 0; g < order.size() && g < out.column(0).size(); ++g) {
+      for (size_t k = 0; k < keys_.size(); ++k) {
+        const data::Column& col = out.column(k);
+        EXPECT_EQ(col.type() == DataType::kString
+                      ? std::string(col.strings()[g])
+                      : std::to_string(col.ints()[g]),
+                  order[g].key[k]);
+      }
+      EXPECT_EQ(out.column(keys_.size()).doubles()[g], order[g].sum);
+      EXPECT_EQ(out.column(keys_.size() + 1).ints()[g], order[g].count);
+    }
+    return out;
+  }
+
+  const std::vector<int64_t>& state_bytes() const { return state_bytes_; }
+  int64_t peak() const { return memory_.peak(); }
+  double cost_ns() const { return cost_.ns(); }
+
+ private:
+  struct Group {
+    std::vector<std::string> key;
+    double sum;
+    int64_t count;
+  };
+
+  std::vector<std::string> keys_;
+  PipelineSpec pipeline_;
+  CostAccumulator cost_;
+  MemoryTracker memory_;
+  data::ChunkPool no_reuse_{0};  // Keeps no pushed chunk alive.
+  FragmentPipeline executor_;
+  size_t next_ = 0;
+  std::map<std::vector<std::string>, size_t> index_;
+  std::vector<Group> groups_;
+  std::vector<int64_t> state_bytes_;
+};
+
+/// Finishes both runs and expects one output chunk, group order, state
+/// bytes after every chunk, peak and cost.
+void ExpectSameRuns(KeyedAggRun* dense, KeyedAggRun* hashed) {
+  const Chunk a = dense->Finish();
+  const Chunk b = hashed->Finish();
+  ASSERT_EQ(a.schema(), b.schema());
+  ASSERT_EQ(a.rows(), b.rows());
+  for (size_t c = 0; c < a.num_columns(); ++c) {
+    switch (a.column(c).type()) {
+      case DataType::kString:
+        EXPECT_EQ(a.column(c).strings(), b.column(c).strings());
+        break;
+      case DataType::kDouble:
+        EXPECT_EQ(a.column(c).doubles(), b.column(c).doubles());
+        break;
+      default:
+        EXPECT_EQ(a.column(c).ints(), b.column(c).ints());
+    }
+  }
+  EXPECT_EQ(dense->state_bytes(), hashed->state_bytes());
+  EXPECT_EQ(dense->peak(), hashed->peak());
+  EXPECT_EQ(dense->cost_ns(), hashed->cost_ns());
+}
+
+constexpr size_t kPastTheCap = 4096;  // Padding that forces hashed lookup.
+
+TEST(DenseGroupingTest, FrozenDictionariesAlternatingBetweenChunks) {
+  // Two memo-like frozen dictionaries per key, of one size and in
+  // different orders, and values whose key texts collide through a 0x1F:
+  // those groups come out in the order they opened.
+  const std::vector<std::string> s1 = {"N", "a\x1f" "b", "R", "a"};
+  const std::vector<std::string> s2 = {"a", "X", "N", "a\x1f" "b"};
+  const std::vector<std::string> t1 = {"c", "b\x1f" "c"};
+  const std::vector<std::string> t2 = {"b\x1f" "c", "c"};
+  KeyedAggRun dense({"s", "t"}), hashed({"s", "t"});
+  struct Pair {
+    data::Column s, t;
+  };
+  auto frozen = [](data::Column column) {
+    column.dict()->Freeze();
+    return column;
+  };
+  const Pair dense_dicts[2] = {{frozen(Coded(s1, true, 0, {})),
+                                frozen(Coded(t1, true, 0, {}))},
+                               {frozen(Coded(s2, true, 0, {})),
+                                frozen(Coded(t2, true, 0, {}))}};
+  const Pair hashed_dicts[2] = {
+      {frozen(Coded(s1, true, kPastTheCap, {})),
+       frozen(Coded(t1, true, 0, {}))},
+      {frozen(Coded(s2, true, kPastTheCap, {})),
+       frozen(Coded(t2, true, 0, {}))}};
+  Rng rng(17);
+  for (int chunk = 0; chunk < 8; ++chunk) {
+    const int d = chunk % 2;
+    const size_t rows = static_cast<size_t>(rng.UniformInt(1, 40));
+    const std::vector<uint32_t> s = RandomCodes(
+        &rng, rows, static_cast<uint32_t>((d == 0 ? s1 : s2).size()));
+    const std::vector<uint32_t> t = RandomCodes(
+        &rng, rows, static_cast<uint32_t>((d == 0 ? t1 : t2).size()));
+    dense.Push(WithCodes(dense_dicts[d].s, s), WithCodes(dense_dicts[d].t, t));
+    hashed.Push(WithCodes(hashed_dicts[d].s, s),
+                WithCodes(hashed_dicts[d].t, t));
+  }
+  ExpectSameRuns(&dense, &hashed);
+}
+
+TEST(DenseGroupingTest, DictionaryRefilledBetweenChunks) {
+  // "s" is refilled in place to as many values as before, at other codes.
+  KeyedAggRun dense({"s", "t"}), hashed({"s", "t"});
+  const data::Column t_dense = Coded({"F", "O"}, true, 0, {0, 1, 1, 0});
+  const data::Column t_hashed =
+      Coded({"F", "O"}, true, kPastTheCap, {0, 1, 1, 0});
+  const data::Column first = Strings({"N", "R", "A", "N"});
+  dense.Push(first, t_dense);
+  hashed.Push(first, t_hashed);
+  data::Column s = Strings({"R", "A", "N", "A"});
+  dense.Push(s, t_dense);
+  hashed.Push(s, t_hashed);
+  RefillInPlace({"Q", "P", "F", "Q"}, &s);
+  ASSERT_EQ(s.dict()->size(), 3u);
+  dense.Push(s, t_dense);
+  hashed.Push(s, t_hashed);
+  RefillInPlace({"A", "N", "R", "A"}, &s);
+  dense.Push(s, t_dense);
+  hashed.Push(s, t_hashed);
+  ExpectSameRuns(&dense, &hashed);
+}
+
+TEST(DenseGroupingTest, DictionaryGrownBetweenChunks) {
+  // "s" grows from three values to four through a column sharing it; rows
+  // after that land on slots that rows before it filled.
+  KeyedAggRun dense({"s", "t"}), hashed({"s", "t"});
+  const data::Column t_dense = Coded({"F", "O"}, true, 0, {});
+  const data::Column t_hashed = Coded({"F", "O"}, true, kPastTheCap, {});
+  data::Column s = Strings({"R", "A", "N", "N", "R", "A"});
+  const std::vector<uint32_t> before = {0, 0, 0, 1, 1, 1};
+  dense.Push(s, WithCodes(t_dense, before));
+  hashed.Push(s, WithCodes(t_hashed, before));
+  data::Column grown = s;
+  grown.AppendString("Z");
+  ASSERT_EQ(grown.dict(), s.dict());
+  grown = WithCodes(grown, {1, 3, 0, 3});
+  const std::vector<uint32_t> after = {1, 0, 1, 1};
+  dense.Push(grown, WithCodes(t_dense, after));
+  hashed.Push(grown, WithCodes(t_hashed, after));
+  ExpectSameRuns(&dense, &hashed);
+}
+
+TEST(DenseGroupingTest, ValueListedTwiceIsOneGroup) {
+  KeyedAggRun dense({"s", "t"}), hashed({"s", "t"});
+  const std::vector<uint32_t> s = {2, 0, 1, 2, 0, 2, 1};
+  const std::vector<uint32_t> t = {0, 0, 0, 1, 1, 0, 1};
+  const std::vector<std::string> listed = {"MAIL", "AIR", "MAIL"};
+  dense.Push(Coded(listed, false, 0, s), Coded({"x", "y"}, true, 0, t));
+  hashed.Push(Coded(listed, false, kPastTheCap, s),
+              Coded({"x", "y"}, true, 0, t));
+  ExpectSameRuns(&dense, &hashed);
+}
+
+TEST(DenseGroupingTest, CodeSpaceAboveTheCapFallsBack) {
+  // 70 x 60 tuples of codes exceed 4,096.
+  std::vector<std::string> s_values, t_values;
+  for (int v = 0; v < 70; ++v) s_values.push_back(StrFormat("s%d", v));
+  for (int v = 0; v < 60; ++v) t_values.push_back(StrFormat("t%d", v));
+  KeyedAggRun run({"s", "t"});
+  Rng rng(23);
+  for (int chunk = 0; chunk < 3; ++chunk) {
+    run.Push(Coded(s_values, true, 0, RandomCodes(&rng, 300, 70)),
+             Coded(t_values, true, 0, RandomCodes(&rng, 300, 60)));
+  }
+  run.Finish();
+}
+
+TEST(DenseGroupingTest, MixedStringAndIntKeysFallBack) {
+  KeyedAggRun run({"s", "i"});
+  Rng rng(29);
+  const data::Column s = Coded({"A", "B", "C"}, true, 0, {});
+  for (int chunk = 0; chunk < 3; ++chunk) {
+    run.Push(WithCodes(s, RandomCodes(&rng, 20, 3)),
+             Coded({"x"}, true, 0, std::vector<uint32_t>(20, 0)));
+  }
+  run.Finish();
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
+#include "common/random.h"
+
 namespace skyrise::engine {
 namespace {
 
@@ -182,6 +188,244 @@ TEST(ExpressionTest, KernelIsReusedAcrossChunks) {
   EXPECT_EQ(rows, (std::vector<uint32_t>{0}));
   kernel->Select(TestChunk().Slice(0, 0), &rows);
   EXPECT_TRUE(rows.empty());
+}
+
+// --- Select against a row-at-a-time evaluator. ---
+
+/// A row's numeric value of `expr`, one row at a time.
+double RowNumber(const Expr& expr, const data::Chunk& chunk, size_t row);
+
+/// Whether the boolean `expr` holds for `row`, one row at a time.
+bool RowHolds(const Expr& expr, const data::Chunk& chunk, size_t row);
+
+template <typename T>
+bool CompareAs(const std::string& op, T a, T b) {
+  if (op == "<") return a < b;
+  if (op == "<=") return a <= b;
+  if (op == ">") return a > b;
+  if (op == ">=") return a >= b;
+  if (op == "==") return a == b;
+  return a != b;
+}
+
+double RowNumber(const Expr& expr, const data::Chunk& chunk, size_t row) {
+  switch (expr.kind) {
+    case Expr::Kind::kColumn: {
+      const data::Column& col = chunk.column(expr.column);
+      return col.type() == data::DataType::kDouble
+                 ? col.doubles()[row]
+                 : static_cast<double>(col.ints()[row]);
+    }
+    case Expr::Kind::kNumber:
+      return expr.number;
+    case Expr::Kind::kArith: {
+      const double a = RowNumber(*expr.children[0], chunk, row);
+      const double b = RowNumber(*expr.children[1], chunk, row);
+      if (expr.op == "+") return a + b;
+      if (expr.op == "-") return a - b;
+      if (expr.op == "*") return a * b;
+      return b == 0 ? 0 : a / b;
+    }
+    default:
+      return RowHolds(*expr.children[0], chunk, row) ? 1 : 0;
+  }
+}
+
+bool RowHolds(const Expr& expr, const data::Chunk& chunk, size_t row) {
+  switch (expr.kind) {
+    case Expr::Kind::kAnd:
+      return RowHolds(*expr.children[0], chunk, row) &&
+             RowHolds(*expr.children[1], chunk, row);
+    case Expr::Kind::kOr:
+      return RowHolds(*expr.children[0], chunk, row) ||
+             RowHolds(*expr.children[1], chunk, row);
+    case Expr::Kind::kBetween: {
+      const double v = RowNumber(*expr.children[0], chunk, row);
+      return v >= RowNumber(*expr.children[1], chunk, row) &&
+             v <= RowNumber(*expr.children[2], chunk, row);
+    }
+    case Expr::Kind::kInList: {
+      const std::string_view value =
+          chunk.column(expr.children[0]->column).strings()[row];
+      return std::find(expr.in_list.begin(), expr.in_list.end(), value) !=
+             expr.in_list.end();
+    }
+    default: {
+      const Expr& rhs = *expr.children[1];
+      if (rhs.kind == Expr::Kind::kString) {
+        const std::string_view value =
+            chunk.column(expr.children[0]->column).strings()[row];
+        return CompareAs(expr.op, value.compare(rhs.text), 0);
+      }
+      return CompareAs(expr.op, RowNumber(*expr.children[0], chunk, row),
+                       RowNumber(rhs, chunk, row));
+    }
+  }
+}
+
+/// Random predicates and morsels over every column kind, with the values
+/// where a double conversion, NaN or a signed zero decides a compare.
+class PredicateGenerator {
+ public:
+  explicit PredicateGenerator(uint64_t seed) : rng_(seed) {}
+
+  static data::Schema Schema() {
+    using data::DataType;
+    return data::Schema({{"i", DataType::kInt64},
+                         {"j", DataType::kInt64},
+                         {"d", DataType::kDate},
+                         {"x", DataType::kDouble},
+                         {"y", DataType::kDouble},
+                         {"s", DataType::kString},
+                         {"t", DataType::kString}});
+  }
+
+  ExprPtr Predicate(int depth) {
+    if (depth > 0 && rng_.Bernoulli(0.4)) {
+      ExprPtr lhs = Predicate(depth - 1);
+      ExprPtr rhs = Predicate(depth - 1);
+      return rng_.Bernoulli(0.6) ? And(lhs, rhs) : Or(lhs, rhs);
+    }
+    switch (rng_.UniformInt(0, 7)) {
+      case 0:
+        return Cmp(CompareOp(), Col(NumericColumn()), Literal());
+      case 1:
+        return Cmp(CompareOp(), Literal(), Col(NumericColumn()));
+      case 2:
+        return Cmp(CompareOp(), Col(NumericColumn()), Col(NumericColumn()));
+      case 3:
+        return Cmp(CompareOp(),
+                   Arith(rng_.Bernoulli(0.5) ? "-" : "/",
+                         Col(NumericColumn()), Col(NumericColumn())),
+                   Literal());
+      case 4:
+        return Between(Col(NumericColumn()),
+                       rng_.Bernoulli(0.3) ? Col(NumericColumn()) : Literal(),
+                       Literal());
+      case 5: {
+        std::vector<std::string> values;
+        for (const char* value : kStrings) {
+          if (rng_.Bernoulli(0.3)) values.emplace_back(value);
+        }
+        return InList(Col(StringColumn()), std::move(values));
+      }
+      case 6:
+        return Cmp(CompareOp(), Col(StringColumn()),
+                   Str(kStrings[rng_.UniformInt(0, kStringCount - 1)]));
+      default:
+        return Cmp(CompareOp(), Literal(), Literal());
+    }
+  }
+
+  /// `rows` rows; with `uniform`, all of them one row, so that a predicate
+  /// keeps every row or none.
+  data::Chunk Morsel(size_t rows, bool uniform) {
+    data::Chunk chunk = data::Chunk::Empty(Schema());
+    for (size_t row = 0; row < rows; ++row) {
+      Rng values = uniform ? Rng(uniform_seed_) : rng_.Fork(row);
+      chunk.column(0).AppendInt(Int(values));
+      chunk.column(1).AppendInt(Int(values));
+      chunk.column(2).AppendInt(8036 + values.UniformInt(0, 3) * 365);
+      chunk.column(3).AppendDouble(Double(values));
+      chunk.column(4).AppendDouble(Double(values));
+      chunk.column(5).AppendString(kStrings[values.UniformInt(0, 6)]);
+      chunk.column(6).AppendString(kStrings[values.UniformInt(0, 6)]);
+    }
+    uniform_seed_ = rng_.NextUint64();
+    return chunk;
+  }
+
+ private:
+  static constexpr const char* kStrings[] = {"",     "AIR",   "MAIL", "SHIP",
+                                             "TRUCK", "a",    "zz",   "B"};
+  static constexpr int kStringCount = 8;
+
+  static int64_t Int(Rng& rng) {
+    constexpr int64_t kTwo53 = int64_t{1} << 53;
+    const int64_t pool[] = {0,
+                            1,
+                            -1,
+                            7,
+                            kTwo53,
+                            kTwo53 + 1,
+                            -kTwo53 - 1,
+                            (int64_t{1} << 62) + 3,
+                            std::numeric_limits<int64_t>::min(),
+                            std::numeric_limits<int64_t>::max(),
+                            std::numeric_limits<int64_t>::max() - 1};
+    return pool[rng.UniformInt(0, 10)];
+  }
+
+  static double Double(Rng& rng) {
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double pool[] = {0.0, -0.0, 1.5, -1.5, nan, -nan, inf, -inf,
+                           9007199254740992.0, 7.0};
+    return pool[rng.UniformInt(0, 9)];
+  }
+
+  std::string CompareOp() {
+    const char* ops[] = {"<", "<=", ">", ">=", "==", "!="};
+    return ops[rng_.UniformInt(0, 5)];
+  }
+  std::string NumericColumn() {
+    const char* columns[] = {"i", "j", "d", "x", "y"};
+    return columns[rng_.UniformInt(0, 4)];
+  }
+  std::string StringColumn() { return rng_.Bernoulli(0.5) ? "s" : "t"; }
+  ExprPtr Literal() {
+    return Num(rng_.Bernoulli(0.5) ? static_cast<double>(Int(rng_))
+               : rng_.Bernoulli(0.2)
+                   ? static_cast<double>(8036 + rng_.UniformInt(0, 3) * 365)
+                   : Double(rng_));
+  }
+
+  Rng rng_;
+  uint64_t uniform_seed_ = 1;
+};
+
+TEST(ExpressionTest, SelectMatchesRowAtATimeEvaluation) {
+  PredicateGenerator generator(20240601);
+  const data::Schema schema = PredicateGenerator::Schema();
+  const size_t sizes[] = {0, 1, 9, 64, 200};
+  int all_kept = 0, none_kept = 0, some_kept = 0;
+  for (int p = 0; p < 400; ++p) {
+    const ExprPtr predicate = generator.Predicate(/*depth=*/3);
+    auto kernel = ExprKernel::Predicate(*predicate, schema);
+    ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+    for (int m = 0; m < 6; ++m) {
+      const data::Chunk morsel =
+          generator.Morsel(sizes[(p + m) % 5], /*uniform=*/m % 3 == 0);
+      std::vector<uint32_t> expected;
+      for (size_t row = 0; row < static_cast<size_t>(morsel.rows()); ++row) {
+        if (RowHolds(*predicate, morsel, row)) {
+          expected.push_back(static_cast<uint32_t>(row));
+        }
+      }
+      const std::string where = predicate->ToJson().Dump();
+      std::vector<uint32_t> rows = {7, 7};
+      kernel->Select(morsel, &rows);
+      ASSERT_EQ(rows, expected) << where;
+      ExprKernel::ColumnRefs columns;
+      for (size_t c = 0; c < morsel.num_columns(); ++c) {
+        columns.push_back(&morsel.column(c));
+      }
+      kernel->Select(columns, static_cast<size_t>(morsel.rows()), &rows);
+      ASSERT_EQ(rows, expected) << where;
+      if (morsel.rows() == 0) continue;
+      if (expected.empty()) {
+        ++none_kept;
+      } else if (expected.size() == static_cast<size_t>(morsel.rows())) {
+        ++all_kept;
+      } else {
+        ++some_kept;
+      }
+    }
+  }
+  // Each outcome is met many times over.
+  EXPECT_GT(all_kept, 100);
+  EXPECT_GT(none_kept, 100);
+  EXPECT_GT(some_kept, 100);
 }
 
 TEST(ExpressionTest, JsonRoundTrip) {
