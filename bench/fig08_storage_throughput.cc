@@ -29,7 +29,6 @@ double MeasureGiBps(storage::ObjectStore::Options service_options,
   config.duration = Seconds(12);
   config.object_count = std::max(256, clients * 32);
   config.client_instance_type = "c6gn.2xlarge";
-  config.rng_stream = 0xB000 + seed;
   auto result =
       platform::RunStorageIo(&bed.env, &bed.fabric_driver, &service, config);
   return result.ThroughputGiBps();

@@ -18,8 +18,7 @@ namespace {
 platform::StorageIoResult Measure(storage::ObjectStore* service,
                                   sim::SimEnvironment* env,
                                   net::FabricDriver* driver, bool write,
-                                  int clients, SimDuration duration,
-                                  uint64_t seed) {
+                                  int clients, SimDuration duration) {
   platform::StorageIoConfig config;
   config.clients = clients;
   config.threads_per_client = 32;
@@ -28,7 +27,6 @@ platform::StorageIoResult Measure(storage::ObjectStore* service,
   config.duration = duration;
   config.object_count = 4096;
   config.use_fabric = false;  // 1 KiB requests are latency-bound.
-  config.rng_stream = 0xC000 + seed;
   return platform::RunStorageIo(env, driver, service, config);
 }
 
@@ -59,10 +57,10 @@ int main() {
     storage::ObjectStore read_service(&read_bed.env, service.options, 2100);
     storage::ObjectStore write_service(&write_bed.env, service.options, 2101);
     auto reads = Measure(&read_service, &read_bed.env, &read_bed.fabric_driver,
-                         false, service.clients, service.duration, seed);
+                         false, service.clients, service.duration);
     auto writes =
         Measure(&write_service, &write_bed.env, &write_bed.fabric_driver,
-                true, service.clients, service.duration, seed + 1);
+                true, service.clients, service.duration);
     const auto& o = service.options;
     const double read_quota =
         o.documented_read_iops > 0
@@ -85,13 +83,13 @@ int main() {
       storage::ObjectStore fs(&bed.env, storage::ObjectStore::EfsOptions(),
                               2200 + static_cast<uint64_t>(shard));
       read_iops += Measure(&fs, &bed.env, &bed.fabric_driver, false, 16,
-                           Seconds(15), seed + 10)
+                           Seconds(15))
                        .SuccessIops();
       platform::Testbed wbed(seed += 3);
       storage::ObjectStore wfs(&wbed.env, storage::ObjectStore::EfsOptions(),
                                2300 + static_cast<uint64_t>(shard));
       write_iops += Measure(&wfs, &wbed.env, &wbed.fabric_driver, true, 16,
-                            Seconds(15), seed + 11)
+                            Seconds(15))
                         .SuccessIops();
     }
     table.AddRow({"EFS-2 (sharded)", StrFormat("%.0f", read_iops), "2x 250000",

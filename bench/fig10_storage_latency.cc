@@ -27,7 +27,6 @@ Histogram Measure(const storage::ObjectStore::Options& options, bool write,
   config.write = write;
   config.object_count = 1024;
   config.use_fabric = false;
-  config.rng_stream = 0xD000 + seed;
   // Duration long enough for the request budget given the median latency.
   const double median_ms =
       write ? options.write_latency.median_ms : options.read_latency.median_ms;

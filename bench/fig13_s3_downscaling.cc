@@ -15,8 +15,7 @@ using namespace skyrise;
 
 namespace {
 
-double Probe(platform::Testbed* bed, storage::ObjectStore* bucket,
-             uint64_t seed) {
+double Probe(platform::Testbed* bed, storage::ObjectStore* bucket) {
   // Three short repetitions of the largest-scale configuration; take the
   // highest observed IOPS.
   double best = 0;
@@ -28,7 +27,6 @@ double Probe(platform::Testbed* bed, storage::ObjectStore* bucket,
     config.duration = Seconds(3);
     config.object_count = 2048;
     config.use_fabric = false;
-    config.rng_stream = 0xE000 + seed * 17 + static_cast<uint64_t>(rep);
     auto result =
         platform::RunStorageIo(&bed->env, &bed->fabric_driver, bucket, config);
     best = std::max(best, result.SuccessIops());
@@ -49,7 +47,7 @@ void RunPattern(const char* label, SimDuration interval, SimDuration horizon) {
       {"elapsed", "peak probe IOPS", "inferred partitions"});
   for (SimTime t = 0; t <= horizon; t += interval) {
     bed.env.RunUntil(t);
-    const double iops = Probe(&bed, &bucket, static_cast<uint64_t>(t / interval));
+    const double iops = Probe(&bed, &bucket);
     const int inferred =
         std::max(1, static_cast<int>(iops / 5500.0 + 0.35));
     table.AddRow({FormatDuration(t), StrFormat("%.0f", iops),

@@ -6,7 +6,7 @@ namespace skyrise {
 
 namespace {
 // Diagnostics-only: the log threshold gates stderr output and is never read
-// by simulation logic, so it cannot perturb replay or a parallel run.
+// by simulation logic, so it cannot perturb replay of any run.
 // skyrise-check: allow(shared-mutable-state)
 LogLevel g_level = LogLevel::kWarning;
 

@@ -1470,27 +1470,4 @@ Status FilterKernel::Compile(const data::Schema& schema) {
   return Status::OK();
 }
 
-Result<data::Schema> PipelineOutputSchema(
-    const PipelineSpec& pipeline, const data::Schema& stream_schema,
-    const std::vector<data::Schema>& build_schemas) {
-  Schema current = stream_schema;
-  for (const auto& op : pipeline.ops) {
-    if (op.op == "project") {
-      SKYRISE_ASSIGN_OR_RETURN(current, ProjectSchema(op, current));
-    } else if (op.op == "hash_agg") {
-      SKYRISE_ASSIGN_OR_RETURN(current, AggSchema(op, current));
-    } else if (op.op == "hash_join") {
-      const size_t build_index = static_cast<size_t>(op.build_input - 1);
-      if (build_index >= build_schemas.size()) {
-        return Status::InvalidArgument("missing join build schema");
-      }
-      SKYRISE_ASSIGN_OR_RETURN(
-          current, JoinSchema(op, current, build_schemas[build_index]));
-    } else if (op.op == "bb_sessionize") {
-      current = SessionizeSchema();
-    }
-  }
-  return current;
-}
-
 }  // namespace skyrise::engine

@@ -166,12 +166,4 @@ class FilterKernel {
   std::vector<uint32_t> selection_;
 };
 
-/// Output schema of the pipeline (after all non-terminal operators), given
-/// the streamed input schema and build schemas. Exposed for planning and
-/// tests.
-[[nodiscard]] Result<data::Schema> PipelineOutputSchema(const PipelineSpec& pipeline,
-                                          const data::Schema& stream_schema,
-                                          const std::vector<data::Schema>&
-                                              build_schemas);
-
 }  // namespace skyrise::engine

@@ -9,7 +9,6 @@ namespace {
 struct BenchState {
   sim::SimEnvironment* env = nullptr;
   storage::StorageService* service = nullptr;
-  std::unique_ptr<storage::RetryClient> retry_client;
   StorageIoConfig config;
   SimTime start = 0;
   SimTime deadline = 0;
@@ -17,7 +16,6 @@ struct BenchState {
   std::vector<std::unique_ptr<net::Nic>> nics;
   std::vector<storage::ClientContext> contexts;  ///< Per client.
   std::vector<std::string> read_keys;  ///< The pre-created objects.
-  Rng rng{0};
   int64_t next_write_key = 0;
   int64_t next_read_key = 0;
   int active_threads = 0;
@@ -58,15 +56,9 @@ void IssueNext(std::shared_ptr<BenchState> state, int client) {
     if (--state->active_threads == 0 && state->on_done) state->on_done();
     return;
   }
-  // Optional issue pacing (open-ish loop for rate-controlled experiments).
-  SimDuration pacing = 0;
-  if (state->config.max_rps_per_client > 0) {
-    const double mean_gap_s = state->config.threads_per_client /
-                              state->config.max_rps_per_client;
-    pacing = static_cast<SimDuration>(state->rng.Exponential(mean_gap_s) *
-                                      kSecond);
-  }
-  env->Schedule(pacing, [state, client] {
+  // Each request is issued from an event of its own, after the completion
+  // that freed its thread; the benches' event order depends on this hop.
+  env->Schedule(0, [state, client] {
     sim::SimEnvironment* env = state->env;
     if (env->now() >= state->deadline) {
       if (--state->active_threads == 0 && state->on_done) state->on_done();
@@ -83,11 +75,7 @@ void IssueNext(std::shared_ptr<BenchState> state, int client) {
         OnComplete(state, client, issued, status.ok(),
                    state->config.request_bytes);
       };
-      if (state->retry_client) {
-        state->retry_client->Put(key, std::move(blob), ctx, std::move(cb));
-      } else {
-        state->service->Put(key, std::move(blob), ctx, std::move(cb));
-      }
+      state->service->Put(key, std::move(blob), ctx, std::move(cb));
     } else {
       const std::string& key = state->read_keys[static_cast<size_t>(
           state->next_read_key++ % state->config.object_count)];
@@ -95,11 +83,7 @@ void IssueNext(std::shared_ptr<BenchState> state, int client) {
         OnComplete(state, client, issued, result.ok(),
                    result.ok() ? result->size() : 0);
       };
-      if (state->retry_client) {
-        state->retry_client->Get(key, ctx, std::move(cb));
-      } else {
-        state->service->Get(key, ctx, std::move(cb));
-      }
+      state->service->Get(key, ctx, std::move(cb));
     }
   });
 }
@@ -114,11 +98,6 @@ StorageIoResult RunStorageIo(sim::SimEnvironment* env,
   state->env = env;
   state->service = service;
   state->config = config;
-  state->rng = env->ForkRng(config.rng_stream);
-  if (config.use_retry_client) {
-    state->retry_client = std::make_unique<storage::RetryClient>(
-        env, service, config.retry, config.rng_stream + 1);
-  }
 
   // Pre-create read objects (control plane).
   if (!config.write) {
@@ -146,11 +125,6 @@ StorageIoResult RunStorageIo(sim::SimEnvironment* env,
       ctx.nic = nic.get();
       ctx.fabric = fabric;
     }
-    // Requests in flight at the measurement deadline may drain through
-    // retries for at most `drain_grace`; the retry client then fails them
-    // typed instead of backing off past the driver's horizon.
-    ctx.deadline =
-        Deadline::At(env->now() + config.duration + config.drain_grace);
     state->contexts.push_back(ctx);
     state->nics.push_back(std::move(nic));
   }
@@ -166,10 +140,10 @@ StorageIoResult RunStorageIo(sim::SimEnvironment* env,
       IssueNext(state, c);
     }
   }
-  // Drive the simulation until all threads observed the deadline. The
-  // per-request deadlines above bound the drain; the loop guard is a
-  // backstop against a wedged service, and leaving it with threads still
-  // active is reported as a typed outcome rather than silently dropped.
+  // Drive the simulation until all threads observed the deadline. The drain
+  // grace is a backstop against a wedged service, and leaving it with
+  // threads still active is reported as a typed outcome rather than
+  // silently dropped.
   while (!finished && env->now() < state->deadline + config.drain_grace) {
     if (!env->Step()) break;
   }

@@ -6,7 +6,7 @@
 #include "common/histogram.h"
 #include "net/fabric_driver.h"
 #include "net/instance_specs.h"
-#include "storage/retry_client.h"
+#include "sim/environment.h"
 #include "storage/storage_service.h"
 
 /// \file storage_io.h
@@ -31,19 +31,10 @@ struct StorageIoConfig {
   std::string client_instance_type = "c6gn.2xlarge";
   /// Route payloads through the fluid fabric (large requests only).
   bool use_fabric = true;
-  /// Issue through a retrying client (timeout/backoff); otherwise failures
-  /// are terminal and counted directly.
-  bool use_retry_client = false;
-  storage::RetryClient::Options retry;
   SimDuration sample_interval = Seconds(1);
-  /// Cap on request issue rate per client (0 = closed-loop unbounded).
-  double max_rps_per_client = 0;
-  /// How long past the measurement window in-flight requests may drain
-  /// (stragglers deep in retry backoff). The drain bound is enforced as a
-  /// per-request deadline, so late requests fail typed (DeadlineExceeded)
-  /// instead of the driver silently abandoning the simulation loop.
+  /// How long past the measurement window in-flight requests may drain;
+  /// threads still waiting then are counted in `abandoned_threads`.
   SimDuration drain_grace = Minutes(10);
-  uint64_t rng_stream = 0xB000;
 };
 
 struct StorageIoResult {

@@ -103,40 +103,6 @@ TEST(StorageIoTest, ThrottlingShowsUpAsFailures) {
   EXPECT_GT(result.ErrorRate(), 0.5);
 }
 
-TEST(StorageIoTest, RetryClientMasksThrottles) {
-  Testbed bed(24);
-  auto options = storage::ObjectStore::StandardOptions();
-  options.read_burst_tokens = 50;
-  options.partition_read_iops = 500;
-  storage::ObjectStore s3(&bed.env, options);
-  StorageIoConfig config;
-  config.clients = 2;
-  config.threads_per_client = 16;
-  config.request_bytes = kKiB;
-  config.duration = Seconds(5);
-  config.use_fabric = false;
-  config.use_retry_client = true;
-  config.retry.max_attempts = 10;
-  auto result = RunStorageIo(&bed.env, &bed.fabric_driver, &s3, config);
-  // With retries, completed operations succeed even under throttling.
-  EXPECT_LT(result.ErrorRate(), 0.05);
-  EXPECT_GT(result.successes, 1000);
-}
-
-TEST(StorageIoTest, PacedLoadRespectsRateCap) {
-  Testbed bed(25);
-  storage::ObjectStore s3(&bed.env, storage::ObjectStore::StandardOptions());
-  StorageIoConfig config;
-  config.clients = 4;
-  config.threads_per_client = 32;
-  config.request_bytes = kKiB;
-  config.duration = Seconds(20);
-  config.use_fabric = false;
-  config.max_rps_per_client = 100;  // 400 rps total despite 128 slots.
-  auto result = RunStorageIo(&bed.env, &bed.fabric_driver, &s3, config);
-  EXPECT_NEAR(result.SuccessIops(), 400, 80);
-}
-
 TEST(TestbedTest, EngineTestbedRunsAQuery) {
   EngineTestbed bed(26);
   datagen::TpchConfig tpch;

@@ -154,8 +154,8 @@ TEST(CallGraph, WholeTreeIndexesAndBuildsCleanly) {
   size_t edges = 0;
   for (const auto& out : g.callees) edges += out.size();
   EXPECT_GT(edges, 1000u);
-  // src/ holds statics (the state audit inventories them), and the repo's
-  // cap on unresolved externs stays sane relative to resolved edges.
+  // src/ holds statics (the shared-mutable-state pass reads them), and the
+  // repo's cap on unresolved externs stays sane relative to resolved edges.
   EXPECT_FALSE(index.statics().empty());
   EXPECT_LT(g.unresolved_calls, edges * 10);
 }

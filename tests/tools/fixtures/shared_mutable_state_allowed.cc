@@ -1,13 +1,7 @@
-// Fixture: const-init tables and sim-owned registries are confined.
+// Fixture: const tables are safe to share.
 namespace engine {
 
 constexpr int kMaxWaves = 4;
 const char* const kStageNames[] = {"scan", "shuffle"};
 
 }  // namespace engine
-
-namespace sim {
-
-int g_active_runs = 0;
-
-}  // namespace sim

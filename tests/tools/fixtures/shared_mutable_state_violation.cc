@@ -1,4 +1,4 @@
-// Fixture: mutable statics with no sim:: owner, in all three storages.
+// Fixture: mutable statics in all three storages, a sim:: owner's too.
 namespace engine {
 
 int g_inflight = 0;
@@ -11,3 +11,9 @@ class Pool {
 void Bump() { static int calls = 0; ++calls; }
 
 }  // namespace engine
+
+namespace sim {
+
+int g_active_runs = 0;
+
+}  // namespace sim

@@ -14,7 +14,6 @@
 #include "explain.h"
 #include "lexer.h"
 #include "sarif.h"
-#include "state_audit.h"
 
 /// Golden-fixture tests for the skyrise_check lint pass: every rule family
 /// has a fixture that fires, an allowed twin showing the sanctioned pattern,
@@ -325,30 +324,6 @@ TEST(SkyriseCheckSarif, EmptyFindingsIsAValidRun) {
   EXPECT_EQ(sarif.find("\"ruleId\""), std::string::npos);
 }
 
-// --- state inventory --------------------------------------------------------
-
-TEST(SkyriseCheckState, CheckedInInventoryIsCurrent) {
-  // CI regenerates the inventory and diffs; this test is the local mirror of
-  // that ratchet. If it fails, rebuild and run:
-  //   skyrise_check --root . --state-inventory tools/skyrise_check/state_inventory.json
-  EXPECT_EQ(
-      RenderStateInventoryForTree(SKYRISE_SOURCE_DIR),
-      ReadFile(SKYRISE_SOURCE_DIR "/tools/skyrise_check/state_inventory.json"));
-}
-
-TEST(SkyriseCheckState, InventoryHasNoUnclassifiedEntries) {
-  // Every static in src/ must be const-init, sim-confined, or carry a
-  // justified suppression; "unconfined" entries are exactly what the
-  // shared-mutable-state rule rejects.
-  const std::string inventory =
-      RenderStateInventoryForTree(SKYRISE_SOURCE_DIR);
-  EXPECT_EQ(inventory.find("\"unconfined\""), std::string::npos);
-  // The audit is not vacuous: the tree has statics and the known suppressed
-  // log-level global is recorded.
-  EXPECT_NE(inventory.find("\"statics\""), std::string::npos);
-  EXPECT_NE(inventory.find("g_level"), std::string::npos);
-}
-
 // --- --explain ---------------------------------------------------------------
 
 TEST(SkyriseCheckExplain, EveryRuleHasADocAndEveryDocARule) {
@@ -413,56 +388,19 @@ TEST(SkyriseCheckExplain, EveryRuleIdIsDocumentedInDesignSection6) {
       }
     }
     if (!kebab) continue;
-    // Classification labels from the state audit, not rule ids.
-    if (token == "const-init" || token == "sim-confined") continue;
     EXPECT_NE(std::find(ids.begin(), ids.end(), token), ids.end())
         << "DESIGN.md section 6 documents unknown rule id " << token;
   }
-}
-
-// --- parallel driver ---------------------------------------------------------
-
-TEST(SkyriseCheckParallel, DiagnosticsAreIdenticalAcrossJobCounts) {
-  // The per-file phases fan out over a worker pool; per-file result slots
-  // merged in file order make the output byte-identical for any job count.
-  PhaseTimings seq;
-  PhaseTimings par;
-  const std::vector<Diagnostic> one =
-      CheckTree(SKYRISE_SOURCE_DIR, {"src"}, 1, &seq);
-  const std::vector<Diagnostic> four =
-      CheckTree(SKYRISE_SOURCE_DIR, {"src"}, 4, &par);
-  ASSERT_EQ(one.size(), four.size());
-  for (size_t i = 0; i < one.size(); ++i) {
-    EXPECT_EQ(FormatDiagnostic(one[i]), FormatDiagnostic(four[i]));
-  }
-  EXPECT_EQ(seq.jobs, 1u);
-  EXPECT_EQ(par.jobs, 4u);
-  EXPECT_GT(seq.files, 100u);
-  EXPECT_EQ(seq.files, par.files);
-}
-
-TEST(SkyriseCheckParallel, PhaseTimingsCoverThePipeline) {
-  PhaseTimings timings;
-  (void)CheckTree(SKYRISE_SOURCE_DIR, {"src"}, 2, &timings);
-  // Phases are measured (>= 0) and the total covers the run.
-  EXPECT_GE(timings.preprocess_ms, 0.0);
-  EXPECT_GE(timings.collect_ms, 0.0);
-  EXPECT_GE(timings.index_ms, 0.0);
-  EXPECT_GE(timings.per_file_ms, 0.0);
-  EXPECT_GE(timings.interproc_ms, 0.0);
-  EXPECT_GT(timings.total_ms, 0.0);
-  EXPECT_GE(timings.total_ms, timings.interproc_ms);
 }
 
 // --- linter self-performance ------------------------------------------------
 
 TEST(SkyriseCheckPerf, WholeTreeInterproceduralPassStaysFast) {
   // The interprocedural pass (index + graph + taint/retry/state on top of
-  // the flow rules) must stay interactive over the whole repo. The
-  // budget is ~50x the measured debug-build time, so it only trips on a
-  // complexity regression (e.g. quadratic resolution), not machine noise.
-  // The v4 pin is half the v3 one: the per-file phases now fan out over a
-  // worker pool and must never regress past interactive latency.
+  // the flow rules) must stay interactive over the whole repo. The budget
+  // is about 8x the measured debug-build time (3x under ASan/UBSan), so it
+  // trips on a complexity regression (e.g. quadratic resolution), not on
+  // machine noise.
   // skyrise-check: allow(banned-api, transitive-nondeterminism)
   const auto t0 = std::chrono::steady_clock::now();
   const std::vector<Diagnostic> diags = CheckTree(

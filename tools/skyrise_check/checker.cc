@@ -1,19 +1,13 @@
 #include "checker.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <functional>
-#include <iterator>
 #include <sstream>
-#include <thread>
 
 #include "callgraph.h"
 #include "dataflow.h"
-#include "state_audit.h"
 #include "symbols.h"
 
 namespace skyrise::check {
@@ -98,27 +92,6 @@ void ParseAllows(const std::string& comment, int line,
     }
     pos = comment.find(marker, close);
   }
-}
-
-/// Minimal deterministic worker pool: runs `fn(i)` for every i in [0, n)
-/// across up to `jobs` threads (the calling thread works too). Callers write
-/// results into pre-sized per-index slots, so the merged output is identical
-/// for any job count.
-void ParallelFor(size_t n, size_t jobs, const std::function<void(size_t)>& fn) {
-  if (jobs <= 1 || n <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::atomic<size_t> next{0};
-  auto work = [&]() {
-    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) fn(i);
-  };
-  std::vector<std::thread> workers;
-  const size_t extra = std::min(jobs, n) - 1;
-  workers.reserve(extra);
-  for (size_t t = 0; t < extra; ++t) workers.emplace_back(work);
-  work();
-  for (std::thread& w : workers) w.join();
 }
 
 /// Skips whitespace forward from `i` within a single line.
@@ -773,74 +746,51 @@ void Checker::CheckFile(const SourceFile& file,
   CheckFlowRules(file, ctx, out);
 }
 
+namespace {
+
+/// shared-mutable-state: a mutable static in src/ is one variable for every
+/// simulation the process runs, so what one run writes the next one reads.
+void CheckSharedMutableState(const SymbolIndex& index, const FileMap& files,
+                             std::vector<Diagnostic>* out) {
+  for (const StaticVar& var : index.statics()) {
+    if (var.is_const || !SrcScoped(var.file)) continue;
+    EmitDiagnostic(*files.at(var.file), var.line, "shared-mutable-state",
+                   "mutable " + std::string(StorageName(var.storage)) + " `" +
+                       var.qualified +
+                       "` is shared by every simulation in the process; make "
+                       "it const, move it into the object that owns the run, "
+                       "or justify with allow(shared-mutable-state)",
+                   out);
+  }
+}
+
+}  // namespace
+
 std::vector<Diagnostic> Checker::CheckSources(
-    const std::vector<std::pair<std::string, std::string>>& path_contents,
-    size_t jobs, PhaseTimings* timings) {
-  // skyrise-check: allow(banned-api) — the tool timing its own phases.
-  using Clock = std::chrono::steady_clock;
-  const auto t0 = Clock::now();
-  auto ms = [](Clock::time_point a, Clock::time_point b) {
-    return std::chrono::duration<double, std::milli>(b - a).count();
-  };
-  if (jobs == 0) {
-    jobs = std::thread::hardware_concurrency();
-    if (jobs == 0) jobs = 1;
+    const std::vector<std::pair<std::string, std::string>>& path_contents) {
+  std::vector<SourceFile> files;
+  files.reserve(path_contents.size());
+  for (const auto& [path, contents] : path_contents) {
+    files.push_back(Preprocess(path, contents));
   }
-  const size_t n = path_contents.size();
-
-  // Phase 1 (parallel): preprocess into per-file slots.
-  std::vector<SourceFile> files(n);
-  ParallelFor(n, jobs, [&](size_t i) {
-    files[i] = Preprocess(path_contents[i].first, path_contents[i].second);
-  });
-  const auto t_pre = Clock::now();
-
-  // Phase 2 (sequential): the fallible-name harvest mutates shared sets; it
-  // is a cheap line scan, not worth slot-merging.
-  for (const SourceFile& f : files) CollectFallibleNames(f);
-  const auto t_collect = Clock::now();
-
-  // Phase 3 (parallel): per-file symbol indexes, merged in file order — the
-  // result is identical to sequential AddFile calls, so span sources, taint
-  // roots, and retry obligations cross TU boundaries deterministically.
-  std::vector<SymbolIndex> index_slots(n);
-  ParallelFor(n, jobs, [&](size_t i) { index_slots[i].AddFile(files[i]); });
+  // Every file is harvested and indexed before any rule runs, so the flow
+  // rules see fallible names and span sources declared in other files.
   SymbolIndex index;
-  for (SymbolIndex& s : index_slots) index.Merge(std::move(s));
-  span_source_names_ = index.SpanSourceNames();
-  const auto t_index = Clock::now();
-
-  // Phase 4 (parallel): per-file rule passes. CheckFile only reads `this`
-  // and the file; diagnostics land in per-file slots merged in file order.
-  std::vector<std::vector<Diagnostic>> diag_slots(n);
-  ParallelFor(n, jobs, [&](size_t i) { CheckFile(files[i], &diag_slots[i]); });
-  std::vector<Diagnostic> diags;
-  for (std::vector<Diagnostic>& slot : diag_slots) {
-    diags.insert(diags.end(), std::make_move_iterator(slot.begin()),
-                 std::make_move_iterator(slot.end()));
+  for (const SourceFile& f : files) {
+    CollectFallibleNames(f);
+    index.AddFile(f);
   }
-  const auto t_per_file = Clock::now();
+  span_source_names_ = index.SpanSourceNames();
 
-  // Phase 5 (sequential): whole-program passes over the shared read-only
-  // index and call graph.
+  std::vector<Diagnostic> diags;
+  for (const SourceFile& f : files) CheckFile(f, &diags);
+
   const CallGraph graph = BuildCallGraph(index);
   FileMap file_map;
   for (const SourceFile& f : files) file_map[f.path] = &f;
   CheckTransitiveNondeterminism(index, graph, file_map, &diags);
   CheckRetryWrappers(index, graph, file_map, &diags);
   CheckSharedMutableState(index, file_map, &diags);
-  const auto t_end = Clock::now();
-
-  if (timings != nullptr) {
-    timings->preprocess_ms = ms(t0, t_pre);
-    timings->collect_ms = ms(t_pre, t_collect);
-    timings->index_ms = ms(t_collect, t_index);
-    timings->per_file_ms = ms(t_index, t_per_file);
-    timings->interproc_ms = ms(t_per_file, t_end);
-    timings->total_ms = ms(t0, t_end);
-    timings->files = n;
-    timings->jobs = n == 0 ? 1 : std::min(jobs, n);
-  }
 
   std::sort(diags.begin(), diags.end());
   return diags;
@@ -883,14 +833,13 @@ std::vector<TreeFile> LoadTree(const std::string& root,
 }
 
 std::vector<Diagnostic> CheckTree(const std::string& root,
-                                  const std::vector<std::string>& dirs,
-                                  size_t jobs, PhaseTimings* timings) {
+                                  const std::vector<std::string>& dirs) {
   std::vector<std::pair<std::string, std::string>> sources;
   for (TreeFile& f : LoadTree(root, dirs)) {
     sources.emplace_back(std::move(f.rel), std::move(f.contents));
   }
   Checker checker;
-  return checker.CheckSources(sources, jobs, timings);
+  return checker.CheckSources(sources);
 }
 
 std::string FormatDiagnostic(const Diagnostic& diag) {

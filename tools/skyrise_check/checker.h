@@ -83,10 +83,9 @@
 ///                              that source/edge and stops propagation
 ///   shared-mutable-state       a non-const static-storage variable in src/
 ///                              (namespace-scope, static-local, or static
-///                              member) that is neither const-init nor
-///                              confined under a sim:: owner — the audit
-///                              gating parallel simulation (see
-///                              state_audit.h and state_inventory.json)
+///                              member): every simulation in the process
+///                              shares it, so one run's writes reach the
+///                              next run's replay
 ///   unbounded-retry-wrapper    closes unbounded-retry's wrapper loophole: a
 ///                              src/ function passing retry-ish arguments
 ///                              into a helper that (transitively)
@@ -145,19 +144,6 @@ bool IsSuppressed(const SourceFile& file, int line, const std::string& rule);
 void EmitDiagnostic(const SourceFile& file, int line, const std::string& rule,
                     std::string message, std::vector<Diagnostic>* out);
 
-/// Wall-clock milliseconds per analysis phase, filled by CheckSources when a
-/// non-null pointer is passed (the CLI prints these under --verbose).
-struct PhaseTimings {
-  double preprocess_ms = 0;  ///< Comment/literal blanking, allow parse.
-  double collect_ms = 0;     ///< Fallible-name harvest (sequential).
-  double index_ms = 0;       ///< Per-file symbol indexing + merge.
-  double per_file_ms = 0;    ///< Token/flow rule passes over each file.
-  double interproc_ms = 0;   ///< Call graph + whole-program rule drivers.
-  double total_ms = 0;
-  size_t files = 0;
-  size_t jobs = 1;  ///< Worker threads actually used.
-};
-
 class Checker {
  public:
   /// Names of functions returning Status/Result<T>, harvested from
@@ -174,16 +160,10 @@ class Checker {
 
   /// Preprocess + collect + check a set of in-memory files, then run the
   /// whole-program passes (cross-TU symbol index, call graph, transitive
-  /// taint, retry-wrapper obligations, shared-mutable-state audit) over the
-  /// set as one program. The embarrassingly parallel
-  /// phases (preprocess, per-file indexing, per-file rules) fan out over
-  /// `jobs` worker threads against the shared read-only symbol index;
-  /// `jobs == 0` means hardware concurrency. Output is byte-identical for
-  /// every job count: each phase writes to per-file slots merged in file
-  /// order, and diagnostics are sorted before returning.
+  /// taint, retry-wrapper obligations, shared mutable statics) over the set
+  /// as one program. Diagnostics are sorted before returning.
   std::vector<Diagnostic> CheckSources(
-      const std::vector<std::pair<std::string, std::string>>& path_contents,
-      size_t jobs = 0, PhaseTimings* timings = nullptr);
+      const std::vector<std::pair<std::string, std::string>>& path_contents);
 
   const std::set<std::string>& fallible_names() const {
     return fallible_names_;
@@ -238,12 +218,9 @@ std::vector<TreeFile> LoadTree(const std::string& root,
 
 /// Walks `dirs` (recursively, deterministic lexicographic order), lints every
 /// .h/.hpp/.cc/.cpp file, and returns sorted diagnostics. Paths in
-/// diagnostics are relative to `root` when they fall under it. `jobs` and
-/// `timings` pass through to CheckSources.
+/// diagnostics are relative to `root` when they fall under it.
 std::vector<Diagnostic> CheckTree(const std::string& root,
-                                  const std::vector<std::string>& dirs,
-                                  size_t jobs = 0,
-                                  PhaseTimings* timings = nullptr);
+                                  const std::vector<std::string>& dirs);
 
 /// Formats one diagnostic as `file:line: [rule] message`.
 std::string FormatDiagnostic(const Diagnostic& diag);

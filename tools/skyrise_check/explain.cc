@@ -100,10 +100,11 @@ const std::vector<RuleDoc>& RuleDocs() {
        "double Jitter() { return HostNoise(); }  // HostNoise -> rand()\n"
        "// caller in src/ is flagged: Jitter -> HostNoise reaches rand"},
       {"shared-mutable-state",
-       "Parallel simulation requires every static-storage variable in src/ "
-       "to be const-init, confined under a sim:: owner, or explicitly "
-       "justified; anonymous mutable globals are cross-shard races waiting "
-       "to happen. state_inventory.json is the CI ratchet.",
+       "A mutable static-storage variable in src/ is one variable for every "
+       "simulation in the process, so what one run writes the next run "
+       "reads and the same seed stops giving the same bytes. State lives in "
+       "the objects a run owns; a static is const, or justified with an "
+       "allow comment.",
        "namespace skyrise::engine {\n"
        "int g_query_count = 0;  // mutable global, no owner\n"
        "}"},

@@ -1,8 +1,6 @@
 #include "symbols.h"
 
-#include <algorithm>
 #include <cctype>
-#include <tuple>
 
 namespace skyrise::check {
 namespace {
@@ -296,23 +294,7 @@ std::string DeclaratorName(const std::vector<Token>& toks, size_t begin,
   return "";
 }
 
-std::string JoinTokens(const std::vector<Token>& toks, size_t b, size_t e) {
-  std::string text;
-  for (size_t j = b; j < e && j < toks.size(); ++j) {
-    if (toks[j].Is("static") || toks[j].Is("inline")) continue;
-    if (!text.empty() &&
-        (toks[j].IsIdent() || toks[j].kind == Token::Kind::kNumber)) {
-      const std::string& prev = toks[j - 1].text;
-      if (prev != "::" && prev != "<" && prev != "*" && prev != "&") {
-        text += ' ';
-      }
-    }
-    text += toks[j].text;
-  }
-  return text;
-}
-
-/// Static-storage variable inventory pass: walks the token stream with the
+/// Static-storage variable pass: walks the token stream with the
 /// classified region stack, recognizing namespace-scope declarations and
 /// `static`-anchored statements inside classes and function bodies.
 void CollectStaticsIn(const SourceFile& file, const std::vector<Token>& toks,
@@ -335,7 +317,7 @@ void CollectStaticsIn(const SourceFile& file, const std::vector<Token>& toks,
     var.file = file.path;
     var.line = toks[begin].line;
     var.storage = storage;
-    // Type text ends where the (possibly qualified) name chain starts.
+    // The type ends where the (possibly qualified) name chain starts.
     size_t type_end;
     {
       size_t idx = delim - 1;
@@ -358,9 +340,7 @@ void CollectStaticsIn(const SourceFile& file, const std::vector<Token>& toks,
         continue;
       }
       if (IsCvKeyword(toks[j].text)) var.is_const = true;
-      if (toks[j].Is("thread_local")) var.thread_local_ = true;
     }
-    var.type_text = JoinTokens(toks, begin, type_end);
     std::string prefix = PrefixAt(regions, begin);
     // Static locals nest under their function's qualified name; the region
     // prefix only carries namespaces/classes, so swap in the symbol name.
@@ -374,7 +354,6 @@ void CollectStaticsIn(const SourceFile& file, const std::vector<Token>& toks,
       }
     }
     var.qualified = prefix.empty() ? name : prefix + "::" + name;
-    var.suppressed = IsSuppressed(file, var.line, "shared-mutable-state");
     out->push_back(std::move(var));
   };
 
@@ -682,21 +661,6 @@ void SymbolIndex::AddFile(const SourceFile& file) {
 
   // --- Pass 4: static-storage variables.
   CollectStaticsIn(file, toks, brackets, regions, functions_, &statics_);
-  std::sort(statics_.begin(), statics_.end(),
-            [](const StaticVar& a, const StaticVar& b) {
-              return std::tie(a.file, a.line, a.qualified) <
-                     std::tie(b.file, b.line, b.qualified);
-            });
-}
-
-void SymbolIndex::Merge(SymbolIndex&& other) {
-  for (FunctionSym& f : other.functions_) functions_.push_back(std::move(f));
-  for (StaticVar& v : other.statics_) statics_.push_back(std::move(v));
-  std::sort(statics_.begin(), statics_.end(),
-            [](const StaticVar& a, const StaticVar& b) {
-              return std::tie(a.file, a.line, a.qualified) <
-                     std::tie(b.file, b.line, b.qualified);
-            });
 }
 
 std::set<std::string> SymbolIndex::SpanSourceNames() const {

@@ -15,9 +15,9 @@
 /// contributes its function (and named-lambda) definitions with best-effort
 /// qualified names, the call sites inside each body, the per-function facts
 /// the interprocedural rules need (direct banned-API uses, retry-scheduling
-/// sites, visible retry bounds, span-returning signatures), and an inventory
-/// of every static-storage variable (namespace-scope globals, static locals,
-/// static data members) with const-ness recorded.
+/// sites, visible retry bounds, span-returning signatures), and every
+/// static-storage variable (namespace-scope globals, static locals, static
+/// data members) with its const-ness.
 ///
 /// Name resolution model (documented best-effort, shared with callgraph.h):
 ///  - Free functions and methods get `ns::Class::Name` qualified names from
@@ -93,10 +93,7 @@ struct StaticVar {
   std::string file;
   int line = 0;
   Storage storage = Storage::kNamespaceScope;
-  bool is_const = false;      ///< const / constexpr / constinit declaration.
-  bool thread_local_ = false;
-  bool suppressed = false;    ///< allow(shared-mutable-state) on the line.
-  std::string type_text;      ///< Declared type, for the inventory.
+  bool is_const = false;  ///< const / constexpr / constinit declaration.
 };
 
 const char* StorageName(StaticVar::Storage storage);
@@ -115,11 +112,6 @@ class SymbolIndex {
   /// Indexes one preprocessed file. Never fails; constructs it cannot
   /// classify are skipped (degrading to "unknown", not to false facts).
   void AddFile(const SourceFile& file);
-
-  /// Appends another index's symbols (used by the parallel driver: files are
-  /// indexed into per-file indexes concurrently, then merged in file order
-  /// so the result is identical to sequential AddFile calls).
-  void Merge(SymbolIndex&& other);
 
   const std::vector<FunctionSym>& functions() const { return functions_; }
   const std::vector<StaticVar>& statics() const { return statics_; }
