@@ -5,6 +5,7 @@
 /// configurations use 200K requests.
 
 #include <cstdio>
+#include <vector>
 
 #include "common/string_util.h"
 
@@ -57,6 +58,8 @@ int main() {
       {"EFS", storage::ObjectStore::EfsOptions(), 200000},
   };
   uint64_t seed = 40;
+  // One histogram per table row: each system's read, then its write.
+  std::vector<Histogram> rows;
   for (const auto& config : configs) {
     for (bool write : {false, true}) {
       const int64_t n = write ? 200000 : config.reads;
@@ -67,18 +70,40 @@ int main() {
                     StrFormat("%.1f", h.Percentile(95)),
                     StrFormat("%.1f", h.Percentile(99)),
                     StrFormat("%.0f", h.max())});
+      rows.push_back(std::move(h));
     }
   }
   table.Print();
+  const Histogram& s3_read = rows[0];
+  const Histogram& s3_write = rows[1];
+  const Histogram& express_read = rows[2];
+  const Histogram& dynamo_read = rows[4];
+  const Histogram& efs_read = rows[6];
+  const Histogram& efs_write = rows[7];
 
   std::printf("\nPaper-reported reference points:\n");
-  platform::PrintComparison("S3 Standard read p50 / p95 [ms]", "27 / 75", "");
-  platform::PrintComparison("S3 Standard write p50 [ms]", "40", "");
-  platform::PrintComparison("S3 Standard slowest read (1M requests)",
-                            "just over 10 s (374x median)", "");
-  platform::PrintComparison("S3 Express read p50 ~ p95 [ms]", "~5", "");
-  platform::PrintComparison("DynamoDB vs S3 Express",
-                            "slightly lower, more variable", "");
-  platform::PrintComparison("EFS writes vs reads", "2-3x slower", "");
+  platform::PrintComparison(
+      "S3 Standard read p50 / p95 [ms]", "27 / 75",
+      StrFormat("%.1f / %.1f", s3_read.Percentile(50),
+                s3_read.Percentile(95)));
+  platform::PrintComparison("S3 Standard write p50 [ms]", "40",
+                            StrFormat("%.1f", s3_write.Percentile(50)));
+  platform::PrintComparison(
+      "S3 Standard slowest read (1M requests)", "just over 10 s (374x median)",
+      StrFormat("%.1f s (%.0fx median)", s3_read.max() / 1000.0,
+                s3_read.max() / s3_read.Percentile(50)));
+  platform::PrintComparison(
+      "S3 Express read p50 ~ p95 [ms]", "~5",
+      StrFormat("%.1f ~ %.1f", express_read.Percentile(50),
+                express_read.Percentile(95)));
+  platform::PrintComparison(
+      "DynamoDB vs S3 Express", "slightly lower, more variable",
+      StrFormat("read p50 %.1f vs %.1f ms, p99 %.1f vs %.1f ms",
+                dynamo_read.Percentile(50), express_read.Percentile(50),
+                dynamo_read.Percentile(99), express_read.Percentile(99)));
+  platform::PrintComparison(
+      "EFS writes vs reads", "2-3x slower",
+      StrFormat("%.1fx slower (p50)",
+                efs_write.Percentile(50) / efs_read.Percentile(50)));
   return 0;
 }

@@ -127,7 +127,8 @@ void BM_ExecutorQ6Fragment(benchmark::State& state) {
   pipeline.ops.insert(pipeline.ops.begin(), filter);
   for (auto _ : state) {
     engine::CostAccumulator cost;
-    auto out = engine::ExecuteFragment(pipeline, data::Chunk(chunk), {}, &cost);
+    auto out = engine::ExecuteFragment(pipeline, chunk.Slice(0, chunk.rows()),
+                                       {}, &cost);
     benchmark::DoNotOptimize(out.ok());
   }
   state.SetItemsProcessed(state.iterations() * chunk.rows());
@@ -147,7 +148,8 @@ void BM_ExecutorQ1Partial(benchmark::State& state) {
   pipeline.ops.insert(pipeline.ops.begin(), filter);
   for (auto _ : state) {
     engine::CostAccumulator cost;
-    auto out = engine::ExecuteFragment(pipeline, data::Chunk(chunk), {}, &cost);
+    auto out = engine::ExecuteFragment(pipeline, chunk.Slice(0, chunk.rows()),
+                                       {}, &cost);
     benchmark::DoNotOptimize(out.ok());
   }
   state.SetItemsProcessed(state.iterations() * chunk.rows());
@@ -199,7 +201,10 @@ void BM_HashJoinProbe(benchmark::State& state) {
   pipeline.ops.push_back(join);
   for (auto _ : state) {
     engine::CostAccumulator cost;
-    auto out = engine::ExecuteFragment(pipeline, data::Chunk(probe), {dim}, &cost);
+    std::vector<data::Chunk> builds;
+    builds.push_back(dim.Slice(0, dim.rows()));
+    auto out = engine::ExecuteFragment(pipeline, probe.Slice(0, probe.rows()),
+                                       std::move(builds), &cost);
     benchmark::DoNotOptimize(out.ok());
   }
   state.SetItemsProcessed(state.iterations() * probe.rows());

@@ -278,9 +278,15 @@ class Column {
   std::shared_ptr<StringDict> dict_;
 };
 
+/// Move-only: a copy of a materialized chunk deep-copies every column, so
+/// one is spelled `Slice(0, rows())`, which also works for synthetic chunks.
 class Chunk {
  public:
   Chunk() = default;
+  Chunk(Chunk&&) = default;
+  Chunk& operator=(Chunk&&) = default;
+  Chunk(const Chunk&) = delete;
+  Chunk& operator=(const Chunk&) = delete;
   Chunk(Schema schema, std::vector<Column> columns)
       : schema_(std::move(schema)), columns_(std::move(columns)) {
     for (const auto& c : columns_) {

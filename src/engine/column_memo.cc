@@ -41,9 +41,9 @@ Result<const data::Column*> ColumnChunkMemo::Decode(const storage::Blob& chunk,
 }
 
 void ColumnChunkMemo::Sweep() {
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    it = it->second.buffer.expired() ? entries_.erase(it) : std::next(it);
-  }
+  std::erase_if(entries_, [](const auto& entry) {
+    return entry.second.buffer.expired();
+  });
   sweep_at_ = std::max(kFirstSweep, 2 * entries_.size());
 }
 

@@ -518,7 +518,8 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
   void ReadShuffleInput() {
     const size_t count =
         static_cast<size_t>(assignments_[input_].upstream_fragments);
-    shuffle_slots_.assign(count, {});
+    shuffle_slots_.clear();
+    shuffle_slots_.resize(count);
     shuffle_done_.assign(count, false);
     shuffle_cursor_ = 0;
     shuffle_next_ = 0;

@@ -5,9 +5,8 @@
 #include <memory>
 #include <vector>
 
-#include "faas/function.h"
+#include "faas/lifecycle.h"
 #include "pricing/cost_meter.h"
-#include "sim/fault_injector.h"
 #include "storage/latency_model.h"
 
 /// \file lambda_platform.h
@@ -19,15 +18,17 @@
 ///           -> assignment (warm sandbox lookup)
 ///           -> placement (coldstart: sandbox creation + binary download +
 ///              runtime init, scaled by binary size)
-///           -> execution in a sandbox owning a LambdaNic
+///           -> execution in a sandbox owning a LambdaNic (lifecycle.h)
 ///
 /// Warm sandboxes are reaped after a sampled idle lifetime; their NICs keep
-/// their (idle-refilled) burst budgets across invocations. Asynchronous
-/// invocations pass through the polling service and pay extra latency.
+/// their (idle-refilled) burst budgets across invocations.
 
 namespace skyrise::faas {
 
-class LambdaPlatform : public ComputePlatform {
+/// Emits the invocation lifecycle (frontend routing, throttles, warm
+/// dispatch / coldstart, execution, sandbox reaping) as spans on track
+/// "lambda" and mirrors Stats onto "lambda.*" counters.
+class LambdaPlatform : public LifecyclePlatform {
  public:
   struct Options {
     int account_concurrency = 1000;  ///< Paper's quota raise: 10,000.
@@ -47,7 +48,6 @@ class LambdaPlatform : public ComputePlatform {
     // Warm path and routing.
     storage::LatencyProfile frontend_latency;   ///< Per-hop routing.
     storage::LatencyProfile warm_overhead;      ///< Sandbox dispatch.
-    SimDuration async_poll_latency = Millis(35);
 
     // Sandbox idle lifetime before reaping (minutes-scale, heavy spread).
     SimDuration idle_lifetime_median = Minutes(7);
@@ -62,15 +62,14 @@ class LambdaPlatform : public ComputePlatform {
     Options();
   };
 
-  struct Stats {
+  /// errors, timeouts and crashes (function crashes / sandbox kills) come
+  /// from ExecutionStats.
+  struct Stats : ExecutionStats {
     int64_t invocations = 0;
     int64_t cold_starts = 0;
     int64_t warm_starts = 0;
     int64_t throttles = 0;
     int64_t reaped_sandboxes = 0;
-    int64_t errors = 0;
-    int64_t timeouts = 0;  ///< Executions killed at FunctionConfig::timeout.
-    int64_t crashes = 0;   ///< Injected function crashes / sandbox kills.
     // Fleet accounting (serving scenarios share one fleet across tenants).
     int64_t sandboxes_created = 0;  ///< Coldstarts + prewarms.
     int64_t active_peak = 0;        ///< Max concurrent executions observed.
@@ -81,15 +80,9 @@ class LambdaPlatform : public ComputePlatform {
                  FunctionRegistry* registry, const Options& options);
   SKYRISE_DISALLOW_COPY_AND_ASSIGN(LambdaPlatform);
 
-  const std::string& platform_name() const override { return name_; }
-
   /// Synchronous (request/response) invocation.
   void Invoke(const std::string& function, Json payload,
               ResponseCallback callback) override;
-
-  /// Asynchronous/event invocation: routed via the polling service.
-  void InvokeAsync(const std::string& function, Json payload,
-                   ResponseCallback callback);
 
   int active_executions() const { return active_; }
   int WarmSandboxCount(const std::string& function) const;
@@ -100,50 +93,23 @@ class LambdaPlatform : public ComputePlatform {
   /// Pre-warms `count` sandboxes (used by warm-start experiment setups).
   void Prewarm(const std::string& function, int count);
 
-  /// Installs a fault injector: executions may crash mid-flight (optionally
-  /// losing their sandbox) and invocations may pick up latency spikes.
-  void set_fault_injector(sim::FaultInjector* injector) {
-    fault_injector_ = injector;
-  }
-
-  /// Emits the invocation lifecycle (frontend routing, throttles, warm
-  /// dispatch / coldstart, execution, sandbox reaping) as spans on track
-  /// "lambda" and mirrors Stats onto "lambda.*" counters.
-  void set_observer(obs::Tracer* tracer, obs::MetricsRegistry* metrics) override {
-    tracer_ = tracer;
-    metrics_ = metrics;
-  }
-
  private:
-  struct Sandbox {
-    std::unique_ptr<net::LambdaNic> nic;
-    sim::EventId reap_event = sim::kInvalidEventId;
-    uint64_t id = 0;
-    /// Executions served over this sandbox's lifetime; recorded to the
-    /// "lambda.sandbox_uses" histogram at reap time, so warm-pool reuse
-    /// across interleaved queries/tenants is measurable.
-    int64_t uses = 0;
-  };
-
-  void DoInvoke(const std::string& function, Json payload,
-                ResponseCallback callback, SimDuration extra_latency);
-  void Execute(const FunctionRegistry::Entry& entry,
-               std::shared_ptr<Sandbox> sandbox, Json payload, bool cold,
-               obs::SpanId invoke_span, ResponseCallback callback);
+  /// Admits the call past the frontend: quota, scaling, then a warm sandbox
+  /// or a coldstart.
+  void Admit(const std::shared_ptr<Invocation>& call);
+  /// Runs the call in its sandbox.
+  void Run(const std::shared_ptr<Invocation>& call, bool cold);
+  /// Bills the execution and keeps its sandbox warm or lets it die.
+  void Release(Invocation& call, SimDuration duration, bool keep) override;
   void ReleaseSandbox(const std::string& function,
                       std::shared_ptr<Sandbox> sandbox);
+  /// A new execution environment, counted in sandboxes_created.
+  std::shared_ptr<Sandbox> NewSandbox();
   SimDuration SampleColdstart(const FunctionConfig& config);
   int CurrentScaleLimit();
 
-  sim::SimEnvironment* env_;
-  net::FabricDriver* fabric_;
-  FunctionRegistry* registry_;
   Options opt_;
   Rng rng_;
-  sim::FaultInjector* fault_injector_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  std::string name_ = "lambda";
   std::map<std::string, std::deque<std::shared_ptr<Sandbox>>> warm_pool_;
   int active_ = 0;
   int warm_total_ = 0;

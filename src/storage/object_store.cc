@@ -479,6 +479,7 @@ Status ObjectStore::Delete(const std::string& key) {
 
 std::vector<ObjectInfo> ObjectStore::List(const std::string& prefix) const {
   std::vector<ObjectInfo> out;
+  // skyrise-check: allow(unordered-iteration) — sorted by key below.
   for (const auto& [key, blob] : objects_) {
     if (StartsWith(key, prefix)) out.push_back(ObjectInfo{key, blob.size()});
   }

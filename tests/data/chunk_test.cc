@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "data/types.h"
 
 namespace skyrise::data {
 namespace {
+
+// A chunk owns its column vectors: every deep copy is an explicit Slice.
+static_assert(!std::is_copy_constructible_v<Chunk>);
+static_assert(!std::is_copy_assignable_v<Chunk>);
+static_assert(std::is_nothrow_move_constructible_v<Chunk>);
 
 TEST(TypesTest, DateConversions) {
   EXPECT_EQ(DaysSinceEpoch(1992, 1, 1), 0);

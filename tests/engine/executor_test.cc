@@ -108,6 +108,13 @@ OperatorSpec JoinOnKeyTaggingBuildRows() {
   return join;
 }
 
+/// `build` as a pipeline's only build input (a braced list would copy it).
+std::vector<Chunk> Builds(Chunk build) {
+  std::vector<Chunk> builds;
+  builds.push_back(std::move(build));
+  return builds;
+}
+
 /// Runs `pipeline` in 4-row morsels with a MemoryTracker.
 struct TrackedRun {
   std::vector<FragmentOutput> outputs;
@@ -321,8 +328,8 @@ TEST(ExecutorTest, HashJoinInner) {
   join.build_keys = {"id"};
   join.build_columns = {"name"};
   CostAccumulator cost;
-  auto out =
-      ExecuteFragment(PipelineWith({join}), SalesChunk(), {dim}, &cost);
+  auto out = ExecuteFragment(PipelineWith({join}), SalesChunk(),
+                             Builds(std::move(dim)), &cost);
   ASSERT_TRUE(out.ok());
   const Chunk& chunk = (*out)[0].chunk;
   // key=3 has no match: 5 of 6 rows survive.
@@ -346,7 +353,7 @@ TEST(ExecutorTest, HashJoinEmitsDuplicateMatchesInMultimapOrder) {
   }
   const TrackedRun run =
       RunTracked(PipelineWith({JoinOnKeyTaggingBuildRows()}),
-                 std::move(probe), {DuplicateKeyBuild()});
+                 std::move(probe), Builds(DuplicateKeyBuild()));
   ASSERT_EQ(run.outputs.size(), 1u);
   const Chunk& chunk = run.outputs[0].chunk;
   EXPECT_EQ(chunk.column(1).ints(),
@@ -374,13 +381,14 @@ TEST(ExecutorTest, HashJoinRejectsKeysOfDifferentKinds) {
   CostAccumulator cost;
   for (const char* key : {"id", "price"}) {
     join.build_keys = {key};
-    auto out = ExecuteFragment(PipelineWith({join}), SalesChunk(), {dim},
-                               &cost);
+    auto out = ExecuteFragment(PipelineWith({join}), SalesChunk(),
+                               Builds(dim.Slice(0, dim.rows())), &cost);
     ASSERT_FALSE(out.ok()) << key;
     EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << key;
   }
   join.build_keys = {"day"};
-  auto out = ExecuteFragment(PipelineWith({join}), SalesChunk(), {dim}, &cost);
+  auto out = ExecuteFragment(PipelineWith({join}), SalesChunk(),
+                             Builds(std::move(dim)), &cost);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ((*out)[0].chunk.rows(), 3);
 }

@@ -83,8 +83,13 @@ RunOutcome RunPipeline(const PipelineSpec& pipeline, const Chunk& input,
                const std::vector<Chunk>& builds, int64_t morsel_rows) {
   CostAccumulator cost;
   MemoryTracker memory;
-  FragmentPipeline executor(pipeline, builds, &cost, &memory, morsel_rows);
-  SKYRISE_CHECK_OK(executor.Push(Chunk(input)));
+  std::vector<Chunk> copies;
+  for (const Chunk& build : builds) {
+    copies.push_back(build.Slice(0, build.rows()));
+  }
+  FragmentPipeline executor(pipeline, std::move(copies), &cost, &memory,
+                            morsel_rows);
+  SKYRISE_CHECK_OK(executor.Push(input.Slice(0, input.rows())));
   auto outputs = executor.Finish();
   SKYRISE_CHECK_OK(outputs.status());
   return RunOutcome{std::move(outputs).ValueUnsafe(), cost.ns(),
@@ -168,7 +173,9 @@ TEST(StreamingEquivalence, HashJoin) {
   join.probe_keys = {"key"};
   join.build_keys = {"id"};
   join.build_columns = {"name"};
-  ExpectEquivalentAcrossBatchSizes(PipelineWith({join}), SalesChunk(), {dim},
+  std::vector<Chunk> builds;
+  builds.push_back(std::move(dim));
+  ExpectEquivalentAcrossBatchSizes(PipelineWith({join}), SalesChunk(), builds,
                                    "hash_join");
 }
 

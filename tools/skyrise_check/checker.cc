@@ -34,16 +34,6 @@ bool StdoutExempt(const std::string& path) {
   return false;
 }
 
-/// True for files under the engine layer, where morsels flow through the
-/// operator chain and a by-value data::Chunk parameter is a silent deep copy
-/// on the hot path. Bare file names (no directory) are in scope so lint
-/// fixtures exercise the rule.
-bool EngineScoped(const std::string& path) {
-  if (path.find('/') == std::string::npos) return true;
-  return path.rfind("src/engine/", 0) == 0 ||
-         path.find("/src/engine/") != std::string::npos;
-}
-
 /// True for simulator-core files, where every event fire crosses this code
 /// and per-call allocations multiply by millions. Bare file names are in
 /// scope only when they name hot-path fixtures, so the other rule fixtures
@@ -225,8 +215,8 @@ const std::vector<std::string>& Checker::RuleIds() {
   static const std::vector<std::string> kRules = {
       "banned-api",          "unordered-iteration",
       "pragma-once",         "using-namespace",
-      "raw-stdout",          "chunk-copy",
-      "unbounded-retry",     "sim-hot-path",
+      "raw-stdout",          "unbounded-retry",
+      "sim-hot-path",
       "unchecked-result-access",
       "status-path-drop",    "use-after-move",
       "span-leak",           "unordered-taint",
@@ -336,36 +326,57 @@ void Checker::CheckBannedApis(const SourceFile& file,
   }
 }
 
-void Checker::CheckUnorderedIteration(const SourceFile& file,
-                                      std::vector<Diagnostic>* out) const {
-  // Pass A: names declared with an unordered container type in this file.
-  std::set<std::string> unordered_vars;
-  for (const std::string& line : file.code) {
-    for (size_t i = 0; i < line.size(); ++i) {
-      if (!IsIdentChar(line[i]) || (i > 0 && IsIdentChar(line[i - 1]))) {
-        continue;
+void Checker::CollectUnorderedNames(const SourceFile& file) {
+  const std::vector<Token> toks = Lex(file);
+  std::set<std::string>& names = unordered_names_[file.path];
+  for (size_t i = 0; i + 1 < toks.size(); ++i) {
+    if (!toks[i].Is("unordered_map") && !toks[i].Is("unordered_set")) {
+      continue;
+    }
+    size_t j = i + 1;
+    if (toks[j].Is("<")) {
+      int depth = 0;
+      size_t k = j;
+      for (; k < toks.size() && k < j + 256; ++k) {
+        if (toks[k].Is("<")) ++depth;
+        if (toks[k].Is(">")) --depth;
+        if (toks[k].Is(">>")) depth -= 2;
+        if (depth <= 0) break;
       }
-      const std::string tok = ReadIdent(line, i);
-      i += tok.size() - 1;
-      if (tok != "unordered_map" && tok != "unordered_set") continue;
-      size_t p = SkipSpaces(line, i + 1);
-      if (p < line.size() && line[p] == '<') {
-        const size_t close = MatchAngle(line, p);
-        if (close == std::string::npos) continue;
-        p = close + 1;
-      }
-      p = SkipSpaces(line, p);
-      while (p < line.size() && (line[p] == '*' || line[p] == '&')) {
-        p = SkipSpaces(line, p + 1);
-      }
-      if (p < line.size() && IsIdentChar(line[p])) {
-        unordered_vars.insert(ReadIdent(line, p));
-      }
+      j = k + 1;
+    }
+    while (j < toks.size() &&
+           (toks[j].Is("*") || toks[j].Is("&") || toks[j].Is("&&"))) {
+      ++j;
+    }
+    if (j < toks.size() && toks[j].IsIdent()) names.insert(toks[j].text);
+  }
+}
+
+std::set<std::string> Checker::UnorderedNamesFor(
+    const SourceFile& file) const {
+  std::set<std::string> names;
+  std::vector<std::string> paths = {file.path};
+  if (!file.is_header) {
+    const std::string stem = file.path.substr(0, file.path.rfind('.'));
+    paths.push_back(stem + ".h");
+    paths.push_back(stem + ".hpp");
+  }
+  for (const std::string& path : paths) {
+    auto it = unordered_names_.find(path);
+    if (it != unordered_names_.end()) {
+      names.insert(it->second.begin(), it->second.end());
     }
   }
+  return names;
+}
+
+void Checker::CheckUnorderedIteration(
+    const SourceFile& file, const std::set<std::string>& unordered_vars,
+    std::vector<Diagnostic>* out) const {
   if (unordered_vars.empty()) return;
 
-  // Pass B: any `for (...)` whose header mentions one of those names — both
+  // Any `for (...)` whose header mentions one of those names — both
   // range-for and iterator forms touch the container's hash order.
   for (size_t li = 0; li < file.code.size(); ++li) {
     const std::string& line = file.code[li];
@@ -473,83 +484,6 @@ void Checker::CheckHeaderHygiene(const SourceFile& file,
   }
 }
 
-void Checker::CheckChunkCopy(const SourceFile& file,
-                             std::vector<Diagnostic>* out) const {
-  if (!EngineScoped(file.path)) return;
-  for (size_t li = 0; li < file.code.size(); ++li) {
-    const std::string& line = file.code[li];
-    for (size_t i = 0; i < line.size(); ++i) {
-      if (!IsIdentChar(line[i]) || (i > 0 && IsIdentChar(line[i - 1]))) {
-        continue;
-      }
-      const std::string tok = ReadIdent(line, i);
-      if (tok != "Chunk") {
-        i += tok.size() - 1;
-        continue;
-      }
-      // A by-value parameter reads `Chunk name` followed by `,`, `)`, `=`
-      // (default argument), or the line end, in a position opened by `(` or
-      // `,`. References, rvalue refs, pointers, template arguments, return
-      // types, members, and locals all fail one of the two checks.
-      const size_t after = SkipSpaces(line, i + tok.size());
-      if (after >= line.size() || !IsIdentChar(line[after])) {
-        i += tok.size() - 1;
-        continue;
-      }
-      const std::string param = ReadIdent(line, after);
-      const size_t fq = SkipSpaces(line, after + param.size());
-      const char follow = fq < line.size() ? line[fq] : '\0';
-      if (follow != ',' && follow != ')' && follow != '=' && follow != '\0') {
-        i += tok.size() - 1;
-        continue;
-      }
-      // Walk back over a `data::`-style qualifier and an optional `const`.
-      size_t b = i;
-      while (b >= 2 && line[b - 1] == ':' && line[b - 2] == ':') {
-        size_t q = b - 2;
-        while (q > 0 && IsIdentChar(line[q - 1])) --q;
-        b = q;
-      }
-      size_t p = b;
-      while (p > 0 && std::isspace(static_cast<unsigned char>(line[p - 1]))) {
-        --p;
-      }
-      if (p >= 5 && line.compare(p - 5, 5, "const") == 0 &&
-          (p == 5 || !IsIdentChar(line[p - 6]))) {
-        p -= 5;
-        while (p > 0 &&
-               std::isspace(static_cast<unsigned char>(line[p - 1]))) {
-          --p;
-        }
-      }
-      char before = '\0';
-      if (p > 0) {
-        before = line[p - 1];
-      } else {
-        // Wrapped parameter list: the previous line's last significant
-        // character decides.
-        for (size_t pl = li; pl > 0; --pl) {
-          const size_t e = file.code[pl - 1].find_last_not_of(" \t");
-          if (e != std::string::npos) {
-            before = file.code[pl - 1][e];
-            break;
-          }
-        }
-      }
-      if (before != '(' && before != ',') {
-        i += tok.size() - 1;
-        continue;
-      }
-      Emit(file, static_cast<int>(li) + 1, "chunk-copy",
-           "pass-by-value data::Chunk parameter `" + param +
-               "` deep-copies column vectors on the morsel path; take "
-               "`const data::Chunk&` or `data::Chunk&&`",
-           out);
-      i += tok.size() - 1;
-    }
-  }
-}
-
 void Checker::CheckUnboundedRetry(const SourceFile& file,
                                   std::vector<Diagnostic>* out) const {
   if (!SrcScoped(file.path)) return;
@@ -605,9 +539,9 @@ void Checker::CheckSimHotPath(const SourceFile& file,
                               std::vector<Diagnostic>* out) const {
   if (!SimScoped(file.path)) return;
 
-  // Half A: by-value std::function parameters. Same parse shape as
-  // chunk-copy — references, pointers, and rvalue refs all fail the
-  // follow-character check, and the walk-back proves parameter position.
+  // Half A: by-value std::function parameters. References, pointers, and
+  // rvalue refs all fail the follow-character check, and the walk-back
+  // proves parameter position.
   for (size_t li = 0; li < file.code.size(); ++li) {
     const std::string& line = file.code[li];
     size_t pos = 0;
@@ -735,14 +669,14 @@ void Checker::CheckSimHotPath(const SourceFile& file,
 
 void Checker::CheckFile(const SourceFile& file,
                         std::vector<Diagnostic>* out) const {
+  const std::set<std::string> unordered = UnorderedNamesFor(file);
   CheckBannedApis(file, out);
-  CheckUnorderedIteration(file, out);
+  CheckUnorderedIteration(file, unordered, out);
   CheckHeaderHygiene(file, out);
-  CheckChunkCopy(file, out);
   CheckUnboundedRetry(file, out);
   CheckSimHotPath(file, out);
   const FlowContext ctx{&result_names_, &fallible_names_, &void_names_,
-                        &span_source_names_};
+                        &span_source_names_, &unordered};
   CheckFlowRules(file, ctx, out);
 }
 
@@ -778,6 +712,7 @@ std::vector<Diagnostic> Checker::CheckSources(
   SymbolIndex index;
   for (const SourceFile& f : files) {
     CollectFallibleNames(f);
+    CollectUnorderedNames(f);
     index.AddFile(f);
   }
   span_source_names_ = index.SpanSourceNames();

@@ -15,18 +15,14 @@
 ///   banned-api          wall clocks, ambient randomness, env lookups, thread
 ///                       ids — nondeterminism sources that must come from
 ///                       sim::Environment / common/random instead
-///   unordered-iteration loops over unordered_map/unordered_set — iteration
-///                       order is hash-seed dependent and must not leak into
-///                       emitted rows, shuffle partitions, or reports
+///   unordered-iteration loops over unordered_map/unordered_set declared in
+///                       the file or its paired header — iteration order is
+///                       hash-seed dependent and must not leak into emitted
+///                       rows, shuffle partitions, or reports
 ///   pragma-once         header missing `#pragma once`
 ///   using-namespace     `using namespace` at any scope in a header
 ///   raw-stdout          std::cout outside tools/ and examples/ (library code
 ///                       reports through the logging/report layers)
-///   chunk-copy          pass-by-value data::Chunk parameter in engine code —
-///                       a silent deep copy of whole column vectors on the
-///                       morsel hot path; take `const data::Chunk&` or
-///                       `data::Chunk&&` instead (sinks that must own their
-///                       input take &&), or suppress with an allow comment
 ///   unbounded-retry     a src/ function that schedules retry work (a
 ///                       Schedule() call mentioning retry/backoff/attempt)
 ///                       with no visible bound — no identifier naming a
@@ -152,10 +148,17 @@ class Checker {
   /// even when status.h is not scanned.
   void CollectFallibleNames(const SourceFile& file);
 
+  /// Names declared with an unordered container type (locals, parameters,
+  /// members, statics) in `file`. The unordered-iteration and
+  /// unordered-taint rules read a file's names together with those of its
+  /// paired header (same directory and stem), where members are declared.
+  void CollectUnorderedNames(const SourceFile& file);
+
   /// Runs every per-file rule over one file and appends diagnostics
-  /// (suppressions already applied). Call CollectFallibleNames() for all
-  /// files first so the flow rules see cross-file declarations. The
-  /// interprocedural rules need the whole program — use CheckSources.
+  /// (suppressions already applied). Call CollectFallibleNames() and
+  /// CollectUnorderedNames() for all files first so the rules see
+  /// cross-file declarations. The interprocedural rules need the whole
+  /// program — use CheckSources.
   void CheckFile(const SourceFile& file, std::vector<Diagnostic>* out) const;
 
   /// Preprocess + collect + check a set of in-memory files, then run the
@@ -178,12 +181,13 @@ class Checker {
  private:
   void CheckBannedApis(const SourceFile& file,
                        std::vector<Diagnostic>* out) const;
+  /// `file`'s unordered names and, for a source file, its header's.
+  std::set<std::string> UnorderedNamesFor(const SourceFile& file) const;
   void CheckUnorderedIteration(const SourceFile& file,
+                               const std::set<std::string>& unordered_vars,
                                std::vector<Diagnostic>* out) const;
   void CheckHeaderHygiene(const SourceFile& file,
                           std::vector<Diagnostic>* out) const;
-  void CheckChunkCopy(const SourceFile& file,
-                      std::vector<Diagnostic>* out) const;
   void CheckUnboundedRetry(const SourceFile& file,
                            std::vector<Diagnostic>* out) const;
   void CheckSimHotPath(const SourceFile& file,
@@ -203,6 +207,8 @@ class Checker {
   /// harvested by the symbol index in CheckSources; the dataflow pass
   /// treats calls to these like Tracer::Begin (span-transfer-leak).
   std::set<std::string> span_source_names_;
+  /// CollectUnorderedNames() results by file path.
+  std::map<std::string, std::set<std::string>> unordered_names_;
 };
 
 /// One file loaded from disk for tree-wide linting.

@@ -114,13 +114,11 @@ class FunctionAnalyzer {
   FunctionAnalyzer(const SourceFile& file, const FlowContext& ctx,
                    const std::vector<Token>& toks, const BracketMap& brackets,
                    const std::vector<FunctionScope>& all_scopes,
-                   const std::set<std::string>& unordered_names,
                    std::vector<Diagnostic>* out)
       : file_(file),
         ctx_(ctx),
         toks_(toks),
         brackets_(brackets),
-        unordered_names_(unordered_names),
         out_(out) {
     for (const FunctionScope& s : all_scopes) {
       scope_entries_[s.is_lambda ? s.capture_begin : s.body_begin] = &s;
@@ -1144,8 +1142,8 @@ class FunctionAnalyzer {
   }
 
   /// True when a loop header iterates hash-ordered state: it mentions an
-  /// unordered container declared in this file, or a collector local that is
-  /// itself tainted.
+  /// unordered container declared in this file or its header, or a
+  /// collector local that is itself tainted.
   bool LoopIsUnordered(size_t b, size_t e, const AbsState& state) const {
     for (size_t i = b; i <= e && i < toks_.size(); ++i) {
       if (!toks_[i].IsIdent()) continue;
@@ -1153,7 +1151,10 @@ class FunctionAnalyzer {
           i > b && (toks_[i - 1].Is(".") || toks_[i - 1].Is("->") ||
                     toks_[i - 1].Is("::"));
       if (member) continue;
-      if (unordered_names_.count(toks_[i].text) > 0) return true;
+      if (ctx_.unordered_names != nullptr &&
+          ctx_.unordered_names->count(toks_[i].text) > 0) {
+        return true;
+      }
       auto it = state.find(toks_[i].text);
       if (it != state.end() && it->second.tainted) return true;
     }
@@ -1273,39 +1274,12 @@ class FunctionAnalyzer {
   const FlowContext& ctx_;
   const std::vector<Token>& toks_;
   const BracketMap& brackets_;
-  const std::set<std::string>& unordered_names_;
   std::vector<Diagnostic>* out_;
   std::map<size_t, const FunctionScope*> scope_entries_;
   const FunctionScope* scope_ = nullptr;
   std::set<std::string> emitted_;
   int unordered_depth_ = 0;
 };
-
-/// Names declared with an unordered container type anywhere in the file
-/// (locals, members, statics) — the taint sources.
-std::set<std::string> CollectUnorderedNames(const std::vector<Token>& toks) {
-  std::set<std::string> names;
-  for (size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (!toks[i].Is("unordered_map") && !toks[i].Is("unordered_set")) {
-      continue;
-    }
-    size_t j = i + 1;
-    if (toks[j].Is("<")) {
-      int depth = 0;
-      size_t k = j;
-      for (; k < toks.size() && k < j + 256; ++k) {
-        if (toks[k].Is("<")) ++depth;
-        if (toks[k].Is(">")) --depth;
-        if (toks[k].Is(">>")) depth -= 2;
-        if (depth <= 0) break;
-      }
-      j = k + 1;
-    }
-    while (j < toks.size() && (toks[j].Is("*") || toks[j].Is("&"))) ++j;
-    if (j < toks.size() && toks[j].IsIdent()) names.insert(toks[j].text);
-  }
-  return names;
-}
 
 }  // namespace
 
@@ -1314,9 +1288,7 @@ void CheckFlowRules(const SourceFile& file, const FlowContext& ctx,
   const std::vector<Token> toks = Lex(file);
   const BracketMap brackets = PairBrackets(toks);
   const std::vector<FunctionScope> scopes = ExtractFunctions(toks, brackets);
-  const std::set<std::string> unordered = CollectUnorderedNames(toks);
-  FunctionAnalyzer analyzer(file, ctx, toks, brackets, scopes, unordered,
-                            out);
+  FunctionAnalyzer analyzer(file, ctx, toks, brackets, scopes, out);
   for (const FunctionScope& scope : scopes) analyzer.Analyze(scope);
 }
 

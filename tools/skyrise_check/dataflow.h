@@ -45,6 +45,9 @@ struct FlowContext {
   /// in the body. Binding one transfers the End obligation to the caller —
   /// a leak there is span-transfer-leak rather than span-leak.
   const std::set<std::string>* span_source_names = nullptr;
+  /// Unordered containers declared in the file or its paired header
+  /// (Checker::CollectUnorderedNames): the unordered-taint sources.
+  const std::set<std::string>* unordered_names = nullptr;
 };
 
 /// Runs every flow-sensitive rule over one file. Suppressions

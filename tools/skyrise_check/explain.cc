@@ -39,11 +39,6 @@ const std::vector<RuleDoc>& RuleDocs() {
        "tools and examples only.",
        "// src/engine/worker.cc\n"
        "std::cout << \"done\\n\";  // bypasses the report writer"},
-      {"chunk-copy",
-       "A by-value data::Chunk parameter deep-copies whole column vectors on "
-       "the morsel hot path; engine code takes `const data::Chunk&` (readers) "
-       "or `data::Chunk&&` (owning sinks).",
-       "void Consume(data::Chunk chunk);  // silent deep copy per morsel"},
       {"unbounded-retry",
        "A function that schedules retry work must show a bound — a deadline, "
        "a retry budget, or a max-attempts cap — in its own scope; unbounded "
