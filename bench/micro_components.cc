@@ -7,11 +7,13 @@
 #include "common/histogram.h"
 #include "common/json.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "data/chunk_pool.h"
 #include "datagen/tpch.h"
 #include "engine/executor.h"
 #include "engine/queries.h"
 #include "format/cof.h"
+#include "obs/trace.h"
 #include "sim/environment.h"
 #include "sim/token_bucket.h"
 
@@ -40,6 +42,34 @@ void BM_HistogramRecord(benchmark::State& state) {
   benchmark::DoNotOptimize(h.Percentile(99));
 }
 BENCHMARK(BM_HistogramRecord);
+
+void BM_TracerRequestSpan(benchmark::State& state) {
+  // One storage request as RetryClient traces it: a "get <key>" span with
+  // its key, offset and length, and one attempt span under it.
+  std::vector<std::string> keys;
+  for (int i = 0; i < 4000; ++i) {
+    keys.push_back(StrFormat("tables/lineitem/part-%04d.cof", i));
+  }
+  sim::SimEnvironment env(1);
+  obs::Tracer tracer(&env);
+  size_t next = 0;
+  for (auto _ : state) {
+    const std::string& key = keys[next++ % keys.size()];
+    const obs::SpanId request =
+        tracer.Begin("storage/s3", "get " + key, "storage");
+    tracer.SetArg(request, "key", Json(key));
+    tracer.SetArg(request, "offset", Json(int64_t{0}));
+    tracer.SetArg(request, "length", Json(int64_t{1} << 20));
+    const obs::SpanId attempt = tracer.Begin(
+        "storage/s3", StrFormat("attempt %d", 1), "storage", request);
+    tracer.EndWith(attempt, "ok");
+    tracer.EndWith(request, "ok");
+    benchmark::DoNotOptimize(attempt);
+    if (tracer.spans().size() >= 100000) tracer.Reset();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TracerRequestSpan);
 
 void BM_EventQueueScheduleRun(benchmark::State& state) {
   for (auto _ : state) {

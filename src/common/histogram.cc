@@ -9,8 +9,8 @@
 namespace skyrise {
 
 namespace {
-// We bucket values by (exponent, mantissa-slice). Values below 1.0 go into a
-// dedicated linear region scaled by 2^-32 to retain sub-unit resolution.
+// We bucket values by (exponent, mantissa-slice). Exponent e holds
+// [2^(e-32), 2^(e-31)); values beyond either end clamp into the end ones.
 constexpr int kExponentRange = 96;  // Covers 2^-32 .. 2^64.
 constexpr int kExponentBias = 32;
 }  // namespace
@@ -19,7 +19,6 @@ Histogram::Histogram(int significant_digits) {
   SKYRISE_CHECK(significant_digits >= 1 && significant_digits <= 3);
   // ~3.3 bits per decimal digit of relative precision.
   sub_bucket_bits_ = significant_digits * 4;
-  buckets_.assign(static_cast<size_t>(kExponentRange) << sub_bucket_bits_, 0);
 }
 
 size_t Histogram::BucketIndex(double value) const {
@@ -42,11 +41,34 @@ double Histogram::BucketMid(size_t index) const {
   return std::ldexp(mant, e);
 }
 
+size_t Histogram::Offset() const {
+  return static_cast<size_t>(first_exponent_) << sub_bucket_bits_;
+}
+
+void Histogram::Cover(int exponent) {
+  if (buckets_.empty()) first_exponent_ = exponent;
+  if (exponent < first_exponent_) {
+    buckets_.insert(buckets_.begin(),
+                    static_cast<size_t>(first_exponent_ - exponent)
+                        << sub_bucket_bits_,
+                    0);
+    first_exponent_ = exponent;
+  } else if (exponent >= first_exponent_ + exponent_blocks()) {
+    buckets_.resize(static_cast<size_t>(exponent - first_exponent_ + 1)
+                    << sub_bucket_bits_);
+  }
+}
+
 void Histogram::Record(double value) { RecordN(value, 1); }
 
 void Histogram::RecordN(double value, int64_t count) {
   if (count <= 0) return;
-  buckets_[BucketIndex(value)] += count;
+  const size_t index = BucketIndex(value);
+  // Wraps past the end for an exponent below the first block.
+  if (index - Offset() >= buckets_.size()) {
+    Cover(static_cast<int>(index >> sub_bucket_bits_));
+  }
+  buckets_[index - Offset()] += count;
   count_ += count;
   sum_ += value * count;
   sum_sq_ += value * value * count;
@@ -70,7 +92,7 @@ double Histogram::Percentile(double p) const {
     acc += buckets_[i];
     if (static_cast<double>(acc) >= target && buckets_[i] > 0) {
       // Clamp bucket midpoint to the true observed range.
-      return std::clamp(BucketMid(i), min_, max_);
+      return std::clamp(BucketMid(Offset() + i), min_, max_);
     }
   }
   return max_;
@@ -90,7 +112,14 @@ double Histogram::CoV() const {
 
 void Histogram::Merge(const Histogram& other) {
   SKYRISE_CHECK(sub_bucket_bits_ == other.sub_bucket_bits_);
-  for (size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
+  if (!other.buckets_.empty()) {
+    Cover(other.first_exponent_);
+    Cover(other.first_exponent_ + other.exponent_blocks() - 1);
+    int64_t* into = buckets_.data() + (other.Offset() - Offset());
+    for (size_t i = 0; i < other.buckets_.size(); ++i) {
+      into[i] += other.buckets_[i];
+    }
+  }
   count_ += other.count_;
   sum_ += other.sum_;
   sum_sq_ += other.sum_sq_;
@@ -107,7 +136,7 @@ void Histogram::Merge(const Histogram& other) {
 }
 
 void Histogram::Reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
+  buckets_.clear();
   count_ = 0;
   sum_ = sum_sq_ = 0;
   min_ = max_ = 0;

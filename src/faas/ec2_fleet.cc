@@ -82,6 +82,8 @@ void Ec2Fleet::Dispatch(Pending pending) {
   auto entry = registry_->Find(pending.call->function);
   if (!entry.ok()) {
     ++free_slots_;
+    Count(&stats_.invocations, ".invocations");
+    Count(&stats_.errors, ".errors");
     Answer(*pending.call, entry.status());
     return;
   }

@@ -2,24 +2,51 @@
 
 #include <algorithm>
 #include <fstream>
+#include <functional>
+#include <limits>
 
+#include "common/macros.h"
 #include "common/string_util.h"
 
 namespace skyrise::obs {
 
-Tracer::Tracer(sim::SimEnvironment* env) : env_(env) { Intern(""); }
+namespace {
+constexpr size_t kInitialIndexSlots = 64;
+}  // namespace
 
-StrId Tracer::Intern(const std::string& text) {
-  auto it = string_ids_.find(text);
-  if (it != string_ids_.end()) return it->second;
-  const StrId id = static_cast<StrId>(strings_.size());
-  strings_.push_back(text);
-  string_ids_.emplace(strings_.back(), id);
+Tracer::Tracer(sim::SimEnvironment* env)
+    : env_(env), offsets_{0, 0}, index_(kInitialIndexSlots, 0) {}
+
+size_t Tracer::Probe(std::string_view text) const {
+  const size_t mask = index_.size() - 1;
+  size_t slot = std::hash<std::string_view>()(text) & mask;
+  while (index_[slot] != 0 && str(index_[slot]) != text) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+StrId Tracer::Intern(std::string_view text) {
+  if (text.empty()) return 0;
+  const size_t slot = Probe(text);
+  if (index_[slot] != 0) return index_[slot];
+  const StrId id = static_cast<StrId>(offsets_.size() - 1);
+  SKYRISE_CHECK(id < (StrId{1} << 29) &&
+                text.size() <= std::numeric_limits<uint32_t>::max() -
+                                   text_.size());
+  text_.append(text);
+  offsets_.push_back(static_cast<uint32_t>(text_.size()));
+  index_[slot] = id;
+  if (2 * static_cast<size_t>(id) >= index_.size()) {
+    // Rehash into twice the slots, in handle order.
+    index_.assign(2 * index_.size(), 0);
+    for (StrId i = 1; i <= id; ++i) index_[Probe(str(i))] = i;
+  }
   return id;
 }
 
-SpanId Tracer::Append(const std::string& track, const std::string& name,
-                      const std::string& category, SpanId parent) {
+SpanId Tracer::Append(std::string_view track, std::string_view name,
+                      std::string_view category, SpanId parent) {
   Span span;
   span.id = static_cast<SpanId>(spans_.size()) + 1;
   span.parent = parent;
@@ -31,13 +58,13 @@ SpanId Tracer::Append(const std::string& track, const std::string& name,
   return span.id;
 }
 
-SpanId Tracer::Begin(const std::string& track, const std::string& name,
-                     const std::string& category, SpanId parent) {
+SpanId Tracer::Begin(std::string_view track, std::string_view name,
+                     std::string_view category, SpanId parent) {
   ++open_;
   return Append(track, name, category, parent);
 }
 
-void Tracer::EndWith(SpanId id, const std::string& outcome) {
+void Tracer::EndWith(SpanId id, std::string_view outcome) {
   Span* span = FindMutable(id);
   if (span == nullptr || span->end >= span->start) return;
   span->end = env_->now();
@@ -45,8 +72,8 @@ void Tracer::EndWith(SpanId id, const std::string& outcome) {
   --open_;
 }
 
-void Tracer::Instant(const std::string& track, const std::string& name,
-                     const std::string& category, SpanId parent) {
+void Tracer::Instant(std::string_view track, std::string_view name,
+                     std::string_view category, SpanId parent) {
   Append(track, name, category, parent);
   Span& span = spans_.back();
   span.end = span.start;
@@ -55,7 +82,7 @@ void Tracer::Instant(const std::string& track, const std::string& name,
 }
 
 void Tracer::StoreArg(Json value, Arg* arg) {
-  arg->type = value.type();
+  arg->type = static_cast<uint32_t>(value.type());
   switch (value.type()) {
     case Json::Type::kNull:
       break;
@@ -77,7 +104,7 @@ void Tracer::StoreArg(Json value, Arg* arg) {
 }
 
 Json Tracer::LoadArg(const Arg& arg) const {
-  switch (arg.type) {
+  switch (static_cast<Json::Type>(arg.type)) {
     case Json::Type::kNull:
       return Json();
     case Json::Type::kBool:
@@ -85,7 +112,7 @@ Json Tracer::LoadArg(const Arg& arg) const {
     case Json::Type::kNumber:
       return Json(arg.number);
     case Json::Type::kString:
-      return Json(str(arg.ref));
+      return Json(std::string(str(arg.ref)));
     case Json::Type::kArray:
     case Json::Type::kObject:
       break;
@@ -93,7 +120,7 @@ Json Tracer::LoadArg(const Arg& arg) const {
   return json_args_[arg.ref];
 }
 
-void Tracer::SetArg(SpanId id, const std::string& key, Json value) {
+void Tracer::SetArg(SpanId id, std::string_view key, Json value) {
   Span* span = FindMutable(id);
   if (span == nullptr) return;
   const StrId key_id = Intern(key);
@@ -116,7 +143,7 @@ Json Tracer::Args(SpanId id) const {
   const Span* span = Find(id);
   if (span == nullptr) return args;
   for (uint32_t i = span->args; i != 0; i = args_[i - 1].next) {
-    args[str(args_[i - 1].key)] = LoadArg(args_[i - 1]);
+    args[std::string(str(args_[i - 1].key))] = LoadArg(args_[i - 1]);
   }
   return args;
 }
@@ -128,7 +155,7 @@ void Tracer::AddCost(SpanId id, double usd) {
     return;
   }
   span->cost_usd += usd;
-  cost_buckets_[str(span->category)] += usd;
+  cost_buckets_[std::string(str(span->category))] += usd;
 }
 
 const Span* Tracer::Find(SpanId id) const {
@@ -153,32 +180,35 @@ double Tracer::attributed_usd_total() const {
 }
 
 Status Tracer::Validate() const {
+  const auto name = [this](const Span& span) {
+    return std::string(str(span.name));
+  };
   for (const Span& span : spans_) {
     if (span.end < span.start) {
       return Status::Internal(StrFormat("span %lld (%s) never closed",
                                         static_cast<long long>(span.id),
-                                        str(span.name).c_str()));
+                                        name(span).c_str()));
     }
     if (span.parent == kNoSpan) continue;
     const Span* parent = Find(span.parent);
     if (parent == nullptr || parent->id >= span.id) {
       return Status::Internal(StrFormat(
           "span %lld (%s) has invalid parent %lld",
-          static_cast<long long>(span.id), str(span.name).c_str(),
+          static_cast<long long>(span.id), name(span).c_str(),
           static_cast<long long>(span.parent)));
     }
     if (span.start < parent->start) {
       return Status::Internal(StrFormat(
           "span %lld (%s) starts before its parent %lld",
-          static_cast<long long>(span.id), str(span.name).c_str(),
+          static_cast<long long>(span.id), name(span).c_str(),
           static_cast<long long>(parent->id)));
     }
     if (!span.instant && span.track == parent->track &&
         span.end > parent->end) {
       return Status::Internal(StrFormat(
           "span %lld (%s) outlives same-track parent %lld (%s)",
-          static_cast<long long>(span.id), str(span.name).c_str(),
-          static_cast<long long>(parent->id), str(parent->name).c_str()));
+          static_cast<long long>(span.id), name(span).c_str(),
+          static_cast<long long>(parent->id), name(*parent).c_str()));
     }
   }
   return Status::OK();
@@ -187,7 +217,8 @@ Status Tracer::Validate() const {
 Json Tracer::ExportChromeTrace() const {
   const SimTime now = env_->now();
   // Track -> pid in first-appearance (span id) order; 0: not seen yet.
-  std::vector<int> pid_of(strings_.size(), 0);
+  const size_t strings = offsets_.size() - 1;
+  std::vector<int> pid_of(strings, 0);
   std::vector<StrId> track_order;
   for (const Span& span : spans_) {
     if (pid_of[span.track] == 0) {
@@ -201,7 +232,7 @@ Json Tracer::ExportChromeTrace() const {
   // the lowest free lane of their track, children inherit their parent's
   // lane. Same-track containment (see Validate) keeps lanes well-nested.
   std::vector<int> lane_of(spans_.size(), 0);
-  std::vector<std::vector<SimTime>> lane_busy_until(strings_.size());
+  std::vector<std::vector<SimTime>> lane_busy_until(strings);
   for (const Span& span : spans_) {
     const Span* parent = Find(span.parent);
     const SimTime effective_end = span.end < span.start ? now : span.end;
@@ -226,7 +257,7 @@ Json Tracer::ExportChromeTrace() const {
     meta["pid"] = pid_of[track];
     meta["name"] = "process_name";
     Json args = Json::Object();
-    args["name"] = str(track);
+    args["name"] = std::string(str(track));
     meta["args"] = std::move(args);
     events.Append(std::move(meta));
     const size_t lanes = lane_busy_until[track].size();
@@ -248,8 +279,8 @@ Json Tracer::ExportChromeTrace() const {
     event["pid"] = pid_of[span.track];
     event["tid"] =
         static_cast<int64_t>(lane_of[static_cast<size_t>(span.id) - 1]);
-    event["name"] = str(span.name);
-    event["cat"] = str(span.category);
+    event["name"] = std::string(str(span.name));
+    event["cat"] = std::string(str(span.category));
     event["ts"] = span.start;
     Json args = Args(span.id);
     args["span"] = span.id;
@@ -261,7 +292,8 @@ Json Tracer::ExportChromeTrace() const {
       event["ph"] = "X";
       event["dur"] = (span.end < span.start ? now : span.end) - span.start;
       args["cost_usd"] = span.cost_usd;
-      args["outcome"] = span.outcome == 0 ? "open" : str(span.outcome);
+      args["outcome"] =
+          std::string(span.outcome == 0 ? "open" : str(span.outcome));
     }
     event["args"] = std::move(args);
     events.Append(std::move(event));
@@ -294,9 +326,9 @@ void Tracer::Reset() {
   spans_.clear();
   args_.clear();
   json_args_.clear();
-  string_ids_.clear();
-  strings_.clear();
-  Intern("");
+  text_.clear();
+  offsets_.assign({0, 0});
+  std::fill(index_.begin(), index_.end(), 0);
   cost_buckets_.clear();
   open_ = 0;
 }

@@ -1,11 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/json.h"
@@ -39,7 +37,7 @@ using SpanId = int64_t;
 inline constexpr SpanId kNoSpan = 0;
 
 /// Handle into a tracer's string table (`Tracer::str`). Handle 0 is the
-/// empty string.
+/// empty string; the others count up from 1 in first-intern order.
 using StrId = uint32_t;
 
 /// One span record: a fixed 64 bytes. Track, name, category and outcome are
@@ -77,19 +75,19 @@ class Tracer {
 
   /// Opens a span at the current simulated time. Ids are assigned from a
   /// per-tracer sequence, so identical runs produce identical ids.
-  SpanId Begin(const std::string& track, const std::string& name,
-               const std::string& category, SpanId parent = kNoSpan);
+  SpanId Begin(std::string_view track, std::string_view name,
+               std::string_view category, SpanId parent = kNoSpan);
 
   /// Closes a span with outcome "ok". No-op for kNoSpan or a closed span.
   void End(SpanId id) { EndWith(id, "ok"); }
-  void EndWith(SpanId id, const std::string& outcome);
+  void EndWith(SpanId id, std::string_view outcome);
 
   /// Records a zero-duration marker (throttle, injected fault, reap...).
-  void Instant(const std::string& track, const std::string& name,
-               const std::string& category, SpanId parent = kNoSpan);
+  void Instant(std::string_view track, std::string_view name,
+               std::string_view category, SpanId parent = kNoSpan);
 
   /// Attaches/overwrites an annotation on an open or closed span.
-  void SetArg(SpanId id, const std::string& key, Json value);
+  void SetArg(SpanId id, std::string_view key, Json value);
 
   /// Attributes a CostMeter delta to `id`. The delta is also accumulated
   /// into the span's category bucket in call order, which makes
@@ -101,8 +99,13 @@ class Tracer {
   const std::vector<Span>& spans() const { return spans_; }
   /// nullptr for kNoSpan / unknown ids.
   const Span* Find(SpanId id) const;
-  /// The interned string behind a handle of a span of this tracer.
-  const std::string& str(StrId id) const { return strings_[id]; }
+  /// The interned string behind a handle of a span of this tracer. The view
+  /// is valid until the next call that interns a string (Begin, EndWith,
+  /// Instant, SetArg) or Reset.
+  std::string_view str(StrId id) const {
+    return std::string_view(text_.data() + offsets_[id],
+                            offsets_[id + 1] - offsets_[id]);
+  }
   /// A span's annotations as a JSON object (empty for unknown ids).
   Json Args(SpanId id) const;
   int64_t open_spans() const { return open_; }
@@ -132,20 +135,29 @@ class Tracer {
   void Reset();
 
  private:
-  /// One annotation in the arg arena. Numbers and bools are stored inline,
-  /// strings as handles; arrays and objects (rare) in `json_args_`.
+  /// One annotation in the arg arena, in 16 bytes: the key handle and the
+  /// value's type share a word, and the value is a number (bools as 0 or 1)
+  /// or a handle (strings into the string table; arrays and objects, which
+  /// are rare, into `json_args_`).
   struct Arg {
-    StrId key = 0;
-    uint32_t next = 0;  ///< The span's next arg (index + 1; 0: end).
-    Json::Type type = Json::Type::kNull;
-    uint32_t ref = 0;  ///< kString: value handle; kArray/kObject: json_args_.
-    double number = 0;  ///< kBool (0 or 1) and kNumber values.
+    StrId key : 29 = 0;
+    uint32_t type : 3 = 0;  ///< A Json::Type.
+    uint32_t next = 0;      ///< The span's next arg (index + 1; 0: end).
+    union {
+      double number = 0;
+      uint32_t ref;
+    };
   };
+  static_assert(sizeof(Arg) == 16, "args must stay 16 bytes");
+  static_assert(static_cast<int>(Json::Type::kObject) < 8,
+                "a Json::Type must fit the arg's 3-bit type field");
 
   Span* FindMutable(SpanId id);
-  SpanId Append(const std::string& track, const std::string& name,
-                const std::string& category, SpanId parent);
-  StrId Intern(const std::string& text);
+  SpanId Append(std::string_view track, std::string_view name,
+                std::string_view category, SpanId parent);
+  StrId Intern(std::string_view text);
+  /// The index slot holding `text`, or the empty slot where it belongs.
+  size_t Probe(std::string_view text) const;
   void StoreArg(Json value, Arg* arg);
   Json LoadArg(const Arg& arg) const;
 
@@ -153,10 +165,13 @@ class Tracer {
   std::vector<Span> spans_;  ///< Index i holds span id i+1.
   std::vector<Arg> args_;
   std::vector<Json> json_args_;
-  /// String table: a deque keeps each string at a stable address, so the
-  /// index can key on views into it.
-  std::deque<std::string> strings_;
-  std::unordered_map<std::string_view, StrId> string_ids_;
+  /// String table: every interned string's bytes back to back in one arena.
+  /// String i is text_[offsets_[i], offsets_[i + 1]); the index is an
+  /// open-addressing table of handles, hashed by content, at most half full
+  /// (0 marks a free slot: the empty string is never looked up).
+  std::string text_;
+  std::vector<uint32_t> offsets_;
+  std::vector<StrId> index_;
   std::map<std::string, double> cost_buckets_;
   int64_t open_ = 0;
 };

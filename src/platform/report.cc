@@ -183,10 +183,12 @@ std::string RenderQueryProfile(const obs::Tracer& tracer) {
   TablePrinter path({"span", "track", "start_ms", "duration_ms", "outcome"});
   std::string indent;
   for (const obs::Span* node = root; node != nullptr;) {
-    path.AddRow({indent + tracer.str(node->name), tracer.str(node->track),
+    path.AddRow({std::string(indent).append(tracer.str(node->name)),
+                 std::string(tracer.str(node->track)),
                  StrFormat("%.3f", ToMillis(node->start - root->start)),
                  StrFormat("%.3f", ToMillis(node->duration())),
-                 node->outcome == 0 ? "open" : tracer.str(node->outcome)});
+                 std::string(node->outcome == 0 ? "open"
+                                                : tracer.str(node->outcome))});
     const obs::Span* next = nullptr;
     const auto it = children.find(node->id);
     if (it != children.end()) {
@@ -204,7 +206,8 @@ std::string RenderQueryProfile(const obs::Tracer& tracer) {
   std::map<std::string, std::vector<std::pair<SimTime, SimTime>>> by_category;
   for (const auto& span : spans) {
     if (span.instant || span.end <= span.start) continue;
-    by_category[tracer.str(span.category)].emplace_back(span.start, span.end);
+    by_category[std::string(tracer.str(span.category))].emplace_back(
+        span.start, span.end);
   }
   TablePrinter states({"category", "busy_ms", "share"});
   const double window_ms = ToMillis(root->duration());
@@ -242,10 +245,12 @@ std::string RenderQueryProfile(const obs::Tracer& tracer) {
   if (slowest.size() > 10) slowest.resize(10);
   TablePrinter top({"span", "track", "duration_ms", "cost_usd", "outcome"});
   for (const obs::Span* span : slowest) {
-    top.AddRow({tracer.str(span->name), tracer.str(span->track),
+    top.AddRow({std::string(tracer.str(span->name)),
+                std::string(tracer.str(span->track)),
                 StrFormat("%.3f", ToMillis(span->duration())),
                 StrFormat("%.6f", span->cost_usd),
-                span->outcome == 0 ? "open" : tracer.str(span->outcome)});
+                std::string(span->outcome == 0 ? "open"
+                                               : tracer.str(span->outcome))});
   }
   out += top.Render();
   return out;

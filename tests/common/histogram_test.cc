@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
+
 #include "common/random.h"
 
 namespace skyrise {
@@ -107,6 +113,108 @@ TEST(HistogramTest, SummaryContainsCount) {
   const std::string s = h.Summary("ms");
   EXPECT_NE(s.find("n=1"), std::string::npos);
   EXPECT_NE(s.find("ms"), std::string::npos);
+}
+
+/// Non-positive, sub-unit, sub-2^-32 and above-2^64 values plus 1 ms-10 s
+/// latencies (in seconds). The values above 2^64 dominate the sums: the
+/// rest add up to less than half their ulp, so every recording order rounds
+/// to the same sum and sum of squares.
+std::vector<double> EdgeAndLatencyValues() {
+  std::vector<double> values = {
+      0.0, -5.0, -0.25,             // Non-positive.
+      0.5, 0.75, 0.3,               // Sub-unit.
+      1e-12, std::ldexp(1.0, -40),  // Below 2^-32.
+      1.5 * std::ldexp(1.0, 64), 1.25 * std::ldexp(1.0, 66),
+      std::ldexp(1.0, 70)};  // Above 2^64.
+  for (int i = 0; i < 200; ++i) {
+    values.push_back(0.001 * std::pow(10.0, 4.0 * i / 199));
+    if (i % 7 == 0) values.push_back(values.back());  // Repeats.
+  }
+  return values;
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+void ExpectSameDistribution(const Histogram& got, const Histogram& want) {
+  EXPECT_EQ(got.count(), want.count());
+  EXPECT_EQ(Bits(got.min()), Bits(want.min()));
+  EXPECT_EQ(Bits(got.max()), Bits(want.max()));
+  EXPECT_EQ(Bits(got.mean()), Bits(want.mean()));
+  EXPECT_EQ(Bits(got.StdDev()), Bits(want.StdDev()));
+  for (double p : {0.0, 0.1, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+    EXPECT_EQ(Bits(got.Percentile(p)), Bits(want.Percentile(p))) << "p" << p;
+  }
+}
+
+TEST(HistogramTest, OrderMergeAndResetGiveBitIdenticalPercentiles) {
+  std::vector<double> values = EdgeAndLatencyValues();
+  std::sort(values.begin(), values.end());
+  Histogram ascending;
+  for (double v : values) ascending.Record(v);
+
+  // Golden percentiles, computed with all 96 exponent blocks allocated: a
+  // histogram that allocates only the recorded ones must match them bit
+  // for bit.
+  const std::vector<std::pair<double, double>> dense = {
+      {0.0, 0x1.008p-32},  {0.1, 0x1.008p-32},  {1.0, 0x1.008p-32},
+      {25.0, 0x1.208p-7},  {50.0, 0x1.908p-4},  {90.0, 0x1.168p+2},
+      {99.0, 0x1.008p+63}, {99.9, 0x1.808p+63}, {100.0, 0x1.808p+63}};
+  for (const auto& [p, want] : dense) {
+    EXPECT_EQ(Bits(ascending.Percentile(p)), Bits(want)) << "p" << p;
+  }
+
+  Histogram descending;
+  for (auto it = values.rbegin(); it != values.rend(); ++it) {
+    descending.Record(*it);
+  }
+  ExpectSameDistribution(descending, ascending);
+
+  // A stride coprime with the count visits the values out of order.
+  Histogram strided;
+  const size_t n = values.size();
+  ASSERT_NE(n % 7919, 0u);
+  for (size_t i = 0; i < n; ++i) strided.Record(values[i * 7919 % n]);
+  ExpectSameDistribution(strided, ascending);
+
+  // Two halves with disjoint exponent ranges, merged in both directions.
+  Histogram low, high;
+  for (double v : values) (v < 0.125 ? low : high).Record(v);
+  Histogram low_then_high = low;
+  low_then_high.Merge(high);
+  ExpectSameDistribution(low_then_high, ascending);
+  Histogram high_then_low = high;
+  high_then_low.Merge(low);
+  ExpectSameDistribution(high_then_low, ascending);
+
+  Histogram into_empty;
+  into_empty.Merge(ascending);
+  ExpectSameDistribution(into_empty, ascending);
+  Histogram from_empty = ascending;
+  from_empty.Merge(Histogram());
+  ExpectSameDistribution(from_empty, ascending);
+
+  Histogram reused = high;
+  reused.Reset();
+  for (double v : values) reused.Record(v);
+  ExpectSameDistribution(reused, ascending);
+}
+
+TEST(HistogramTest, LatenciesAllocateOnlyTheirExponents) {
+  Histogram h;
+  EXPECT_EQ(h.exponent_blocks(), 0);
+  Rng rng(11);
+  for (int i = 0; i < 10000; ++i) {
+    h.Record(std::clamp(rng.LognormalMedianSigma(40.0, 1.5), 1.0, 10000.0));
+  }
+  h.Record(1.0);
+  h.Record(10000.0);
+  EXPECT_LE(h.exponent_blocks(), 15);
+  h.Reset();
+  EXPECT_EQ(h.exponent_blocks(), 0);
 }
 
 TEST(HistogramTest, ZeroAndNegativeGoToFirstBucket) {

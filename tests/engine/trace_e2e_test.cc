@@ -147,9 +147,9 @@ TEST_F(TraceE2ETest, ChaosTraceIsStructurallyValidAndCoversLifecycles) {
   bool saw_retry_attempt = false;
   const obs::Tracer& tracer = chaos.tracer;
   for (const auto& span : tracer.spans()) {
-    names.insert(tracer.str(span.name));
-    tracks.insert(tracer.str(span.track));
-    if (span.outcome != 0) outcomes.insert(tracer.str(span.outcome));
+    names.emplace(tracer.str(span.name));
+    tracks.emplace(tracer.str(span.track));
+    if (span.outcome != 0) outcomes.emplace(tracer.str(span.outcome));
     if (tracer.str(span.track) == "storage/s3" &&
         tracer.str(span.name) == "attempt 2") {
       saw_retry_attempt = true;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+
 namespace skyrise::faas {
 namespace {
 
@@ -156,12 +158,19 @@ TEST_F(Ec2FleetTest, InjectedWorkerCrashFailsInvocation) {
 
 TEST_F(Ec2FleetTest, UnknownFunctionReportsError) {
   Ec2Fleet fleet(&env_, &fabric_driver_, &registry_, Ec2Fleet::Options());
+  obs::MetricsRegistry metrics;
+  fleet.set_observer(nullptr, &metrics);
   fleet.Start(nullptr);
   Status status;
   fleet.Invoke("nope", Json::Object(),
                [&](Result<Json> r) { status = r.status(); });
   env_.Run();
   EXPECT_TRUE(status.IsNotFound());
+  // Counted as Lambda counts a call it cannot admit.
+  EXPECT_EQ(fleet.stats().invocations, 1);
+  EXPECT_EQ(fleet.stats().errors, 1);
+  EXPECT_EQ(metrics.Counter("ec2.invocations"), 1);
+  EXPECT_EQ(metrics.Counter("ec2.errors"), 1);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/stats.h"
+#include "obs/metrics.h"
 
 namespace skyrise::faas {
 namespace {
@@ -224,11 +225,17 @@ TEST_F(LambdaPlatformTest, PrewarmAvoidsColdstarts) {
 
 TEST_F(LambdaPlatformTest, UnknownFunctionFails) {
   auto platform = MakePlatform();
+  obs::MetricsRegistry metrics;
+  platform->set_observer(nullptr, &metrics);
   Status status;
   platform->Invoke("nope", Json::Object(),
                    [&](Result<Json> r) { status = r.status(); });
   env_.Run();
   EXPECT_TRUE(status.IsNotFound());
+  EXPECT_EQ(platform->stats().invocations, 1);
+  EXPECT_EQ(platform->stats().errors, 1);
+  EXPECT_EQ(metrics.Counter("lambda.invocations"), 1);
+  EXPECT_EQ(metrics.Counter("lambda.errors"), 1);
 }
 
 TEST_F(LambdaPlatformTest, BillingPerMillisecondAndMemory) {

@@ -99,7 +99,7 @@ class LifecycleTest : public ::testing::Test {
     return tracer_.spans().front();
   }
   std::string Outcome(const std::string& span) const {
-    return tracer_.str(SpanNamed(span).outcome);
+    return std::string(tracer_.str(SpanNamed(span).outcome));
   }
 
   sim::SimEnvironment env_{17};

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -216,6 +217,73 @@ TEST(TracerTest, ArgsExportLastValueTypedAndSorted) {
             "{\"attempts\":3,\"cold\":true,\"cost_usd\":0,"
             "\"key\":\"tables/lineitem/part-0\",\"outcome\":\"ok\","
             "\"parent\":0,\"ratio\":0.25,\"span\":1,\"zeta\":\"last\"}");
+}
+
+TEST(TracerTest, OverwrittenArgExportsOnlyItsLastValue) {
+  sim::SimEnvironment env(7);
+  Tracer tracer(&env);
+  const SpanId span = tracer.Begin("worker", "compute", "engine");
+  tracer.SetArg(span, "v", Json(2.5));
+  EXPECT_DOUBLE_EQ(tracer.Args(span).GetDouble("v"), 2.5);
+  tracer.SetArg(span, "v", Json("text"));
+  EXPECT_EQ(tracer.Args(span).GetString("v"), "text");
+  tracer.SetArg(span, "v", Json(true));
+  EXPECT_TRUE(tracer.Args(span).GetBool("v"));
+  tracer.SetArg(span, "v", Json());
+  EXPECT_TRUE(tracer.Args(span).Get("v").is_null());
+  Json object = Json::Object();
+  object["rows"] = 3;
+  tracer.SetArg(span, "v", std::move(object));
+  tracer.End(span);
+
+  const Json args = tracer.Args(span);
+  EXPECT_EQ(args.size(), 1u);
+  ASSERT_TRUE(args.Get("v").is_object());
+  EXPECT_EQ(args.Get("v").GetInt("rows"), 3);
+  const Json doc = tracer.ExportChromeTrace();
+  std::string exported;
+  for (const Json& event : doc.Get("traceEvents").AsArray()) {
+    if (event.GetString("ph") == "X") exported = event.Get("args").Dump();
+  }
+  EXPECT_EQ(exported,
+            "{\"cost_usd\":0,\"outcome\":\"ok\",\"parent\":0,\"span\":1,"
+            "\"v\":{\"rows\":3}}");
+}
+
+TEST(TracerTest, InternedStringsSurviveIndexGrowthAndReset) {
+  sim::SimEnvironment env(7);
+  Tracer tracer(&env);
+  tracer.Instant("track", "first", "category");
+  EXPECT_EQ(tracer.spans()[0].track, 1u);
+  EXPECT_EQ(tracer.str(0), "");
+
+  // 10,000 distinct names, several growths of the string index.
+  auto name = [](int i) {
+    return "get tables/lineitem/part-" + std::to_string(i) + ".cof";
+  };
+  for (int i = 0; i < 10000; ++i) tracer.Instant("track", name(i), "category");
+  std::vector<StrId> handles;
+  for (const Span& span : tracer.spans()) handles.push_back(span.name);
+  for (int i = 0; i < 10000; ++i) {
+    EXPECT_EQ(tracer.str(handles[static_cast<size_t>(i) + 1]), name(i));
+  }
+  // The same text interns to the same handle.
+  for (int i = 0; i < 10000; i += 997) {
+    tracer.Instant("track", name(i), "category");
+    EXPECT_EQ(tracer.spans().back().name, handles[static_cast<size_t>(i) + 1]);
+    EXPECT_EQ(tracer.spans().back().track, tracer.spans()[0].track);
+  }
+  EXPECT_EQ(tracer.str(tracer.spans()[0].name), "first");
+
+  tracer.Reset();
+  tracer.Instant("lambda", "exec", "faas");
+  const Span& span = tracer.spans()[0];
+  EXPECT_EQ(span.track, 1u);
+  EXPECT_EQ(span.name, 2u);
+  EXPECT_EQ(span.category, 3u);
+  EXPECT_EQ(span.outcome, 4u);
+  EXPECT_EQ(tracer.str(span.name), "exec");
+  EXPECT_EQ(tracer.str(span.outcome), "ok");
 }
 
 TEST(TracerTest, OverlappingRootsSpreadOverLanes) {
